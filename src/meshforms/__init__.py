@@ -50,15 +50,12 @@ from .features import (
     read_features,
     write_features,
 )
-from .conv import ConvParams, conv_backward, conv_forward, init_conv_params
 from .pooling import (
     CollapseRecord,
     PoolHistory,
     PoolingState,
     ScoreQueue,
-    collapse_edge,
     pool,
-    pool_batch_legacy,
     unpool,
 )
 from .autodiff import Value

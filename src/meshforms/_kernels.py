@@ -1,48 +1,21 @@
-"""Hot numeric kernels with numba and pure-numpy twin implementations.
+"""Hot numeric kernels: the per-edge convolution and the raw edge geometry.
 
 Kernels here are the per-edge convolution (forward and backward) and the raw
 edge geometry pass (lengths, dihedral angles, opposite angles, length/height
 ratios). Angles use atan2 of cross/dot, which is the numerically stable
 equivalent of arccos of the clamped dot product.
-
-Dispatch: by default each kernel uses whichever implementation wins on the
-shapes this package runs (see benchmarks/bench_kernels.py): the geometry
-pass compiles to a ~8x faster numba loop, while the convolution is matmul
-shaped and stays with BLAS-backed numpy beyond a handful of channels. Set
-``MESHFORMS_NUMBA=0`` to force pure numpy everywhere (also the automatic
-fallback when numba is missing) or ``MESHFORMS_NUMBA=1`` to force the numba
-twins everywhere. Both implementations of every kernel stay importable
-(``*_numpy`` / ``*_numba``) for the benchmark and the equivalence tests.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_ENV = os.environ.get("MESHFORMS_NUMBA", "").strip()
-
-if _ENV == "0":
-    _HAVE_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised only without numba
-        if _ENV == "1":
-            raise
-        _HAVE_NUMBA = False
-
-USING_NUMBA = _HAVE_NUMBA
 
 
 # ---------------------------------------------------------------------------
 # convolution over the ordered 4-neighbor ring
 
 
-def conv_forward_numpy(features, neighbors, weights, bias):
+def conv_forward(features, neighbors, weights, bias):
     """out(e) = bias + w0 f(e) + w1 |f(a)-f(c)| + w2 (f(a)+f(c))
                        + w3 |f(b)-f(d)| + w4 (f(b)+f(d))
 
@@ -66,7 +39,7 @@ def conv_forward_numpy(features, neighbors, weights, bias):
     return out
 
 
-def conv_backward_numpy(grad_out, features, neighbors, weights):
+def conv_backward(grad_out, features, neighbors, weights):
     """Reverse-mode gradients; |x| has subgradient 0 at x = 0."""
     E, C = features.shape
     padded = np.vstack([features, np.zeros((1, C))])
@@ -101,82 +74,11 @@ def conv_backward_numpy(grad_out, features, neighbors, weights):
     return grad_f, grad_w, grad_bias
 
 
-def _conv_forward_loop(features, neighbors, weights, bias):
-    E, C = features.shape
-    Co = bias.shape[0]
-    out = np.empty((E, Co))
-    for e in range(E):
-        na, nb, nc, nd = neighbors[e, 0], neighbors[e, 1], neighbors[e, 2], neighbors[e, 3]
-        for o in range(Co):
-            acc = bias[o]
-            for c in range(C):
-                fa = features[na, c] if na >= 0 else 0.0
-                fb = features[nb, c] if nb >= 0 else 0.0
-                fc = features[nc, c] if nc >= 0 else 0.0
-                fd = features[nd, c] if nd >= 0 else 0.0
-                acc += features[e, c] * weights[0, c, o]
-                acc += abs(fa - fc) * weights[1, c, o]
-                acc += (fa + fc) * weights[2, c, o]
-                acc += abs(fb - fd) * weights[3, c, o]
-                acc += (fb + fd) * weights[4, c, o]
-            out[e, o] = acc
-    return out
-
-
-def _conv_backward_loop(grad_out, features, neighbors, weights):
-    E, C = features.shape
-    Co = grad_out.shape[1]
-    grad_w = np.zeros(weights.shape)
-    grad_bias = np.zeros(Co)
-    grad_f = np.zeros((E, C))
-    for e in range(E):
-        na, nb, nc, nd = neighbors[e, 0], neighbors[e, 1], neighbors[e, 2], neighbors[e, 3]
-        for o in range(Co):
-            g = grad_out[e, o]
-            grad_bias[o] += g
-            for c in range(C):
-                fa = features[na, c] if na >= 0 else 0.0
-                fb = features[nb, c] if nb >= 0 else 0.0
-                fc = features[nc, c] if nc >= 0 else 0.0
-                fd = features[nd, c] if nd >= 0 else 0.0
-                d1 = fa - fc
-                d2 = fb - fd
-                grad_w[0, c, o] += features[e, c] * g
-                grad_w[1, c, o] += abs(d1) * g
-                grad_w[2, c, o] += (fa + fc) * g
-                grad_w[3, c, o] += abs(d2) * g
-                grad_w[4, c, o] += (fb + fd) * g
-                grad_f[e, c] += weights[0, c, o] * g
-                s1 = 0.0
-                if d1 > 0.0:
-                    s1 = 1.0
-                elif d1 < 0.0:
-                    s1 = -1.0
-                s2 = 0.0
-                if d2 > 0.0:
-                    s2 = 1.0
-                elif d2 < 0.0:
-                    s2 = -1.0
-                ga = (s1 * weights[1, c, o] + weights[2, c, o]) * g
-                gc = (-s1 * weights[1, c, o] + weights[2, c, o]) * g
-                gb = (s2 * weights[3, c, o] + weights[4, c, o]) * g
-                gd = (-s2 * weights[3, c, o] + weights[4, c, o]) * g
-                if na >= 0:
-                    grad_f[na, c] += ga
-                if nc >= 0:
-                    grad_f[nc, c] += gc
-                if nb >= 0:
-                    grad_f[nb, c] += gb
-                if nd >= 0:
-                    grad_f[nd, c] += gd
-    return grad_f, grad_w, grad_bias
-
-
 # ---------------------------------------------------------------------------
 # raw edge geometry
 
 
-def edge_geometry_numpy(vertices, edges, edge_faces, faces):
+def edge_geometry(vertices, edges, edge_faces, faces):
     """Per-edge length, dihedral angle, opposite angles, length/height ratios.
 
     Returns (lengths, dihedrals, opposite_angle_pairs, ratio_pairs, bad_face)
@@ -223,101 +125,3 @@ def edge_geometry_numpy(vertices, edges, edge_faces, faces):
             present, lengths * lengths / safe[fk_safe], 0.0
         )
     return lengths, dihedral, opp_angles, ratios, bad_face
-
-
-def _edge_geometry_loop(vertices, edges, edge_faces, faces):
-    E = edges.shape[0]
-    F = faces.shape[0]
-    unit = np.empty((F, 3))
-    cross_norm = np.empty(F)
-    bad_face = -1
-    for fi in range(F):
-        ax = vertices[faces[fi, 1], 0] - vertices[faces[fi, 0], 0]
-        ay = vertices[faces[fi, 1], 1] - vertices[faces[fi, 0], 1]
-        az = vertices[faces[fi, 1], 2] - vertices[faces[fi, 0], 2]
-        bx = vertices[faces[fi, 2], 0] - vertices[faces[fi, 0], 0]
-        by = vertices[faces[fi, 2], 1] - vertices[faces[fi, 0], 1]
-        bz = vertices[faces[fi, 2], 2] - vertices[faces[fi, 0], 2]
-        nx = ay * bz - az * by
-        ny = az * bx - ax * bz
-        nz = ax * by - ay * bx
-        nn = np.sqrt(nx * nx + ny * ny + nz * nz)
-        cross_norm[fi] = nn
-        if nn == 0.0:
-            if bad_face < 0:
-                bad_face = fi
-            unit[fi, 0] = 0.0
-            unit[fi, 1] = 0.0
-            unit[fi, 2] = 0.0
-        else:
-            unit[fi, 0] = nx / nn
-            unit[fi, 1] = ny / nn
-            unit[fi, 2] = nz / nn
-
-    lengths = np.empty(E)
-    dihedral = np.empty(E)
-    opp_angles = np.zeros((E, 2))
-    ratios = np.zeros((E, 2))
-    for e in range(E):
-        ui = edges[e, 0]
-        vi = edges[e, 1]
-        dx = vertices[ui, 0] - vertices[vi, 0]
-        dy = vertices[ui, 1] - vertices[vi, 1]
-        dz = vertices[ui, 2] - vertices[vi, 2]
-        ln = np.sqrt(dx * dx + dy * dy + dz * dz)
-        lengths[e] = ln
-        f1 = edge_faces[e, 0]
-        f2 = edge_faces[e, 1]
-        if f2 >= 0:
-            cx = unit[f1, 1] * unit[f2, 2] - unit[f1, 2] * unit[f2, 1]
-            cy = unit[f1, 2] * unit[f2, 0] - unit[f1, 0] * unit[f2, 2]
-            cz = unit[f1, 0] * unit[f2, 1] - unit[f1, 1] * unit[f2, 0]
-            dot = (
-                unit[f1, 0] * unit[f2, 0]
-                + unit[f1, 1] * unit[f2, 1]
-                + unit[f1, 2] * unit[f2, 2]
-            )
-            dihedral[e] = np.arctan2(np.sqrt(cx * cx + cy * cy + cz * cz), dot)
-        else:
-            dihedral[e] = 0.0
-        for slot in range(2):
-            fk = edge_faces[e, slot]
-            if fk < 0:
-                continue
-            apex = faces[fk, 0] + faces[fk, 1] + faces[fk, 2] - ui - vi
-            ax = vertices[ui, 0] - vertices[apex, 0]
-            ay = vertices[ui, 1] - vertices[apex, 1]
-            az = vertices[ui, 2] - vertices[apex, 2]
-            bx = vertices[vi, 0] - vertices[apex, 0]
-            by = vertices[vi, 1] - vertices[apex, 1]
-            bz = vertices[vi, 2] - vertices[apex, 2]
-            cx = ay * bz - az * by
-            cy = az * bx - ax * bz
-            cz = ax * by - ay * bx
-            dot = ax * bx + ay * by + az * bz
-            opp_angles[e, slot] = np.arctan2(
-                np.sqrt(cx * cx + cy * cy + cz * cz), dot
-            )
-            if cross_norm[fk] > 0.0:
-                ratios[e, slot] = ln * ln / cross_norm[fk]
-    return lengths, dihedral, opp_angles, ratios, bad_face
-
-
-if _HAVE_NUMBA:
-    conv_forward_numba = njit(cache=True)(_conv_forward_loop)
-    conv_backward_numba = njit(cache=True)(_conv_backward_loop)
-    edge_geometry_numba = njit(cache=True)(_edge_geometry_loop)
-    if _ENV == "1":
-        conv_forward = conv_forward_numba
-        conv_backward = conv_backward_numba
-    else:
-        conv_forward = conv_forward_numpy
-        conv_backward = conv_backward_numpy
-    edge_geometry = edge_geometry_numba
-else:
-    conv_forward_numba = None
-    conv_backward_numba = None
-    edge_geometry_numba = None
-    conv_forward = conv_forward_numpy
-    conv_backward = conv_backward_numpy
-    edge_geometry = edge_geometry_numpy

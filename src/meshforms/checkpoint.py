@@ -69,12 +69,16 @@ class Checkpoint:
             raise GraphError("not a checkpoint file")
         if version != FORMAT_VERSION:
             raise GraphError(f"unsupported checkpoint version {version}")
-        header = json.loads(data[_PREFIX.size : _PREFIX.size + header_len])
         offset = _PREFIX.size + header_len
+        if len(data) < offset:
+            raise GraphError("checkpoint truncated")
+        header = json.loads(data[_PREFIX.size : offset])
         blobs = {}
         for name in header["blob_order"]:
             shape = tuple(header["blob_shapes"][name])
             count = int(np.prod(shape)) if shape else 1
+            if len(data) < offset + count * 8:
+                raise GraphError("checkpoint truncated")
             arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
             offset += count * 8
             blobs[name] = arr.reshape(shape).astype(np.float64)

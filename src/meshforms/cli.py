@@ -29,7 +29,7 @@ from .errors import (
 )
 from .features import extract, feature_norms, fit_channel_stats, normalize, write_features
 from .mesh import normalize_unit_box, parse_obj, save_obj
-from .pooling import pool, pool_batch_legacy
+from .pooling import pool
 from .topology import build_edge_topology, validate_manifold
 
 _KINDS = ("ff", "meshcnn5", "xyz", "xyz-inv", "laplacian")
@@ -120,7 +120,6 @@ def cmd_pool_trace(args):
     values = normalize(feats, stats).values
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    pool_fn = pool if args.policy == "enhanced" else pool_batch_legacy
 
     collapse_step = np.full(topology.edge_count, -1, dtype=np.int64)
     original_edges = topology.edges.copy()
@@ -128,7 +127,9 @@ def cmd_pool_trace(args):
     step = 0
     current_mesh, current_topology, current_values = mesh, topology, values
     for stage, target in enumerate(targets):
-        result = pool_fn(current_values, current_topology, target, mesh=current_mesh)
+        result = pool(
+            current_values, current_topology, target, mesh=current_mesh, policy=args.policy
+        )
         for rec in result.history.records:
             for old in rec.removed_edges:
                 collapse_step[id_map[old]] = step

@@ -16,7 +16,7 @@ from ._kernels import conv_backward as _kconv_backward
 from ._kernels import conv_forward as _kconv_forward
 from .autodiff import Value
 from .errors import GraphError
-from .pooling import BATCH_LEGACY, ENHANCED
+from .pooling import ENHANCED
 from .topology import EdgeTopology
 
 INSTANCE_NORM_EPS = 1e-12
@@ -143,12 +143,9 @@ class Pool(Layer):
         self.target_edges = int(target_edges)
 
     def __call__(self, x, ctx):
-        fn = (
-            _pooling.pool
-            if ctx.pooling_policy == ENHANCED
-            else _pooling.pool_batch_legacy
+        result = _pooling.pool(
+            x.data, ctx.topology, self.target_edges, policy=ctx.pooling_policy
         )
-        result = fn(x.data, ctx.topology, self.target_edges)
         history = result.history
         ctx.push(ctx.topology, history)
         ctx.topology = result.topology

@@ -337,11 +337,6 @@ class PoolResult:
         return self.history.surviving_ids()
 
 
-def collapse_edge(state: PoolingState, edge: int) -> CollapseRecord:
-    """Collapse one edge in place; see PoolingState.collapse."""
-    return state.collapse(edge)
-
-
 def _pool(state: PoolingState, target_edges: int, incremental: bool) -> PoolHistory:
     if target_edges >= state.live_edge_count:
         raise MeshError(
@@ -366,9 +361,10 @@ def _pool(state: PoolingState, target_edges: int, incremental: bool) -> PoolHist
             )
             progressed = False
             continue
-        if state.collapse_illegality(edge) is not None:
+        try:
+            record = state.collapse(edge)
+        except IllegalCollapseError:
             continue
-        record = state.collapse(edge)
         history.records.append(record)
         progressed = True
         if incremental:
@@ -378,30 +374,32 @@ def _pool(state: PoolingState, target_edges: int, incremental: bool) -> PoolHist
     return history
 
 
-def pool(features, topology: EdgeTopology, target_edges: int, *, mesh: Mesh = None):
-    """Incremental-score pooling down to ``target_edges`` (or first count below)."""
-    state = (
-        PoolingState.from_mesh(mesh, topology, features)
-        if mesh is not None
-        else PoolingState(topology, features)
-    )
-    history = _pool(state, target_edges, incremental=True)
-    out_features, out_topology = state.compact()
-    return PoolResult(out_features, out_topology, history, state)
-
-
-def pool_batch_legacy(
-    features, topology: EdgeTopology, target_edges: int, *, mesh: Mesh = None
+def pool(
+    features,
+    topology: EdgeTopology,
+    target_edges: int,
+    *,
+    mesh: Mesh = None,
+    policy: str = ENHANCED,
 ):
-    """Batch-ranked pooling: selection order frozen at entry."""
+    """Pool down to ``target_edges`` (or the first count below it).
+
+    ``ENHANCED`` rescores the two survivors after every collapse;
+    ``BATCH_LEGACY`` walks the selection order frozen at entry.
+    """
     state = (
         PoolingState.from_mesh(mesh, topology, features)
         if mesh is not None
         else PoolingState(topology, features)
     )
-    history = _pool(state, target_edges, incremental=False)
+    history = _pool(state, target_edges, incremental=policy == ENHANCED)
     out_features, out_topology = state.compact()
     return PoolResult(out_features, out_topology, history, state)
+
+
+def pool_batch_legacy(features, topology: EdgeTopology, target_edges: int, *, mesh=None):
+    """``pool`` under the ``BATCH_LEGACY`` policy."""
+    return pool(features, topology, target_edges, mesh=mesh, policy=BATCH_LEGACY)
 
 
 def unpool(features, history: PoolHistory) -> np.ndarray:

@@ -24,12 +24,10 @@ from meshforms import (
     identity_baseline,
     make_denoising_pairs,
     pool,
-    pool_batch_legacy,
     split,
     train,
     validate_manifold,
 )
-from meshforms.conv import conv_forward, init_conv_params
 from meshforms.datasets import _random_rotation
 from meshforms.features import MESHCNN5, XYZ, coordinate_features, extract, fundamental_forms, meshcnn5
 from meshforms.layers import (
@@ -46,7 +44,7 @@ from meshforms.layers import (
     mse,
 )
 from meshforms.pipelines import run_ablation
-from meshforms.pooling import PoolingState
+from meshforms.pooling import BATCH_LEGACY, PoolingState
 from meshforms.topology import EdgeTopology
 
 from conftest import fuzz_corpus
@@ -157,7 +155,7 @@ def test_criterion_2_conv_order_invariance():
     for mesh in fuzz_corpus(10, seed=103, edge_range=(150, 350)):
         topology = build_edge_topology(mesh)
         features = rng.normal(size=(topology.edge_count, 6))
-        params = init_conv_params(6, 5, rng)
+        conv = MeshConv(6, 5, rng)
         swapped = EdgeTopology(
             topology.edges,
             topology.edge_faces[:, ::-1].copy(),
@@ -165,8 +163,8 @@ def test_criterion_2_conv_order_invariance():
             topology.face_edges,
             topology.vertex_edges,
         )
-        base = conv_forward(features, topology, params)
-        flipped = conv_forward(features, swapped, params)
+        base = conv(Value(features), MeshContext(topology)).data
+        flipped = conv(Value(features), MeshContext(swapped)).data
         sample = rng.choice(topology.edge_count, size=100, replace=False)
         for e in sample:
             checked += 1
@@ -341,7 +339,7 @@ def test_criterion_5_policy_divergence_fixture():
     mesh, topology, features, e, a, f = build_divergence_fixture()
     target = topology.edge_count - 6
     enhanced = pool(features, topology, target, mesh=mesh)
-    legacy = pool_batch_legacy(features, topology, target, mesh=mesh)
+    legacy = pool(features, topology, target, mesh=mesh, policy=BATCH_LEGACY)
     first_e = enhanced.history.records[0].collapsed_edge == e
     first_l = legacy.history.records[0].collapsed_edge == e
     second_enhanced = enhanced.history.records[1].collapsed_edge

@@ -200,11 +200,11 @@ class TestPoolTrace:
         path = tmp_path / "fixture.obj"
         path.write_bytes(write_obj(mesh))
         # drive both policies through the pooling module on identical features
-        from meshforms import pool, pool_batch_legacy
+        from meshforms import pool
 
         target = topology.edge_count - 6
         enh = pool(features, topology, target, mesh=mesh)
-        leg = pool_batch_legacy(features, topology, target, mesh=mesh)
+        leg = pool(features, topology, target, mesh=mesh, policy="legacy")
         assert enh.history.to_json() != leg.history.to_json()
 
     def test_unreachable_target_exit_3(self, tmp_path, capsys):

@@ -3,28 +3,16 @@
 import numpy as np
 import pytest
 
-from meshforms import (
-    ConvParams,
-    GraphError,
-    build_edge_topology,
-    conv_backward,
-    conv_forward,
-    init_conv_params,
-)
-from meshforms.topology import EdgeTopology
+from meshforms import GraphError, MeshConv, Value, build_edge_topology
+from meshforms._kernels import conv_backward, conv_forward
+from meshforms.layers import MeshContext
 
 from conftest import fuzz_corpus
 
 
-def swapped_pairs(topology):
-    """Same topology with every edge's two face slots exchanged."""
-    return EdgeTopology(
-        topology.edges,
-        topology.edge_faces[:, ::-1].copy(),
-        topology.neighbors[:, [2, 3, 0, 1]].copy(),
-        topology.face_edges,
-        topology.vertex_edges,
-    )
+def swapped_pairs(neighbors):
+    """Every edge's ring with its two face slots exchanged."""
+    return neighbors[:, [2, 3, 0, 1]].copy()
 
 
 @pytest.fixture(scope="module")
@@ -33,17 +21,21 @@ def ring_instance():
     topology = build_edge_topology(mesh)
     rng = np.random.default_rng(0)
     features = rng.normal(size=(topology.edge_count, 3))
-    params = init_conv_params(3, 4, rng)
-    return topology, features, params
+    limit = np.sqrt(6.0 / 7.0)
+    weights = rng.uniform(-limit, limit, size=(5, 3, 4))
+    return topology, features, weights, np.zeros(4)
+
+
+def identity_weights(channels):
+    weights = np.zeros((5, channels, channels))
+    weights[0] = np.eye(channels)
+    return weights
 
 
 class TestForward:
     def test_identity_kernel(self, ring_instance):
-        topology, features, _ = ring_instance
-        weights = np.zeros((5, 3, 3))
-        weights[0] = np.eye(3)
-        params = ConvParams(weights, np.zeros(3))
-        out = conv_forward(features, topology, params)
+        topology, features, _, _ = ring_instance
+        out = conv_forward(features, topology.neighbors, identity_weights(3), np.zeros(3))
         assert np.array_equal(out, features)
 
     def test_direct_arithmetic(self):
@@ -51,27 +43,20 @@ class TestForward:
         # 0 + |1-3| + (1+3) + |2-4| + (2+4) = 14
         features = np.array([[0.0], [1.0], [2.0], [3.0], [4.0]])
         neighbors = np.array([[1, 2, 3, 4]] + [[-1] * 4] * 4, dtype=np.int64)
-        topology = EdgeTopology(
-            np.zeros((5, 2), dtype=np.int64),
-            np.zeros((5, 2), dtype=np.int64),
-            neighbors,
-            np.zeros((0, 3), dtype=np.int64),
-            [],
-        )
-        params = ConvParams(np.ones((5, 1, 1)), np.zeros(1))
-        out = conv_forward(features, topology, params)
+        out = conv_forward(features, neighbors, np.ones((5, 1, 1)), np.zeros(1))
         assert out[0, 0] == 14.0
 
     def test_pair_swap_is_bitwise_invariant(self, ring_instance):
-        topology, features, params = ring_instance
-        base = conv_forward(features, topology, params)
-        swapped = conv_forward(features, swapped_pairs(topology), params)
+        topology, features, weights, bias = ring_instance
+        base = conv_forward(features, topology.neighbors, weights, bias)
+        swapped = conv_forward(features, swapped_pairs(topology.neighbors), weights, bias)
         assert np.array_equal(base, swapped)
 
     def test_channel_mismatch(self, ring_instance):
-        topology, features, params = ring_instance
-        with pytest.raises(GraphError):
-            conv_forward(features[:, :2], topology, params)
+        topology, features, _, _ = ring_instance
+        layer = MeshConv(3, 4, np.random.default_rng(0))
+        with pytest.raises(GraphError, match="mesh_conv expects 3 channels"):
+            layer(Value(features[:, :2]), MeshContext(topology))
 
 
 def finite_difference(fun, x, h=1e-5):
@@ -96,35 +81,36 @@ def relative_error(got, expected):
 
 class TestBackward:
     def test_gradients_match_finite_differences(self, ring_instance):
-        topology, features, params = ring_instance
+        topology, features, weights, bias = ring_instance
+        features, weights, bias = features.copy(), weights.copy(), bias.copy()
+        neighbors = topology.neighbors
         rng = np.random.default_rng(1)
-        probe = rng.normal(size=(topology.edge_count, params.out_channels))
+        probe = rng.normal(size=(topology.edge_count, 4))
 
         def objective():
-            return float(np.sum(conv_forward(features, topology, params) * probe))
+            return float(np.sum(conv_forward(features, neighbors, weights, bias) * probe))
 
-        grad_f, grad_p = conv_backward(probe, features, topology, params)
+        grad_f, grad_w, grad_b = conv_backward(probe, features, neighbors, weights)
         fd_f = finite_difference(objective, features)
         assert relative_error(grad_f, fd_f) < 1e-6
-        fd_w = finite_difference(objective, params.weights)
-        assert relative_error(grad_p.weights, fd_w) < 1e-6
-        fd_b = finite_difference(objective, params.bias)
-        assert relative_error(grad_p.bias, fd_b) < 1e-6
+        fd_w = finite_difference(objective, weights)
+        assert relative_error(grad_w, fd_w) < 1e-6
+        fd_b = finite_difference(objective, bias)
+        assert relative_error(grad_b, fd_b) < 1e-6
 
     def test_zero_upstream_zero_grads(self, ring_instance):
-        topology, features, params = ring_instance
-        zeros = np.zeros((topology.edge_count, params.out_channels))
-        grad_f, grad_p = conv_backward(zeros, features, topology, params)
+        topology, features, weights, _ = ring_instance
+        zeros = np.zeros((topology.edge_count, 4))
+        grad_f, grad_w, grad_b = conv_backward(zeros, features, topology.neighbors, weights)
         assert not grad_f.any()
-        assert not grad_p.weights.any()
-        assert not grad_p.bias.any()
+        assert not grad_w.any()
+        assert not grad_b.any()
 
     def test_identity_kernel_passes_gradient_through(self, ring_instance):
-        topology, features, _ = ring_instance
-        weights = np.zeros((5, 3, 3))
-        weights[0] = np.eye(3)
-        params = ConvParams(weights, np.zeros(3))
+        topology, features, _, _ = ring_instance
         rng = np.random.default_rng(2)
         upstream = rng.normal(size=features.shape)
-        grad_f, _ = conv_backward(upstream, features, topology, params)
+        grad_f, _, _ = conv_backward(
+            upstream, features, topology.neighbors, identity_weights(3)
+        )
         assert np.array_equal(grad_f, upstream)

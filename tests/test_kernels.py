@@ -1,121 +1,8 @@
-"""numba/numpy twin-path equivalence for the hot kernels."""
-
-import importlib.util
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""Kernel edge cases: sentinel neighbor slots and degenerate faces."""
 
 import numpy as np
-import pytest
 
-import meshforms
-from meshforms import _kernels, build_edge_topology
-
-from conftest import fuzz_corpus
-
-
-def _random_ring(rng, edges=60, channels=4, out_channels=3, with_sentinels=True):
-    features = rng.normal(size=(edges, channels))
-    neighbors = rng.integers(0, edges, size=(edges, 4))
-    if with_sentinels:
-        boundary = rng.random(edges) < 0.15
-        neighbors[boundary, 2:] = -1
-    weights = rng.normal(size=(5, channels, out_channels))
-    bias = rng.normal(size=out_channels)
-    return features, neighbors.astype(np.int64), weights, bias
-
-
-needs_numba = pytest.mark.skipif(
-    not _kernels.USING_NUMBA, reason="numba path disabled"
-)
-
-
-@needs_numba
-class TestTwinPaths:
-    def test_conv_forward_matches(self):
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            f, n, w, b = _random_ring(rng)
-            out_np = _kernels.conv_forward_numpy(f, n, w, b)
-            out_nb = _kernels.conv_forward_numba(f, n, w, b)
-            np.testing.assert_allclose(out_nb, out_np, rtol=1e-13, atol=1e-13)
-
-    def test_conv_backward_matches(self):
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            f, n, w, b = _random_ring(rng)
-            g = rng.normal(size=(f.shape[0], w.shape[2]))
-            np_out = _kernels.conv_backward_numpy(g, f, n, w)
-            nb_out = _kernels.conv_backward_numba(g, f, n, w)
-            for a, e in zip(nb_out, np_out):
-                np.testing.assert_allclose(a, e, rtol=1e-12, atol=1e-13)
-
-    def test_edge_geometry_matches(self):
-        for mesh in fuzz_corpus(3, seed=5):
-            topo = build_edge_topology(mesh)
-            out_np = _kernels.edge_geometry_numpy(
-                mesh.vertices, topo.edges, topo.edge_faces, mesh.faces
-            )
-            out_nb = _kernels.edge_geometry_numba(
-                mesh.vertices, topo.edges, topo.edge_faces, mesh.faces
-            )
-            for a, e in zip(out_nb[:4], out_np[:4]):
-                np.testing.assert_allclose(a, e, rtol=1e-12, atol=1e-13)
-            assert out_nb[4] == out_np[4] == -1
-
-
-def _run_probe(flag, probe):
-    """Run ``probe`` in a child Python with ``MESHFORMS_NUMBA=flag``.
-
-    The child inherits this process's environment, with the directory that
-    holds the meshforms under test first on its ``PYTHONPATH``, so it imports
-    the same code whether or not meshforms is installed.
-    """
-    package_root = str(Path(meshforms.__file__).resolve().parents[1])
-    inherited = os.environ.get("PYTHONPATH")
-    path = os.pathsep.join([package_root, inherited] if inherited else [package_root])
-    env = {**os.environ, "MESHFORMS_NUMBA": flag, "PYTHONPATH": path}
-    return subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
-    )
-
-
-def _assert_same_kernels(stdout):
-    child_file = stdout.splitlines()[0]
-    assert Path(child_file).resolve() == Path(_kernels.__file__).resolve()
-
-
-def test_env_flag_selects_numpy_fallback():
-    probe = (
-        "from meshforms import _kernels;"
-        "print(_kernels.__file__);"
-        "assert not _kernels.USING_NUMBA;"
-        "assert _kernels.conv_forward is _kernels.conv_forward_numpy;"
-        "assert _kernels.edge_geometry is _kernels.edge_geometry_numpy;"
-        "print('fallback-ok')"
-    )
-    out = _run_probe("0", probe)
-    assert out.returncode == 0, out.stderr
-    assert "fallback-ok" in out.stdout
-    _assert_same_kernels(out.stdout)
-
-
-@pytest.mark.skipif(
-    importlib.util.find_spec("numba") is None, reason="numba not installed"
-)
-def test_env_flag_forces_numba_convolution():
-    probe = (
-        "from meshforms import _kernels;"
-        "print(_kernels.__file__);"
-        "assert _kernels.USING_NUMBA;"
-        "assert _kernels.conv_forward is _kernels.conv_forward_numba;"
-        "print('forced-ok')"
-    )
-    out = _run_probe("1", probe)
-    assert out.returncode == 0, out.stderr
-    assert "forced-ok" in out.stdout
-    _assert_same_kernels(out.stdout)
+from meshforms import _kernels
 
 
 class TestNumpyPathAlone:
@@ -124,7 +11,7 @@ class TestNumpyPathAlone:
         neighbors = np.array([[1, 1, -1, -1], [0, 0, -1, -1]])
         w = np.zeros((5, 1, 1))
         w[1] = 1.0  # |a - c| with c = 0
-        out = _kernels.conv_forward_numpy(f, neighbors, w, np.zeros(1))
+        out = _kernels.conv_forward(f, neighbors, w, np.zeros(1))
         assert out[0, 0] == 2.0
         assert out[1, 0] == 1.0
 
@@ -133,5 +20,5 @@ class TestNumpyPathAlone:
         edges = np.array([[0, 1], [1, 2], [0, 2]])
         edge_faces = np.array([[0, -1], [0, -1], [0, -1]])
         faces = np.array([[0, 1, 2]])
-        out = _kernels.edge_geometry_numpy(verts, edges, edge_faces, faces)
+        out = _kernels.edge_geometry(verts, edges, edge_faces, faces)
         assert out[4] == 0

@@ -302,6 +302,13 @@ class TestCheckpoint:
         with pytest.raises(GraphError):
             Checkpoint.from_bytes(b"XXXX" + b"\0" * 32)
 
+    def test_every_truncation_rejected(self):
+        stats = ChannelStats(np.array([0.5, -1.0]), np.array([2.0, 0.25]))
+        data = Checkpoint(self._model(), stats, {"task": "classification"}).to_bytes()
+        for end in range(len(data)):
+            with pytest.raises(GraphError, match="truncated"):
+                Checkpoint.from_bytes(data[:end])
+
     def test_init_seeded_and_bounded(self):
         m1 = self._model()
         m2 = self._model()
