@@ -72,10 +72,17 @@ class Checkpoint:
         offset = _PREFIX.size + header_len
         if len(data) < offset:
             raise GraphError("checkpoint truncated")
-        header = json.loads(data[_PREFIX.size : offset])
+        try:
+            header = json.loads(data[_PREFIX.size : offset])
+            shapes = [
+                (name, tuple(header["blob_shapes"][name])) for name in header["blob_order"]
+            ]
+            layers, policy = header["layers"], header["pooling_policy"]
+            has_stats, meta = header["has_channel_stats"], header["meta"]
+        except (ValueError, KeyError, TypeError) as err:
+            raise GraphError("checkpoint header corrupt") from err
         blobs = {}
-        for name in header["blob_order"]:
-            shape = tuple(header["blob_shapes"][name])
+        for name, shape in shapes:
             count = int(np.prod(shape)) if shape else 1
             if len(data) < offset + count * 8:
                 raise GraphError("checkpoint truncated")
@@ -84,9 +91,7 @@ class Checkpoint:
             blobs[name] = arr.reshape(shape).astype(np.float64)
         if offset != len(data):
             raise GraphError("checkpoint size mismatch")
-        model = ModelGraph.from_spec(
-            header["layers"], seed=0, pooling_policy=header["pooling_policy"]
-        )
+        model = ModelGraph.from_spec(layers, seed=0, pooling_policy=policy)
         params = model.parameters()
         if set(params) != {k for k in blobs if not k.startswith("channel_stats.")}:
             raise GraphError("checkpoint parameters do not match layer spec")
@@ -95,11 +100,11 @@ class Checkpoint:
                 raise GraphError(f"checkpoint blob shape mismatch for {name}")
             value.data = blobs[name]
         stats = None
-        if header["has_channel_stats"]:
+        if has_stats:
             stats = ChannelStats(
                 blobs["channel_stats.mean"], blobs["channel_stats.std"]
             )
-        return Checkpoint(model, stats, header["meta"])
+        return Checkpoint(model, stats, meta)
 
     def save(self, path):
         import pathlib

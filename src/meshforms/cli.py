@@ -18,7 +18,7 @@ import numpy as np
 from . import datasets as ds
 from . import pipelines
 from .checkpoint import Checkpoint
-from .config import ExperimentConfig, config_hash, format_config, parse_config
+from .config import config_hash, parse_config
 from .errors import (
     ConfigError,
     DataError,

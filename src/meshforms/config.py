@@ -28,7 +28,7 @@ Keys (defaults in parentheses):
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .features import FF, LAPLACIAN, MESHCNN5, XYZ, XYZ_INV, KIND_CHANNELS

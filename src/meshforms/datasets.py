@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import hashlib
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, MeshError
-from .mesh import Mesh, RigidMotion, apply_motion, parse_obj, save_obj, write_obj
+from .errors import DataError
+from .mesh import Mesh, RigidMotion, apply_motion, parse_obj, save_obj
 from .topology import build_edge_topology, validate_manifold
 
 PRIMITIVE_ZOO = "primitive-zoo"

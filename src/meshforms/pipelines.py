@@ -24,7 +24,7 @@ from .config import (
 )
 from .datasets import TEST, TRAIN, add_vertex_noise, augment
 from .errors import ConfigError, DataError, GraphError
-from .features import ChannelStats, extract, fit_channel_stats
+from .features import extract, fit_channel_stats
 from .layers import ModelGraph, cross_entropy, mse
 from .mesh import normalize_unit_box
 from .optim import Optimizer

@@ -22,7 +22,9 @@ consistently oriented 2-manifold with no duplicate faces.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,13 +108,15 @@ class ScoreQueue:
     """
 
     def __init__(self, scores):
-        self.version = np.zeros(len(scores), dtype=np.int64)
-        self._heap = [(float(s), e, 0) for e, s in enumerate(scores)]
+        scores = np.asarray(scores, dtype=np.float64).tolist()
+        self.version = [0] * len(scores)
+        self._heap = [(s, e, 0) for e, s in enumerate(scores)]
         heapq.heapify(self._heap)
 
     def push(self, edge, score):
+        edge = int(edge)
         self.version[edge] += 1
-        heapq.heappush(self._heap, (float(score), int(edge), int(self.version[edge])))
+        heapq.heappush(self._heap, (float(score), edge, self.version[edge]))
 
     def pop_live(self, alive):
         """Smallest-score live entry, or None when exhausted."""
@@ -123,8 +127,26 @@ class ScoreQueue:
         return None
 
 
+def _live(alive):
+    """Indices whose flag is set, ascending."""
+    return list(itertools.compress(range(len(alive)), alive))
+
+
+def _int_array(rows, width):
+    """(len(rows), width) int64 array from a list of equal-length int lists."""
+    flat = itertools.chain.from_iterable(rows)
+    return np.fromiter(flat, dtype=np.int64, count=len(rows) * width).reshape(-1, width)
+
+
 class PoolingState:
-    """Mutable working copy of features + connectivity during pooling."""
+    """Mutable working copy of features + connectivity during pooling.
+
+    While pooling, the connectivity (``edges``, ``edge_faces``, ``neighbors``,
+    ``face_edges``, ``faces``, ``edge_alive``, ``face_alive``) is held as plain
+    Python lists, which a collapse reads and writes far faster than numpy
+    scalars; :meth:`compact` and :meth:`export_mesh` convert it back to int64
+    arrays. ``features``, ``scores`` and ``positions`` stay numpy arrays.
+    """
 
     def __init__(self, topology: EdgeTopology, features, positions=None, faces=None):
         feats = np.array(getattr(features, "values", features), dtype=np.float64)
@@ -134,16 +156,18 @@ class PoolingState:
                 f"{topology.edge_count} edges"
             )
         self.features = feats
-        self.edges = topology.edges.copy()
-        self.edge_faces = topology.edge_faces.copy()
-        self.neighbors = topology.neighbors.copy()
-        self.face_edges = topology.face_edges.copy()
+        self.edges = topology.edges.tolist()
+        self.edge_faces = topology.edge_faces.tolist()
+        self.neighbors = topology.neighbors.tolist()
+        self.face_edges = topology.face_edges.tolist()
+        face_count = len(self.face_edges)
         if faces is None:
-            faces = np.full((len(self.face_edges), 3), -1, dtype=np.int64)
-        self.faces = np.array(faces, dtype=np.int64)
+            self.faces = [[SENTINEL] * 3 for _ in range(face_count)]
+        else:
+            self.faces = np.asarray(faces, dtype=np.int64).tolist()
         self.positions = None if positions is None else np.array(positions, dtype=np.float64)
-        self.edge_alive = np.ones(topology.edge_count, dtype=bool)
-        self.face_alive = np.ones(len(self.face_edges), dtype=bool)
+        self.edge_alive = [True] * topology.edge_count
+        self.face_alive = [True] * face_count
         self.vertex_edges = [set(v) for v in topology.vertex_edges]
         self.live_edge_count = topology.edge_count
         self.scores = np.linalg.norm(self.features, axis=1)
@@ -155,25 +179,20 @@ class PoolingState:
     # -- queries ------------------------------------------------------------
 
     def vertex_neighbors(self, v):
-        out = set()
-        for e in self.vertex_edges[v]:
-            a, b = self.edges[e]
-            out.add(int(b) if a == v else int(a))
-        return out
-
-    def _is_boundary(self, edge):
-        return self.edge_faces[edge, 1] == SENTINEL
+        pairs = map(self.edges.__getitem__, self.vertex_edges[v])
+        return {y if x == v else x for x, y in pairs}
 
     def collapse_illegality(self, edge):
         """Reason string if the collapse is illegal, else None."""
         if not self.edge_alive[edge]:
             return "edge already removed"
-        if self._is_boundary(edge):
+        edge_faces = self.edge_faces
+        if edge_faces[edge][1] == SENTINEL:
             return "boundary edge"
-        u, v = (int(x) for x in self.edges[edge])
+        u, v = self.edges[edge]
         for w in (u, v):
             for e in self.vertex_edges[w]:
-                if self._is_boundary(e):
+                if edge_faces[e][1] == SENTINEL:
                     return "incident boundary edge"
         common = self.vertex_neighbors(u) & self.vertex_neighbors(v)
         if len(common) != 2:
@@ -187,131 +206,121 @@ class PoolingState:
 
     # -- mutation -----------------------------------------------------------
 
-    def _other_face(self, edge, face):
-        f0, f1 = self.edge_faces[edge]
-        return int(f1) if f0 == face else int(f0)
-
-    def _face_pair_after(self, face, edge):
-        """The face's other two edges, counter-clockwise after ``edge``."""
-        fe = self.face_edges[face]
-        for k in range(3):
-            if fe[k] == edge:
-                return int(fe[(k + 1) % 3]), int(fe[(k + 2) % 3])
-        raise MeshError(f"edge {edge} not in face {face}")
-
     def collapse(self, edge) -> CollapseRecord:
         reason = self.collapse_illegality(edge)
         if reason is not None:
             raise IllegalCollapseError(f"cannot collapse edge {edge}: {reason}")
 
+        edges, edge_faces, face_edges = self.edges, self.edge_faces, self.face_edges
+        vertex_edges = self.vertex_edges
         e = int(edge)
-        u, v = (int(x) for x in self.edges[e])
-        f1, f2 = (int(x) for x in self.edge_faces[e])
-        a, b = (int(x) for x in self.neighbors[e, 0:2])
-        c, d = (int(x) for x in self.neighbors[e, 2:4])
+        u, v = edges[e]
+        f1, f2 = edge_faces[e]
+        a, b, c, d = self.neighbors[e]
 
-        fb = self._other_face(b, f1)
-        fd = self._other_face(d, f2)
+        # b and d are interior, so each one's other face is its face sum minus f1/f2
+        fb = sum(edge_faces[b]) - f1
+        fd = sum(edge_faces[d]) - f2
 
-        # feature averaging and survivor rescoring
-        new_a = (self.features[a] + self.features[b] + self.features[e]) / 3.0
-        new_c = (self.features[c] + self.features[d] + self.features[e]) / 3.0
-        self.features[a] = new_a
-        self.features[c] = new_c
-        self.scores[a] = np.linalg.norm(new_a)
-        self.scores[c] = np.linalg.norm(new_c)
+        # feature averaging and survivor rescoring; sqrt(x.dot(x)) is what
+        # np.linalg.norm computes for a 1-D float64 vector
+        feats = self.features
+        new_a = (feats[a] + feats[b] + feats[e]) / 3.0
+        new_c = (feats[c] + feats[d] + feats[e]) / 3.0
+        feats[a] = new_a
+        feats[c] = new_c
+        self.scores[a] = math.sqrt(new_a.dot(new_a))
+        self.scores[c] = math.sqrt(new_c.dot(new_c))
 
         # faces: drop the collapsed pair, a and c take over b's and d's slots
         self.face_alive[f1] = False
         self.face_alive[f2] = False
-        fe = self.face_edges[fb]
-        fe[fe == b] = a
-        fe = self.face_edges[fd]
-        fe[fe == d] = c
-        ef = self.edge_faces[a]
-        ef[ef == f1] = fb
-        ef = self.edge_faces[c]
-        ef[ef == f2] = fd
+        fe = face_edges[fb]
+        fe[fe.index(b)] = a
+        fe = face_edges[fd]
+        fe[fe.index(d)] = c
+        ef = edge_faces[a]
+        ef[ef.index(f1)] = fb
+        ef = edge_faces[c]
+        ef[ef.index(f2)] = fd
 
         # retire e, b, d
         for dead in (e, b, d):
-            x, y = (int(t) for t in self.edges[dead])
-            self.vertex_edges[x].discard(dead)
-            self.vertex_edges[y].discard(dead)
+            x, y = edges[dead]
+            vertex_edges[x].discard(dead)
+            vertex_edges[y].discard(dead)
             self.edge_alive[dead] = False
         self.live_edge_count -= 3
 
-        # merge v into u
-        for moved in list(self.vertex_edges[v]):
-            x, y = (int(t) for t in self.edges[moved])
-            nx, ny = (u, y) if x == v else (x, u)
-            if nx > ny:
-                nx, ny = ny, nx
-            self.edges[moved, 0] = nx
-            self.edges[moved, 1] = ny
-            self.vertex_edges[u].add(moved)
-        self.vertex_edges[v].clear()
-        faces_of_u = set()
-        for inc in self.vertex_edges[u]:
-            for fi in self.edge_faces[inc]:
-                if fi != SENTINEL and self.face_alive[fi]:
-                    faces_of_u.add(int(fi))
-        for fi in faces_of_u:
-            fv = self.faces[fi]
-            fv[fv == v] = u
+        # merge v into u; only faces reached through v's surviving edges hold v
+        faces = self.faces
+        into_u = vertex_edges[u]
+        for moved in vertex_edges[v]:
+            x, y = edges[moved]
+            other = y if x == v else x
+            edges[moved] = [u, other] if u < other else [other, u]
+            into_u.add(moved)
+            for fi in edge_faces[moved]:
+                fv = faces[fi]
+                if v in fv:
+                    fv[fv.index(v)] = u
+        vertex_edges[v].clear()
         if self.positions is not None:
             self.positions[u] = (self.positions[u] + self.positions[v]) / 2.0
 
         # rebuild the 4-neighbor tuples around the two absorbed triangles
-        affected = {a, c}
-        affected.update(int(t) for t in self.face_edges[fb])
-        affected.update(int(t) for t in self.face_edges[fd])
-        for x in affected:
-            for slot in range(2):
-                g = self.edge_faces[x, slot]
+        neighbors = self.neighbors
+        for x in {a, c, *face_edges[fb], *face_edges[fd]}:
+            ring = []
+            for g in edge_faces[x]:
                 if g == SENTINEL:
-                    self.neighbors[x, 2 * slot : 2 * slot + 2] = SENTINEL
+                    ring += (SENTINEL, SENTINEL)
                 else:
-                    self.neighbors[x, 2 * slot : 2 * slot + 2] = (
-                        self._face_pair_after(int(g), x)
-                    )
+                    # the face's other two edges, counter-clockwise after x:
+                    # slots (k + 1) % 3 and (k + 2) % 3, as negative indices
+                    fe = face_edges[g]
+                    k = fe.index(x)
+                    ring += (fe[k - 2], fe[k - 1])
+            neighbors[x] = ring
 
         return CollapseRecord(e, (a, c), (e, b, d), ((a, b, e), (c, d, e)))
 
     # -- extraction ----------------------------------------------------------
 
-    def _used_vertices(self):
+    def _vertex_map(self, live_edges):
+        """Used-vertex mask and old -> new vertex ids, from the live edges."""
         used = np.zeros(len(self.vertex_edges), dtype=bool)
-        used[self.edges[self.edge_alive].reshape(-1)] = True
-        return used
+        used[live_edges] = True
+        return used, np.cumsum(used) - 1
 
     def compact(self):
-        """Renumber live edges/faces/vertices ascending.
+        """Renumber live edges/faces/vertices ascending, as int64 arrays.
 
         Returns (features, topology); the vertex numbering matches
         :meth:`export_mesh` so staged pooling stays consistent.
         """
-        live = np.flatnonzero(self.edge_alive)
-        live_faces = np.flatnonzero(self.face_alive)
+        live = _live(self.edge_alive)
+        live_faces = _live(self.face_alive)
         edge_map = np.full(len(self.edge_alive), SENTINEL, dtype=np.int64)
         edge_map[live] = np.arange(len(live))
         face_map = np.full(len(self.face_alive), SENTINEL, dtype=np.int64)
         face_map[live_faces] = np.arange(len(live_faces))
-        used = self._used_vertices()
-        vertex_map = np.cumsum(used) - 1
+        edges = _int_array([self.edges[e] for e in live], 2)
+        used, vertex_map = self._vertex_map(edges)
 
-        edges = vertex_map[self.edges[live]]
-        edge_faces = self.edge_faces[live].copy()
+        edges = vertex_map[edges]
+        edge_faces = _int_array([self.edge_faces[e] for e in live], 2)
         mask = edge_faces != SENTINEL
         edge_faces[mask] = face_map[edge_faces[mask]]
-        neighbors = self.neighbors[live].copy()
+        neighbors = _int_array([self.neighbors[e] for e in live], 4)
         mask = neighbors != SENTINEL
         neighbors[mask] = edge_map[neighbors[mask]]
-        face_edges = edge_map[self.face_edges[live_faces]]
+        face_edges = edge_map[_int_array([self.face_edges[f] for f in live_faces], 3)]
+        new_ids = edge_map.tolist()
         vertex_edges = [
-            sorted(int(edge_map[e]) for e in incident)
-            for v, incident in enumerate(self.vertex_edges)
-            if used[v]
+            sorted(new_ids[e] for e in incident)
+            for incident, keep in zip(self.vertex_edges, used.tolist())
+            if keep
         ]
         topology = EdgeTopology(edges, edge_faces, neighbors, face_edges, vertex_edges)
         return self.features[live].copy(), topology
@@ -320,9 +329,11 @@ class PoolingState:
         """Live faces on live vertices, numbered as in :meth:`compact`."""
         if self.positions is None:
             raise MeshError("pooling state has no vertex positions to export")
-        used = self._used_vertices()
-        vertex_map = np.cumsum(used) - 1
-        return Mesh(self.positions[used], vertex_map[self.faces[self.face_alive]])
+        used, vertex_map = self._vertex_map(
+            _int_array([self.edges[e] for e in _live(self.edge_alive)], 2)
+        )
+        faces = _int_array([self.faces[f] for f in _live(self.face_alive)], 3)
+        return Mesh(self.positions[used], vertex_map[faces])
 
 
 @dataclass

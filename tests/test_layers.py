@@ -1,5 +1,7 @@
 """Layer semantics, per-layer gradient oracle, optimizers, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -308,6 +310,14 @@ class TestCheckpoint:
         for end in range(len(data)):
             with pytest.raises(GraphError, match="truncated"):
                 Checkpoint.from_bytes(data[:end])
+
+    @pytest.mark.parametrize(
+        "header", [b"{}", b"not json", b'{"blob_order": ["w"], "blob_shapes": {}}', b"[1,2]"]
+    )
+    def test_corrupt_header_rejected(self, header):
+        prefix = struct.pack("<4sIQ", b"MFCK", 1, len(header))
+        with pytest.raises(GraphError, match="header corrupt"):
+            Checkpoint.from_bytes(prefix + header)
 
     def test_init_seeded_and_bounded(self):
         m1 = self._model()
