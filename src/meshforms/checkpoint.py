@@ -77,9 +77,16 @@ class Checkpoint:
             shapes = [
                 (name, tuple(header["blob_shapes"][name])) for name in header["blob_order"]
             ]
-            layers, policy = header["layers"], header["pooling_policy"]
-            has_stats, meta = header["has_channel_stats"], header["meta"]
-        except (ValueError, KeyError, TypeError) as err:
+            if not all(isinstance(n, int) and n >= 0 for _, shape in shapes for n in shape):
+                raise ValueError("blob dimensions must be non-negative integers")
+            model = ModelGraph.from_spec(
+                header["layers"], seed=0, pooling_policy=header["pooling_policy"]
+            )
+            has_stats, meta = header["has_channel_stats"], dict(header["meta"])
+            missing = {"channel_stats.mean", "channel_stats.std"} - set(header["blob_order"])
+            if has_stats and missing:
+                raise KeyError(f"no blob {sorted(missing)}")
+        except (ValueError, KeyError, TypeError, GraphError) as err:
             raise GraphError("checkpoint header corrupt") from err
         blobs = {}
         for name, shape in shapes:
@@ -91,7 +98,6 @@ class Checkpoint:
             blobs[name] = arr.reshape(shape).astype(np.float64)
         if offset != len(data):
             raise GraphError("checkpoint size mismatch")
-        model = ModelGraph.from_spec(layers, seed=0, pooling_policy=policy)
         params = model.parameters()
         if set(params) != {k for k in blobs if not k.startswith("channel_stats.")}:
             raise GraphError("checkpoint parameters do not match layer spec")

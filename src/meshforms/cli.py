@@ -18,21 +18,12 @@ import numpy as np
 from . import datasets as ds
 from . import pipelines
 from .checkpoint import Checkpoint
-from .config import config_hash, parse_config
-from .errors import (
-    ConfigError,
-    DataError,
-    GraphError,
-    MeshError,
-    MeshFormsError,
-    PoolTargetError,
-)
+from .config import KIND_TOKENS, config_hash, parse_config
+from .errors import ConfigError, DataError, GraphError, MeshError, MeshFormsError
 from .features import extract, feature_norms, fit_channel_stats, normalize, write_features
 from .mesh import normalize_unit_box, parse_obj, save_obj
 from .pooling import pool
 from .topology import build_edge_topology, validate_manifold
-
-_KINDS = ("ff", "meshcnn5", "xyz", "xyz-inv", "laplacian")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,16 +44,7 @@ def _load_mesh(path):
 
 def _load_topology(path):
     mesh = _load_mesh(path)
-    report = validate_manifold(mesh)
-    if not report.is_clean:
-        raise DataError(f"mesh is not a valid manifold:\n{report.summary()}")
     return mesh, build_edge_topology(mesh)
-
-
-def _kind_token_to_kind(token):
-    from .config import KIND_TOKENS
-
-    return KIND_TOKENS[token]
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +70,7 @@ def cmd_gen_data(args):
 
 def cmd_features(args):
     mesh, topology = _load_topology(args.mesh)
-    kind = _kind_token_to_kind(args.kind)
-    feats = extract(topology, mesh, kind)
+    feats = extract(topology, mesh, KIND_TOKENS[args.kind])
     if args.out:
         pathlib.Path(args.out).write_bytes(write_features(feats))
     if args.heatmap:
@@ -114,8 +95,7 @@ def cmd_pool_trace(args):
             f"first target {targets[0]} is not below the edge count "
             f"{topology.edge_count}"
         )
-    kind = _kind_token_to_kind(args.features)
-    feats = extract(topology, mesh, kind)
+    feats = extract(topology, mesh, KIND_TOKENS[args.features])
     stats = fit_channel_stats([feats])
     values = normalize(feats, stats).values
     out_dir = pathlib.Path(args.out)
@@ -279,14 +259,14 @@ def build_parser():
 
     p = sub.add_parser("features", help="extract per-edge features")
     p.add_argument("--mesh", required=True)
-    p.add_argument("--kind", required=True, choices=_KINDS)
+    p.add_argument("--kind", required=True, choices=tuple(KIND_TOKENS))
     p.add_argument("--out", help="binary feature container output path")
     p.add_argument("--heatmap", help="OBJ output path; writes a normalized feature-norm sidecar next to it")
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("pool-trace", help="export pooled meshes per stage")
     p.add_argument("--mesh", required=True)
-    p.add_argument("--features", required=True, choices=_KINDS)
+    p.add_argument("--features", required=True, choices=tuple(KIND_TOKENS))
     p.add_argument("--targets", type=_int_list, required=True, metavar="N1,N2,...")
     p.add_argument("--policy", choices=("enhanced", "legacy"), default="enhanced")
     p.add_argument("--out", required=True)
@@ -354,10 +334,7 @@ def main(argv=None):
     except (DataError, MeshError, FileNotFoundError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PoolTargetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (GraphError, MeshFormsError) as exc:
+    except MeshFormsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -44,7 +44,6 @@ KIND_TOKENS = {
     "xyz-inv": XYZ_INV,
     "laplacian": LAPLACIAN,
 }
-TOKEN_OF_KIND = {v: k for k, v in KIND_TOKENS.items()}
 
 
 @dataclass

@@ -23,11 +23,11 @@ class ObjParseError(MeshError):
         self.line_number = line_number
 
 
-class TopologyError(MeshFormsError):
+class TopologyError(MeshError):
     """Mesh connectivity violates the 2-manifold requirements."""
 
 
-class DegenerateFaceError(MeshFormsError):
+class DegenerateFaceError(MeshError):
     """Zero-area face encountered where geometry is needed."""
 
     def __init__(self, face_index):

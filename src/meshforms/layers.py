@@ -16,7 +16,7 @@ from ._kernels import conv_backward as _kconv_backward
 from ._kernels import conv_forward as _kconv_forward
 from .autodiff import Value
 from .errors import GraphError
-from .pooling import ENHANCED
+from .pooling import BATCH_LEGACY, ENHANCED
 from .topology import EdgeTopology
 
 INSTANCE_NORM_EPS = 1e-12
@@ -45,9 +45,6 @@ class Layer:
     def parameters(self):
         return {}
 
-    def out_channels(self, in_channels):
-        return in_channels
-
     def __call__(self, x: Value, ctx: MeshContext) -> Value:
         raise NotImplementedError
 
@@ -71,13 +68,6 @@ class MeshConv(Layer):
 
     def parameters(self):
         return {"weights": self.weights, "bias": self.bias}
-
-    def out_channels(self, in_channels):
-        if in_channels != self.in_channels:
-            raise GraphError(
-                f"mesh_conv expects {self.in_channels} channels, got {in_channels}"
-            )
-        return self.out_ch
 
     def __call__(self, x, ctx):
         if x.data.shape[1] != self.in_channels:
@@ -205,13 +195,6 @@ class Dense(Layer):
     def parameters(self):
         return {"weights": self.weights, "bias": self.bias}
 
-    def out_channels(self, in_channels):
-        if in_channels != self.in_channels:
-            raise GraphError(
-                f"dense expects {self.in_channels} channels, got {in_channels}"
-            )
-        return self.out_ch
-
     def __call__(self, x, ctx):
         if x.data.shape[-1] != self.in_channels:
             raise GraphError(
@@ -238,6 +221,8 @@ class ModelGraph:
     """Ordered layer list with a parameter registry and cached forward state."""
 
     def __init__(self, layers, pooling_policy=ENHANCED):
+        if pooling_policy not in (ENHANCED, BATCH_LEGACY):
+            raise GraphError(f"unknown pooling policy {pooling_policy!r}")
         self.layers = list(layers)
         self.pooling_policy = pooling_policy
         self._params = {}

@@ -18,6 +18,7 @@ from .checkpoint import Checkpoint
 from .config import (
     CLASSIFICATION,
     DENOISING,
+    KIND_TOKENS,
     SEGMENTATION,
     ExperimentConfig,
     config_hash,
@@ -81,11 +82,12 @@ class MetricsReport:
         return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
 
 
-def _mask_values(values, mask):
-    if not mask:
+def _inputs(config: ExperimentConfig, mesh, topology):
+    """Raw model input: the configured feature kind, channel-masked."""
+    values = extract(topology, mesh, config.feature_kind).values
+    if not config.channel_mask:
         return values
-    keep = np.array(mask, dtype=bool)
-    return values[:, keep]
+    return values[:, np.array(config.channel_mask, dtype=bool)]
 
 
 @dataclass
@@ -107,16 +109,11 @@ def _prepare_samples(config: ExperimentConfig, samples, with_targets=True):
             noisy = add_vertex_noise(
                 mesh, config.noise_variance, seed=(config.seed * 100003 + 7 * i)
             )
-            inputs = _mask_values(
-                extract(topology, noisy, config.feature_kind).values,
-                config.channel_mask,
-            )
+            inputs = _inputs(config, noisy, topology)
             target = extract(topology, mesh, config.output_kind).values
             prepared.append(_Prepared(s, mesh, topology, inputs, target, noisy))
             continue
-        inputs = _mask_values(
-            extract(topology, mesh, config.feature_kind).values, config.channel_mask
-        )
+        inputs = _inputs(config, mesh, topology)
         target = None
         if with_targets:
             if config.task == CLASSIFICATION:
@@ -169,11 +166,9 @@ def build_model(config: ExperimentConfig, in_channels, out_dim, seed=None):
 
 def _loss_for(config, model, prepared: _Prepared, inputs, topology):
     out, _ = model.forward(inputs, topology)
-    if config.task == CLASSIFICATION:
-        return cross_entropy(out, prepared.target), out
-    if config.task == SEGMENTATION:
-        return cross_entropy(out, prepared.target), out
-    return mse(out, prepared.target), out
+    if config.task == DENOISING:
+        return mse(out, prepared.target), out
+    return cross_entropy(out, prepared.target), out
 
 
 def _augmented_inputs(config, prepared: _Prepared, epoch, index):
@@ -187,11 +182,7 @@ def _augmented_inputs(config, prepared: _Prepared, epoch, index):
         vertex_jitter_sigma=config.augment_jitter,
         seed=(config.seed * 1000003 + epoch * 1009 + index),
     )
-    inputs = _mask_values(
-        extract(prepared.topology, moved, config.feature_kind).values,
-        config.channel_mask,
-    )
-    return inputs, prepared.topology
+    return _inputs(config, moved, prepared.topology), prepared.topology
 
 
 def train(config: ExperimentConfig, samples, dataset_hash=""):
@@ -310,11 +301,18 @@ def _checkpoint_config(checkpoint: Checkpoint) -> ExperimentConfig:
 
 
 def _model_inputs(checkpoint, config, mesh, topology):
-    raw = _mask_values(
-        extract(topology, mesh, config.feature_kind).values, config.channel_mask
-    )
     stats = checkpoint.channel_stats
-    return (raw - stats.mean) / stats.std
+    return (_inputs(config, mesh, topology) - stats.mean) / stats.std
+
+
+def _test_samples(checkpoint: Checkpoint, task, samples):
+    """The test split (or unsplit samples) for a checkpoint trained on ``task``."""
+    if checkpoint.meta["task"] != task:
+        raise ConfigError(f"checkpoint task is {checkpoint.meta['task']}, not {task}")
+    test = [s for s in samples if s.split == TEST or not s.split]
+    if not test:
+        raise DataError("no test meshes to evaluate")
+    return test
 
 
 def evaluate_classification(checkpoint: Checkpoint, samples, rotation_seed=None):
@@ -323,13 +321,7 @@ def evaluate_classification(checkpoint: Checkpoint, samples, rotation_seed=None)
     ``rotation_seed`` applies a random rigid rotation to every mesh first
     (robustness probes).
     """
-    if checkpoint.meta["task"] != CLASSIFICATION:
-        raise ConfigError(
-            f"checkpoint task is {checkpoint.meta['task']}, not classification"
-        )
-    test = [s for s in samples if s.split == TEST or not s.split]
-    if not test:
-        raise DataError("no test meshes to evaluate")
+    test = _test_samples(checkpoint, CLASSIFICATION, samples)
     config = _checkpoint_config(checkpoint)
     hits = 0
     for i, s in enumerate(test):
@@ -353,13 +345,7 @@ def soft_edge_accuracy(lengths, predicted, labels):
 
 def evaluate_segmentation(checkpoint: Checkpoint, samples):
     """Mean soft edge accuracy over the test meshes."""
-    if checkpoint.meta["task"] != SEGMENTATION:
-        raise ConfigError(
-            f"checkpoint task is {checkpoint.meta['task']}, not segmentation"
-        )
-    test = [s for s in samples if s.split == TEST or not s.split]
-    if not test:
-        raise DataError("no test meshes to evaluate")
+    test = _test_samples(checkpoint, SEGMENTATION, samples)
     config = _checkpoint_config(checkpoint)
     scores = []
     for s in test:
@@ -397,8 +383,6 @@ def _check_shared_topology(clean, noisy):
 
 def identity_baseline(pairs, output_features) -> float:
     """Average MSE of just returning the noisy features unchanged."""
-    from .config import KIND_TOKENS
-
     kind = KIND_TOKENS[output_features]
     errors = []
     for clean, noisy in pairs:
@@ -421,8 +405,6 @@ def evaluate_denoising(checkpoint: Checkpoint, pairs, output_features) -> float:
             f"checkpoint predicts {checkpoint.meta['output_features']}, "
             f"asked for {output_features}"
         )
-    from .config import KIND_TOKENS
-
     config = _checkpoint_config(checkpoint)
     kind = KIND_TOKENS[output_features]
     errors = []

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllegalCollapseError, MeshError, PoolTargetError
+from .errors import GraphError, IllegalCollapseError, MeshError, PoolTargetError
 from .mesh import Mesh
 from .topology import SENTINEL, EdgeTopology
 
@@ -398,6 +398,8 @@ def pool(
     ``ENHANCED`` rescores the two survivors after every collapse;
     ``BATCH_LEGACY`` walks the selection order frozen at entry.
     """
+    if policy not in (ENHANCED, BATCH_LEGACY):
+        raise GraphError(f"unknown pooling policy {policy!r}")
     state = (
         PoolingState.from_mesh(mesh, topology, features)
         if mesh is not None

@@ -43,9 +43,6 @@ class EdgeTopology:
     def edge_count(self):
         return len(self.edges)
 
-    def is_interior(self, edge):
-        return self.edge_faces[edge, 1] != SENTINEL
-
     @property
     def interior_mask(self):
         return self.edge_faces[:, 1] != SENTINEL
@@ -84,12 +81,72 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _face_entries(faces):
-    """Yield (face index, corner index, u, v) for each directed face edge."""
-    for fi in range(len(faces)):
-        f = faces[fi]
+def _scan(mesh: Mesh):
+    """One walk over the faces: every manifold finding, then the rings if clean.
+
+    Returns ``(report, topology)``; ``topology`` is None unless the report is
+    clean.
+    """
+    faces = mesh.faces.tolist()
+    report = ValidationReport()
+    edge_ids = {}
+    edges = []
+    edge_faces = []  # incident face ids per edge, in face order
+    face_edges = []
+    directed = set()
+    face_of_vertex_set = {}
+    for fi, face in enumerate(faces):
+        vertex_set = tuple(sorted(face))
+        if vertex_set in face_of_vertex_set:
+            report.duplicate_faces.append((face_of_vertex_set[vertex_set], fi))
+        else:
+            face_of_vertex_set[vertex_set] = fi
+        row = []
         for k in range(3):
-            yield fi, k, int(f[k]), int(f[(k + 1) % 3])
+            u, v = face[k], face[k - 2]  # face[k - 2] is face[(k + 1) % 3]
+            if (u, v) in directed:
+                if (u, v) not in report.orientation_conflicts:
+                    report.orientation_conflicts.append((u, v))
+            else:
+                directed.add((u, v))
+            key = (u, v) if u < v else (v, u)
+            eid = edge_ids.setdefault(key, len(edges))
+            if eid == len(edges):
+                edges.append(key)
+                edge_faces.append([fi])
+            else:
+                edge_faces[eid].append(fi)
+            row.append(eid)
+        face_edges.append(row)
+    for (u, v), incident in zip(edges, edge_faces):
+        if len(incident) > 2:
+            report.non_manifold_edges.append((u, v, len(incident)))
+    vertex_edges = [[] for _ in range(mesh.vertex_count)]
+    for eid, (u, v) in enumerate(edges):
+        vertex_edges[u].append(eid)
+        vertex_edges[v].append(eid)
+    report.isolated_vertices = [v for v, incident in enumerate(vertex_edges) if not incident]
+    if not report.is_clean:
+        return report, None
+
+    neighbors = [[SENTINEL] * 4 for _ in edges]
+    for fi, row in enumerate(face_edges):
+        for k in range(3):
+            eid = row[k]
+            base = 0 if edge_faces[eid][0] == fi else 2
+            neighbors[eid][base] = row[k - 2]
+            neighbors[eid][base + 1] = row[k - 1]
+    for incident in edge_faces:
+        if len(incident) == 1:
+            incident.append(SENTINEL)
+    topology = EdgeTopology(
+        np.array(edges, dtype=np.int64).reshape(-1, 2),
+        np.array(edge_faces, dtype=np.int64).reshape(-1, 2),
+        np.array(neighbors, dtype=np.int64).reshape(-1, 4),
+        np.array(face_edges, dtype=np.int64).reshape(-1, 3),
+        vertex_edges,
+    )
+    return report, topology
 
 
 def validate_manifold(mesh: Mesh) -> ValidationReport:
@@ -99,96 +156,15 @@ def validate_manifold(mesh: Mesh) -> ValidationReport:
     :func:`build_edge_topology` succeeds. Face self-intersection is not
     examined.
     """
-    report = ValidationReport()
-    face_count = {}
-    directed = {}
-    for fi, _, u, v in _face_entries(mesh.faces):
-        key = (u, v) if u < v else (v, u)
-        face_count[key] = face_count.get(key, 0) + 1
-        if (u, v) in directed:
-            if (u, v) not in report.orientation_conflicts:
-                report.orientation_conflicts.append((u, v))
-        else:
-            directed[(u, v)] = fi
-    for (u, v), n in face_count.items():
-        if n > 2:
-            report.non_manifold_edges.append((u, v, n))
-    used = np.zeros(mesh.vertex_count, dtype=bool)
-    if mesh.face_count:
-        used[mesh.faces.reshape(-1)] = True
-    report.isolated_vertices = [int(v) for v in np.flatnonzero(~used)]
-    seen_sets = {}
-    for fi in range(mesh.face_count):
-        key = tuple(sorted(mesh.faces[fi].tolist()))
-        if key in seen_sets:
-            report.duplicate_faces.append((seen_sets[key], fi))
-        else:
-            seen_sets[key] = fi
-    return report
+    return _scan(mesh)[0]
 
 
 def build_edge_topology(mesh: Mesh) -> EdgeTopology:
     """Construct edge connectivity, rejecting non-manifold or misoriented input."""
-    edge_ids = {}
-    edges = []
-    edge_faces = []
-    directed_seen = set()
-    face_edges = np.empty((mesh.face_count, 3), dtype=np.int64)
-    face_slots = np.empty((mesh.face_count, 3), dtype=np.int64)  # 0 or 1 per corner
-    for fi, k, u, v in _face_entries(mesh.faces):
-        if (u, v) in directed_seen:
-            raise TopologyError(
-                f"inconsistent orientation: edge ({u}, {v}) traversed twice "
-                "in the same direction"
-            )
-        directed_seen.add((u, v))
-        key = (u, v) if u < v else (v, u)
-        eid = edge_ids.get(key)
-        if eid is None:
-            eid = len(edges)
-            edge_ids[key] = eid
-            edges.append(key)
-            edge_faces.append([fi, SENTINEL])
-            face_slots[fi, k] = 0
-        else:
-            if edge_faces[eid][1] != SENTINEL:
-                raise TopologyError(
-                    f"non-manifold edge {key}: more than 2 incident faces"
-                )
-            edge_faces[eid][1] = fi
-            face_slots[fi, k] = 1
-        face_edges[fi, k] = eid
-
-    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    edge_faces = np.array(edge_faces, dtype=np.int64).reshape(-1, 2)
-
-    neighbors = np.full((len(edges), 4), SENTINEL, dtype=np.int64)
-    for fi in range(mesh.face_count):
-        fe = face_edges[fi]
-        for k in range(3):
-            eid = fe[k]
-            base = 0 if face_slots[fi, k] == 0 else 2
-            neighbors[eid, base] = fe[(k + 1) % 3]
-            neighbors[eid, base + 1] = fe[(k + 2) % 3]
-
-    vertex_edges = [[] for _ in range(mesh.vertex_count)]
-    for eid, (u, v) in enumerate(edges):
-        vertex_edges[int(u)].append(eid)
-        vertex_edges[int(v)].append(eid)
-    for v, incident in enumerate(vertex_edges):
-        if not incident and mesh.face_count:
-            raise TopologyError(f"isolated vertex {v}")
-
-    seen_sets = {}
-    for fi in range(mesh.face_count):
-        key = tuple(sorted(mesh.faces[fi].tolist()))
-        if key in seen_sets:
-            raise TopologyError(
-                f"faces {seen_sets[key]} and {fi} share the same vertex set"
-            )
-        seen_sets[key] = fi
-
-    return EdgeTopology(edges, edge_faces, neighbors, face_edges, vertex_edges)
+    report, topology = _scan(mesh)
+    if topology is None:
+        raise TopologyError(f"mesh is not a valid manifold:\n{report.summary()}")
+    return topology
 
 
 def euler_genus(mesh: Mesh, topology: EdgeTopology):

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import shutil
 
 import numpy as np
 import pytest
@@ -91,6 +92,13 @@ class TestFeaturesCommand:
         bad.write_bytes(NON_MANIFOLD_OBJ)
         code, _, err = run(["features", "--mesh", bad, "--kind", "ff"], capsys)
         assert code == 2
+
+    def test_zero_area_face_exit_2(self, tmp_path, capsys):
+        flat = tmp_path / "flat.obj"
+        flat.write_bytes(b"v 0 0 0\nv 1 0 0\nv 2 0 0\nv 1 -1 0\nf 1 2 3\nf 2 1 4\n")
+        code, _, err = run(["features", "--mesh", flat, "--kind", "ff"], capsys)
+        assert code == 2
+        assert "zero area" in err
 
     def test_heatmap_writes_sidecar(self, tetra_path, tmp_path, capsys):
         heat = tmp_path / "heat.obj"
@@ -297,6 +305,22 @@ class TestTrainEval:
             reports.append(report.read_bytes())
         assert outs[0] == outs[1]
         assert reports[0] == reports[1]
+
+    def test_misoriented_face_exit_2(self, cli_dataset, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(cli_dataset, data)
+        obj = sorted((data / "meshes").glob("*.obj"))[0]
+        lines = obj.read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith("f "))
+        _, a, b, c = lines[first].split()
+        lines[first] = f"f {a} {c} {b}"
+        obj.write_text("\n".join(lines) + "\n")
+        code, _, err = run(
+            ["train", "--data", data, "--out", tmp_path / "m.ckpt", "--set", "epochs=1"],
+            capsys,
+        )
+        assert code == 2
+        assert "not a valid manifold" in err
 
     def test_ablate_prints_four_rows(self, cli_dataset, capsys):
         code, stdout, _ = run(

@@ -1,5 +1,6 @@
 """Layer semantics, per-layer gradient oracle, optimizers, checkpoints."""
 
+import json
 import struct
 
 import numpy as np
@@ -277,6 +278,19 @@ class TestOptimizer:
         assert p.data[0] < 0 < p.data[1]
 
 
+def _header(**changes):
+    """A checkpoint header that decodes to an empty model, with ``changes``."""
+    header = {
+        "blob_order": [],
+        "blob_shapes": {},
+        "has_channel_stats": False,
+        "layers": [],
+        "meta": {},
+        "pooling_policy": "enhanced",
+    }
+    return json.dumps({**header, **changes}, separators=(",", ":")).encode()
+
+
 class TestCheckpoint:
     def _model(self):
         spec = [
@@ -312,12 +326,28 @@ class TestCheckpoint:
                 Checkpoint.from_bytes(data[:end])
 
     @pytest.mark.parametrize(
-        "header", [b"{}", b"not json", b'{"blob_order": ["w"], "blob_shapes": {}}', b"[1,2]"]
+        "header",
+        [
+            b"{}",
+            b"not json",
+            b'{"blob_order": ["w"], "blob_shapes": {}}',
+            b"[1,2]",
+            _header(layers=[{"type": "dense", "out": 2}]),
+            _header(layers=5),
+            _header(blob_order=["w"], blob_shapes={"w": [-2]}),
+            _header(has_channel_stats=True),
+            _header(pooling_policy="bogus"),
+        ],
     )
     def test_corrupt_header_rejected(self, header):
         prefix = struct.pack("<4sIQ", b"MFCK", 1, len(header))
         with pytest.raises(GraphError, match="header corrupt"):
             Checkpoint.from_bytes(prefix + header)
+
+    def test_minimal_header_loads(self):
+        header = _header()
+        prefix = struct.pack("<4sIQ", b"MFCK", 1, len(header))
+        assert Checkpoint.from_bytes(prefix + header).model.layers == []
 
     def test_init_seeded_and_bounded(self):
         m1 = self._model()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from meshforms import (
+    GraphError,
     IllegalCollapseError,
     PoolHistory,
     PoolingState,
@@ -255,6 +256,12 @@ class TestPool:
         with pytest.raises(PoolTargetError) as err:
             pool(features, topology, 3)
         assert err.value.achieved == 6
+
+    def test_unknown_policy_rejected(self, icosahedron):
+        topology = build_edge_topology(icosahedron)
+        features = np.ones((topology.edge_count, 1))
+        with pytest.raises(GraphError, match="bogus"):
+            pool(features, topology, topology.edge_count - 3, policy="bogus")
 
     def test_pooled_output_is_compact_and_valid(self):
         mesh = fuzz_corpus(1, seed=8)[0]

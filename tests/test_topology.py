@@ -1,13 +1,19 @@
 """Edge-topology construction and manifold validation."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshforms import (
+    DatasetSpec,
     Mesh,
     TopologyError,
     build_edge_topology,
     euler_genus,
+    generate,
     parse_obj,
     validate_manifold,
     write_obj,
@@ -166,3 +172,84 @@ class TestValidation:
 
     def test_boundary_strip_is_clean(self, flat_pair):
         assert validate_manifold(flat_pair).is_clean
+
+
+def golden_meshes(small_corpus):
+    larger = [
+        s.mesh
+        for generator in ("primitive-zoo", "articulated-limbs")
+        for s in generate(
+            DatasetSpec(generator, classes=2, per_class=1, edge_range=(1500, 2500), seed=5)
+        )
+    ]
+    return list(small_corpus) + larger
+
+
+def defective_variants(mesh):
+    """One mesh per defect kind, each breaking a clean mesh in one place."""
+    faces = mesh.faces.tolist()
+    v = mesh.vertex_count
+    a, b, c = faces[0]
+    spare = np.vstack([mesh.vertices, mesh.vertices[:1] + 0.5])  # one more vertex, v
+    return [
+        Mesh(mesh.vertices, [[a, c, b]] + faces[1:]),  # one flipped face
+        Mesh(mesh.vertices, faces + [faces[3]]),  # duplicate face
+        Mesh(spare, faces),  # isolated vertex
+        Mesh(spare, faces + [[a, b, v]]),  # third face on an edge
+        Mesh(spare, faces + [[b, a, v], [a, b, v]]),  # fin both ways round
+    ]
+
+
+# sha256 over build_edge_topology's five fields (dtype, shape and bytes of the
+# four arrays, repr of vertex_edges) for the fuzz corpus plus two 1.5-2.5k-edge
+# primitive-zoo and articulated-limbs meshes each.
+GOLDEN_TOPOLOGY = "50e953f7c5cd09c5c8bc3a6c0cfa6a4d011e6d8993282493dc52f9388b884bca"
+
+# sha256 over repr(validate_manifold(...)) for five defective variants of
+# each of the first six fuzz meshes.
+GOLDEN_REPORTS = "165f736202b55128ada1e37c7526a68d535e79c1dadbcb2bda2199d87a95e1a8"
+
+
+def test_topology_is_byte_stable(small_corpus):
+    h = hashlib.sha256()
+    for mesh in golden_meshes(small_corpus):
+        topo = build_edge_topology(mesh)
+        for arr in (topo.edges, topo.edge_faces, topo.neighbors, topo.face_edges):
+            h.update(f"{arr.dtype.str}{arr.shape}".encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(repr(topo.vertex_edges).encode())
+    assert h.hexdigest() == GOLDEN_TOPOLOGY
+
+
+def test_reports_are_stable(small_corpus):
+    h = hashlib.sha256()
+    for mesh in small_corpus[:6]:
+        for broken in defective_variants(mesh):
+            report = validate_manifold(broken)
+            assert not report.is_clean
+            h.update(repr(report).encode())
+    assert h.hexdigest() == GOLDEN_REPORTS
+
+
+@st.composite
+def small_face_lists(draw):
+    faces = draw(
+        st.lists(
+            st.lists(st.integers(0, 5), min_size=3, max_size=3, unique=True), max_size=8
+        )
+    )
+    used = 1 + max((i for f in faces for i in f), default=-1)
+    vertex_count = used + draw(st.integers(0, 1 if faces else 3))
+    vertices = np.arange(3 * vertex_count, dtype=float).reshape(-1, 3) ** 1.5
+    return Mesh(vertices, np.array(faces, dtype=np.int64).reshape(-1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_face_lists())
+def test_clean_report_iff_build_succeeds(mesh):
+    try:
+        build_edge_topology(mesh)
+        built = True
+    except TopologyError:
+        built = False
+    assert validate_manifold(mesh).is_clean == built
