@@ -40,7 +40,16 @@ def conv_forward(features, neighbors, weights, bias):
 
 
 def conv_backward(grad_out, features, neighbors, weights):
-    """Reverse-mode gradients; |x| has subgradient 0 at x = 0."""
+    """Reverse-mode gradients; |x| has subgradient 0 at x = 0.
+
+    grad_f is a gather, not a scatter, and is bit for bit what four
+    ``np.add.at`` calls (slots 0, 2, 1, 3) would give. The four slot terms are
+    stacked in that call order over one zero row, and ``_scatter_sum`` lists,
+    for each edge, the rows that target it in the order ``add.at`` would apply
+    them. Each edge's sum then sees the same addends in the same order,
+    starting from +0.0. Such a sum is never -0.0, so adding the zero row as
+    padding leaves every bit as it is.
+    """
     E, C = features.shape
     padded = np.vstack([features, np.zeros((1, C))])
     idx = np.where(neighbors < 0, E, neighbors)
@@ -48,30 +57,51 @@ def conv_backward(grad_out, features, neighbors, weights):
     fb = padded[idx[:, 1]]
     fc = padded[idx[:, 2]]
     fd = padded[idx[:, 3]]
-    s1 = np.sign(fa - fc)
-    s2 = np.sign(fb - fd)
+    d1 = fa - fc
+    d2 = fb - fd
 
     grad_w = np.empty_like(weights)
     grad_w[0] = features.T @ grad_out
-    grad_w[1] = np.abs(fa - fc).T @ grad_out
+    grad_w[1] = np.abs(d1).T @ grad_out
     grad_w[2] = (fa + fc).T @ grad_out
-    grad_w[3] = np.abs(fb - fd).T @ grad_out
+    grad_w[3] = np.abs(d2).T @ grad_out
     grad_w[4] = (fb + fd).T @ grad_out
     grad_bias = grad_out.sum(axis=0)
+    del fa, fb, fc, fd  # freed before the 4·E·C terms exist, to bound peak memory
 
-    t1 = grad_out @ weights[1].T
-    t2 = grad_out @ weights[2].T
-    t3 = grad_out @ weights[3].T
-    t4 = grad_out @ weights[4].T
+    # Slot terms in add.at's call order: a, c (from d1), then b, d (from d2).
+    terms = np.empty((4 * E + 1, C))
+    terms[4 * E] = 0.0
+    for k, diff in enumerate((d1, d2)):
+        signed = np.sign(diff)
+        signed *= grad_out @ weights[2 * k + 1].T
+        summed = grad_out @ weights[2 * k + 2].T
+        np.add(signed, summed, out=terms[2 * k * E : (2 * k + 1) * E])
+        np.subtract(summed, signed, out=terms[(2 * k + 1) * E : (2 * k + 2) * E])
 
-    grad_f = np.zeros((E + 1, C))
-    np.add.at(grad_f, idx[:, 0], s1 * t1 + t2)
-    np.add.at(grad_f, idx[:, 2], -s1 * t1 + t2)
-    np.add.at(grad_f, idx[:, 1], s2 * t3 + t4)
-    np.add.at(grad_f, idx[:, 3], -s2 * t3 + t4)
-    grad_f = grad_f[:E]
+    grad_f = _scatter_sum(terms, idx[:, [0, 2, 1, 3]].T.ravel(), E)
     grad_f += grad_out @ weights[0].T
     return grad_f, grad_w, grad_bias
+
+
+def _scatter_sum(terms, targets, rows):
+    """``np.add.at(zeros((rows + 1, C)), targets, terms[:-1])[:rows]``, gathered.
+
+    ``terms`` ends in one zero row. The plan's row r lists the positions i with
+    ``targets[i] == r`` in ascending order, which is the order ``np.add.at``
+    applies them, padded with the zero row up to the largest count K. Targets
+    equal to ``rows`` are sentinels and are dropped.
+    """
+    order = np.argsort(targets, kind="stable")
+    counts = np.bincount(targets, minlength=rows + 1)[:rows]
+    kept = int(counts.sum())
+    plan = np.full((rows, int(counts.max(initial=0))), len(targets), dtype=np.intp)
+    rank = np.arange(kept) - np.repeat(np.cumsum(counts) - counts, counts)
+    plan[targets[order[:kept]], rank] = order[:kept]
+    out = np.zeros((rows, terms.shape[1]))
+    for column in plan.T:
+        out += terms[column]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,13 @@ class Checkpoint:
         self.channel_stats = channel_stats
         self.meta = dict(meta)
 
+    def meta_value(self, key):
+        """``meta[key]``; a header without it raises GraphError naming the key."""
+        try:
+            return self.meta[key]
+        except KeyError:
+            raise GraphError(f"checkpoint meta has no {key!r}") from None
+
     def to_bytes(self) -> bytes:
         params = self.model.parameters()
         blob_order = list(params.keys())

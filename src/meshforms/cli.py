@@ -175,9 +175,9 @@ def cmd_train(args):
 def cmd_eval(args):
     checkpoint = Checkpoint.load(args.checkpoint)
     samples = ds.load_dataset(args.data)
-    task = checkpoint.meta["task"]
-    print(f"config_hash = {checkpoint.meta['config_hash']}")
-    print(f"seed = {checkpoint.meta['seed']}")
+    task = checkpoint.meta_value("task")
+    print(f"config_hash = {checkpoint.meta_value('config_hash')}")
+    print(f"seed = {checkpoint.meta_value('seed')}")
     if task == "classification":
         accuracy = pipelines.evaluate_classification(
             checkpoint, samples, rotation_seed=args.rotate_seed
@@ -193,7 +193,7 @@ def cmd_eval(args):
 
 def cmd_denoise(args):
     checkpoint = Checkpoint.load(args.checkpoint)
-    if checkpoint.meta["task"] != "denoising":
+    if checkpoint.meta_value("task") != "denoising":
         raise ConfigError("checkpoint was not trained for denoising")
     samples = [s for s in ds.load_dataset(args.data) if s.split == ds.TEST]
     if not samples:
@@ -204,10 +204,10 @@ def cmd_denoise(args):
         else checkpoint.meta.get("noise_variance", 0.1)
     )
     pairs = pipelines.make_denoising_pairs(samples, variance, seed=args.seed or 0)
-    out_kind = checkpoint.meta["output_features"]
+    out_kind = checkpoint.meta_value("output_features")
     model_mse = pipelines.evaluate_denoising(checkpoint, pairs, out_kind)
     ident = pipelines.identity_baseline(pairs, out_kind)
-    print(f"config_hash = {checkpoint.meta['config_hash']}")
+    print(f"config_hash = {checkpoint.meta_value('config_hash')}")
     print(f"seed = {args.seed or 0}")
     print(f"output_features = {out_kind}")
     print(f"model_mse = {model_mse:.6g}")

@@ -664,6 +664,14 @@ def save_dataset(directory, samples):
     (root / _INDEX_NAME).write_text("\n".join(lines) + "\n")
 
 
+def _label(row, fields, column, source):
+    """``int(fields[column])`` of a row split into ``fields``, or DataError."""
+    try:
+        return int(fields[column])
+    except (ValueError, IndexError):
+        raise DataError(f"{source}: no integer label in column {column + 1} of {row!r}") from None
+
+
 def load_dataset(directory):
     root = pathlib.Path(directory)
     index = root / _INDEX_NAME
@@ -683,13 +691,13 @@ def load_dataset(directory):
         if label_rel:
             label_lines = (root / label_rel).read_text().splitlines()
             edge_labels = np.array(
-                [int(row.split()[2]) for row in label_lines if row.strip()],
+                [_label(row, row.split(), 2, label_rel) for row in label_lines if row.strip()],
                 dtype=np.int64,
             )
         samples.append(
             LabeledMesh(
                 mesh,
-                class_label=int(cls) if cls else None,
+                class_label=_label(line, parts, 2, _INDEX_NAME) if cls else None,
                 edge_labels=edge_labels,
                 split=split_tag,
                 sample_id=sample_id,

@@ -291,8 +291,8 @@ def train(config: ExperimentConfig, samples, dataset_hash=""):
 def _checkpoint_config(checkpoint: Checkpoint) -> ExperimentConfig:
     meta = checkpoint.meta
     return ExperimentConfig(
-        task=meta["task"],
-        features=meta["features"],
+        task=checkpoint.meta_value("task"),
+        features=checkpoint.meta_value("features"),
         channel_mask=tuple(meta.get("channel_mask", ())),
         output_features=meta.get("output_features", "ff"),
         noise_variance=meta.get("noise_variance", 0.1),
@@ -307,8 +307,9 @@ def _model_inputs(checkpoint, config, mesh, topology):
 
 def _test_samples(checkpoint: Checkpoint, task, samples):
     """The test split (or unsplit samples) for a checkpoint trained on ``task``."""
-    if checkpoint.meta["task"] != task:
-        raise ConfigError(f"checkpoint task is {checkpoint.meta['task']}, not {task}")
+    trained = checkpoint.meta_value("task")
+    if trained != task:
+        raise ConfigError(f"checkpoint task is {trained}, not {task}")
     test = [s for s in samples if s.split == TEST or not s.split]
     if not test:
         raise DataError("no test meshes to evaluate")
@@ -396,15 +397,12 @@ def identity_baseline(pairs, output_features) -> float:
 
 def evaluate_denoising(checkpoint: Checkpoint, pairs, output_features) -> float:
     """Average MSE between model output and the clean mesh's raw features."""
-    if checkpoint.meta["task"] != DENOISING:
-        raise ConfigError(
-            f"checkpoint task is {checkpoint.meta['task']}, not denoising"
-        )
-    if checkpoint.meta["output_features"] != output_features:
-        raise ConfigError(
-            f"checkpoint predicts {checkpoint.meta['output_features']}, "
-            f"asked for {output_features}"
-        )
+    trained = checkpoint.meta_value("task")
+    if trained != DENOISING:
+        raise ConfigError(f"checkpoint task is {trained}, not denoising")
+    predicted = checkpoint.meta_value("output_features")
+    if predicted != output_features:
+        raise ConfigError(f"checkpoint predicts {predicted}, asked for {output_features}")
     config = _checkpoint_config(checkpoint)
     kind = KIND_TOKENS[output_features]
     errors = []

@@ -29,13 +29,17 @@ def tetrahedron():
     return oriented_closed_mesh(verts, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
 
-@pytest.fixture
-def flat_pair():
+def flat_pair_mesh():
     """Two coplanar triangles sharing the unit edge (0)-(1), same winding."""
     verts = np.array(
         [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, 1.0, 0.0), (0.5, -1.0, 0.0)]
     )
     return Mesh(verts, np.array([(0, 1, 2), (1, 0, 3)]))
+
+
+@pytest.fixture
+def flat_pair():
+    return flat_pair_mesh()
 
 
 @pytest.fixture
@@ -92,9 +96,12 @@ def fuzz_corpus(count, seed=0, edge_range=(150, 400)):
     return [s.mesh for s in generate(spec)][:count]
 
 
+SMALL_CORPUS_SEED = 11
+
+
 @pytest.fixture(scope="session")
 def small_corpus():
-    return fuzz_corpus(20, seed=11)
+    return fuzz_corpus(20, seed=SMALL_CORPUS_SEED)
 
 
 def random_interior_edge(topology, rng):

@@ -1,0 +1,49 @@
+"""tools/bench_record.py: pairing, medians, IQRs, wins and digest agreement."""
+
+import importlib.util
+import json
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_record", ROOT / "tools" / "bench_record.py")
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+
+def capture(path, seed, host_norm, setup_s, loss="aa", output="bb"):
+    metrics = {
+        "mesh_ms.host_norm": {"value": host_norm, "unit": "ms"},
+        "setup_s": {"value": setup_s, "unit": "s"},
+        "peak_rss_mb": {"value": 100.0, "unit": "MB"},
+    }
+    gate = {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+    path.write_text(
+        f"== segment-limbs  seed={seed}  seconds=50.0  trace=0  rounds=12\n"
+        "machine  cpu_count=2  python=3.11.7  numpy=2.4.6  blas='open blas'  blas_threads=1\n"
+        "machine.spin_ms  before=1.0  after=1.0\n"
+        f"loss_digest    sha256:{loss}\n"
+        f"output_digest  sha256:{output}\n" + json.dumps(gate) + "\n"
+    )
+    return path
+
+
+def test_record_pairs_runs_by_seed(tmp_path):
+    parents = [capture(tmp_path / f"p{s}.txt", s, 200.0 + s, 0.25) for s in (1, 2, 3, 4)]
+    changes = [capture(tmp_path / f"c{s}.txt", s, 180.0 + 9 * s, 0.25) for s in (4, 3, 2, 1)]
+    changes[0] = capture(tmp_path / "c4.txt", 4, 216.0, 0.25, loss="other")
+    out = tmp_path / "BENCH.json"
+    args = ["--pr", "7", "--out", out, "--parent", *parents, "--change", *changes]
+    assert bench_record.main([str(a) for a in args]) == 0
+    record = json.loads(out.read_text())
+    assert record["machine"] == [
+        {"cpu_count": "2", "python": "3.11.7", "numpy": "2.4.6", "blas": "open blas",
+         "blas_threads": "1"}
+    ]
+    limbs = record["workloads"]["segment-limbs"]
+    assert limbs["pairs"] == 4 and limbs["seeds"] == [1, 2, 3, 4]
+    assert not limbs["digests_identical"]
+    host = limbs["metrics"]["mesh_ms.host_norm"]
+    assert host["parent"]["median"] == 202.5 and host["parent"]["iqr"] == 1.5
+    assert host["change"]["values"] == [189.0, 198.0, 207.0, 216.0]
+    assert host["change_wins"] == 2  # 207 loses to 203 and 216 to 204
+    assert limbs["metrics"]["setup_s"]["change_wins"] == 0  # ties count for neither

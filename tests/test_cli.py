@@ -7,7 +7,14 @@ import shutil
 import numpy as np
 import pytest
 
-from meshforms import parse_obj, read_features, validate_manifold
+from meshforms import (
+    Checkpoint,
+    ExperimentConfig,
+    parse_obj,
+    pipelines,
+    read_features,
+    validate_manifold,
+)
 from meshforms.cli import main
 from meshforms.datasets import _random_rotation
 from meshforms.mesh import RigidMotion, apply_motion, write_obj
@@ -305,6 +312,16 @@ class TestTrainEval:
             reports.append(report.read_bytes())
         assert outs[0] == outs[1]
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("command", ["eval", "denoise"])
+    def test_checkpoint_without_task_exit_3(self, cli_dataset, tmp_path, command, capsys):
+        config = ExperimentConfig(conv_channels=(4,), pool_targets=(100,))
+        model = pipelines.build_model(config, config.input_channels(), 3)
+        ckpt = tmp_path / "no-task.ckpt"
+        Checkpoint(model, None, {"features": "ff", "seed": 0}).save(ckpt)
+        code, _, err = run([command, "--checkpoint", ckpt, "--data", cli_dataset], capsys)
+        assert code == 3
+        assert "checkpoint meta has no 'task'" in err
 
     def test_misoriented_face_exit_2(self, cli_dataset, tmp_path, capsys):
         data = tmp_path / "data"

@@ -1,13 +1,19 @@
-"""Edge convolution: examples, order invariance, gradient oracle."""
+"""Edge convolution: examples, order invariance, gradient oracle, goldens."""
+
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from meshforms import GraphError, MeshConv, Value, build_edge_topology
+from meshforms import DatasetSpec, GraphError, MeshConv, Value, build_edge_topology, generate
 from meshforms._kernels import conv_backward, conv_forward
 from meshforms.layers import MeshContext
 
-from conftest import fuzz_corpus
+from conftest import SMALL_CORPUS_SEED, flat_pair_mesh, fuzz_corpus
 
 
 def swapped_pairs(neighbors):
@@ -114,3 +120,57 @@ class TestBackward:
             upstream, features, topology.neighbors, identity_weights(3)
         )
         assert np.array_equal(grad_f, upstream)
+
+
+GOLDEN_CHANNELS = ((5, 16), (16, 32), (64, 128), (128, 64))
+
+
+def golden_conv_meshes():
+    """The fuzz corpus, a boundary pair with sentinel slots, one ~2k-edge zoo
+    mesh and one ~2k-edge limbs mesh."""
+    larger = [
+        generate(DatasetSpec(generator, 1, 1, edge_range=(2000, 2200), seed=5))[0].mesh
+        for generator in ("primitive-zoo", "articulated-limbs")
+    ]
+    return fuzz_corpus(20, seed=SMALL_CORPUS_SEED) + [flat_pair_mesh()] + larger
+
+
+def conv_backward_digest():
+    """sha256 over conv_backward's (grad_f, grad_w, grad_bias) bytes for every
+    golden mesh and channel pair, once on Gaussian features and once on
+    features drawn from {-1, 0, 1}, whose tied ring rows make sign zero."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(6)
+    for mesh in golden_conv_meshes():
+        neighbors = build_edge_topology(mesh).neighbors
+        edges = len(neighbors)
+        for cin, cout in GOLDEN_CHANNELS:
+            limit = np.sqrt(6.0 / (cin + cout))
+            weights = rng.uniform(-limit, limit, size=(5, cin, cout))
+            grad_out = rng.normal(size=(edges, cout))
+            for features in (
+                rng.normal(size=(edges, cin)),
+                rng.integers(-1, 2, size=(edges, cin)).astype(float),
+            ):
+                for arr in conv_backward(grad_out, features, neighbors, weights):
+                    h.update(f"{arr.dtype.str}{arr.shape}".encode())
+                    h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+GOLDEN_CONV_BACKWARD = "b1bdccab884cee6d383c1af26c72b5eba4b5887b73efb5197d466ae5a688d9c8"
+
+
+def test_conv_backward_is_byte_stable():
+    # OpenBLAS splits grad_w's E-long reduction by its thread count, so the
+    # digest is taken in a child process pinned to one BLAS thread.
+    here = pathlib.Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(path))
+    child = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == GOLDEN_CONV_BACKWARD
+
+
+if __name__ == "__main__":
+    print(conv_backward_digest())

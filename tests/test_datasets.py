@@ -211,3 +211,22 @@ class TestManifest:
     def test_missing_index_rejected(self, tmp_path):
         with pytest.raises(DataError):
             load_dataset(tmp_path)
+
+    def test_non_integer_class_label_rejected(self, tmp_path):
+        save_dataset(tmp_path, generate(DatasetSpec("primitive-zoo", 1, 1, (150, 300), seed=6)))
+        index = tmp_path / "index.tsv"
+        header, row = index.read_text().splitlines()
+        fields = row.split("\t")
+        fields[2] = "cube"
+        index.write_text(header + "\n" + "\t".join(fields) + "\n")
+        with pytest.raises(DataError, match="index.tsv: no integer label"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("bad_row", ["0 1 left", "0 1"])
+    def test_malformed_edge_label_row_rejected(self, tmp_path, bad_row):
+        save_dataset(tmp_path, generate(DatasetSpec("articulated-limbs", 1, 1, (250, 500), seed=4)))
+        labels = next((tmp_path / "meshes").glob("*.edgelabels"))
+        rows = labels.read_text().splitlines()
+        labels.write_text("\n".join([bad_row] + rows[1:]) + "\n")
+        with pytest.raises(DataError, match="no integer label in column 3"):
+            load_dataset(tmp_path)

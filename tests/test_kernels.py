@@ -1,6 +1,8 @@
-"""Kernel edge cases: sentinel neighbor slots and degenerate faces."""
+"""Kernel edge cases: sentinel neighbor slots, degenerate faces, the scatter plan."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshforms import _kernels
 
@@ -22,3 +24,31 @@ class TestNumpyPathAlone:
         faces = np.array([[0, 1, 2]])
         out = _kernels.edge_geometry(verts, edges, edge_faces, faces)
         assert out[4] == 0
+
+
+@st.composite
+def scatter_cases(draw):
+    """(rows, 4) targets in [0, rows], where rows is the sentinel, with one hot
+    target drawn often enough to exceed the four of a manifold ring, and the
+    four slot terms, signed zeros among them."""
+    rows = draw(st.integers(1, 12))
+    channels = draw(st.integers(1, 3))
+    hot = draw(st.integers(0, rows))
+    target = st.one_of(st.just(hot), st.integers(0, rows))
+    targets = draw(st.lists(target, min_size=4 * rows, max_size=4 * rows))
+    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+    values = draw(st.lists(value, min_size=4 * rows * channels, max_size=4 * rows * channels))
+    return np.array(targets).reshape(rows, 4), np.array(values).reshape(4, rows, channels)
+
+
+@given(scatter_cases())
+@settings(max_examples=200, deadline=None)
+def test_scatter_sum_replays_add_at_bitwise(case):
+    idx, slot_terms = case
+    rows, channels = slot_terms.shape[1:]
+    expected = np.zeros((rows + 1, channels))
+    for slot, term in zip((0, 2, 1, 3), slot_terms):
+        np.add.at(expected, idx[:, slot], term)
+    terms = np.vstack([slot_terms.reshape(4 * rows, channels), np.zeros((1, channels))])
+    got = _kernels._scatter_sum(terms, idx[:, [0, 2, 1, 3]].T.ravel(), rows)
+    assert got.tobytes() == expected[:rows].tobytes()
