@@ -139,7 +139,7 @@ def _config_from_args(args):
         p = pathlib.Path(args.config)
         if not p.exists():
             raise DataError(f"no such config file: {p}")
-        text = p.read_text()
+        text = ds.read_text(p)
     overrides = {}
     for item in args.set or []:
         if "=" not in item:
@@ -331,7 +331,7 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except (DataError, MeshError, FileNotFoundError, ConfigError) as exc:
+    except (DataError, MeshError, OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MeshFormsError as exc:

@@ -75,7 +75,7 @@ class ExperimentConfig:
                 f"output_features must be ff or xyz, got {self.output_features!r}"
             )
         if self.pooling not in ("enhanced", "legacy"):
-            raise ConfigError(f"pooling must be enhanced or legacy")
+            raise ConfigError("pooling must be enhanced or legacy")
         self.conv_channels = tuple(int(c) for c in self.conv_channels)
         self.pool_targets = tuple(int(t) for t in self.pool_targets)
         self.channel_mask = tuple(int(m) for m in self.channel_mask)
@@ -117,11 +117,8 @@ class ExperimentConfig:
         return KIND_CHANNELS[self.feature_kind]
 
 
-_BOOL_KEYS = {"augment_rotation"}
-_INT_KEYS = {"epochs", "batch_size", "seed"}
-_FLOAT_KEYS = {"learning_rate", "momentum", "noise_variance", "augment_jitter"}
-_TUPLE_KEYS = {"conv_channels", "pool_targets", "channel_mask"}
-_ALL_KEYS = {f.name for f in fields(ExperimentConfig)}
+# key -> type of its default: bool, int, float, str, or tuple (of ints)
+_KEY_TYPES = {f.name: type(f.default) for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str, overrides=None) -> ExperimentConfig:
@@ -136,32 +133,29 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"line {line_number}: unknown key {key!r}")
         values[key] = value
     if overrides:
         for key, value in overrides.items():
-            if key not in _ALL_KEYS:
+            if key not in _KEY_TYPES:
                 raise ConfigError(f"unknown config key {key!r}")
             if value is not None:
                 values[key] = str(value)
     kwargs = {}
     for key, value in values.items():
+        kind = _KEY_TYPES[key]
         try:
-            if key in _BOOL_KEYS:
+            if kind is bool:
                 if value.lower() not in ("true", "false"):
                     raise ValueError(value)
                 kwargs[key] = value.lower() == "true"
-            elif key in _INT_KEYS:
-                kwargs[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                kwargs[key] = float(value)
-            elif key in _TUPLE_KEYS:
+            elif kind is tuple:
                 kwargs[key] = tuple(
                     int(v.strip()) for v in value.split(",") if v.strip()
                 )
             else:
-                kwargs[key] = value
+                kwargs[key] = kind(value)
         except ValueError:
             raise ConfigError(f"bad value {value!r} for key {key!r}")
     return ExperimentConfig(**kwargs)
@@ -170,15 +164,15 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
 def format_config(config: ExperimentConfig) -> str:
     """Canonical serialization: sorted keys, one per line."""
     lines = []
-    for f in sorted(_ALL_KEYS):
-        value = getattr(config, f)
-        if f in _TUPLE_KEYS:
+    for key, kind in sorted(_KEY_TYPES.items()):
+        value = getattr(config, key)
+        if kind is tuple:
             value = ",".join(str(v) for v in value)
-        elif f in _BOOL_KEYS:
+        elif kind is bool:
             value = "true" if value else "false"
-        elif f in _FLOAT_KEYS:
+        elif kind is float:
             value = repr(float(value))
-        lines.append(f"{f} = {value}")
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 

@@ -664,6 +664,14 @@ def save_dataset(directory, samples):
     (root / _INDEX_NAME).write_text("\n".join(lines) + "\n")
 
 
+def read_text(path):
+    """The UTF-8 text of a file, or DataError when its bytes do not decode."""
+    try:
+        return pathlib.Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: not UTF-8 text (byte {err.start})") from None
+
+
 def _label(row, fields, column, source):
     """``int(fields[column])`` of a row split into ``fields``, or DataError."""
     try:
@@ -678,7 +686,7 @@ def load_dataset(directory):
     if not index.exists():
         raise DataError(f"no {_INDEX_NAME} in {root}")
     samples = []
-    rows = index.read_text().splitlines()
+    rows = read_text(index).splitlines()
     for line in rows[1:]:
         if not line.strip():
             continue
@@ -689,7 +697,7 @@ def load_dataset(directory):
         mesh = parse_obj((root / rel).read_bytes())
         edge_labels = None
         if label_rel:
-            label_lines = (root / label_rel).read_text().splitlines()
+            label_lines = read_text(root / label_rel).splitlines()
             edge_labels = np.array(
                 [_label(row, row.split(), 2, label_rel) for row in label_lines if row.strip()],
                 dtype=np.int64,
@@ -712,7 +720,7 @@ def dataset_hash(directory) -> str:
     h = hashlib.sha256()
     index = root / _INDEX_NAME
     h.update(index.read_bytes())
-    for line in index.read_text().splitlines()[1:]:
+    for line in read_text(index).splitlines()[1:]:
         if not line.strip():
             continue
         parts = line.split("\t")

@@ -100,7 +100,7 @@ class _Prepared:
     noisy_mesh: object = None
 
 
-def _prepare_samples(config: ExperimentConfig, samples, with_targets=True):
+def _prepare_samples(config: ExperimentConfig, samples):
     prepared = []
     for i, s in enumerate(samples):
         mesh = normalize_unit_box(s.mesh)
@@ -114,21 +114,19 @@ def _prepare_samples(config: ExperimentConfig, samples, with_targets=True):
             prepared.append(_Prepared(s, mesh, topology, inputs, target, noisy))
             continue
         inputs = _inputs(config, mesh, topology)
-        target = None
-        if with_targets:
-            if config.task == CLASSIFICATION:
-                if s.class_label is None:
-                    raise DataError(f"sample {s.sample_id} has no class label")
-                target = int(s.class_label)
-            else:
-                if s.edge_labels is None:
-                    raise DataError(f"sample {s.sample_id} has no edge labels")
-                if len(s.edge_labels) != topology.edge_count:
-                    raise DataError(
-                        f"sample {s.sample_id}: {len(s.edge_labels)} edge labels "
-                        f"for {topology.edge_count} edges"
-                    )
-                target = np.asarray(s.edge_labels, dtype=np.int64)
+        if config.task == CLASSIFICATION:
+            if s.class_label is None:
+                raise DataError(f"sample {s.sample_id} has no class label")
+            target = int(s.class_label)
+        else:
+            if s.edge_labels is None:
+                raise DataError(f"sample {s.sample_id} has no edge labels")
+            if len(s.edge_labels) != topology.edge_count:
+                raise DataError(
+                    f"sample {s.sample_id}: {len(s.edge_labels)} edge labels "
+                    f"for {topology.edge_count} edges"
+                )
+            target = np.asarray(s.edge_labels, dtype=np.int64)
         prepared.append(_Prepared(s, mesh, topology, inputs, target))
     return prepared
 

@@ -17,6 +17,10 @@ interior, the endpoints share exactly two neighbor vertices (link condition),
 those two shared vertices have valence at least 4, and the merged vertex
 keeps valence at least 3. Together these keep every intermediate mesh a
 consistently oriented 2-manifold with no duplicate faces.
+
+A collapse updates only primary connectivity (edge endpoints, edge-face and
+face-edge incidence, per-vertex edge sets). Rings (the rule of
+:func:`topology.rings`) and face corners are derived from it when needed.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from .errors import GraphError, IllegalCollapseError, MeshError, PoolTargetError
 from .mesh import Mesh
-from .topology import SENTINEL, EdgeTopology
+from .topology import SENTINEL, EdgeTopology, incident_edges, rings
 
 ENHANCED = "enhanced"
 BATCH_LEGACY = "legacy"
@@ -141,14 +145,15 @@ def _int_array(rows, width):
 class PoolingState:
     """Mutable working copy of features + connectivity during pooling.
 
-    While pooling, the connectivity (``edges``, ``edge_faces``, ``neighbors``,
-    ``face_edges``, ``faces``, ``edge_alive``, ``face_alive``) is held as plain
-    Python lists, which a collapse reads and writes far faster than numpy
-    scalars; :meth:`compact` and :meth:`export_mesh` convert it back to int64
-    arrays. ``features``, ``scores`` and ``positions`` stay numpy arrays.
+    Only primary connectivity is stored: ``edges``, ``edge_faces``,
+    ``face_edges``, ``vertex_edges`` (sets) and the ``edge_alive`` /
+    ``face_alive`` flags, held as plain Python lists, which a collapse reads
+    and writes far faster than numpy scalars. Neighbor rings and face corners
+    are derived from them (:meth:`ring`, :meth:`compact`, :meth:`export_mesh`).
+    ``features``, ``scores`` and ``positions`` stay numpy arrays.
     """
 
-    def __init__(self, topology: EdgeTopology, features, positions=None, faces=None):
+    def __init__(self, topology: EdgeTopology, features, positions=None):
         feats = np.array(getattr(features, "values", features), dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] != topology.edge_count:
             raise MeshError(
@@ -158,25 +163,34 @@ class PoolingState:
         self.features = feats
         self.edges = topology.edges.tolist()
         self.edge_faces = topology.edge_faces.tolist()
-        self.neighbors = topology.neighbors.tolist()
         self.face_edges = topology.face_edges.tolist()
-        face_count = len(self.face_edges)
-        if faces is None:
-            self.faces = [[SENTINEL] * 3 for _ in range(face_count)]
-        else:
-            self.faces = np.asarray(faces, dtype=np.int64).tolist()
         self.positions = None if positions is None else np.array(positions, dtype=np.float64)
         self.edge_alive = [True] * topology.edge_count
-        self.face_alive = [True] * face_count
+        self.face_alive = [True] * len(self.face_edges)
         self.vertex_edges = [set(v) for v in topology.vertex_edges]
         self.live_edge_count = topology.edge_count
         self.scores = np.linalg.norm(self.features, axis=1)
 
     @classmethod
     def from_mesh(cls, mesh: Mesh, topology: EdgeTopology, features):
-        return cls(topology, features, positions=mesh.vertices, faces=mesh.faces)
+        return cls(topology, features, positions=mesh.vertices)
 
     # -- queries ------------------------------------------------------------
+
+    def ring(self, edge):
+        """The ring ``(a, b, c, d)`` of ``edge``: :func:`topology.rings` for one edge.
+
+        Face slots ``(k + 1) % 3`` and ``(k + 2) % 3`` are read as ``k - 2``, ``k - 1``.
+        """
+        ring = []
+        for g in self.edge_faces[edge]:
+            if g == SENTINEL:
+                ring += (SENTINEL, SENTINEL)
+            else:
+                fe = self.face_edges[g]
+                k = fe.index(edge)
+                ring += (fe[k - 2], fe[k - 1])
+        return tuple(ring)
 
     def vertex_neighbors(self, v):
         pairs = map(self.edges.__getitem__, self.vertex_edges[v])
@@ -216,7 +230,7 @@ class PoolingState:
         e = int(edge)
         u, v = edges[e]
         f1, f2 = edge_faces[e]
-        a, b, c, d = self.neighbors[e]
+        a, b, c, d = self.ring(e)
 
         # b and d are interior, so each one's other face is its face sum minus f1/f2
         fb = sum(edge_faces[b]) - f1
@@ -252,36 +266,16 @@ class PoolingState:
             self.edge_alive[dead] = False
         self.live_edge_count -= 3
 
-        # merge v into u; only faces reached through v's surviving edges hold v
-        faces = self.faces
+        # merge v into u
         into_u = vertex_edges[u]
         for moved in vertex_edges[v]:
             x, y = edges[moved]
             other = y if x == v else x
             edges[moved] = [u, other] if u < other else [other, u]
             into_u.add(moved)
-            for fi in edge_faces[moved]:
-                fv = faces[fi]
-                if v in fv:
-                    fv[fv.index(v)] = u
         vertex_edges[v].clear()
         if self.positions is not None:
             self.positions[u] = (self.positions[u] + self.positions[v]) / 2.0
-
-        # rebuild the 4-neighbor tuples around the two absorbed triangles
-        neighbors = self.neighbors
-        for x in {a, c, *face_edges[fb], *face_edges[fd]}:
-            ring = []
-            for g in edge_faces[x]:
-                if g == SENTINEL:
-                    ring += (SENTINEL, SENTINEL)
-                else:
-                    # the face's other two edges, counter-clockwise after x:
-                    # slots (k + 1) % 3 and (k + 2) % 3, as negative indices
-                    fe = face_edges[g]
-                    k = fe.index(x)
-                    ring += (fe[k - 2], fe[k - 1])
-            neighbors[x] = ring
 
         return CollapseRecord(e, (a, c), (e, b, d), ((a, b, e), (c, d, e)))
 
@@ -312,16 +306,9 @@ class PoolingState:
         edge_faces = _int_array([self.edge_faces[e] for e in live], 2)
         mask = edge_faces != SENTINEL
         edge_faces[mask] = face_map[edge_faces[mask]]
-        neighbors = _int_array([self.neighbors[e] for e in live], 4)
-        mask = neighbors != SENTINEL
-        neighbors[mask] = edge_map[neighbors[mask]]
         face_edges = edge_map[_int_array([self.face_edges[f] for f in live_faces], 3)]
-        new_ids = edge_map.tolist()
-        vertex_edges = [
-            sorted(new_ids[e] for e in incident)
-            for incident, keep in zip(self.vertex_edges, used.tolist())
-            if keep
-        ]
+        vertex_edges = incident_edges(edges, int(used.sum()))
+        neighbors = rings(edge_faces, face_edges)
         topology = EdgeTopology(edges, edge_faces, neighbors, face_edges, vertex_edges)
         return self.features[live].copy(), topology
 
@@ -329,11 +316,14 @@ class PoolingState:
         """Live faces on live vertices, numbered as in :meth:`compact`."""
         if self.positions is None:
             raise MeshError("pooling state has no vertex positions to export")
-        used, vertex_map = self._vertex_map(
-            _int_array([self.edges[e] for e in _live(self.edge_alive)], 2)
-        )
-        faces = _int_array([self.faces[f] for f in _live(self.face_alive)], 3)
-        return Mesh(self.positions[used], vertex_map[faces])
+        edges = _int_array(self.edges, 2)
+        used, vertex_map = self._vertex_map(edges[_live(self.edge_alive)])
+        # corner k of a face is the vertex its edge slots k - 1 and k share
+        ends = edges[_int_array([self.face_edges[f] for f in _live(self.face_alive)], 3)]
+        prev = ends[:, [2, 0, 1]]
+        first = prev[..., :1]
+        corners = np.where((first == ends).any(axis=-1), prev[..., 0], prev[..., 1])
+        return Mesh(self.positions[used], vertex_map[corners])
 
 
 @dataclass

@@ -81,6 +81,25 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def rings(edge_faces, face_edges):
+    """(E, 4) neighbor rings by the rule in the module docstring, for all edges."""
+    out = np.full((len(edge_faces), 4), SENTINEL, dtype=np.int64)
+    edge = face_edges.ravel()
+    face = np.arange(edge.size) // 3
+    slot = np.where(edge_faces[edge, 0] == face, 0, 2)
+    out[edge, slot] = face_edges[:, [1, 2, 0]].ravel()
+    out[edge, slot + 1] = face_edges[:, [2, 0, 1]].ravel()
+    return out
+
+
+def incident_edges(edges, vertex_count):
+    """Per-vertex list of incident edge ids, ascending, from an (E, 2) array."""
+    ends = edges.ravel()
+    ids = (np.argsort(ends, kind="stable") // 2).tolist()
+    stops = np.cumsum(np.bincount(ends, minlength=vertex_count)).tolist()
+    return [ids[start:stop] for start, stop in zip([0] + stops, stops)]
+
+
 def _scan(mesh: Mesh):
     """One walk over the faces: every manifold finding, then the rings if clean.
 
@@ -121,30 +140,19 @@ def _scan(mesh: Mesh):
     for (u, v), incident in zip(edges, edge_faces):
         if len(incident) > 2:
             report.non_manifold_edges.append((u, v, len(incident)))
-    vertex_edges = [[] for _ in range(mesh.vertex_count)]
-    for eid, (u, v) in enumerate(edges):
-        vertex_edges[u].append(eid)
-        vertex_edges[v].append(eid)
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    vertex_edges = incident_edges(edges, mesh.vertex_count)
     report.isolated_vertices = [v for v, incident in enumerate(vertex_edges) if not incident]
     if not report.is_clean:
         return report, None
 
-    neighbors = [[SENTINEL] * 4 for _ in edges]
-    for fi, row in enumerate(face_edges):
-        for k in range(3):
-            eid = row[k]
-            base = 0 if edge_faces[eid][0] == fi else 2
-            neighbors[eid][base] = row[k - 2]
-            neighbors[eid][base + 1] = row[k - 1]
     for incident in edge_faces:
         if len(incident) == 1:
             incident.append(SENTINEL)
+    edge_faces = np.array(edge_faces, dtype=np.int64).reshape(-1, 2)
+    face_edges = np.array(face_edges, dtype=np.int64).reshape(-1, 3)
     topology = EdgeTopology(
-        np.array(edges, dtype=np.int64).reshape(-1, 2),
-        np.array(edge_faces, dtype=np.int64).reshape(-1, 2),
-        np.array(neighbors, dtype=np.int64).reshape(-1, 4),
-        np.array(face_edges, dtype=np.int64).reshape(-1, 3),
-        vertex_edges,
+        edges, edge_faces, rings(edge_faces, face_edges), face_edges, vertex_edges
     )
     return report, topology
 

@@ -139,6 +139,11 @@ class TestValidateCommand:
         assert code == 2
         assert "(0, 1)" in stdout
 
+    def test_directory_mesh_exit_2(self, tmp_path, capsys):
+        code, _, err = run(["validate", "--mesh", tmp_path], capsys)
+        assert code == 2
+        assert err.startswith("error: ")
+
 
 class TestGenData:
     def test_determinism_byte_identical(self, tmp_path, capsys):
@@ -322,6 +327,16 @@ class TestTrainEval:
         code, _, err = run([command, "--checkpoint", ckpt, "--data", cli_dataset], capsys)
         assert code == 3
         assert "checkpoint meta has no 'task'" in err
+
+    def test_non_utf8_config_exit_2(self, cli_dataset, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"epochs = 1\n# caf\xe9\n")
+        code, _, err = run(
+            ["train", "--data", cli_dataset, "--out", tmp_path / "m.ckpt", "--config", config],
+            capsys,
+        )
+        assert code == 2
+        assert "not UTF-8" in err
 
     def test_misoriented_face_exit_2(self, cli_dataset, tmp_path, capsys):
         data = tmp_path / "data"

@@ -230,3 +230,11 @@ class TestManifest:
         labels.write_text("\n".join([bad_row] + rows[1:]) + "\n")
         with pytest.raises(DataError, match="no integer label in column 3"):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("name", ["index.tsv", "meshes/*.edgelabels"])
+    def test_non_utf8_file_rejected(self, tmp_path, name):
+        save_dataset(tmp_path, generate(DatasetSpec("articulated-limbs", 1, 1, (250, 500), seed=4)))
+        target = next(tmp_path.glob(name))
+        target.write_bytes(target.read_bytes() + b"\xff\xfe\n")
+        with pytest.raises(DataError, match="not UTF-8"):
+            load_dataset(tmp_path)

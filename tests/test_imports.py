@@ -1,4 +1,5 @@
-"""Static check, in place of a linter: no program module imports a name it never uses."""
+"""Static checks, in place of a linter: no program module imports a name it never
+uses, and no module-level private name goes unreferenced in the package."""
 
 import ast
 import pathlib
@@ -34,3 +35,51 @@ def test_detects_an_unused_import():
 )
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(source):
+    """Module-level names with one leading underscore that ``source`` defines."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    return defined
+
+
+def references(source):
+    """Every name ``source`` reads, reaches as an attribute, or imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_detects_an_unreferenced_private_name():
+    source = "_KEPT = 1\n_DROPPED = 2\n\ndef _helper():\n    return _KEPT\n"
+    unused = set(private_definitions(source)) - references(source)
+    assert unused == {"_DROPPED", "_helper"}
+
+
+def test_every_private_name_is_referenced():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    referenced = set().union(*(references(text) for text in sources.values()))
+    unused = [
+        (name, line, private)
+        for name, text in sources.items()
+        for private, line in private_definitions(text).items()
+        if private not in referenced
+    ]
+    assert unused == []

@@ -1,5 +1,7 @@
 """Config format, metric definitions, training smoke + determinism."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,21 @@ class TestConfig:
         a = parse_config("epochs = 5\ntask = classification\n")
         b = parse_config("# comment\ntask = classification\nepochs=5\n")
         assert config_hash(a) == config_hash(b)
+
+    def test_hash_is_stable(self):
+        text = (
+            "task = segmentation\nfeatures = meshcnn5\nchannel_mask = 1,0,1,1,0\n"
+            "output_features = xyz\npooling = legacy\nconv_channels = 8,24,40\n"
+            "pool_targets = 300,200,120\nepochs = 7\nbatch_size = 3\noptimizer = sgd\n"
+            "learning_rate = 0.015\nmomentum = 0.75\nnoise_variance = 0.25\n"
+            "augment_rotation = TRUE\naugment_jitter = 5e-3\nseed = 42\n"
+        )
+        every_key = parse_config(text)
+        assert {f.name for f in fields(ExperimentConfig)} == {
+            line.split(" = ")[0] for line in text.splitlines()
+        }
+        assert config_hash(ExperimentConfig()) == "62e44e5bcf0d"
+        assert config_hash(every_key) == "fb471cdd9a93"
 
     def test_channel_mask_counts(self):
         cfg = tiny_config(features="meshcnn5", channel_mask=(1, 0, 0, 1, 1))

@@ -35,13 +35,17 @@ def consistency_check(state):
         for slot in range(2):
             face = state.edge_faces[e][slot]
             assert face != SENTINEL and state.face_alive[face]
-            pair = state.neighbors[e][2 * slot : 2 * slot + 2]
+            pair = state.ring(e)[2 * slot : 2 * slot + 2]
             assert set(int(p) for p in pair) <= set(
                 int(x) for x in state.face_edges[face]
             )
-        for nb in state.neighbors[e]:
+        for nb in state.ring(e):
             assert state.edge_alive[nb]
-            assert e in state.neighbors[nb]
+            assert e in state.ring(nb)
+    # the vectorised ring rule in compact() agrees with the scalar ring()
+    edge_map = np.cumsum(state.edge_alive) - 1
+    _, compacted = state.compact()
+    assert np.array_equal(compacted.neighbors, edge_map[[state.ring(e) for e in alive]])
     norms = np.linalg.norm(state.features[alive], axis=1)
     assert np.max(np.abs(norms - state.scores[alive])) < 1e-12
 
@@ -65,8 +69,8 @@ class TestCollapse:
     def test_survivor_feature_is_mean(self, icosahedron):
         state, topo = make_state(icosahedron)
         e = first_legal_edge(state)
-        a, b = (int(x) for x in state.neighbors[e][:2])
-        c, d = (int(x) for x in state.neighbors[e][2:])
+        a, b = (int(x) for x in state.ring(e)[:2])
+        c, d = (int(x) for x in state.ring(e)[2:])
         state.features[[e, a, b]] = np.array([[3.0], [1.0], [2.0]]) * np.ones(3)
         expected_a = state.features[[a, b, e]].mean(axis=0)
         expected_c = state.features[[c, d, e]].mean(axis=0)
@@ -152,8 +156,8 @@ def build_divergence_fixture():
         probe = PoolingState.from_mesh(mesh, topology, np.ones((E, 1)))
         if probe.collapse_illegality(e) is not None:
             continue
-        a, b = (int(x) for x in probe.neighbors[e][:2])
-        c, d = (int(x) for x in probe.neighbors[e][2:])
+        a, b = (int(x) for x in probe.ring(e)[:2])
+        c, d = (int(x) for x in probe.ring(e)[2:])
         record = probe.collapse(e)
         if probe.collapse_illegality(a) is not None:
             continue
@@ -201,7 +205,7 @@ class TestPolicyDivergence:
                 break
             if probe.collapse_illegality(e) is not None:
                 continue
-            ring = {int(v) for x in [e, *probe.neighbors[e]] for v in topology.edges[x]}
+            ring = {int(v) for x in [e, *probe.ring(e)] for v in topology.edges[x]}
             if used_vertices & ring:
                 continue
             chosen.append(e)
@@ -348,25 +352,35 @@ class TestUnpool:
         with pytest.raises(MeshError):
             unpool(result.features[:-1], result.history)
 
-    def test_pool_backward_is_adjoint_of_replay(self):
-        features, result = self._pooled(seed=9)
-        history = result.history
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=features.shape)
-        g = rng.normal(size=result.features.shape)
-        lhs = float(np.sum(g * pooling_replay_oracle(history, x)))
-        rhs = float(np.sum(pool_backward(g, history) * x))
-        assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), 1.0)
+    @staticmethod
+    def _histories(corpus, policy, fraction):
+        """(rng, journal) per corpus mesh pooled to ``fraction`` of its edges."""
+        for i, mesh in enumerate(corpus):
+            topology = build_edge_topology(mesh)
+            rng = np.random.default_rng(i)
+            features = rng.normal(size=(topology.edge_count, 3))
+            target = int(fraction * topology.edge_count)
+            yield rng, pool(features, topology, target, policy=policy).history
 
-    def test_unpool_backward_is_adjoint(self):
-        features, result = self._pooled(seed=10)
-        history = result.history
-        rng = np.random.default_rng(12)
-        x = rng.normal(size=result.features.shape)
-        g = rng.normal(size=features.shape)
-        lhs = float(np.sum(g * unpool(x, history)))
-        rhs = float(np.sum(unpool_backward(g, history) * x))
-        assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), 1.0)
+    @pytest.mark.parametrize("fraction", [0.9, 0.6])
+    @pytest.mark.parametrize("policy", [ENHANCED, BATCH_LEGACY])
+    def test_pool_backward_is_adjoint_of_replay(self, small_corpus, policy, fraction):
+        for rng, history in self._histories(small_corpus, policy, fraction):
+            x = rng.normal(size=(history.initial_edge_count, 3))
+            g = rng.normal(size=(history.final_edge_count, 3))
+            lhs = float(np.sum(g * pooling_replay_oracle(history, x)))
+            rhs = float(np.sum(pool_backward(g, history) * x))
+            assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
+
+    @pytest.mark.parametrize("fraction", [0.9, 0.6])
+    @pytest.mark.parametrize("policy", [ENHANCED, BATCH_LEGACY])
+    def test_unpool_backward_is_adjoint(self, small_corpus, policy, fraction):
+        for rng, history in self._histories(small_corpus, policy, fraction):
+            x = rng.normal(size=(history.final_edge_count, 3))
+            g = rng.normal(size=(history.initial_edge_count, 3))
+            lhs = float(np.sum(g * unpool(x, history)))
+            rhs = float(np.sum(unpool_backward(g, history) * x))
+            assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
 
 
 class TestHistorySerialization:
