@@ -8,6 +8,7 @@ feature-space de-noising.
 """
 
 from .errors import (
+    CheckpointError,
     ConfigError,
     DataError,
     DegenerateFaceError,

@@ -2,8 +2,10 @@
 
 A Value wraps an ndarray plus its gradient accumulator and the rule for
 pushing an upstream gradient to its parents. ``backward`` walks the graph
-once in reverse topological order. Broadcasting in the arithmetic ops is
-undone by summing the gradient over the broadcast axes.
+once in reverse topological order. Only leaves (values without a rule, such
+as parameters and inputs) keep their gradient afterwards: an intermediate
+node's gradient is dropped once its rule has pushed it on. Broadcasting in
+the arithmetic ops is undone by summing the gradient over the broadcast axes.
 """
 
 from __future__ import annotations
@@ -74,7 +76,11 @@ class Value:
         return order
 
     def backward(self):
-        """Accumulate gradients of this (scalar) value into the whole graph."""
+        """Accumulate gradients of this (scalar) value into the graph's leaves.
+
+        An intermediate node's ``grad`` is set back to None once its rule has
+        run, so a backward pass holds at most the gradients still in flight.
+        """
         if self.data.size != 1:
             raise GraphError("backward requires a scalar value")
         order = self._topo_order()
@@ -83,6 +89,7 @@ class Value:
             if node.backward_rule is None or node.grad is None:
                 continue
             parent_grads = node.backward_rule(node.grad)
+            node.grad = None
             for parent, pg in zip(node.parents, parent_grads):
                 if pg is not None:
                     parent.accumulate(pg)

@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .errors import GraphError
+from .errors import CheckpointError, GraphError
 from .features import ChannelStats
 from .layers import ModelGraph
 
@@ -70,15 +70,15 @@ class Checkpoint:
     @staticmethod
     def from_bytes(data: bytes) -> "Checkpoint":
         if len(data) < _PREFIX.size:
-            raise GraphError("checkpoint truncated")
+            raise CheckpointError("checkpoint truncated")
         magic, version, header_len = _PREFIX.unpack_from(data)
         if magic != _MAGIC:
-            raise GraphError("not a checkpoint file")
+            raise CheckpointError("not a checkpoint file")
         if version != FORMAT_VERSION:
-            raise GraphError(f"unsupported checkpoint version {version}")
+            raise CheckpointError(f"unsupported checkpoint version {version}")
         offset = _PREFIX.size + header_len
         if len(data) < offset:
-            raise GraphError("checkpoint truncated")
+            raise CheckpointError("checkpoint truncated")
         try:
             header = json.loads(data[_PREFIX.size : offset])
             shapes = [
@@ -94,23 +94,23 @@ class Checkpoint:
             if has_stats and missing:
                 raise KeyError(f"no blob {sorted(missing)}")
         except (ValueError, KeyError, TypeError, GraphError) as err:
-            raise GraphError("checkpoint header corrupt") from err
+            raise CheckpointError("checkpoint header corrupt") from err
         blobs = {}
         for name, shape in shapes:
             count = int(np.prod(shape)) if shape else 1
             if len(data) < offset + count * 8:
-                raise GraphError("checkpoint truncated")
+                raise CheckpointError("checkpoint truncated")
             arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
             offset += count * 8
             blobs[name] = arr.reshape(shape).astype(np.float64)
         if offset != len(data):
-            raise GraphError("checkpoint size mismatch")
+            raise CheckpointError("checkpoint size mismatch")
         params = model.parameters()
         if set(params) != {k for k in blobs if not k.startswith("channel_stats.")}:
-            raise GraphError("checkpoint parameters do not match layer spec")
+            raise CheckpointError("checkpoint parameters do not match layer spec")
         for name, value in params.items():
             if value.data.shape != blobs[name].shape:
-                raise GraphError(f"checkpoint blob shape mismatch for {name}")
+                raise CheckpointError(f"checkpoint blob shape mismatch for {name}")
             value.data = blobs[name]
         stats = None
         if has_stats:

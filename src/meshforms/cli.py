@@ -163,8 +163,7 @@ def _print_report(report, path=None):
 
 def cmd_train(args):
     config = _config_from_args(args)
-    samples = ds.load_dataset(args.data)
-    dhash = ds.dataset_hash(args.data)
+    samples, dhash = ds.load_dataset_with_hash(args.data)
     print(f"training: hash {config_hash(config)} on {dhash}", file=sys.stderr)
     checkpoint, report = pipelines.train(config, samples, dataset_hash=dhash)
     checkpoint.save(args.out)
@@ -217,8 +216,7 @@ def cmd_denoise(args):
 
 def cmd_ablate(args):
     config = _config_from_args(args)
-    samples = ds.load_dataset(args.data)
-    dhash = ds.dataset_hash(args.data)
+    samples, dhash = ds.load_dataset_with_hash(args.data)
     print(f"config_hash = {config_hash(config)}")
     print(f"seed = {config.seed}")
     print(f"dataset_hash = {dhash}")

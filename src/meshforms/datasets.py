@@ -666,8 +666,12 @@ def save_dataset(directory, samples):
 
 def read_text(path):
     """The UTF-8 text of a file, or DataError when its bytes do not decode."""
+    return _decode(pathlib.Path(path).read_bytes(), path)
+
+
+def _decode(data, path):
     try:
-        return pathlib.Path(path).read_bytes().decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as err:
         raise DataError(f"{path}: not UTF-8 text (byte {err.start})") from None
 
@@ -681,12 +685,25 @@ def _label(row, fields, column, source):
 
 
 def load_dataset(directory):
+    """The samples that ``directory``'s index.tsv lists."""
+    return load_dataset_with_hash(directory)[0]
+
+
+def load_dataset_with_hash(directory):
+    """``(samples, dataset_hash(directory))`` from one read of each file."""
     root = pathlib.Path(directory)
     index = root / _INDEX_NAME
     if not index.exists():
         raise DataError(f"no {_INDEX_NAME} in {root}")
+    h = hashlib.sha256()
+
+    def read(path):
+        data = path.read_bytes()
+        h.update(data)
+        return data
+
     samples = []
-    rows = read_text(index).splitlines()
+    rows = _decode(read(index), index).splitlines()
     for line in rows[1:]:
         if not line.strip():
             continue
@@ -694,10 +711,11 @@ def load_dataset(directory):
         if len(parts) != 5:
             raise DataError(f"malformed index row: {line!r}")
         sample_id, rel, cls, split_tag, label_rel = parts
-        mesh = parse_obj((root / rel).read_bytes())
+        mesh = parse_obj(read(root / rel))
         edge_labels = None
         if label_rel:
-            label_lines = read_text(root / label_rel).splitlines()
+            label_path = root / label_rel
+            label_lines = _decode(read(label_path), label_path).splitlines()
             edge_labels = np.array(
                 [_label(row, row.split(), 2, label_rel) for row in label_lines if row.strip()],
                 dtype=np.int64,
@@ -711,20 +729,9 @@ def load_dataset(directory):
                 sample_id=sample_id,
             )
         )
-    return samples
+    return samples, h.hexdigest()[:16]
 
 
 def dataset_hash(directory) -> str:
-    """Content hash over the index and every referenced file."""
-    root = pathlib.Path(directory)
-    h = hashlib.sha256()
-    index = root / _INDEX_NAME
-    h.update(index.read_bytes())
-    for line in read_text(index).splitlines()[1:]:
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        for rel in (parts[1], parts[4]):
-            if rel:
-                h.update((root / rel).read_bytes())
-    return h.hexdigest()[:16]
+    """Content hash over the index, then each row's mesh and edge-label files."""
+    return load_dataset_with_hash(directory)[1]

@@ -60,3 +60,7 @@ class ConfigError(MeshFormsError):
 
 class DataError(MeshFormsError):
     """Dataset or manifest problem."""
+
+
+class CheckpointError(DataError):
+    """Checkpoint bytes that do not decode into a model."""

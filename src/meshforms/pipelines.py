@@ -165,8 +165,8 @@ def build_model(config: ExperimentConfig, in_channels, out_dim, seed=None):
 def _loss_for(config, model, prepared: _Prepared, inputs, topology):
     out, _ = model.forward(inputs, topology)
     if config.task == DENOISING:
-        return mse(out, prepared.target), out
-    return cross_entropy(out, prepared.target), out
+        return mse(out, prepared.target)
+    return cross_entropy(out, prepared.target)
 
 
 def _augmented_inputs(config, prepared: _Prepared, epoch, index):
@@ -230,7 +230,7 @@ def train(config: ExperimentConfig, samples, dataset_hash=""):
                 p = prepared[index]
                 inputs_raw, topology = _augmented_inputs(config, p, epoch, int(index))
                 inputs = (inputs_raw - stats.mean) / stats.std
-                loss, _ = _loss_for(config, model, p, inputs, topology)
+                loss = _loss_for(config, model, p, inputs, topology)
                 value = float(loss.data)
                 if not np.isfinite(value):
                     raise GraphError(
@@ -239,6 +239,7 @@ def train(config: ExperimentConfig, samples, dataset_hash=""):
                     )
                 epoch_losses.append(value)
                 grads = model.backward(loss)
+                del loss  # free this step's graph before the next forward builds one
             scaled = {k: g / len(batch) for k, g in grads.items()}
             optimizer.step(scaled)
         curve.append(float(np.mean(epoch_losses)))

@@ -100,59 +100,88 @@ def incident_edges(edges, vertex_count):
     return [ids[start:stop] for start, stop in zip([0] + stops, stops)]
 
 
+def _runs(ordered):
+    """Start and length of each run of equal rows in a sorted array."""
+    change = ordered[1:] != ordered[:-1]
+    if change.ndim > 1:
+        change = change.any(axis=1)
+    starts = np.flatnonzero(np.concatenate(([len(ordered) > 0], change)))
+    return starts, np.diff(np.append(starts, len(ordered)))
+
+
+def _sorted_runs(keys):
+    """Stable argsort of integer ``keys``, then the runs of equal keys in it."""
+    order = np.argsort(keys, kind="stable")
+    return (order, *_runs(keys[order]))
+
+
 def _scan(mesh: Mesh):
-    """One walk over the faces: every manifold finding, then the rings if clean.
+    """One scan of the faces: every manifold finding, then the rings if clean.
+
+    Half-edge ``i = 3f + k`` runs from ``faces[f, k]`` to
+    ``faces[f, (k + 1) % 3]``. Ids and report entries come out in the order
+    of a walk over the half-edges: a stable sort keeps each run of equal keys
+    in half-edge order, so the first of a run is the key's first appearance.
+    Vertex pairs are packed into one int64 key (exact below 3e9 vertices);
+    face vertex sets are compared by row, since three packed ids would
+    overflow above 2**21 vertices.
 
     Returns ``(report, topology)``; ``topology`` is None unless the report is
     clean.
     """
-    faces = mesh.faces.tolist()
+    faces = mesh.faces
+    n = mesh.vertex_count
+    tails = faces.ravel()
+    heads = faces[:, [1, 2, 0]].ravel()
+    ends = np.stack((np.minimum(tails, heads), np.maximum(tails, heads)), axis=1)
     report = ValidationReport()
-    edge_ids = {}
-    edges = []
-    edge_faces = []  # incident face ids per edge, in face order
-    face_edges = []
-    directed = set()
-    face_of_vertex_set = {}
-    for fi, face in enumerate(faces):
-        vertex_set = tuple(sorted(face))
-        if vertex_set in face_of_vertex_set:
-            report.duplicate_faces.append((face_of_vertex_set[vertex_set], fi))
-        else:
-            face_of_vertex_set[vertex_set] = fi
-        row = []
-        for k in range(3):
-            u, v = face[k], face[k - 2]  # face[k - 2] is face[(k + 1) % 3]
-            if (u, v) in directed:
-                if (u, v) not in report.orientation_conflicts:
-                    report.orientation_conflicts.append((u, v))
-            else:
-                directed.add((u, v))
-            key = (u, v) if u < v else (v, u)
-            eid = edge_ids.setdefault(key, len(edges))
-            if eid == len(edges):
-                edges.append(key)
-                edge_faces.append([fi])
-            else:
-                edge_faces[eid].append(fi)
-            row.append(eid)
-        face_edges.append(row)
-    for (u, v), incident in zip(edges, edge_faces):
-        if len(incident) > 2:
-            report.non_manifold_edges.append((u, v, len(incident)))
-    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    vertex_edges = incident_edges(edges, mesh.vertex_count)
-    report.isolated_vertices = [v for v, incident in enumerate(vertex_edges) if not incident]
+
+    # edge ids number the runs of undirected keys by first appearance
+    order, starts, counts = _sorted_runs(ends[:, 0] * n + ends[:, 1])
+    by_id = np.argsort(order[starts])  # the run of each edge id
+    run_ids = np.empty_like(by_id)
+    run_ids[by_id] = np.arange(len(by_id))
+    half_edge_ids = np.empty_like(order)
+    half_edge_ids[order] = np.repeat(run_ids, counts)
+    starts, counts = starts[by_id], counts[by_id]  # from here on in edge-id order
+    first = order[starts]
+    edges = ends[first]
+    crowded = np.flatnonzero(counts > 2)
+    report.non_manifold_edges = [
+        tuple(row) for row in np.column_stack((edges[crowded], counts[crowded])).tolist()
+    ]
+
+    # a directed half-edge seen before is reported once, at its second appearance
+    d_order, d_starts, d_counts = _sorted_runs(tails * n + heads)
+    again = np.sort(d_order[d_starts[d_counts > 1] + 1])
+    report.orientation_conflicts = list(zip(tails[again].tolist(), heads[again].tolist()))
+
+    # a face whose vertex set appeared before is paired with the first such face
+    vertex_sets = np.sort(faces, axis=1)
+    f_order = np.lexsort(vertex_sets.T[::-1])
+    f_starts, f_counts = _runs(vertex_sets[f_order])
+    repeated = np.ones(len(f_order), dtype=bool)
+    repeated[f_starts] = False
+    firsts = np.repeat(f_order[f_starts], f_counts)[repeated]
+    later = f_order[repeated]
+    by_face = np.argsort(later)
+    report.duplicate_faces = list(zip(firsts[by_face].tolist(), later[by_face].tolist()))
+
+    report.isolated_vertices = np.flatnonzero(np.bincount(tails, minlength=n) == 0).tolist()
     if not report.is_clean:
         return report, None
 
-    for incident in edge_faces:
-        if len(incident) == 1:
-            incident.append(SENTINEL)
-    edge_faces = np.array(edge_faces, dtype=np.int64).reshape(-1, 2)
-    face_edges = np.array(face_edges, dtype=np.int64).reshape(-1, 3)
+    edge_faces = np.full((len(edges), 2), SENTINEL, dtype=np.int64)
+    edge_faces[:, 0] = first // 3
+    shared = counts == 2
+    edge_faces[shared, 1] = order[starts[shared] + 1] // 3
+    face_edges = half_edge_ids.reshape(-1, 3)
     topology = EdgeTopology(
-        edges, edge_faces, rings(edge_faces, face_edges), face_edges, vertex_edges
+        edges,
+        edge_faces,
+        rings(edge_faces, face_edges),
+        face_edges,
+        incident_edges(edges, n),
     )
     return report, topology
 

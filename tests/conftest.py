@@ -1,5 +1,9 @@
 """Shared geometry fixtures and fuzz-corpus helpers."""
 
+import collections
+import hashlib
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -107,3 +111,34 @@ def small_corpus():
 def random_interior_edge(topology, rng):
     interior = np.flatnonzero(topology.interior_mask)
     return int(interior[rng.integers(len(interior))])
+
+
+def dataset_files_and_hash(root):
+    """The files a dataset's index names, in hashing order, and their content hash.
+
+    The hash is sha256 over the index bytes, then each row's mesh and
+    edge-label bytes, cut to 16 hex digits: the ``dataset_hash`` contract.
+    """
+    index = pathlib.Path(root) / "index.tsv"
+    files = [index]
+    for row in index.read_text().splitlines()[1:]:
+        parts = row.split("\t")
+        files += [index.parent / rel for rel in (parts[1], parts[4]) if rel]
+    h = hashlib.sha256()
+    for path in files:
+        h.update(path.read_bytes())
+    return files, h.hexdigest()[:16]
+
+
+@pytest.fixture
+def read_counts(monkeypatch):
+    """Counter of ``Path.read_bytes`` calls per path while the test runs."""
+    counts = collections.Counter()
+    read_bytes = pathlib.Path.read_bytes
+
+    def counted(path):
+        counts[path] += 1
+        return read_bytes(path)
+
+    monkeypatch.setattr(pathlib.Path, "read_bytes", counted)
+    return counts

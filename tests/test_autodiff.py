@@ -88,6 +88,16 @@ class TestGraph:
         (x * x).backward()
         assert np.allclose(x.grad, 2 * first)
 
+    def test_only_leaves_keep_gradients(self):
+        x = Value(np.array([1.0, -2.0]))
+        w = Value(np.array([3.0, 0.5]))
+        hidden = (x * w).relu()
+        loss = hidden.sum()
+        loss.backward()
+        assert hidden.grad is None and loss.grad is None
+        assert np.array_equal(x.grad, [3.0, 0.0])
+        assert np.array_equal(w.grad, [1.0, 0.0])
+
     def test_zero_grad(self):
         x = Value(np.array(3.0))
         (x * x).backward()

@@ -19,6 +19,8 @@ from meshforms.cli import main
 from meshforms.datasets import _random_rotation
 from meshforms.mesh import RigidMotion, apply_motion, write_obj
 
+from conftest import dataset_files_and_hash
+
 TETRA_OBJ = b"""v 1 1 1
 v 1 -1 -1
 v -1 1 -1
@@ -298,6 +300,21 @@ class TestTrainEval:
         assert code2 == 0
         assert "test_accuracy = " in stdout2
 
+    def test_train_reads_each_dataset_file_once(self, cli_dataset, tmp_path, capsys, read_counts):
+        files, expected = dataset_files_and_hash(cli_dataset)
+        read_counts.clear()
+        code, _, err = run(
+            [
+                "train", "--data", cli_dataset, "--out", tmp_path / "m.ckpt",
+                "--set", "epochs=1", "--set", "conv_channels=6,8",
+                "--set", "pool_targets=100,70", "--seed", "3",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert f" on {expected}\n" in err
+        assert read_counts == {path: 1 for path in files}
+
     def test_train_determinism_byte_identical_outputs(self, cli_dataset, tmp_path, capsys):
         outs = []
         reports = []
@@ -317,6 +334,17 @@ class TestTrainEval:
             reports.append(report.read_bytes())
         assert outs[0] == outs[1]
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("command", ["eval", "denoise"])
+    @pytest.mark.parametrize("cut", [3, 20, -8])
+    def test_undecodable_checkpoint_exit_2(self, cli_dataset, tmp_path, command, cut, capsys):
+        config = ExperimentConfig(conv_channels=(4,), pool_targets=(100,))
+        model = pipelines.build_model(config, config.input_channels(), 3)
+        ckpt = tmp_path / "cut.ckpt"
+        ckpt.write_bytes(Checkpoint(model, None, {"task": "classification"}).to_bytes()[:cut])
+        code, _, err = run([command, "--checkpoint", ckpt, "--data", cli_dataset], capsys)
+        assert code == 2
+        assert "error: checkpoint" in err
 
     @pytest.mark.parametrize("command", ["eval", "denoise"])
     def test_checkpoint_without_task_exit_3(self, cli_dataset, tmp_path, command, capsys):

@@ -18,7 +18,15 @@ from meshforms import (
     split,
     validate_manifold,
 )
-from meshforms.datasets import GLYPHS, _glyph_array, _random_rotation, glyph_is_safe
+from meshforms.datasets import (
+    GLYPHS,
+    _glyph_array,
+    _random_rotation,
+    glyph_is_safe,
+    load_dataset_with_hash,
+)
+
+from conftest import dataset_files_and_hash
 from meshforms.features import XYZ, coordinate_features
 
 
@@ -207,6 +215,16 @@ class TestManifest:
         obj = next((d2 / "meshes").glob("*.obj"))
         obj.write_bytes(obj.read_bytes() + b"# tweak\n")
         assert dataset_hash(d1) != dataset_hash(d2)
+
+    def test_one_read_per_file_gives_the_hash(self, tmp_path, read_counts):
+        samples = generate(DatasetSpec("articulated-limbs", 1, 2, (250, 500), seed=4))
+        save_dataset(tmp_path, split(samples, 1, 1, seed=4))
+        files, expected = dataset_files_and_hash(tmp_path)
+        read_counts.clear()
+        loaded, digest = load_dataset_with_hash(tmp_path)
+        assert read_counts == {path: 1 for path in files}
+        assert len(files) == 5 and all(s.edge_labels is not None for s in loaded)
+        assert digest == expected == dataset_hash(tmp_path)
 
     def test_missing_index_rejected(self, tmp_path):
         with pytest.raises(DataError):

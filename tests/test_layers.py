@@ -8,6 +8,7 @@ import pytest
 
 from meshforms import (
     Checkpoint,
+    CheckpointError,
     ChannelStats,
     Dense,
     GlobalAveragePool,
@@ -315,14 +316,14 @@ class TestCheckpoint:
         assert again.meta["task"] == "classification"
 
     def test_rejects_garbage(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(CheckpointError, match="not a checkpoint"):
             Checkpoint.from_bytes(b"XXXX" + b"\0" * 32)
 
     def test_every_truncation_rejected(self):
         stats = ChannelStats(np.array([0.5, -1.0]), np.array([2.0, 0.25]))
         data = Checkpoint(self._model(), stats, {"task": "classification"}).to_bytes()
         for end in range(len(data)):
-            with pytest.raises(GraphError, match="truncated"):
+            with pytest.raises(CheckpointError, match="truncated"):
                 Checkpoint.from_bytes(data[:end])
 
     @pytest.mark.parametrize(
@@ -341,7 +342,7 @@ class TestCheckpoint:
     )
     def test_corrupt_header_rejected(self, header):
         prefix = struct.pack("<4sIQ", b"MFCK", 1, len(header))
-        with pytest.raises(GraphError, match="header corrupt"):
+        with pytest.raises(CheckpointError, match="header corrupt"):
             Checkpoint.from_bytes(prefix + header)
 
     def test_minimal_header_loads(self):

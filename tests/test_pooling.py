@@ -25,12 +25,17 @@ from meshforms.topology import SENTINEL
 from conftest import fuzz_corpus
 
 
-def consistency_check(state):
-    """Structural invariants of a pooling state after any collapse."""
+def consistency_check(state, euler_characteristic):
+    """Structural invariants of a pooling state after any collapse.
+
+    ``euler_characteristic`` is V - E + F of the mesh before pooling, which a
+    legal collapse keeps.
+    """
     mesh = state.export_mesh()
     report = validate_manifold(mesh)
     assert report.is_clean, report.summary()
     alive = np.flatnonzero(state.edge_alive)
+    assert mesh.vertex_count - len(alive) + mesh.face_count == euler_characteristic
     for e in alive:
         for slot in range(2):
             face = state.edge_faces[e][slot]
@@ -105,6 +110,7 @@ class TestCollapse:
     def test_fuzz_state_stays_consistent(self):
         for i, mesh in enumerate(fuzz_corpus(6, seed=23)):
             state, topo = make_state(mesh, seed=i)
+            chi = mesh.vertex_count - topo.edge_count + mesh.face_count
             target = topo.edge_count // 2
             queue = ScoreQueue(state.scores)
             while state.live_edge_count > target:
@@ -113,7 +119,7 @@ class TestCollapse:
                 if state.collapse_illegality(e) is not None:
                     continue
                 record = state.collapse(e)
-                consistency_check(state)
+                consistency_check(state, chi)
                 for survivor in record.surviving_edges:
                     queue.push(survivor, state.scores[survivor])
 

@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from meshforms import (
@@ -18,7 +18,7 @@ from meshforms import (
     validate_manifold,
     write_obj,
 )
-from meshforms.topology import SENTINEL
+from meshforms.topology import SENTINEL, EdgeTopology, ValidationReport, _scan
 
 from conftest import fuzz_corpus
 
@@ -40,6 +40,85 @@ def brute_force_neighbors(mesh):
         for e in ids:
             neighbor_sets[e].update(x for x in ids if x != e)
     return edge_ids, neighbor_sets
+
+
+def walk_scan(mesh):
+    """Reference for ``_scan``: one Python walk over the half-edges, in face order."""
+    faces = mesh.faces.tolist()
+    report = ValidationReport()
+    edge_ids = {}
+    edges = []
+    edge_faces = []  # incident face ids per edge, in face order
+    face_edges = []
+    directed = set()
+    face_of_vertex_set = {}
+    for fi, face in enumerate(faces):
+        vertex_set = tuple(sorted(face))
+        if vertex_set in face_of_vertex_set:
+            report.duplicate_faces.append((face_of_vertex_set[vertex_set], fi))
+        else:
+            face_of_vertex_set[vertex_set] = fi
+        row = []
+        for k in range(3):
+            u, v = face[k], face[k - 2]  # face[k - 2] is face[(k + 1) % 3]
+            if (u, v) in directed:
+                if (u, v) not in report.orientation_conflicts:
+                    report.orientation_conflicts.append((u, v))
+            else:
+                directed.add((u, v))
+            key = (u, v) if u < v else (v, u)
+            eid = edge_ids.setdefault(key, len(edges))
+            if eid == len(edges):
+                edges.append(key)
+                edge_faces.append([fi])
+            else:
+                edge_faces[eid].append(fi)
+            row.append(eid)
+        face_edges.append(row)
+    for (u, v), incident in zip(edges, edge_faces):
+        if len(incident) > 2:
+            report.non_manifold_edges.append((u, v, len(incident)))
+    used = {v for edge in edges for v in edge}
+    report.isolated_vertices = [v for v in range(mesh.vertex_count) if v not in used]
+    if not report.is_clean:
+        return report, None
+
+    vertex_edges = [[] for _ in range(mesh.vertex_count)]
+    for eid, (u, v) in enumerate(edges):
+        vertex_edges[u].append(eid)
+        vertex_edges[v].append(eid)
+    neighbors = [[SENTINEL] * 4 for _ in edges]
+    for fi, row in enumerate(face_edges):
+        for k in range(3):
+            eid = row[k]
+            base = 0 if edge_faces[eid][0] == fi else 2
+            neighbors[eid][base] = row[k - 2]
+            neighbors[eid][base + 1] = row[k - 1]
+    for incident in edge_faces:
+        if len(incident) == 1:
+            incident.append(SENTINEL)
+    topology = EdgeTopology(
+        np.array(edges, dtype=np.int64).reshape(-1, 2),
+        np.array(edge_faces, dtype=np.int64).reshape(-1, 2),
+        np.array(neighbors, dtype=np.int64).reshape(-1, 4),
+        np.array(face_edges, dtype=np.int64).reshape(-1, 3),
+        vertex_edges,
+    )
+    return report, topology
+
+
+def assert_scan_matches_walk(mesh):
+    report, topology = _scan(mesh)
+    expected_report, expected = walk_scan(mesh)
+    # repr tells a Python int from a numpy integer, so this pins the types too
+    assert repr(report) == repr(expected_report)
+    assert (topology is None) == (expected is None)
+    if expected is not None:
+        for name in ("edges", "edge_faces", "neighbors", "face_edges"):
+            got, want = getattr(topology, name), getattr(expected, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert np.array_equal(got, want), name
+        assert topology.vertex_edges == expected.vertex_edges
 
 
 class TestBuildTopology:
@@ -242,6 +321,70 @@ def small_face_lists(draw):
     vertex_count = used + draw(st.integers(0, 1 if faces else 3))
     vertices = np.arange(3 * vertex_count, dtype=float).reshape(-1, 3) ** 1.5
     return Mesh(vertices, np.array(faces, dtype=np.int64).reshape(-1, 3))
+
+
+def mutated(mesh, draw):
+    """``mesh`` with a few drawn defects: duplicated, flipped, dropped or extra faces."""
+    faces = mesh.faces.tolist()
+    vertices = mesh.vertices
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), max_size=4)):
+        if kind == "isolated vertex":
+            vertices = np.vstack([vertices, vertices[:1] + 1.0])
+            continue
+        if kind == "no faces":
+            faces = []
+            continue
+        if not faces:
+            continue
+        i = draw(st.integers(0, len(faces) - 1))
+        a, b, c = faces[i]
+        if kind == "duplicate":
+            faces.append(draw(st.permutations([a, b, c])))
+        elif kind == "flip":
+            faces[i] = [a, c, b]
+        elif kind == "drop":
+            del faces[i]
+        else:  # a third face on edge (a, b), through a new vertex, either way round
+            w = len(vertices)
+            vertices = np.vstack([vertices, vertices[:1] + 2.0])
+            faces.append(draw(st.sampled_from([[a, b, w], [b, a, w]])))
+        if draw(st.booleans()):
+            j = draw(st.integers(0, len(faces)))
+            faces.insert(j, faces.pop())
+    return Mesh(vertices, np.array(faces, dtype=np.int64).reshape(-1, 3))
+
+
+MUTATIONS = ("duplicate", "flip", "drop", "extra face on an edge", "isolated vertex", "no faces")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_scan_matches_walk_on_mutated_corpus(small_corpus, data):
+    mesh = data.draw(st.sampled_from(small_corpus[:8]))
+    assert_scan_matches_walk(mutated(mesh, data.draw))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_face_lists())
+def test_scan_matches_walk_on_face_soups(mesh):
+    assert_scan_matches_walk(mesh)
+
+
+@pytest.mark.parametrize("vertex_count", [0, 4])
+def test_scan_matches_walk_without_faces(vertex_count):
+    assert_scan_matches_walk(Mesh(np.zeros((vertex_count, 3)), np.zeros((0, 3))))
+
+
+# Each example has 2**21 isolated vertices, so shrinking one would take minutes.
+@settings(max_examples=3, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(small_face_lists())
+@example(Mesh(np.zeros((4, 3)), [[0, 2, 3], [1, 3, 2]]))  # equal if packed at 21 bits
+def test_scan_matches_walk_on_vertex_ids_above_2_21(mesh):
+    # three such ids no longer fit one int64 at 21 bits each
+    offset = 2**21
+    assert_scan_matches_walk(
+        Mesh(np.zeros((offset + mesh.vertex_count, 3)), mesh.faces + offset)
+    )
 
 
 @settings(max_examples=300, deadline=None)
