@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import pathlib
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -684,6 +685,29 @@ def _label(row, fields, column, source):
         raise DataError(f"{source}: no integer label in column {column + 1} of {row!r}") from None
 
 
+def _edge_labels(text, source):
+    """Column 3 of every non-blank row of an edge-label file, as int64.
+
+    One ``int()`` per row, all in one numpy call. When it fails, the rows are
+    read again one by one, so the error names the first row without an
+    integer label, as ``_label`` words it, or else the first label that does
+    not fit in int64.
+    """
+    rows = filter(None, map(str.split, text.splitlines()))  # the non-blank rows
+    try:
+        return np.array(list(map(_THIRD, rows)), dtype=np.int64)
+    except (IndexError, ValueError, OverflowError):
+        pass
+    lines = [row for row in text.splitlines() if row.strip()]
+    labels = [_label(row, row.split(), 2, source) for row in lines]
+    row = next(row for row, label in zip(lines, labels) if not _INT64.min <= label <= _INT64.max)
+    raise DataError(f"{source}: label in column 3 of {row!r} does not fit in int64")
+
+
+_THIRD = itemgetter(2)
+_INT64 = np.iinfo(np.int64)
+
+
 def load_dataset(directory):
     """The samples that ``directory``'s index.tsv lists."""
     return load_dataset_with_hash(directory)[0]
@@ -698,7 +722,10 @@ def load_dataset_with_hash(directory):
     h = hashlib.sha256()
 
     def read(path):
-        data = path.read_bytes()
+        try:
+            data = path.read_bytes()
+        except (OSError, ValueError) as err:  # missing, a directory, a NUL in the name
+            raise DataError(f"cannot read {path}: {getattr(err, 'strerror', None) or err}") from None
         h.update(data)
         return data
 
@@ -715,11 +742,7 @@ def load_dataset_with_hash(directory):
         edge_labels = None
         if label_rel:
             label_path = root / label_rel
-            label_lines = _decode(read(label_path), label_path).splitlines()
-            edge_labels = np.array(
-                [_label(row, row.split(), 2, label_rel) for row in label_lines if row.strip()],
-                dtype=np.int64,
-            )
+            edge_labels = _edge_labels(_decode(read(label_path), label_path), label_rel)
         samples.append(
             LabeledMesh(
                 mesh,

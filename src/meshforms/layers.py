@@ -218,7 +218,7 @@ _LAYER_BUILDERS = {
 
 
 class ModelGraph:
-    """Ordered layer list with a parameter registry and cached forward state."""
+    """Ordered layer list with a parameter registry."""
 
     def __init__(self, layers, pooling_policy=ENHANCED):
         if pooling_policy not in (ENHANCED, BATCH_LEGACY):
@@ -230,7 +230,7 @@ class ModelGraph:
             for pname, value in layer.parameters().items():
                 self._params[f"layer{i}.{pname}"] = value
         self._validate()
-        self._last = None
+        self._forwarded = False  # a flag, not the output: holding it would keep the graph alive
 
     def _validate(self):
         depth = 0
@@ -278,14 +278,14 @@ class ModelGraph:
                 x = layer(x, ctx)
             except GraphError as exc:
                 raise GraphError(f"layer {i} ({layer.spec()['type']}): {exc}") from exc
-        self._last = x
+        self._forwarded = True
         return x, ctx
 
     def backward(self, loss: Value):
         """Backprop the scalar loss; returns {param name: gradient array}."""
-        if self._last is None:
-            raise GraphError("backward called without a cached forward pass")
-        self._last = None
+        if not self._forwarded:
+            raise GraphError("backward called without a forward pass")
+        self._forwarded = False
         loss.backward()
         return {
             name: (

@@ -8,7 +8,9 @@ reproduces them to that precision and face lists exactly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -127,66 +129,116 @@ def normalize_unit_box(mesh: Mesh) -> Mesh:
     return mesh.with_vertices((mesh.vertices - center) / extent)
 
 
-def _parse_face_ref(token, vertex_count, line_number):
-    head = token.split("/", 1)[0]
-    try:
-        idx = int(head)
-    except ValueError:
-        raise ObjParseError(f"bad face vertex reference {token!r}", line_number)
-    if idx < 1 or idx > vertex_count:
-        raise ObjParseError(
-            f"face vertex reference {idx} out of range 1..{vertex_count}",
-            line_number,
-        )
-    return idx - 1
-
-
 def parse_obj(data) -> Mesh:
     """Parse OBJ text (bytes or str) into a Mesh.
 
     Polygon faces are fan-triangulated around their first vertex; texture and
-    normal references after ``/`` are discarded.
+    normal references after ``/`` are discarded. Each line is split once, and
+    all coordinates and all face references are each converted in one numpy
+    call (``float()`` and ``int()`` of every token). Only when a conversion or
+    a check fails does a scan find the first error in line order: malformed
+    ``v`` and short ``f`` lines, then a missing vertex or face section, then
+    the first bad or out-of-range face reference.
     """
     if isinstance(data, (bytes, bytearray)):
         text = bytes(data).decode("utf-8", errors="replace")
     else:
         text = data
-    vertices = []
-    face_lines = []  # (line_number, tokens), resolved after all vertices known
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        tag = parts[0]
-        if tag == "v":
-            if len(parts) < 4:
-                raise ObjParseError("vertex line needs 3 coordinates", line_number)
-            try:
-                vertices.append([float(p) for p in parts[1:4]])
-            except ValueError:
-                raise ObjParseError(
-                    f"malformed vertex coordinate in {line!r}", line_number
-                )
-        elif tag == "f":
-            if len(parts) < 4:
-                raise ObjParseError("face line needs at least 3 vertices", line_number)
-            face_lines.append((line_number, parts[1:]))
-        else:
-            continue  # vt, vn, usemtl, s, o, g, ...
-    if not vertices:
+    lines = text.splitlines()
+    rows = list(filter(None, map(str.split, lines)))  # the non-blank lines
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    tokens = np.fromiter(chain.from_iterable(rows), object, lengths.sum())
+    starts = np.cumsum(lengths) - lengths
+    tags = tokens[starts]
+    is_v, is_f = tags == "v", tags == "f"
+    coords = None
+    if not ((is_v | is_f) & (lengths < 4)).any():
+        try:
+            coords = tokens[starts[is_v, None] + _XYZ].astype(np.float64)
+        except ValueError:
+            pass
+    if coords is None:
+        raise _line_error(lines, tokens, starts, lengths, is_v, is_f)
+    if not len(coords):
         raise EmptyMeshError("OBJ input contains no vertices")
-    if not face_lines:
+    if not is_f.any():
         raise EmptyMeshError("OBJ input contains no faces")
-    faces = []
-    for line_number, tokens in face_lines:
-        refs = [_parse_face_ref(t, len(vertices), line_number) for t in tokens]
-        for i in range(1, len(refs) - 1):
-            faces.append((refs[0], refs[i], refs[i + 1]))
+
+    refs_per_face = lengths[is_f] - 1
+    first_ref = np.cumsum(refs_per_face) - refs_per_face
+    refs = tokens[
+        np.arange(refs_per_face.sum())
+        + np.repeat(starts[is_f] + 1 - first_ref, refs_per_face)
+    ]
+    heads = refs
+    if "/" in text:
+        # tokens hold no whitespace, so a space join and split keeps them apart
+        heads = _REF_TAIL.sub("", " ".join(refs)).split(" ")
     try:
-        return Mesh(np.array(vertices), np.array(faces))
+        index = np.array(heads, dtype=np.int64)
+    except (ValueError, OverflowError):
+        index = None
+    if index is None or ((index < 1) | (index > len(coords))).any():
+        raise _reference_error(lines, refs, heads, is_f, refs_per_face, len(coords))
+
+    # fan k of a face whose refs start at s is (s, s + k, s + k + 1), k >= 1
+    fans = refs_per_face - 2
+    first = np.repeat(first_ref, fans)
+    step = np.arange(1, len(first) + 1) - np.repeat(np.cumsum(fans) - fans, fans)
+    corners = np.stack([first, first + step, first + step + 1], axis=1)
+    try:
+        return Mesh(coords, index[corners] - 1)
     except MeshError as exc:
         raise ObjParseError(str(exc)) from exc
+
+
+_XYZ = np.arange(1, 4)
+_REF_TAIL = re.compile(r"/[^ ]*")
+
+
+def _line_error(lines, tokens, starts, lengths, is_v, is_f):
+    """The first malformed ``v`` line or short ``f`` line, in line order."""
+    short = (is_v | is_f) & (lengths < 4)
+    full_v = np.flatnonzero(is_v & ~short)
+    xyz = tokens[starts[full_v, None] + _XYZ].ravel()
+    bad = short.copy()
+    bad[full_v] = ~np.fromiter(map(_is_float, xyz), bool, len(xyz)).reshape(-1, 3).all(axis=1)
+    row = int(np.flatnonzero(bad)[0])
+    n = _line_numbers(lines)[row]
+    if is_f[row]:
+        return ObjParseError("face line needs at least 3 vertices", n)
+    if short[row]:
+        return ObjParseError("vertex line needs 3 coordinates", n)
+    return ObjParseError(f"malformed vertex coordinate in {lines[n - 1].strip()!r}", n)
+
+
+def _is_float(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _reference_error(lines, refs, heads, is_f, refs_per_face, vertex_count):
+    """The first face reference that is not an integer in ``1..vertex_count``."""
+    for position, head in enumerate(heads):
+        try:
+            value = int(head)
+        except ValueError:
+            message = f"bad face vertex reference {refs[position]!r}"
+            break
+        if not 1 <= value <= vertex_count:
+            message = f"face vertex reference {value} out of range 1..{vertex_count}"
+            break
+    face = np.searchsorted(np.cumsum(refs_per_face), position, side="right")
+    row = np.flatnonzero(is_f)[face]
+    return ObjParseError(message, _line_numbers(lines)[row])
+
+
+def _line_numbers(lines):
+    """1-based numbers of the non-blank lines, one per split row."""
+    return [n for n, line in enumerate(lines, 1) if line.strip()]
 
 
 def write_obj(mesh: Mesh) -> bytes:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GraphError, IllegalCollapseError, MeshError, PoolTargetError
+from .errors import DataError, GraphError, IllegalCollapseError, MeshError, PoolTargetError
 from .mesh import Mesh
 from .topology import SENTINEL, EdgeTopology, incident_edges, rings
 
@@ -60,12 +60,29 @@ class CollapseRecord:
 
     @staticmethod
     def from_dict(d):
+        """Inverse of ``to_dict``; DataError for a field of the wrong type or length."""
         return CollapseRecord(
-            d["collapsed_edge"],
-            tuple(d["surviving_edges"]),
-            tuple(d["removed_edges"]),
-            tuple(tuple(s) for s in d["source_sets"]),
+            _int(d["collapsed_edge"]),
+            _ints(d["surviving_edges"], 2),
+            _ints(d["removed_edges"], 3),
+            tuple(_ints(s, 3) for s in _items(d["source_sets"], 2)),
         )
+
+
+def _int(value):
+    if type(value) is not int:  # bool and float are not edge ids or counts
+        raise DataError(f"pool journal: expected an integer, got {type(value).__name__}")
+    return value
+
+
+def _items(values, count=None):
+    if type(values) is not list or count not in (None, len(values)):
+        raise DataError(f"pool journal: expected a list of {count or 'records'}")
+    return values
+
+
+def _ints(values, count):
+    return tuple(map(_int, _items(values, count)))
 
 
 @dataclass
@@ -94,13 +111,22 @@ class PoolHistory:
         )
 
     @staticmethod
-    def from_json(text: str) -> "PoolHistory":
-        d = json.loads(text)
-        return PoolHistory(
-            [CollapseRecord.from_dict(r) for r in d["records"]],
-            d["initial_edge_count"],
-            d["final_edge_count"],
-        )
+    def from_json(text) -> "PoolHistory":
+        """Inverse of ``to_json`` (str or UTF-8 bytes); DataError for anything else."""
+        try:
+            d = json.loads(text)
+        except (ValueError, RecursionError):  # not JSON, not UTF-8, or nested too deep
+            raise DataError("pool journal is not JSON") from None
+        try:
+            return PoolHistory(
+                [CollapseRecord.from_dict(r) for r in _items(d["records"])],
+                _int(d["initial_edge_count"]),
+                _int(d["final_edge_count"]),
+            )
+        except KeyError as err:
+            raise DataError(f"pool journal has no key {err}") from None
+        except TypeError:  # indexing something that is not a JSON object
+            raise DataError("pool journal: a journal or record is not a JSON object") from None
 
 
 class ScoreQueue:

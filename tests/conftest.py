@@ -6,6 +6,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from meshforms import DatasetSpec, Mesh, build_edge_topology, generate
 
@@ -142,3 +143,20 @@ def read_counts(monkeypatch):
 
     monkeypatch.setattr(pathlib.Path, "read_bytes", counted)
     return counts
+
+
+def mutate_bytes(data, draw, max_edits=4):
+    """``data`` with a few drawn byte replacements, insertions and deletions."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, max_edits))):
+        kind = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if not data and kind != "insert":
+            continue
+        i = draw(st.integers(0, len(data) - (kind != "insert")))
+        if kind == "replace":
+            data[i] = draw(st.integers(0, 255))
+        elif kind == "insert":
+            data.insert(i, draw(st.sampled_from(b"0123456789/-+. \t\n\r\x0bvf#xe")))
+        else:
+            del data[i]
+    return bytes(data)

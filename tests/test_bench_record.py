@@ -10,13 +10,13 @@ bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
 
 
-def capture(path, seed, host_norm, setup_s, loss="aa", output="bb"):
+def capture(path, seed, host_norm, setup_s, loss="aa", output="bb", failed=0):
     metrics = {
         "mesh_ms.host_norm": {"value": host_norm, "unit": "ms"},
         "setup_s": {"value": setup_s, "unit": "s"},
         "peak_rss_mb": {"value": 100.0, "unit": "MB"},
     }
-    gate = {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+    gate = {"correct": not failed, "attempted": 10, "failed": failed, "metrics": metrics}
     path.write_text(
         f"== segment-limbs  seed={seed}  seconds=50.0  trace=0  rounds=12\n"
         "machine  cpu_count=2  python=3.11.7  numpy=2.4.6  blas='open blas'  blas_threads=1\n"
@@ -47,3 +47,19 @@ def test_record_pairs_runs_by_seed(tmp_path):
     assert host["change"]["values"] == [189.0, 198.0, 207.0, 216.0]
     assert host["change_wins"] == 2  # 207 loses to 203 and 216 to 204
     assert limbs["metrics"]["setup_s"]["change_wins"] == 0  # ties count for neither
+
+
+def test_record_reports_failed_share(tmp_path, capsys):
+    parents = [capture(tmp_path / f"p{s}.txt", s, 200.0, 0.25) for s in (1, 2)]
+    changes = [capture(tmp_path / f"c{s}.txt", s, 190.0, 0.25, failed=s) for s in (1, 2)]
+    out = tmp_path / "BENCH.json"
+    args = ["--pr", "9", "--out", out, "--parent", *parents, "--change", *changes]
+    assert bench_record.main([str(a) for a in args]) == 0
+    limbs = json.loads(out.read_text())["workloads"]["segment-limbs"]
+    assert limbs["failed_share"] == {
+        "parent": {"share": 0.0, "failed": 0, "attempted": 20},
+        "change": {"share": 0.15, "failed": 3, "attempted": 20},
+    }
+    assert not limbs["correct"]
+    printed = capsys.readouterr().out
+    assert "segment-limbs  failed operations: parent 0 (0/20)  change 0.15 (3/20)" in printed

@@ -1,11 +1,15 @@
 """CLI contracts: exit codes, determinism, file outputs."""
 
+import contextlib
+import io
 import json
 import pathlib
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshforms import (
     Checkpoint,
@@ -19,7 +23,7 @@ from meshforms.cli import main
 from meshforms.datasets import _random_rotation
 from meshforms.mesh import RigidMotion, apply_motion, write_obj
 
-from conftest import dataset_files_and_hash
+from conftest import dataset_files_and_hash, mutate_bytes
 
 TETRA_OBJ = b"""v 1 1 1
 v 1 -1 -1
@@ -145,6 +149,20 @@ class TestValidateCommand:
         code, _, err = run(["validate", "--mesh", tmp_path], capsys)
         assert code == 2
         assert err.startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_validate_mutated_obj_exits_0_or_2(mutation_dir, data):
+    path = mutation_dir / "mesh.obj"
+    path.write_bytes(mutate_bytes(TETRA_OBJ, data.draw, max_edits=6))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["validate", "--mesh", str(path)]) in (0, 2)
 
 
 class TestGenData:
@@ -381,6 +399,28 @@ class TestTrainEval:
         )
         assert code == 2
         assert "not a valid manifold" in err
+
+    def test_edge_label_beyond_int64_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "limbs"
+        gen = [
+            "gen-data", "--spec", "articulated-limbs", "--classes", "2", "--per-class", "1",
+            "--train-per-class", "1", "--test-per-class", "0", "--edge-range", "250,500",
+            "--out", data,
+        ]
+        assert run(gen, capsys)[0] == 0
+        labels = sorted((data / "meshes").glob("*.edgelabels"))[1]
+        rows = labels.read_text().splitlines()
+        rows[5] = "0 1 99999999999999999999"
+        labels.write_text("\n".join(rows) + "\n")
+        code, _, err = run(
+            ["train", "--data", data, "--out", tmp_path / "m.ckpt", "--set", "task=segmentation"],
+            capsys,
+        )
+        assert code == 2
+        assert err.endswith(
+            f"meshes/{labels.name}: label in column 3 of '0 1 99999999999999999999' "
+            "does not fit in int64\n"
+        )
 
     def test_ablate_prints_four_rows(self, cli_dataset, capsys):
         code, stdout, _ = run(

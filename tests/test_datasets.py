@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshforms import (
     DataError,
     DatasetSpec,
+    MeshFormsError,
     add_vertex_noise,
     augment,
     build_edge_topology,
@@ -20,13 +23,15 @@ from meshforms import (
 )
 from meshforms.datasets import (
     GLYPHS,
+    _edge_labels,
     _glyph_array,
+    _label,
     _random_rotation,
     glyph_is_safe,
     load_dataset_with_hash,
 )
 
-from conftest import dataset_files_and_hash
+from conftest import dataset_files_and_hash, mutate_bytes
 from meshforms.features import XYZ, coordinate_features
 
 
@@ -256,3 +261,86 @@ class TestManifest:
         target.write_bytes(target.read_bytes() + b"\xff\xfe\n")
         with pytest.raises(DataError, match="not UTF-8"):
             load_dataset(tmp_path)
+
+    def test_edge_label_beyond_int64_rejected(self, tmp_path):
+        save_dataset(tmp_path, generate(DatasetSpec("articulated-limbs", 1, 1, (250, 500), seed=4)))
+        labels = next((tmp_path / "meshes").glob("*.edgelabels"))
+        rows = labels.read_text().splitlines()
+        rows[3] = "0 1 99999999999999999999"
+        labels.write_text("\n".join(rows) + "\n")
+        with pytest.raises(DataError) as err:
+            load_dataset(tmp_path)
+        assert str(err.value) == (
+            f"meshes/{labels.name}: label in column 3 of '0 1 99999999999999999999' "
+            "does not fit in int64"
+        )
+
+
+def per_row_edge_labels(text, source):
+    """Reference for ``_edge_labels``: one ``_label`` call per non-blank row."""
+    return np.array(
+        [_label(row, row.split(), 2, source) for row in text.splitlines() if row.strip()],
+        dtype=np.int64,
+    )
+
+
+LABEL_TOKENS = ["0", "1", "7", "12", "-3", "+3", "1_0", "\u0663", "x", "1.5", "", "9223372036854775807",
+                "9223372036854775808", "-9223372036854775809", "99999999999999999999"]
+
+
+@st.composite
+def edge_label_texts(draw):
+    """Rows of zero to four tokens, with blank rows and odd whitespace between."""
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        tokens = draw(st.lists(st.sampled_from(LABEL_TOKENS), max_size=4))
+        sep = draw(st.sampled_from([" ", "\t", "  ", "\xa0", "\x1f"]))
+        rows.append(sep.join(tokens))
+    breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028"])
+    return "".join(row + draw(breaks) for row in rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_label_texts())
+def test_edge_labels_match_per_row_path(text):
+    try:
+        expected = per_row_edge_labels(text, "labels")
+    except DataError as err:
+        with pytest.raises(DataError) as got:
+            _edge_labels(text, "labels")
+        assert str(got.value) == str(err)
+        return
+    except OverflowError:  # the per-row path's raw error; the first such row is named
+        row = next(
+            row for row in text.splitlines()
+            if row.strip() and not -(2**63) <= int(row.split()[2]) < 2**63
+        )
+        with pytest.raises(DataError) as got:
+            _edge_labels(text, "labels")
+        assert str(got.value) == f"labels: label in column 3 of {row!r} does not fit in int64"
+        return
+    labels = _edge_labels(text, "labels")
+    assert labels.dtype == expected.dtype and labels.shape == expected.shape
+    assert np.array_equal(labels, expected)
+
+
+@pytest.fixture(scope="module")
+def limbs_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("limbs")
+    save_dataset(root, generate(DatasetSpec("articulated-limbs", 1, 1, (250, 500), seed=4)))
+    return root
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_dataset_files_load_or_raise_typed(limbs_dataset, data):
+    name = data.draw(st.sampled_from(["index.tsv", "meshes/*.obj", "meshes/*.edgelabels"]))
+    target = next(limbs_dataset.glob(name))
+    original = target.read_bytes()
+    target.write_bytes(mutate_bytes(original, data.draw, max_edits=6))
+    try:
+        load_dataset(limbs_dataset)
+    except MeshFormsError:
+        pass
+    finally:
+        target.write_bytes(original)

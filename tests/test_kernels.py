@@ -52,3 +52,30 @@ def test_scatter_sum_replays_add_at_bitwise(case):
     terms = np.vstack([slot_terms.reshape(4 * rows, channels), np.zeros((1, channels))])
     got = _kernels._scatter_sum(terms, idx[:, [0, 2, 1, 3]].T.ravel(), rows)
     assert got.tobytes() == expected[:rows].tobytes()
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two (N, 3) float64 arrays whose rows include zero, parallel, signed-zero
+    and non-finite vectors."""
+    n = draw(st.integers(0, 8))
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+        st.floats(-1e6, 1e6),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+    a = np.array(draw(st.lists(value, min_size=3 * n, max_size=3 * n))).reshape(n, 3)
+    b = np.array(draw(st.lists(value, min_size=3 * n, max_size=3 * n))).reshape(n, 3)
+    if n and draw(st.booleans()):
+        b[0] = a[0]  # a parallel, degenerate pair
+    if n and draw(st.booleans()):
+        a[-1] = 0.0
+    return a, b
+
+
+@given(vector_pairs())
+@settings(max_examples=300, deadline=None)
+def test_cross_is_numpy_cross_bitwise(pair):
+    a, b = pair
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert _kernels._cross(a, b).tobytes() == np.cross(a, b).tobytes()

@@ -239,6 +239,12 @@ class TestLayerContracts:
         with pytest.raises(GraphError, match="without"):
             model.backward(loss)
 
+    def test_backward_on_a_fresh_model_rejected(self, instance):
+        x = Value(instance[2])
+        loss = (x * x).sum()
+        with pytest.raises(GraphError, match="backward called without a forward pass"):
+            ModelGraph([ReLU()]).backward(loss)
+
 
 class TestOptimizer:
     def test_sgd_basic_step(self):

@@ -1,5 +1,7 @@
 """Config format, metric definitions, training smoke + determinism."""
 
+import gc
+import types
 from dataclasses import fields
 
 import numpy as np
@@ -25,6 +27,7 @@ from meshforms import (
     split,
     train,
 )
+from meshforms.autodiff import Value
 from meshforms.pipelines import DENOISING_REFERENCE_MSE, build_model
 
 
@@ -201,6 +204,14 @@ class TestEvaluation:
         sigma = np.sqrt(0.25 * 0.75 / n)
         assert abs(accuracy - 1.0 / classes) <= 3 * sigma + 1e-9
 
+    def test_no_graph_node_reachable_after_evaluation(self):
+        samples = tiny_dataset()
+        ckpt, _ = train(tiny_config(), samples)  # train ends with an evaluation
+        evaluate_classification(ckpt, samples)
+        values = reachable_values(ckpt.model)
+        assert [v for v in values if v.parents] == []
+        assert sorted(map(id, values)) == sorted(map(id, ckpt.model.parameters().values()))
+
     def test_empty_test_set_rejected(self):
         samples = tiny_dataset()
         ckpt, _ = train(tiny_config(), samples)
@@ -214,6 +225,27 @@ class TestEvaluation:
             evaluate_segmentation(ckpt, samples)
         with pytest.raises(ConfigError):
             evaluate_denoising(ckpt, [], "ff")
+
+
+def reachable_values(root):
+    """Every ``Value`` reachable from ``root`` through object references.
+
+    Types and modules are not entered, and functions only through their
+    closure cells, so the walk stays inside the object's own state.
+    """
+    seen, stack, values = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Value):
+            values.append(obj)
+        if isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        else:
+            stack.extend(gc.get_referents(obj))
+    return values
 
 
 def _unit_stats(channels):

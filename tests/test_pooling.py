@@ -6,10 +6,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshforms import (
+    DataError,
     GraphError,
     IllegalCollapseError,
+    MeshFormsError,
     PoolHistory,
     PoolingState,
     PoolTargetError,
@@ -22,7 +26,7 @@ from meshforms import (
 from meshforms.pooling import BATCH_LEGACY, ENHANCED, pool_backward, unpool_backward
 from meshforms.topology import SENTINEL
 
-from conftest import fuzz_corpus
+from conftest import fuzz_corpus, mutate_bytes
 
 
 def consistency_check(state, euler_characteristic):
@@ -398,6 +402,38 @@ class TestHistorySerialization:
         assert again.records == result.history.records
         assert again.initial_edge_count == result.history.initial_edge_count
         assert again.final_edge_count == result.history.final_edge_count
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x", "is not JSON"),
+            (b"\xff{}", "is not JSON"),
+            ("{}", "has no key 'records'"),
+            ("[]", "not a JSON object"),
+            ('{"records": [3], "initial_edge_count": 1, "final_edge_count": 1}', "not a JSON object"),
+            ('{"records": {}, "initial_edge_count": 1, "final_edge_count": 1}', "list of records"),
+            ('{"records": [], "initial_edge_count": 1.0, "final_edge_count": 1}', "an integer"),
+            ('{"records": [], "initial_edge_count": 1, "final_edge_count": true}', "an integer"),
+        ],
+    )
+    def test_malformed_journal_rejected(self, text, message):
+        with pytest.raises(DataError, match=message):
+            PoolHistory.from_json(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_journal_loads_or_raises_typed(self, icosahedron, data):
+        topology = build_edge_topology(icosahedron)
+        features = np.random.default_rng(0).normal(size=(topology.edge_count, 2))
+        journal = pool(features, topology, topology.edge_count - 6).history.to_json()
+        mutated = mutate_bytes(journal.encode(), data.draw, max_edits=6)
+        try:
+            history = PoolHistory.from_json(mutated)
+        except MeshFormsError:
+            return
+        for record in history.records:
+            assert all(type(i) is int for i in (record.collapsed_edge, *record.surviving_edges,
+                                                *record.removed_edges, *sum(record.source_sets, ())))
 
 
 # sha256 over the journal JSON, the pooled features, the compacted neighbor

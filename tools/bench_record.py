@@ -9,7 +9,9 @@ the report lines perfbench prints above it.
 Runs of the parent and of the change pair up by workload and seed. For every
 end-to-end metric that BENCHMARK.json declares, the record holds the parent
 and change medians and interquartile ranges, the number of pairs the change
-won, and the relative change of the medians. Usage:
+won, and the relative change of the medians. It also holds each side's
+failed-operation share: the gate lines' ``failed`` over ``attempted``, summed
+over the paired runs. Usage:
 
     python3 tools/bench_record.py --pr 6 --out BENCH_6.json \\
         --parent runs/parent-*.txt --change runs/change-*.txt
@@ -56,6 +58,13 @@ def quartiles(values):
     return {"median": float(median), "iqr": float(q3 - q1), "values": list(map(float, values))}
 
 
+def failed_share(runs):
+    """``failed`` over ``attempted`` of the runs' gate lines, with both sums."""
+    failed = sum(run["gate"]["failed"] for run in runs)
+    attempted = sum(run["gate"]["attempted"] for run in runs)
+    return {"share": failed / attempted if attempted else 0.0, "failed": failed, "attempted": attempted}
+
+
 def summarize(parent_runs, change_runs, declared):
     """Per-workload medians, IQRs, wins and digest agreement over paired seeds."""
     workloads = {}
@@ -88,6 +97,10 @@ def summarize(parent_runs, change_runs, declared):
             "correct": all(p["gate"]["correct"] and c["gate"]["correct"] for p, c in pairs),
             "digests_identical": all(p["digests"] == c["digests"] for p, c in pairs),
             "digests": {str(s): p["digests"] for s, (p, _) in zip(seeds, pairs)},
+            "failed_share": {
+                "parent": failed_share([p for p, _ in pairs]),
+                "change": failed_share([c for _, c in pairs]),
+            },
             "metrics": metrics,
         }
     return workloads
@@ -135,6 +148,14 @@ def main(argv=None):
                 f"wins {m['change_wins']}/{entry['pairs']}"
             )
         print(f"{workload:14s} digests identical: {entry['digests_identical']}")
+        shares = entry["failed_share"]
+        print(
+            f"{workload:14s} failed operations: "
+            + "  ".join(
+                f"{side} {shares[side]['share']:.3g} ({shares[side]['failed']}/{shares[side]['attempted']})"
+                for side in ("parent", "change")
+            )
+        )
     return 0
 
 
