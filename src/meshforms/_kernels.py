@@ -1,9 +1,10 @@
-"""Hot numeric kernels: the per-edge convolution and the raw edge geometry.
+"""Hot numeric kernels: the per-edge convolution, instance norm, edge geometry.
 
-Kernels here are the per-edge convolution (forward and backward) and the raw
-edge geometry pass (lengths, dihedral angles, opposite angles, length/height
-ratios). Angles use atan2 of cross/dot, which is the numerically stable
-equivalent of arccos of the clamped dot product.
+Kernels here are the per-edge convolution and the per-channel instance
+normalization (each forward and backward) and the raw edge geometry pass
+(lengths, dihedral angles, opposite angles, length/height ratios). Angles
+use atan2 of cross/dot, which is the numerically stable equivalent of arccos
+of the clamped dot product.
 """
 
 from __future__ import annotations
@@ -13,34 +14,61 @@ import numpy as np
 
 # ---------------------------------------------------------------------------
 # convolution over the ordered 4-neighbor ring
+#
+# Both kernels walk the ring one slot pair at a time, (a, c) and then (b, d),
+# gathering each pair once into buffers that every E x C temporary of the pass
+# reuses. Each value is still the result of the same numpy operation on the
+# same operands as the unbuffered algebra in the docstrings, so every output
+# bit is that algebra's.
+
+
+def _ring_index(neighbors, rows):
+    """(ring with every sentinel as ``rows``, sentinel mask); checks the range once.
+
+    The gathers take with ``mode="clip"`` and then zero the sentinel rows, so
+    an index at or beyond ``rows`` must be rejected here.
+    """
+    if neighbors.size and neighbors.max() >= rows:
+        raise IndexError(f"ring index {int(neighbors.max())} out of range for {rows} edges")
+    missing = neighbors < 0
+    return np.where(missing, rows, neighbors), missing
+
+
+def _gather_pair(features, idx, missing, k, first, second):
+    """Rows of ring slots k and k + 2 into ``first`` and ``second``; sentinels read 0."""
+    for slot, buf in ((k, first), (k + 2, second)):
+        np.take(features, idx[:, slot], axis=0, out=buf, mode="clip")
+        buf[missing[:, slot]] = 0.0
 
 
 def conv_forward(features, neighbors, weights, bias):
     """out(e) = bias + w0 f(e) + w1 |f(a)-f(c)| + w2 (f(a)+f(c))
                        + w3 |f(b)-f(d)| + w4 (f(b)+f(d))
 
-    Sentinel (-1) neighbor slots contribute zero vectors.
+    Sentinel (-1) neighbor slots contribute zero vectors. The terms are added
+    to ``out`` in the order written.
     """
     E, C = features.shape
-    padded = np.vstack([features, np.zeros((1, C))])
-    idx = np.where(neighbors < 0, E, neighbors)
-    fa = padded[idx[:, 0]]
-    fb = padded[idx[:, 1]]
-    fc = padded[idx[:, 2]]
-    fd = padded[idx[:, 3]]
-    d1 = fa - fc
-    d2 = fb - fd
+    idx, missing = _ring_index(neighbors, E)
+    first, second, work = np.empty((E, C)), np.empty((E, C)), np.empty((E, C))
     out = features @ weights[0]
-    out += np.abs(d1) @ weights[1]
-    out += (fa + fc) @ weights[2]
-    out += np.abs(d2) @ weights[3]
-    out += (fb + fd) @ weights[4]
+    product = np.empty_like(out)
+    for k in (0, 1):
+        _gather_pair(features, idx, missing, k, first, second)
+        np.subtract(first, second, out=work)
+        out += np.matmul(np.abs(work, out=work), weights[2 * k + 1], out=product)
+        out += np.matmul(np.add(first, second, out=work), weights[2 * k + 2], out=product)
     out += bias
     return out
 
 
 def conv_backward(grad_out, features, neighbors, weights):
     """Reverse-mode gradients; |x| has subgradient 0 at x = 0.
+
+    For each slot pair (a, c), with d = f(a) - f(c), s = sign(d),
+    p = grad_out w1^T and q = grad_out w2^T (w3 and w4 for (b, d)):
+    grad_w1 = |d|^T grad_out, grad_w2 = (f(a) + f(c))^T grad_out, and the
+    terms s*p + q to edge a and q - s*p to edge c.
 
     grad_f is a gather, not a scatter, and is bit for bit what four
     ``np.add.at`` calls (slots 0, 2, 1, 3) would give. The four slot terms are
@@ -51,36 +79,32 @@ def conv_backward(grad_out, features, neighbors, weights):
     padding leaves every bit as it is.
     """
     E, C = features.shape
-    padded = np.vstack([features, np.zeros((1, C))])
-    idx = np.where(neighbors < 0, E, neighbors)
-    fa = padded[idx[:, 0]]
-    fb = padded[idx[:, 1]]
-    fc = padded[idx[:, 2]]
-    fd = padded[idx[:, 3]]
-    d1 = fa - fc
-    d2 = fb - fd
-
+    idx, missing = _ring_index(neighbors, E)
     grad_w = np.empty_like(weights)
-    grad_w[0] = features.T @ grad_out
-    grad_w[1] = np.abs(d1).T @ grad_out
-    grad_w[2] = (fa + fc).T @ grad_out
-    grad_w[3] = np.abs(d2).T @ grad_out
-    grad_w[4] = (fb + fd).T @ grad_out
+    np.matmul(features.T, grad_out, out=grad_w[0])
     grad_bias = grad_out.sum(axis=0)
-    del fa, fb, fc, fd  # freed before the 4·E·C terms exist, to bound peak memory
 
-    # Slot terms in add.at's call order: a, c (from d1), then b, d (from d2).
+    first, second = np.empty((E, C)), np.empty((E, C))
+    diff, work = np.empty((E, C)), np.empty((E, C))
     terms = np.empty((4 * E + 1, C))
     terms[4 * E] = 0.0
-    for k, diff in enumerate((d1, d2)):
-        signed = np.sign(diff)
-        signed *= grad_out @ weights[2 * k + 1].T
-        summed = grad_out @ weights[2 * k + 2].T
+    for k in (0, 1):
+        _gather_pair(features, idx, missing, k, first, second)
+        np.subtract(first, second, out=diff)
+        np.matmul(np.abs(diff, out=work).T, grad_out, out=grad_w[2 * k + 1])
+        np.matmul(np.add(first, second, out=work).T, grad_out, out=grad_w[2 * k + 2])
+        # Slot terms in add.at's call order: a, c, then b, d. q is written
+        # where the second slot's term goes and replaced by q - s*p in place.
+        signed = np.sign(diff, out=diff)
+        signed *= np.matmul(grad_out, weights[2 * k + 1].T, out=work)
+        summed = terms[(2 * k + 1) * E : (2 * k + 2) * E]
+        np.matmul(grad_out, weights[2 * k + 2].T, out=summed)
         np.add(signed, summed, out=terms[2 * k * E : (2 * k + 1) * E])
-        np.subtract(summed, signed, out=terms[(2 * k + 1) * E : (2 * k + 2) * E])
+        np.subtract(summed, signed, out=summed)
+    del first, second, diff  # freed before the scatter allocates its two E x C arrays
 
     grad_f = _scatter_sum(terms, idx[:, [0, 2, 1, 3]].T.ravel(), E)
-    grad_f += grad_out @ weights[0].T
+    grad_f += np.matmul(grad_out, weights[0].T, out=work)
     return grad_f, grad_w, grad_bias
 
 
@@ -90,18 +114,79 @@ def _scatter_sum(terms, targets, rows):
     ``terms`` ends in one zero row. The plan's row r lists the positions i with
     ``targets[i] == r`` in ascending order, which is the order ``np.add.at``
     applies them, padded with the zero row up to the largest count K. Targets
-    equal to ``rows`` are sentinels and are dropped.
+    equal to ``rows`` are sentinels and are dropped. Every plan entry indexes
+    ``terms`` by construction, so the gathers skip the range check.
     """
     order = np.argsort(targets, kind="stable")
     counts = np.bincount(targets, minlength=rows + 1)[:rows]
     kept = int(counts.sum())
-    plan = np.full((rows, int(counts.max(initial=0))), len(targets), dtype=np.intp)
+    plan = np.full((int(counts.max(initial=0)), rows), len(targets), dtype=np.intp)
     rank = np.arange(kept) - np.repeat(np.cumsum(counts) - counts, counts)
-    plan[targets[order[:kept]], rank] = order[:kept]
+    plan[rank, targets[order[:kept]]] = order[:kept]
     out = np.zeros((rows, terms.shape[1]))
-    for column in plan.T:
-        out += terms[column]
+    gathered = np.empty_like(out)
+    for column in plan:
+        out += np.take(terms, column, axis=0, out=gathered, mode="clip")
     return out
+
+
+# ---------------------------------------------------------------------------
+# instance normalization over the edge axis
+
+INSTANCE_NORM_EPS = 1e-12
+
+
+def instance_norm_forward(x, gamma, beta):
+    """(out, mu, sd) with out = (x - mu) / sd * gamma + beta, per channel.
+
+    mu = sum(x) * (1/E) and sd = sqrt(sum((x - mu)^2) * (1/E) + eps), each
+    reduced over the E rows with the row axis kept.
+    """
+    inv_rows = 1.0 / x.shape[0]
+    mu = x.sum(axis=0, keepdims=True) * inv_rows
+    out = x - mu
+    sd = np.sqrt((out * out).sum(axis=0, keepdims=True) * inv_rows + INSTANCE_NORM_EPS)
+    out /= sd
+    out *= gamma
+    out += beta
+    return out, mu, sd
+
+
+def instance_norm_backward(g, x, mu, sd, gamma):
+    """(g_x, g_gamma, g_beta) for ``instance_norm_forward``, from its mu and sd.
+
+    Exact: this is bit for bit what ``Value.backward`` computes through the
+    composed algebra mu = x.mean(0), c = x - mu, var = (c * c).mean(0),
+    n = c / (var + eps).sqrt(), out = n * gamma + beta. Every value below is
+    the same numpy operation on the same operands (each product or sum only
+    swapped or written in place, which changes no bit), and the gradients
+    that meet at one node are added in the order ``Value.backward`` adds
+    them. ``c`` receives g_n / sd first and then the variance term twice,
+    because ``c * c`` names one parent twice; ``x`` receives the direct term
+    and then the mean's broadcast. The means multiply by 1/E. With one row
+    the autodiff skips the sums onto (1, C) operands, which can differ from
+    a one-row sum only in the sign of a zero; such a zero reaches g_x only
+    as g_c + (-g_c) = +0.0, so summing anyway changes no output bit. Only mu
+    and sd are kept from the forward; c and n are recomputed.
+    """
+    inv_rows = 1.0 / x.shape[0]
+    g_beta = g.sum(axis=0)
+    centered = x - mu
+    work = centered / sd
+    work *= g
+    g_gamma = work.sum(axis=0)
+    g_centered = g * gamma  # the gradient at n, then at c
+    np.negative(g_centered, out=work)
+    work *= centered
+    work /= sd * sd
+    g_sum_sq = work.sum(axis=0, keepdims=True) / (2.0 * sd) * inv_rows  # at sum((x - mu)^2)
+    g_centered /= sd
+    centered *= g_sum_sq
+    g_centered += centered
+    g_centered += centered
+    np.negative(g_centered, out=work)
+    g_centered += work.sum(axis=0, keepdims=True) * inv_rows
+    return g_centered, g_gamma, g_beta
 
 
 # ---------------------------------------------------------------------------

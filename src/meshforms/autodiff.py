@@ -4,7 +4,8 @@ A Value wraps an ndarray plus its gradient accumulator and the rule for
 pushing an upstream gradient to its parents. ``backward`` walks the graph
 once in reverse topological order. Only leaves (values without a rule, such
 as parameters and inputs) keep their gradient afterwards: an intermediate
-node's gradient is dropped once its rule has pushed it on. Broadcasting in
+node's gradient is dropped once its rule has pushed it on, and is never
+copied. A rule must not write to the gradient it is handed. Broadcasting in
 the arithmetic ops is undone by summing the gradient over the broadcast axes.
 """
 
@@ -46,9 +47,16 @@ class Value:
         return x if isinstance(x, Value) else Value(x)
 
     def accumulate(self, grad):
+        """Add ``grad`` to this node's gradient.
+
+        A leaf keeps a copy, so the gradients an optimizer reads are owned,
+        writable arrays. An intermediate node keeps its first gradient as
+        given: no backward rule writes to the gradient it is handed, and a
+        second gradient is added into a new array.
+        """
         grad = np.asarray(grad, dtype=np.float64).reshape(self.data.shape)
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad.copy() if self.backward_rule is None else grad
         else:
             self.grad = self.grad + grad
 

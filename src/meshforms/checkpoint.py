@@ -11,6 +11,7 @@ saved bytes exactly when re-saved.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -86,31 +87,39 @@ class Checkpoint:
             ]
             if not all(isinstance(n, int) and n >= 0 for _, shape in shapes for n in shape):
                 raise ValueError("blob dimensions must be non-negative integers")
-            model = ModelGraph.from_spec(
-                header["layers"], seed=0, pooling_policy=header["pooling_policy"]
-            )
+            expected = ModelGraph.parameter_shapes(header["layers"])
             has_stats, meta = header["has_channel_stats"], dict(header["meta"])
             missing = {"channel_stats.mean", "channel_stats.std"} - set(header["blob_order"])
             if has_stats and missing:
                 raise KeyError(f"no blob {sorted(missing)}")
         except (ValueError, KeyError, TypeError, GraphError) as err:
             raise CheckpointError("checkpoint header corrupt") from err
+        # Every size is checked before the model is built, so a corrupt header
+        # cannot make the loader allocate more than the file holds.
+        end = offset + 8 * sum(math.prod(shape) for _, shape in shapes)
+        if len(data) < end:
+            raise CheckpointError("checkpoint truncated")
+        if len(data) != end:
+            raise CheckpointError("checkpoint size mismatch")
+        stored = {name: shape for name, shape in shapes if not name.startswith("channel_stats.")}
+        if set(expected) != set(stored):
+            raise CheckpointError("checkpoint parameters do not match layer spec")
+        for name, shape in expected.items():
+            if shape != stored[name]:
+                raise CheckpointError(f"checkpoint blob shape mismatch for {name}")
+        try:
+            model = ModelGraph.from_spec(
+                header["layers"], seed=0, pooling_policy=header["pooling_policy"]
+            )
+        except (ValueError, KeyError, TypeError, GraphError) as err:
+            raise CheckpointError("checkpoint header corrupt") from err
         blobs = {}
         for name, shape in shapes:
-            count = int(np.prod(shape)) if shape else 1
-            if len(data) < offset + count * 8:
-                raise CheckpointError("checkpoint truncated")
+            count = math.prod(shape)
             arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
             offset += count * 8
             blobs[name] = arr.reshape(shape).astype(np.float64)
-        if offset != len(data):
-            raise CheckpointError("checkpoint size mismatch")
-        params = model.parameters()
-        if set(params) != {k for k in blobs if not k.startswith("channel_stats.")}:
-            raise CheckpointError("checkpoint parameters do not match layer spec")
-        for name, value in params.items():
-            if value.data.shape != blobs[name].shape:
-                raise CheckpointError(f"checkpoint blob shape mismatch for {name}")
+        for name, value in model.parameters().items():
             value.data = blobs[name]
         stats = None
         if has_stats:

@@ -14,12 +14,12 @@ import numpy as np
 from . import pooling as _pooling
 from ._kernels import conv_backward as _kconv_backward
 from ._kernels import conv_forward as _kconv_forward
+from ._kernels import instance_norm_backward as _knorm_backward
+from ._kernels import instance_norm_forward as _knorm_forward
 from .autodiff import Value
 from .errors import GraphError
 from .pooling import BATCH_LEGACY, ENHANCED
 from .topology import EdgeTopology
-
-INSTANCE_NORM_EPS = 1e-12
 
 
 class MeshContext:
@@ -92,7 +92,12 @@ class MeshConv(Layer):
 
 
 class InstanceNorm(Layer):
-    """Per-mesh, per-channel standardization with a learned affine."""
+    """Per-mesh, per-channel standardization with a learned affine.
+
+    One graph node whose rule keeps only the per-channel mean and scale and
+    recomputes the centred features; its gradients are bit for bit those of
+    the composed mean, variance and affine algebra (see the kernels).
+    """
 
     def __init__(self, channels):
         self.channels = channels
@@ -108,11 +113,13 @@ class InstanceNorm(Layer):
                 f"instance_norm expects {self.channels} channels, "
                 f"got {x.data.shape[1]}"
             )
-        mu = x.mean(axis=0, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=0, keepdims=True)
-        normed = centered / (var + INSTANCE_NORM_EPS).sqrt()
-        return normed * self.gamma + self.beta
+        gamma = self.gamma
+        out_data, mu, sd = _knorm_forward(x.data, gamma.data, self.beta.data)
+        return Value(
+            out_data,
+            (x, gamma, self.beta),
+            lambda g: _knorm_backward(g, x.data, mu, sd, gamma.data),
+        )
 
     def spec(self):
         return {"type": "instance_norm", "channels": self.channels}
@@ -206,6 +213,14 @@ class Dense(Layer):
         return {"type": "dense", "in": self.in_channels, "out": self.out_ch}
 
 
+# The parameter shapes each layer type's constructor allocates, by spec, so a
+# loader can check a spec against its stored blobs before building it.
+_PARAMETER_SHAPES = {
+    "mesh_conv": lambda spec: {"weights": (5, spec["in"], spec["out"]), "bias": (spec["out"],)},
+    "instance_norm": lambda spec: {"gamma": (spec["channels"],), "beta": (spec["channels"],)},
+    "dense": lambda spec: {"weights": (spec["in"], spec["out"]), "bias": (spec["out"],)},
+}
+
 _LAYER_BUILDERS = {
     "mesh_conv": lambda spec, rng: MeshConv(spec["in"], spec["out"], rng),
     "instance_norm": lambda spec, rng: InstanceNorm(spec["channels"]),
@@ -252,6 +267,16 @@ class ModelGraph:
                 raise GraphError(f"unknown layer type {kind!r}")
             layers.append(_LAYER_BUILDERS[kind](spec, rng))
         return ModelGraph(layers, pooling_policy=pooling_policy)
+
+    @staticmethod
+    def parameter_shapes(spec_list):
+        """{parameter name: shape} of the model ``spec_list`` describes, unbuilt."""
+        shapes = {}
+        for i, spec in enumerate(spec_list):
+            if spec["type"] in _PARAMETER_SHAPES:
+                for pname, shape in _PARAMETER_SHAPES[spec["type"]](spec).items():
+                    shapes[f"layer{i}.{pname}"] = shape
+        return shapes
 
     def spec(self):
         return [layer.spec() for layer in self.layers]

@@ -119,16 +119,33 @@ def _prepare_samples(config: ExperimentConfig, samples):
                 raise DataError(f"sample {s.sample_id} has no class label")
             target = int(s.class_label)
         else:
-            if s.edge_labels is None:
-                raise DataError(f"sample {s.sample_id} has no edge labels")
-            if len(s.edge_labels) != topology.edge_count:
-                raise DataError(
-                    f"sample {s.sample_id}: {len(s.edge_labels)} edge labels "
-                    f"for {topology.edge_count} edges"
-                )
-            target = np.asarray(s.edge_labels, dtype=np.int64)
+            target = _edge_targets(s, topology)
         prepared.append(_Prepared(s, mesh, topology, inputs, target))
     return prepared
+
+
+def _edge_targets(sample, topology):
+    """The sample's edge labels as int64, one per edge of ``topology``."""
+    if sample.edge_labels is None:
+        raise DataError(f"sample {sample.sample_id} has no edge labels")
+    if len(sample.edge_labels) != topology.edge_count:
+        raise DataError(
+            f"sample {sample.sample_id}: {len(sample.edge_labels)} edge labels "
+            f"for {topology.edge_count} edges"
+        )
+    return np.asarray(sample.edge_labels, dtype=np.int64)
+
+
+def _class_count(samples):
+    """1 + the largest class label; every label must lie in 0..(labelled samples - 1)."""
+    labelled = [s for s in samples if s.class_label is not None]
+    for s in labelled:
+        if not 0 <= int(s.class_label) < len(labelled):
+            raise DataError(
+                f"sample {s.sample_id}: class label {s.class_label} is not in "
+                f"0..{len(labelled) - 1} ({len(labelled)} labelled samples)"
+            )
+    return 1 + max(int(s.class_label) for s in labelled)
 
 
 def build_model(config: ExperimentConfig, in_channels, out_dim, seed=None):
@@ -196,11 +213,9 @@ def train(config: ExperimentConfig, samples, dataset_hash=""):
     prepared = _prepare_samples(config, train_samples)
 
     if config.task == CLASSIFICATION:
-        classes = 1 + max(int(s.class_label) for s in samples if s.class_label is not None)
-        out_dim = classes
+        out_dim = _class_count(samples)
     elif config.task == SEGMENTATION:
-        classes = 1 + max(int(p.target.max()) for p in prepared)
-        out_dim = classes
+        out_dim = 1 + max(int(p.target.max()) for p in prepared)
     else:
         out_dim = prepared[0].target.shape[1]
 
@@ -349,10 +364,9 @@ def evaluate_segmentation(checkpoint: Checkpoint, samples):
     config = _checkpoint_config(checkpoint)
     scores = []
     for s in test:
-        if s.edge_labels is None:
-            raise DataError(f"sample {s.sample_id} has no edge labels")
         mesh = normalize_unit_box(s.mesh)
         topology = build_edge_topology(mesh)
+        labels = _edge_targets(s, topology)
         inputs = _model_inputs(checkpoint, config, mesh, topology)
         out, _ = checkpoint.model.forward(inputs, topology)
         predicted = np.argmax(out.data, axis=1)
@@ -360,7 +374,7 @@ def evaluate_segmentation(checkpoint: Checkpoint, samples):
             mesh.vertices[topology.edges[:, 0]] - mesh.vertices[topology.edges[:, 1]],
             axis=1,
         )
-        scores.append(soft_edge_accuracy(lengths, predicted, s.edge_labels))
+        scores.append(soft_edge_accuracy(lengths, predicted, labels))
     return float(np.mean(scores))
 
 

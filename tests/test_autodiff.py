@@ -98,6 +98,22 @@ class TestGraph:
         assert np.array_equal(x.grad, [3.0, 0.0])
         assert np.array_equal(w.grad, [1.0, 0.0])
 
+    def test_only_leaf_gradients_are_copied(self):
+        x = Value(np.array([1.0, 2.0]))
+        handed, returned = [], []
+
+        def rule(g):
+            handed.append(g)
+            returned.append(g * 2.0)
+            return (returned[-1],)
+
+        hidden = Value(x.data * 2.0, (x,), rule)
+        upstream = np.array([3.0, 4.0])
+        Value(np.array(0.0), (hidden,), lambda g: (upstream,)).backward()
+        assert np.shares_memory(handed[0], upstream)
+        assert not np.shares_memory(x.grad, returned[0])
+        assert x.grad.flags.owndata and x.grad.flags.writeable
+
     def test_zero_grad(self):
         x = Value(np.array(3.0))
         (x * x).backward()

@@ -422,6 +422,47 @@ class TestTrainEval:
             "does not fit in int64\n"
         )
 
+    def test_test_split_edge_label_count_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "limbs"
+        gen = [
+            "gen-data", "--spec", "articulated-limbs", "--classes", "2", "--per-class", "2",
+            "--train-per-class", "1", "--test-per-class", "1", "--edge-range", "250,500",
+            "--out", data,
+        ]
+        assert run(gen, capsys)[0] == 0
+        rows = (data / "index.tsv").read_text().splitlines()
+        test_id = next(row.split("\t")[0] for row in rows if "\ttest\t" in row)
+        labels = data / "meshes" / f"{test_id}.edgelabels"
+        kept = labels.read_text().splitlines()[:-5]
+        labels.write_text("\n".join(kept) + "\n")
+        code, _, err = run(
+            [
+                "train", "--data", data, "--out", tmp_path / "m.ckpt",
+                "--set", "task=segmentation", "--set", "epochs=1",
+                "--set", "conv_channels=4,6", "--set", "pool_targets=200,150",
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert f"sample {test_id}: {len(kept)} edge labels for {len(kept) + 5} edges" in err
+
+    @pytest.mark.parametrize("label", ["-1", "12", "1000000000000", "99999999999999999999"])
+    def test_class_label_out_of_range_exit_2(self, cli_dataset, tmp_path, label, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(cli_dataset, data)
+        rows = (data / "index.tsv").read_text().splitlines()
+        fields = rows[1].split("\t")
+        fields[2] = label
+        rows[1] = "\t".join(fields)
+        (data / "index.tsv").write_text("\n".join(rows) + "\n")
+        code, _, err = run(
+            ["train", "--data", data, "--out", tmp_path / "m.ckpt", "--set", "epochs=1"],
+            capsys,
+        )
+        assert code == 2
+        assert f"sample {fields[0]}: class label {label} is not in 0..11" in err
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_ablate_prints_four_rows(self, cli_dataset, capsys):
         code, stdout, _ = run(
             [

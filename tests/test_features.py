@@ -32,7 +32,7 @@ from meshforms import (
 from meshforms.datasets import _random_rotation
 from meshforms.features import denormalize
 
-from conftest import fuzz_corpus
+from conftest import fuzz_corpus, mutate_bytes
 
 
 def shared_edge(topology):
@@ -322,6 +322,22 @@ class TestSerialization:
     def test_rejects_corrupt(self):
         with pytest.raises(MeshError):
             read_features(b"not a container")
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_container_reads_or_raises_typed(self, icosahedron, data):
+        topo = build_edge_topology(icosahedron)
+        kind = data.draw(st.sampled_from([fundamental_forms, meshcnn5]))
+        valid = write_features(kind(topo, icosahedron))
+        if data.draw(st.booleans()):  # the 24-byte header only
+            mutated = mutate_bytes(valid[:24], data.draw, max_edits=6) + valid[24:]
+        else:
+            mutated = mutate_bytes(valid, data.draw, max_edits=6)
+        try:
+            again = read_features(mutated)
+        except MeshError:
+            return
+        assert len(write_features(again)) == len(mutated)
 
     def test_norms_deterministic(self, icosahedron):
         topo = build_edge_topology(icosahedron)

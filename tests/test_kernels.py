@@ -1,6 +1,8 @@
-"""Kernel edge cases: sentinel neighbor slots, degenerate faces, the scatter plan."""
+"""Kernel edge cases: sentinel neighbor slots, degenerate faces, the scatter plan,
+the buffered convolution against its plain algebra."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,3 +81,67 @@ def test_cross_is_numpy_cross_bitwise(pair):
     a, b = pair
     with np.errstate(invalid="ignore", over="ignore"):
         assert _kernels._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+
+
+def unbuffered_conv(features, neighbors, weights, bias, grad_out):
+    """The convolution written plainly: padded gathers, a fresh array for
+    every temporary, and four ``np.add.at`` scatters (slots 0, 2, 1, 3)."""
+    E, C = features.shape
+    padded = np.vstack([features, np.zeros((1, C))])
+    idx = np.where(neighbors < 0, E, neighbors)
+    fa, fb, fc, fd = (padded[idx[:, k]] for k in range(4))
+    d1, d2 = fa - fc, fb - fd
+    out = features @ weights[0]
+    out += np.abs(d1) @ weights[1]
+    out += (fa + fc) @ weights[2]
+    out += np.abs(d2) @ weights[3]
+    out += (fb + fd) @ weights[4]
+    out += bias
+    grad_w = np.stack(
+        [x.T @ grad_out for x in (features, np.abs(d1), fa + fc, np.abs(d2), fb + fd)]
+    )
+    grad_f = np.zeros((E + 1, C))
+    for k, diff in enumerate((d1, d2)):
+        signed = np.sign(diff) * (grad_out @ weights[2 * k + 1].T)
+        summed = grad_out @ weights[2 * k + 2].T
+        np.add.at(grad_f, idx[:, k], signed + summed)
+        np.add.at(grad_f, idx[:, k + 2], summed - signed)
+    grad_f = grad_f[:E]
+    grad_f += grad_out @ weights[0].T
+    return out, grad_f, grad_w, grad_out.sum(axis=0)
+
+
+@st.composite
+def conv_cases(draw):
+    """Rings with sentinels and repeated neighbours; features with ties and zeros."""
+    rows = draw(st.integers(1, 40))
+    c_in, c_out = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    neighbors = rng.integers(-1, rows, size=(rows, 4))
+    if draw(st.booleans()):
+        features = rng.integers(-1, 2, size=(rows, c_in)).astype(np.float64)
+    else:
+        features = rng.normal(size=(rows, c_in))
+    weights = rng.normal(size=(5, c_in, c_out))
+    return features, neighbors, weights, rng.normal(size=c_out), rng.normal(size=(rows, c_out))
+
+
+@given(conv_cases())
+@settings(max_examples=200, deadline=None)
+def test_conv_kernels_match_the_unbuffered_algebra_bitwise(case):
+    features, neighbors, weights, bias, grad_out = case
+    got = (
+        _kernels.conv_forward(features, neighbors, weights, bias),
+        *_kernels.conv_backward(grad_out, features, neighbors, weights),
+    )
+    expected = unbuffered_conv(features, neighbors, weights, bias, grad_out)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+
+def test_ring_index_out_of_range_rejected():
+    features = np.ones((3, 2))
+    neighbors = np.array([[1, 2, -1, -1], [0, 3, -1, -1], [0, 1, -1, -1]])
+    with pytest.raises(IndexError, match="ring index 3"):
+        _kernels.conv_forward(features, neighbors, np.ones((5, 2, 2)), np.zeros(2))
+    with pytest.raises(IndexError, match="ring index 3"):
+        _kernels.conv_backward(np.ones((3, 2)), features, neighbors, np.ones((5, 2, 2)))

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshforms import (
     Checkpoint,
@@ -15,6 +17,7 @@ from meshforms import (
     GraphError,
     InstanceNorm,
     MeshConv,
+    MeshFormsError,
     ModelGraph,
     Optimizer,
     Pool,
@@ -25,9 +28,10 @@ from meshforms import (
     cross_entropy,
     mse,
 )
+from meshforms._kernels import INSTANCE_NORM_EPS
 from meshforms.layers import MeshContext
 
-from conftest import fuzz_corpus
+from conftest import fuzz_corpus, mutate_bytes
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +205,67 @@ class TestGradientOracle:
         assert_close_to_fd(v.grad, finite_difference(objective, pred))
 
 
+def composed_instance_norm(x, gamma, beta):
+    """InstanceNorm as autodiff algebra, five graph nodes deep: the oracle."""
+    mu = x.mean(axis=0, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=0, keepdims=True)
+    normed = centered / (var + INSTANCE_NORM_EPS).sqrt()
+    return normed * gamma + beta
+
+
+@st.composite
+def norm_cases(draw):
+    """(x, gamma, beta, upstream) with 1-300 rows, constant channels, zero
+    upstream gradients and channel scales from 1e-3 to 1e3."""
+    rows = draw(st.integers(1, 300))
+    channels = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, size=channels)
+    x = rng.normal(size=(rows, channels)) * scales
+    for c in draw(st.lists(st.integers(0, channels - 1), max_size=3)):
+        x[:, c] = draw(st.sampled_from([0.0, -0.0, rng.normal() * scales[c]]))
+    gamma = rng.normal(size=channels) * 10.0 ** rng.uniform(-3.0, 3.0, size=channels)
+    beta = rng.normal(size=channels) * scales
+    upstream = draw(st.sampled_from(["normal", "zero", "negative zero", "some zero rows"]))
+    g = rng.normal(size=(rows, channels)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if upstream == "zero":
+        g[:] = 0.0
+    elif upstream == "negative zero":
+        g[:] = -0.0
+    elif upstream == "some zero rows":
+        g[rng.random(rows) < 0.5] = 0.0
+    return x, gamma, beta, g
+
+
+@given(norm_cases())
+@settings(max_examples=200, deadline=None)
+def test_instance_norm_is_the_composed_algebra_bitwise(case):
+    x, gamma, beta, g = case
+    got = []
+    for build in ("layer", "composed"):
+        inputs, scale, shift = Value(x), Value(gamma), Value(beta)
+        if build == "layer":
+            layer = InstanceNorm(x.shape[1])
+            layer.gamma, layer.beta = scale, shift
+            out = layer(inputs, None)
+        else:
+            out = composed_instance_norm(inputs, scale, shift)
+        (out * Value(g)).sum().backward()
+        got.append([a.tobytes() for a in (out.data, inputs.grad, scale.grad, shift.grad)])
+    assert got[0] == got[1]
+
+
+def test_instance_norm_is_one_node_holding_no_edge_sized_array(instance):
+    _, topology, features = instance
+    x = Value(features)
+    out = InstanceNorm(3)(x, MeshContext(topology))
+    assert out.parents[0] is x and all(not p.parents for p in out.parents)
+    held = [c.cell_contents for c in out.backward_rule.__closure__]
+    arrays = [v for v in held if isinstance(v, np.ndarray)]
+    assert arrays and all(a.shape == (1, 3) for a in arrays)
+
+
 class TestLayerContracts:
     def test_instance_norm_standardizes(self, instance):
         _, topology, features = instance
@@ -355,6 +420,49 @@ class TestCheckpoint:
         header = _header()
         prefix = struct.pack("<4sIQ", b"MFCK", 1, len(header))
         assert Checkpoint.from_bytes(prefix + header).model.layers == []
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"out": 10**9}, {"in": 2**40}],  # 74 GiB and 160 TiB of weights
+        ids=["out", "in"],
+    )
+    def test_oversized_layer_rejected_before_building(self, change):
+        data = Checkpoint(self._model(), None, {"task": "classification"}).to_bytes()
+        size = struct.unpack_from("<Q", data, 8)[0]
+        header = json.loads(data[16 : 16 + size])
+        header["layers"][0].update(change)
+        encoded = json.dumps(header).encode()
+        prefix = struct.pack("<4sIQ", b"MFCK", 1, len(encoded))
+        with pytest.raises(CheckpointError, match="shape mismatch for layer0.weights"):
+            Checkpoint.from_bytes(prefix + encoded + data[16 + size :])
+
+    def test_blob_size_beyond_int64_is_truncation(self):
+        header = _header(blob_order=["w"], blob_shapes={"w": [2**62, 4]})
+        prefix = struct.pack("<4sIQ", b"MFCK", 1, len(header))
+        with pytest.raises(CheckpointError, match="truncated"):
+            Checkpoint.from_bytes(prefix + header)
+
+    def test_parameter_shapes_are_the_built_shapes(self):
+        model = self._model()
+        shapes = {name: value.data.shape for name, value in model.parameters().items()}
+        assert ModelGraph.parameter_shapes(model.spec()) == shapes
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_checkpoint_loads_or_raises_typed(self, data):
+        stats = ChannelStats(np.array([0.5, -1.0]), np.array([2.0, 0.25]))
+        valid = Checkpoint(self._model(), stats, {"task": "classification"}).to_bytes()
+        end = 16 + struct.unpack_from("<Q", valid, 8)[0]
+        if data.draw(st.booleans()):
+            mutated = mutate_bytes(valid[:end], data.draw, max_edits=6) + valid[end:]
+        else:
+            mutated = mutate_bytes(valid, data.draw, max_edits=6)
+        try:
+            loaded = Checkpoint.from_bytes(mutated)
+        except MeshFormsError:
+            return
+        for name, value in loaded.model.parameters().items():
+            assert value.data.dtype == np.float64, name
 
     def test_init_seeded_and_bounded(self):
         m1 = self._model()

@@ -175,6 +175,50 @@ class TestTraining:
         assert report.metrics["identity_mse"] > 0.0
 
 
+@pytest.fixture
+def frozen_gradients(monkeypatch):
+    """Hand every backward rule a read-only view of its gradient; counts the calls."""
+    calls = []
+    init = Value.__init__
+
+    def frozen_init(self, data, parents=(), backward_rule=None, name=None):
+        if backward_rule is not None:
+            rule = backward_rule
+
+            def backward_rule(g):
+                g = g.view()
+                g.flags.writeable = False
+                calls.append(g.shape)
+                return rule(g)
+
+        init(self, data, parents, backward_rule, name)
+
+    monkeypatch.setattr(Value, "__init__", frozen_init)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "task, generator",
+    [
+        ("classification", "primitive-zoo"),
+        ("segmentation", "articulated-limbs"),
+        ("denoising", "primitive-zoo"),
+    ],
+)
+def test_no_rule_writes_to_its_gradient(task, generator, request):
+    """One optimizer step with frozen gradients gives the unfrozen bytes."""
+    samples = tiny_dataset(2, 3, generator=generator)
+    cfg = tiny_config(task=task, batch_size=8, noise_variance=0.05)
+    runs = []
+    for frozen in (False, True):
+        if frozen:
+            calls = request.getfixturevalue("frozen_gradients")
+        ckpt, report = train(cfg, samples)
+        runs.append((ckpt.to_bytes(), np.asarray(report.train_curve).tobytes(), report.metrics))
+    assert len(calls) > 40  # every rule of every step ran under a read-only gradient
+    assert runs[0] == runs[1]
+
+
 class TestEvaluation:
     def test_untrained_model_near_chance(self):
         # statistical oracle: balanced set, prediction independent of label
