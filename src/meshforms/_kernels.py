@@ -62,8 +62,11 @@ def conv_forward(features, neighbors, weights, bias):
     return out
 
 
-def conv_backward(grad_out, features, neighbors, weights):
+def conv_backward(grad_out, features, neighbors, weights, input_grad=True):
     """Reverse-mode gradients; |x| has subgradient 0 at x = 0.
+
+    Returns (grad_f, grad_w, grad_bias); grad_f is None, and none of its
+    terms are computed, unless ``input_grad``.
 
     For each slot pair (a, c), with d = f(a) - f(c), s = sign(d),
     p = grad_out w1^T and q = grad_out w2^T (w3 and w4 for (b, d)):
@@ -86,13 +89,14 @@ def conv_backward(grad_out, features, neighbors, weights):
 
     first, second = np.empty((E, C)), np.empty((E, C))
     diff, work = np.empty((E, C)), np.empty((E, C))
-    terms = np.empty((4 * E + 1, C))
-    terms[4 * E] = 0.0
+    terms = np.empty((4 * E + 1, C)) if input_grad else None
     for k in (0, 1):
         _gather_pair(features, idx, missing, k, first, second)
         np.subtract(first, second, out=diff)
         np.matmul(np.abs(diff, out=work).T, grad_out, out=grad_w[2 * k + 1])
         np.matmul(np.add(first, second, out=work).T, grad_out, out=grad_w[2 * k + 2])
+        if terms is None:
+            continue
         # Slot terms in add.at's call order: a, c, then b, d. q is written
         # where the second slot's term goes and replaced by q - s*p in place.
         signed = np.sign(diff, out=diff)
@@ -102,7 +106,10 @@ def conv_backward(grad_out, features, neighbors, weights):
         np.add(signed, summed, out=terms[2 * k * E : (2 * k + 1) * E])
         np.subtract(summed, signed, out=summed)
     del first, second, diff  # freed before the scatter allocates its two E x C arrays
+    if terms is None:
+        return None, grad_w, grad_bias
 
+    terms[4 * E] = 0.0
     grad_f = _scatter_sum(terms, idx[:, [0, 2, 1, 3]].T.ravel(), E)
     grad_f += np.matmul(grad_out, weights[0].T, out=work)
     return grad_f, grad_w, grad_bias

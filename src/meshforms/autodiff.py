@@ -3,10 +3,11 @@
 A Value wraps an ndarray plus its gradient accumulator and the rule for
 pushing an upstream gradient to its parents. ``backward`` walks the graph
 once in reverse topological order. Only leaves (values without a rule, such
-as parameters and inputs) keep their gradient afterwards: an intermediate
-node's gradient is dropped once its rule has pushed it on, and is never
-copied. A rule must not write to the gradient it is handed. Broadcasting in
-the arithmetic ops is undone by summing the gradient over the broadcast axes.
+as parameters) keep their gradient afterwards, and a constant leaf (such as
+a model input) gets none: an intermediate node's gradient is dropped once its
+rule has pushed it on, and is never copied. A rule must not write to the
+gradient it is handed. Broadcasting in the arithmetic ops is undone by
+summing the gradient over the broadcast axes.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ def _unbroadcast(grad, shape):
 class Value:
     """Array node of the computation graph."""
 
-    __slots__ = ("data", "grad", "parents", "backward_rule", "name")
+    __slots__ = ("data", "grad", "parents", "backward_rule", "name", "requires_grad")
 
     def __init__(self, data, parents=(), backward_rule=None, name=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -37,6 +38,18 @@ class Value:
         self.parents = tuple(parents)
         self.backward_rule = backward_rule
         self.name = name
+        self.requires_grad = True
+
+    @staticmethod
+    def constant(data):
+        """A leaf that takes no gradient, such as a model input.
+
+        A backward rule may return None for it and skip computing its
+        gradient; ``backward`` gives it none either way.
+        """
+        value = Value(data)
+        value.requires_grad = False
+        return value
 
     @property
     def shape(self):
@@ -44,7 +57,7 @@ class Value:
 
     @staticmethod
     def ensure(x):
-        return x if isinstance(x, Value) else Value(x)
+        return x if isinstance(x, Value) else Value.constant(x)
 
     def accumulate(self, grad):
         """Add ``grad`` to this node's gradient.
@@ -99,7 +112,7 @@ class Value:
             parent_grads = node.backward_rule(node.grad)
             node.grad = None
             for parent, pg in zip(node.parents, parent_grads):
-                if pg is not None:
+                if pg is not None and parent.requires_grad:
                     parent.accumulate(pg)
 
     # -- arithmetic ------------------------------------------------------------

@@ -95,6 +95,8 @@ def cmd_pool_trace(args):
             f"first target {targets[0]} is not below the edge count "
             f"{topology.edge_count}"
         )
+    if targets[-1] < 1:
+        raise GraphError(f"last target {targets[-1]} is not a positive edge count")
     feats = extract(topology, mesh, KIND_TOKENS[args.features])
     stats = fit_channel_stats([feats])
     values = normalize(feats, stats).values
@@ -115,6 +117,7 @@ def cmd_pool_trace(args):
                 collapse_step[id_map[old]] = step
             step += 1
         id_map = id_map[result.surviving_old_ids]
+        print(f"stage {stage} (target {target}): {result.stats.summary()}", file=sys.stderr)
         staged = result.state.export_mesh()
         save_obj(out_dir / f"stage_{stage}_{target}.obj", staged)
         (out_dir / f"stage_{stage}_{target}.history.json").write_text(

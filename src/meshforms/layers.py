@@ -82,8 +82,7 @@ class MeshConv(Layer):
         out_data = _kconv_forward(x.data, neighbors, w.data, b.data)
 
         def rule(g):
-            gf, gw, gb = _kconv_backward(g, x.data, neighbors, w.data)
-            return gf, gw, gb
+            return _kconv_backward(g, x.data, neighbors, w.data, x.requires_grad)
 
         return Value(out_data, (x, w, b), rule)
 
@@ -297,7 +296,7 @@ class ModelGraph:
                 f"{topology.edge_count}"
             )
         ctx = MeshContext(topology, self.pooling_policy)
-        x = Value(arr)
+        x = Value.constant(arr)
         for i, layer in enumerate(self.layers):
             try:
                 x = layer(x, ctx)

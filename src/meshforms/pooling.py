@@ -19,8 +19,12 @@ keeps valence at least 3. Together these keep every intermediate mesh a
 consistently oriented 2-manifold with no duplicate faces.
 
 A collapse updates only primary connectivity (edge endpoints, edge-face and
-face-edge incidence, per-vertex edge sets). Rings (the rule of
+face-edge incidence) and the vertex links it touches. Rings (the rule of
 :func:`topology.rings`) and face corners are derived from it when needed.
+A vertex's link, ``{neighbor vertex: edge id}``, is built the first time the
+vertex is looked at, so a pool call costs per collapse and per pop, not per
+vertex. A collapse never touches a vertex that has a boundary edge, so which
+vertices lie on the boundary is fixed when pooling starts.
 """
 
 from __future__ import annotations
@@ -29,7 +33,10 @@ import heapq
 import itertools
 import json
 import math
+import re
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,10 +47,18 @@ from .topology import SENTINEL, EdgeTopology, incident_edges, rings
 ENHANCED = "enhanced"
 BATCH_LEGACY = "legacy"
 
+# The divisor of the survivor averages and of their backward. A 0-d array
+# divides exactly as the float 3.0 does, and spares each row-sized ufunc call
+# the conversion of a Python float, which costs about as much as the division.
+_THREE = np.array(3.0)
 
-@dataclass(frozen=True)
-class CollapseRecord:
-    """One collapse: who died, who survived, and what was averaged into whom."""
+
+class CollapseRecord(NamedTuple):
+    """One collapse: who died, who survived, and what was averaged into whom.
+
+    A named tuple rather than a frozen dataclass: every collapse makes one,
+    and a frozen dataclass sets each field through ``object.__setattr__``.
+    """
 
     collapsed_edge: int
     surviving_edges: tuple  # (a, c)
@@ -162,21 +177,25 @@ def _live(alive):
     return list(itertools.compress(range(len(alive)), alive))
 
 
-def _int_array(rows, width):
-    """(len(rows), width) int64 array from a list of equal-length int lists."""
-    flat = itertools.chain.from_iterable(rows)
-    return np.fromiter(flat, dtype=np.int64, count=len(rows) * width).reshape(-1, width)
+def _int_rows(rows, ids, width):
+    """(len(ids), width) int64 array of the int lists ``rows[i]``, i in ``ids``."""
+    flat = itertools.chain.from_iterable(map(rows.__getitem__, ids))
+    return np.fromiter(flat, dtype=np.int64, count=len(ids) * width).reshape(-1, width)
 
 
 class PoolingState:
     """Mutable working copy of features + connectivity during pooling.
 
     Only primary connectivity is stored: ``edges``, ``edge_faces``,
-    ``face_edges``, ``vertex_edges`` (sets) and the ``edge_alive`` /
-    ``face_alive`` flags, held as plain Python lists, which a collapse reads
-    and writes far faster than numpy scalars. Neighbor rings and face corners
-    are derived from them (:meth:`ring`, :meth:`compact`, :meth:`export_mesh`).
-    ``features``, ``scores`` and ``positions`` stay numpy arrays.
+    ``face_edges`` and the ``edge_alive`` / ``face_alive`` flags, held as
+    plain Python lists, which a collapse reads and writes far faster than
+    numpy scalars. ``links[w]`` is vertex ``w``'s ``{neighbor vertex: edge
+    id}`` map over live edges, or None until :meth:`link` first builds it from
+    the topology's incident edges; a vertex merged away keeps an empty link.
+    ``boundary_vertices`` holds the vertices with a boundary edge; no
+    collapse changes it. Neighbor rings and face corners are derived
+    (:meth:`ring`, :meth:`compact`, :meth:`export_mesh`). ``features``,
+    ``scores`` and ``positions`` stay numpy arrays.
     """
 
     def __init__(self, topology: EdgeTopology, features, positions=None):
@@ -193,9 +212,12 @@ class PoolingState:
         self.positions = None if positions is None else np.array(positions, dtype=np.float64)
         self.edge_alive = [True] * topology.edge_count
         self.face_alive = [True] * len(self.face_edges)
-        self.vertex_edges = [set(v) for v in topology.vertex_edges]
         self.live_edge_count = topology.edge_count
         self.scores = np.linalg.norm(self.features, axis=1)
+        self._vertex_edges = topology.vertex_edges  # read only, to build links
+        self.links = [None] * len(topology.vertex_edges)
+        boundary = topology.edges[~topology.interior_mask]
+        self.boundary_vertices = frozenset(boundary.ravel().tolist())
 
     @classmethod
     def from_mesh(cls, mesh: Mesh, topology: EdgeTopology, features):
@@ -218,29 +240,55 @@ class PoolingState:
                 ring += (fe[k - 2], fe[k - 1])
         return tuple(ring)
 
-    def vertex_neighbors(self, v):
-        pairs = map(self.edges.__getitem__, self.vertex_edges[v])
-        return {y if x == v else x for x, y in pairs}
+    def link(self, w):
+        """``{neighbor vertex: edge id}`` of vertex ``w`` over live edges.
+
+        Built on first use from the topology's incident edges of ``w``. That
+        is right for any vertex no collapse has had as an endpoint: a
+        collapse only retires edges and moves the merged-away endpoint's
+        edges, and it builds both endpoints' links before it moves any.
+        """
+        link = self.links[w]
+        if link is None:
+            edges, alive = self.edges, self.edge_alive
+            link = {}
+            for e in self._vertex_edges[w]:
+                if alive[e]:
+                    x, y = edges[e]
+                    link[y if x == w else x] = e
+            self.links[w] = link
+        return link
+
+    def _neighbor_set(self, w):
+        """``w``'s neighbors as a set, built as per-vertex edge sets built it.
+
+        Which of two vertices a set iterates first can depend on which went
+        in first. Filling the set from ascending edge ids, as the edge sets
+        were, names the vertex the set-based check named when both shared
+        vertices of a tetrahedron fail.
+        """
+        pairs = map(self.edges.__getitem__, set(sorted(self.link(w).values())))
+        return {y if x == w else x for x, y in pairs}
 
     def collapse_illegality(self, edge):
         """Reason string if the collapse is illegal, else None."""
         if not self.edge_alive[edge]:
             return "edge already removed"
-        edge_faces = self.edge_faces
-        if edge_faces[edge][1] == SENTINEL:
+        if self.edge_faces[edge][1] == SENTINEL:
             return "boundary edge"
         u, v = self.edges[edge]
-        for w in (u, v):
-            for e in self.vertex_edges[w]:
-                if edge_faces[e][1] == SENTINEL:
-                    return "incident boundary edge"
-        common = self.vertex_neighbors(u) & self.vertex_neighbors(v)
+        if u in self.boundary_vertices or v in self.boundary_vertices:
+            return "incident boundary edge"
+        link_u, link_v = self.link(u), self.link(v)
+        common = link_u.keys() & link_v.keys()
         if len(common) != 2:
             return f"link condition violated ({len(common)} shared neighbors)"
         for w in common:
-            if len(self.vertex_edges[w]) < 4:
+            if len(self.link(w)) < 4:
+                if all(len(self.link(x)) < 4 for x in common):  # a tetrahedron
+                    w = next(iter(self._neighbor_set(u) & self._neighbor_set(v)))
                 return f"shared neighbor vertex {w} has valence < 4"
-        if len(self.vertex_edges[u]) + len(self.vertex_edges[v]) < 7:
+        if len(link_u) + len(link_v) < 7:
             return "merged vertex would have valence < 3"
         return None
 
@@ -250,10 +298,11 @@ class PoolingState:
         reason = self.collapse_illegality(edge)
         if reason is not None:
             raise IllegalCollapseError(f"cannot collapse edge {edge}: {reason}")
+        return self._collapse(int(edge))
 
-        edges, edge_faces, face_edges = self.edges, self.edge_faces, self.face_edges
-        vertex_edges = self.vertex_edges
-        e = int(edge)
+    def _collapse(self, e) -> CollapseRecord:
+        """Collapse edge ``e``, which :meth:`collapse_illegality` found legal."""
+        edges, edge_faces, face_edges, links = self.edges, self.edge_faces, self.face_edges, self.links
         u, v = edges[e]
         f1, f2 = edge_faces[e]
         a, b, c, d = self.ring(e)
@@ -262,13 +311,19 @@ class PoolingState:
         fb = sum(edge_faces[b]) - f1
         fd = sum(edge_faces[d]) - f2
 
-        # feature averaging and survivor rescoring; sqrt(x.dot(x)) is what
-        # np.linalg.norm computes for a 1-D float64 vector
+        # feature averaging in place, (a + b + e) / 3 and (c + d + e) / 3, and
+        # survivor rescoring; sqrt(x.dot(x)) is what np.linalg.norm computes
+        # for a 1-D float64 vector
         feats = self.features
-        new_a = (feats[a] + feats[b] + feats[e]) / 3.0
-        new_c = (feats[c] + feats[d] + feats[e]) / 3.0
-        feats[a] = new_a
-        feats[c] = new_c
+        row_e = feats[e]
+        new_a = feats[a]
+        np.add(new_a, feats[b], new_a)
+        np.add(new_a, row_e, new_a)
+        np.divide(new_a, _THREE, new_a)
+        new_c = feats[c]
+        np.add(new_c, feats[d], new_c)
+        np.add(new_c, row_e, new_c)
+        np.divide(new_c, _THREE, new_c)
         self.scores[a] = math.sqrt(new_a.dot(new_a))
         self.scores[c] = math.sqrt(new_c.dot(new_c))
 
@@ -284,22 +339,26 @@ class PoolingState:
         ef = edge_faces[c]
         ef[ef.index(f2)] = fd
 
-        # retire e, b, d
+        # retire e, b, d; collapse_illegality built both endpoints' links
+        link_u, link_v = links[u], links[v]
         for dead in (e, b, d):
             x, y = edges[dead]
-            vertex_edges[x].discard(dead)
-            vertex_edges[y].discard(dead)
+            if links[x] is not None:
+                del links[x][y]
+            if links[y] is not None:
+                del links[y][x]
             self.edge_alive[dead] = False
         self.live_edge_count -= 3
 
-        # merge v into u
-        into_u = vertex_edges[u]
-        for moved in vertex_edges[v]:
-            x, y = edges[moved]
-            other = y if x == v else x
+        # merge v into u; a neighbor's link not built yet reads the new ends later
+        for other, moved in link_v.items():
             edges[moved] = [u, other] if u < other else [other, u]
-            into_u.add(moved)
-        vertex_edges[v].clear()
+            link_u[other] = moved
+            link = links[other]
+            if link is not None:
+                del link[v]
+                link[u] = moved
+        link_v.clear()
         if self.positions is not None:
             self.positions[u] = (self.positions[u] + self.positions[v]) / 2.0
 
@@ -309,7 +368,7 @@ class PoolingState:
 
     def _vertex_map(self, live_edges):
         """Used-vertex mask and old -> new vertex ids, from the live edges."""
-        used = np.zeros(len(self.vertex_edges), dtype=bool)
+        used = np.zeros(len(self.links), dtype=bool)
         used[live_edges] = True
         return used, np.cumsum(used) - 1
 
@@ -323,33 +382,57 @@ class PoolingState:
         live_faces = _live(self.face_alive)
         edge_map = np.full(len(self.edge_alive), SENTINEL, dtype=np.int64)
         edge_map[live] = np.arange(len(live))
-        face_map = np.full(len(self.face_alive), SENTINEL, dtype=np.int64)
+        # one entry more, at index SENTINEL (-1), so a boundary slot maps to itself
+        face_map = np.full(len(self.face_alive) + 1, SENTINEL, dtype=np.int64)
         face_map[live_faces] = np.arange(len(live_faces))
-        edges = _int_array([self.edges[e] for e in live], 2)
+        edges = _int_rows(self.edges, live, 2)
         used, vertex_map = self._vertex_map(edges)
 
         edges = vertex_map[edges]
-        edge_faces = _int_array([self.edge_faces[e] for e in live], 2)
-        mask = edge_faces != SENTINEL
-        edge_faces[mask] = face_map[edge_faces[mask]]
-        face_edges = edge_map[_int_array([self.face_edges[f] for f in live_faces], 3)]
+        edge_faces = face_map[_int_rows(self.edge_faces, live, 2)]
+        face_edges = edge_map[_int_rows(self.face_edges, live_faces, 3)]
         vertex_edges = incident_edges(edges, int(used.sum()))
         neighbors = rings(edge_faces, face_edges)
         topology = EdgeTopology(edges, edge_faces, neighbors, face_edges, vertex_edges)
-        return self.features[live].copy(), topology
+        return self.features[live], topology
 
     def export_mesh(self) -> Mesh:
         """Live faces on live vertices, numbered as in :meth:`compact`."""
         if self.positions is None:
             raise MeshError("pooling state has no vertex positions to export")
-        edges = _int_array(self.edges, 2)
+        edges = _int_rows(self.edges, range(len(self.edges)), 2)
         used, vertex_map = self._vertex_map(edges[_live(self.edge_alive)])
         # corner k of a face is the vertex its edge slots k - 1 and k share
-        ends = edges[_int_array([self.face_edges[f] for f in _live(self.face_alive)], 3)]
+        ends = edges[_int_rows(self.face_edges, _live(self.face_alive), 3)]
         prev = ends[:, [2, 0, 1]]
         first = prev[..., :1]
         corners = np.where((first == ends).any(axis=-1), prev[..., 0], prev[..., 1])
         return Mesh(self.positions[used], vertex_map[corners])
+
+
+@dataclass
+class PoolStats:
+    """What one pool call did; not part of the journal.
+
+    ``illegal_pops`` counts the popped edges that could not collapse by
+    reason, a reason being its ``collapse_illegality`` text before the first
+    digit. ``queue_rebuilds`` counts the times the queue ran dry and was
+    filled again from the live edges.
+    """
+
+    collapses: int = 0
+    illegal_pops: dict = field(default_factory=dict)
+    queue_rebuilds: int = 0
+
+    def summary(self):
+        """One line: the three counts, then the illegal pops by reason."""
+        reasons = ", ".join(f"{r!r}: {n}" for r, n in sorted(self.illegal_pops.items()))
+        return (
+            f"collapses={self.collapses} "
+            f"illegal_pops={sum(self.illegal_pops.values())} "
+            f"queue_rebuilds={self.queue_rebuilds} "
+            f"by_reason={{{reasons}}}"
+        )
 
 
 @dataclass
@@ -358,13 +441,19 @@ class PoolResult:
     topology: EdgeTopology
     history: PoolHistory
     state: PoolingState
+    stats: PoolStats
 
     @property
     def surviving_old_ids(self):
         return self.history.surviving_ids()
 
 
-def _pool(state: PoolingState, target_edges: int, incremental: bool) -> PoolHistory:
+def _pool(state: PoolingState, target_edges: int, incremental: bool):
+    """Collapse until ``target_edges``; returns (PoolHistory, PoolStats).
+
+    Each pop asks :meth:`PoolingState.collapse_illegality` once and applies
+    a legal collapse unchecked.
+    """
     if target_edges >= state.live_edge_count:
         raise MeshError(
             f"pool target {target_edges} is not below the current edge count "
@@ -373,8 +462,12 @@ def _pool(state: PoolingState, target_edges: int, incremental: bool) -> PoolHist
     history = PoolHistory(
         initial_edge_count=state.live_edge_count, final_edge_count=state.live_edge_count
     )
+    illegal = Counter()  # full reason text; grouped by prefix once at the end
+    rebuilds = 0
     frozen = None if incremental else state.scores.copy()
     queue = ScoreQueue(state.scores if incremental else frozen)
+    # looked up once per call; a wrapper installed on the class before the call sees every pop
+    illegality, collapse, append = state.collapse_illegality, state._collapse, history.records.append
     progressed = True
     while state.live_edge_count > target_edges:
         edge = queue.pop_live(state.edge_alive)
@@ -386,19 +479,24 @@ def _pool(state: PoolingState, target_edges: int, incremental: bool) -> PoolHist
             queue = ScoreQueue(
                 np.where(state.edge_alive, scores, np.inf)
             )
+            rebuilds += 1
             progressed = False
             continue
-        try:
-            record = state.collapse(edge)
-        except IllegalCollapseError:
+        reason = illegality(edge)
+        if reason is not None:
+            illegal[reason] += 1
             continue
-        history.records.append(record)
+        record = collapse(edge)
+        append(record)
         progressed = True
         if incremental:
             for survivor in record.surviving_edges:
                 queue.push(survivor, state.scores[survivor])
     history.final_edge_count = state.live_edge_count
-    return history
+    by_reason = Counter()
+    for reason, count in illegal.items():
+        by_reason[re.split(r"\d", reason, maxsplit=1)[0]] += count
+    return history, PoolStats(len(history.records), dict(by_reason), rebuilds)
 
 
 def pool(
@@ -421,9 +519,9 @@ def pool(
         if mesh is not None
         else PoolingState(topology, features)
     )
-    history = _pool(state, target_edges, incremental=policy == ENHANCED)
+    history, stats = _pool(state, target_edges, incremental=policy == ENHANCED)
     out_features, out_topology = state.compact()
-    return PoolResult(out_features, out_topology, history, state)
+    return PoolResult(out_features, out_topology, history, state, stats)
 
 
 def pool_batch_legacy(features, topology: EdgeTopology, target_edges: int, *, mesh=None):
@@ -483,11 +581,11 @@ def pool_backward(grad_pooled, history: PoolHistory) -> np.ndarray:
     for rec in reversed(history.records):
         a, c = rec.surviving_edges
         e, b, d = rec.removed_edges
-        ga = out[a].copy()
-        gc = out[c].copy()
-        out[a] = ga / 3.0
-        out[b] = ga / 3.0
-        out[c] = gc / 3.0
-        out[d] = gc / 3.0
-        out[e] = (ga + gc) / 3.0
+        ga, gc, ge = out[a], out[c], out[e]  # row views
+        np.add(ga, gc, ge)
+        np.divide(ge, _THREE, ge)
+        np.divide(ga, _THREE, ga)
+        np.divide(gc, _THREE, gc)
+        out[b] = ga
+        out[d] = gc
     return out

@@ -260,6 +260,42 @@ class TestPoolTrace:
         assert code == 3
         assert "6" in err  # achieved count reported
 
+    def test_stage_summaries_on_stderr(self, tmp_path, capsys):
+        path, _ = self._sphere_path(tmp_path)
+        code, stdout, err = run(
+            [
+                "pool-trace", "--mesh", path, "--features", "ff",
+                "--targets", "160,130,100", "--out", tmp_path / "trace",
+            ],
+            capsys,
+        )
+        assert code == 0
+        lines = stdout.splitlines()
+        assert lines[0] == "stages = 3" and lines[1].startswith("collapses = ") and len(lines) == 2
+        summaries = err.splitlines()
+        assert [line.split(":")[0] for line in summaries] == [
+            "stage 0 (target 160)", "stage 1 (target 130)", "stage 2 (target 100)"
+        ]
+        collapses = [int(line.split("collapses=")[1].split()[0]) for line in summaries]
+        assert sum(collapses) == int(lines[1].split(" = ")[1])
+
+    @pytest.mark.parametrize("targets", ["-5", "150,0"])
+    def test_non_positive_target_refused_before_pooling(self, tmp_path, capsys, monkeypatch, targets):
+        path, _ = self._sphere_path(tmp_path)
+
+        def no_pooling(*args, **kwargs):
+            raise AssertionError("pooled before refusing the target")
+
+        monkeypatch.setattr("meshforms.cli.pool", no_pooling)
+        out = tmp_path / "t"
+        code, stdout, err = run(
+            ["pool-trace", "--mesh", path, "--features", "ff", "--targets", targets, "--out", out],
+            capsys,
+        )
+        assert code == 3
+        assert "not a positive edge count" in err
+        assert stdout == "" and not out.exists()
+
     def test_non_decreasing_targets_exit_1(self, tmp_path, capsys):
         path = tmp_path / "tetra.obj"
         path.write_bytes(TETRA_OBJ)

@@ -2,11 +2,13 @@
 uses, and no module-level private name goes unreferenced in the package."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "meshforms"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "meshforms"
 
 
 def unused_imports(source):
@@ -83,3 +85,22 @@ def test_every_private_name_is_referenced():
         if private not in referenced
     ]
     assert unused == []
+
+
+def test_every_benchmark_hook_exists(monkeypatch):
+    """Each (owner, attribute) perfbench's tracer replaces is defined on that owner.
+
+    ``Patches.set`` reads the attribute from the owner's own namespace, so a
+    rename in the library would break every traced run; installing the hooks
+    here fails first.
+    """
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    with tracing.Patches() as patches:
+        recorder = tracing.Recorder()
+        recorder.install(patches)
+        tracing.Tracer(recorder).install(patches)
+        hooked = [(owner, name) for owner, name, _ in patches._saved]
+    assert hooked
+    for owner, name in hooked:
+        assert name in vars(owner), f"{owner.__name__}.{name}"

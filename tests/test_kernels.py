@@ -136,6 +136,10 @@ def test_conv_kernels_match_the_unbuffered_algebra_bitwise(case):
     )
     expected = unbuffered_conv(features, neighbors, weights, bias, grad_out)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+    # without the input gradient: none returned, the parameter gradients unchanged
+    grad_f, *params = _kernels.conv_backward(grad_out, features, neighbors, weights, False)
+    assert grad_f is None
+    assert [a.tobytes() for a in params] == [a.tobytes() for a in expected[2:]]
 
 
 def test_ring_index_out_of_range_rejected():

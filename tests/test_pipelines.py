@@ -219,6 +219,33 @@ def test_no_rule_writes_to_its_gradient(task, generator, request):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize(
+    "task, generator",
+    [("classification", "primitive-zoo"), ("segmentation", "articulated-limbs")],
+)
+def test_model_input_takes_no_gradient(task, generator, monkeypatch):
+    """Training leaves every input leaf without a gradient, and gives the
+    checkpoint and loss curve of a run that computes the input's gradient."""
+    samples = tiny_dataset(2, 3, generator=generator)
+    cfg = tiny_config(task=task, batch_size=8)
+    constant = Value.constant
+    inputs = []
+
+    def recorded(data):
+        value = constant(data)
+        inputs.append(value)
+        return value
+
+    runs = []
+    for leaf in (Value, recorded):
+        with monkeypatch.context() as patch:
+            patch.setattr(Value, "constant", staticmethod(leaf))
+            ckpt, report = train(cfg, samples)
+        runs.append((ckpt.to_bytes(), np.asarray(report.train_curve).tobytes()))
+    assert runs[0] == runs[1]
+    assert len(inputs) > 8 and all(value.grad is None for value in inputs)
+
+
 class TestEvaluation:
     def test_untrained_model_near_chance(self):
         # statistical oracle: balanced set, prediction independent of label

@@ -1,6 +1,7 @@
 """Edge-collapse pooling: soundness fuzz, policy divergence, unpooling."""
 
 import hashlib
+import math
 import re
 from collections import Counter
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from meshforms import (
     DataError,
+    Mesh,
     GraphError,
     IllegalCollapseError,
     MeshFormsError,
@@ -23,10 +25,16 @@ from meshforms import (
     unpool,
     validate_manifold,
 )
-from meshforms.pooling import BATCH_LEGACY, ENHANCED, pool_backward, unpool_backward
+from meshforms.pooling import (
+    BATCH_LEGACY,
+    ENHANCED,
+    CollapseRecord,
+    pool_backward,
+    unpool_backward,
+)
 from meshforms.topology import SENTINEL
 
-from conftest import fuzz_corpus, mutate_bytes
+from conftest import fuzz_corpus, mutate_bytes, oriented_closed_mesh
 
 
 def consistency_check(state, euler_characteristic):
@@ -128,6 +136,104 @@ class TestCollapse:
                     queue.push(survivor, state.scores[survivor])
 
 
+class SetOracle(PoolingState):
+    """The pooling state before vertex links: per-vertex incident-edge sets.
+
+    ``collapse_illegality`` rebuilds both endpoints' neighbor sets on every
+    call, and ``_collapse`` averages survivors into fresh arrays; both are the
+    replaced code, kept as the reference the link-based state must match.
+    """
+
+    def __init__(self, topology, features):
+        super().__init__(topology, features)
+        self.vertex_edges = [set(v) for v in topology.vertex_edges]
+
+    def vertex_neighbors(self, v):
+        pairs = map(self.edges.__getitem__, self.vertex_edges[v])
+        return {y if x == v else x for x, y in pairs}
+
+    def collapse_illegality(self, edge):
+        if not self.edge_alive[edge]:
+            return "edge already removed"
+        edge_faces = self.edge_faces
+        if edge_faces[edge][1] == SENTINEL:
+            return "boundary edge"
+        u, v = self.edges[edge]
+        for w in (u, v):
+            for e in self.vertex_edges[w]:
+                if edge_faces[e][1] == SENTINEL:
+                    return "incident boundary edge"
+        common = self.vertex_neighbors(u) & self.vertex_neighbors(v)
+        if len(common) != 2:
+            return f"link condition violated ({len(common)} shared neighbors)"
+        for w in common:
+            if len(self.vertex_edges[w]) < 4:
+                return f"shared neighbor vertex {w} has valence < 4"
+        if len(self.vertex_edges[u]) + len(self.vertex_edges[v]) < 7:
+            return "merged vertex would have valence < 3"
+        return None
+
+    def _collapse(self, e):
+        edges, edge_faces, face_edges = self.edges, self.edge_faces, self.face_edges
+        vertex_edges = self.vertex_edges
+        u, v = edges[e]
+        f1, f2 = edge_faces[e]
+        a, b, c, d = self.ring(e)
+        fb = sum(edge_faces[b]) - f1
+        fd = sum(edge_faces[d]) - f2
+        feats = self.features
+        new_a = (feats[a] + feats[b] + feats[e]) / 3.0
+        new_c = (feats[c] + feats[d] + feats[e]) / 3.0
+        feats[a] = new_a
+        feats[c] = new_c
+        self.scores[a] = math.sqrt(new_a.dot(new_a))
+        self.scores[c] = math.sqrt(new_c.dot(new_c))
+        self.face_alive[f1] = False
+        self.face_alive[f2] = False
+        fe = face_edges[fb]
+        fe[fe.index(b)] = a
+        fe = face_edges[fd]
+        fe[fe.index(d)] = c
+        ef = edge_faces[a]
+        ef[ef.index(f1)] = fb
+        ef = edge_faces[c]
+        ef[ef.index(f2)] = fd
+        for dead in (e, b, d):
+            x, y = edges[dead]
+            vertex_edges[x].discard(dead)
+            vertex_edges[y].discard(dead)
+            self.edge_alive[dead] = False
+        self.live_edge_count -= 3
+        into_u = vertex_edges[u]
+        for moved in vertex_edges[v]:
+            x, y = edges[moved]
+            other = y if x == v else x
+            edges[moved] = [u, other] if u < other else [other, u]
+            into_u.add(moved)
+        vertex_edges[v].clear()
+        return CollapseRecord(e, (a, c), (e, b, d), ((a, b, e), (c, d, e)))
+
+
+def live_links(state):
+    """{vertex: {neighbor: edge}} over the live edges, derived from scratch."""
+    links = {}
+    for e, alive in enumerate(state.edge_alive):
+        if alive:
+            x, y = state.edges[e]
+            links.setdefault(x, {})[y] = e
+            links.setdefault(y, {})[x] = e
+    return links
+
+
+def with_holes(mesh, rng, holes):
+    """``mesh`` without ``holes`` random faces, unused vertices dropped."""
+    keep = np.delete(mesh.faces, rng.choice(mesh.face_count, holes, replace=False), axis=0)
+    used = np.unique(keep)
+    renumber = np.zeros(mesh.vertex_count, dtype=np.int64)
+    renumber[used] = np.arange(len(used))
+    return Mesh(mesh.vertices[used], renumber[keep])
+
+
 class TestScoreQueue:
     def test_min_first_with_index_tiebreak(self):
         q = ScoreQueue([2.0, 1.0, 1.0])
@@ -148,6 +254,79 @@ class TestScoreQueue:
         q = ScoreQueue([1.0, 2.0])
         alive = np.array([False, True])
         assert q.pop_live(alive) == 1
+
+
+@pytest.fixture(scope="module")
+def oracle_meshes():
+    """Closed fuzz meshes, the same with holes, and one with a tetrahedron beside it."""
+    rng = np.random.default_rng(5)
+    closed = fuzz_corpus(6, seed=71, edge_range=(120, 220))
+    holed = [with_holes(mesh, rng, int(rng.integers(1, 4))) for mesh in closed]
+    tetra = closed_tetrahedron()
+    sphere = closed[0]
+    n = sphere.vertex_count
+    # 66 and 2 are congruent mod 8: a set of both orders them by insertion
+    ids = np.concatenate([np.delete(np.arange(n + 4), [56, 66, 35, 2]), [56, 66, 35, 2]])
+    vertices = np.zeros((n + 4, 3))
+    vertices[ids[:n]] = sphere.vertices
+    vertices[ids[n:]] = tetra.vertices + 10.0
+    faces = np.vstack([ids[:n][sphere.faces], ids[n:][tetra.faces]])
+    return closed + holed + [tetra, Mesh(vertices, faces)]
+
+
+def closed_tetrahedron():
+    verts = np.array([(1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)])
+    return oriented_closed_mesh(verts, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
+def pool_backward_oracle(grad_pooled, history):
+    """The replaced ``pool_backward``: copies of both survivor rows per record."""
+    g = np.asarray(grad_pooled, dtype=np.float64)
+    out = np.zeros((history.initial_edge_count, g.shape[1]))
+    out[history.surviving_ids()] = g
+    for rec in reversed(history.records):
+        a, c = rec.surviving_edges
+        e, b, d = rec.removed_edges
+        ga = out[a].copy()
+        gc = out[c].copy()
+        out[a] = ga / 3.0
+        out[b] = ga / 3.0
+        out[c] = gc / 3.0
+        out[d] = gc / 3.0
+        out[e] = (ga + gc) / 3.0
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_vertex_links_match_the_set_oracle(oracle_meshes, data):
+    """Random pops: same reasons, records, rows and bytes as the set-based state."""
+    mesh = data.draw(st.sampled_from(oracle_meshes))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    topology = build_edge_topology(mesh)
+    E = topology.edge_count
+    features = rng.normal(size=(E, data.draw(st.integers(1, 6))))
+    state, oracle = PoolingState(topology, features), SetOracle(topology, features)
+    records = []
+    for edge in rng.integers(E, size=E).tolist():
+        reason = state.collapse_illegality(edge)
+        assert reason == oracle.collapse_illegality(edge)
+        if reason is not None:
+            continue
+        records.append(state.collapse(edge))
+        assert oracle._collapse(edge) == records[-1]
+        assert state.features.tobytes() == oracle.features.tobytes()
+        assert state.scores.tobytes() == oracle.scores.tobytes()
+        for name in ("edges", "edge_faces", "face_edges", "edge_alive", "face_alive"):
+            assert getattr(state, name) == getattr(oracle, name), name
+        derived = live_links(state)
+        for v, link in enumerate(state.links):
+            assert link is None or link == derived.get(v, {})
+    derived = live_links(state)
+    assert {v: state.link(v) for v in derived} == derived
+    history = PoolHistory(records, E, state.live_edge_count)
+    grad = rng.normal(size=(history.final_edge_count, features.shape[1]))
+    assert pool_backward(grad, history).tobytes() == pool_backward_oracle(grad, history).tobytes()
 
 
 def build_divergence_fixture():
@@ -495,10 +674,11 @@ GOLDEN_ILLEGAL_REASONS = {
 }
 
 
-@pytest.mark.parametrize("policy", sorted(GOLDEN_ILLEGAL_REASONS))
-def test_illegal_pop_reasons_are_stable(policy, small_corpus, monkeypatch):
-    reasons = Counter()
-    check = PoolingState.collapse_illegality
+def hooked_counts(monkeypatch):
+    """Illegal pops by reason and queue builds, counted by wrapping
+    ``collapse_illegality`` and ``ScoreQueue.__init__`` as perfbench does."""
+    reasons, queues = Counter(), Counter()
+    check, build = PoolingState.collapse_illegality, ScoreQueue.__init__
 
     def counting(state, edge):
         reason = check(state, edge)
@@ -506,9 +686,43 @@ def test_illegal_pop_reasons_are_stable(policy, small_corpus, monkeypatch):
             reasons[re.split(r"\d", reason, maxsplit=1)[0]] += 1
         return reason
 
+    def building(queue, scores):
+        queues["built"] += 1
+        build(queue, scores)
+
     monkeypatch.setattr(PoolingState, "collapse_illegality", counting)
+    monkeypatch.setattr(ScoreQueue, "__init__", building)
+    return reasons, queues
+
+
+@pytest.mark.parametrize("policy", sorted(GOLDEN_ILLEGAL_REASONS))
+def test_illegal_pop_reasons_are_stable(policy, small_corpus, monkeypatch):
+    reasons, _ = hooked_counts(monkeypatch)
     for i, mesh in enumerate(small_corpus):
         topology = build_edge_topology(mesh)
         features = np.random.default_rng(i).normal(size=(topology.edge_count, 4))
         pool(features, topology, int(0.6 * topology.edge_count), policy=policy)
     assert dict(reasons) == GOLDEN_ILLEGAL_REASONS[policy]
+
+
+def test_pool_stats_equal_the_hooked_counts(small_corpus, monkeypatch):
+    """Per call, as deep as each mesh pools; the deepest calls rebuild the queue."""
+    reasons, queues = hooked_counts(monkeypatch)
+    rebuilds = 0
+    for policy in (ENHANCED, BATCH_LEGACY):
+        for i, mesh in enumerate(small_corpus):
+            topology = build_edge_topology(mesh)
+            features = np.random.default_rng(i).normal(size=(topology.edge_count, 4))
+            for target in (int(0.6 * topology.edge_count), 6):
+                reasons.clear()
+                queues.clear()
+                try:
+                    result = pool(features, topology, target, policy=policy)
+                except PoolTargetError:
+                    continue
+                stats = result.stats
+                assert stats.collapses == len(result.history.records)
+                assert stats.illegal_pops == dict(reasons)
+                assert stats.queue_rebuilds == queues["built"] - 1
+                rebuilds += stats.queue_rebuilds
+    assert rebuilds > 0
