@@ -74,12 +74,20 @@ def conv_backward(grad_out, features, neighbors, weights, input_grad=True):
     terms s*p + q to edge a and q - s*p to edge c.
 
     grad_f is a gather, not a scatter, and is bit for bit what four
-    ``np.add.at`` calls (slots 0, 2, 1, 3) would give. The four slot terms are
-    stacked in that call order over one zero row, and ``_scatter_sum`` lists,
-    for each edge, the rows that target it in the order ``add.at`` would apply
-    them. Each edge's sum then sees the same addends in the same order,
-    starting from +0.0. Such a sum is never -0.0, so adding the zero row as
-    padding leaves every bit as it is.
+    ``np.add.at`` calls (slots 0, 2, 1, 3) would give. Each pair's two slot
+    terms are stacked in that call order over one zero row and gathered into
+    one running grad_f that starts at +0.0, pair (a, c) and then (b, d):
+    ``_scatter_sum`` lists, for each edge, the rows that target it in the
+    order ``add.at`` would apply them. Each edge's sum then sees the same
+    addends in the same order. A running sum from +0.0 is never -0.0, so
+    adding the zero row as padding, at the end of either pair, leaves every
+    bit as it is.
+
+    Buffers, in E x C units at C input channels: two gather buffers, the
+    pair's terms (two, plus the zero row) and grad_f, so at most five are
+    live. The first gather buffer holds f(a), then f(a) + f(c), then s*p;
+    the second f(c), then |d|, then p, then the rows the scatter gathers.
+    The terms rows hold d until s*p is formed.
     """
     E, C = features.shape
     idx, missing = _ring_index(neighbors, E)
@@ -88,53 +96,52 @@ def conv_backward(grad_out, features, neighbors, weights, input_grad=True):
     grad_bias = grad_out.sum(axis=0)
 
     first, second = np.empty((E, C)), np.empty((E, C))
-    diff, work = np.empty((E, C)), np.empty((E, C))
-    terms = np.empty((4 * E + 1, C)) if input_grad else None
+    terms = np.empty((2 * E + 1 if input_grad else E, C))
+    diff = terms[:E]
+    grad_f = np.zeros((E, C)) if input_grad else None
     for k in (0, 1):
         _gather_pair(features, idx, missing, k, first, second)
         np.subtract(first, second, out=diff)
-        np.matmul(np.abs(diff, out=work).T, grad_out, out=grad_w[2 * k + 1])
-        np.matmul(np.add(first, second, out=work).T, grad_out, out=grad_w[2 * k + 2])
-        if terms is None:
+        np.add(first, second, out=first)
+        np.matmul(np.abs(diff, out=second).T, grad_out, out=grad_w[2 * k + 1])
+        np.matmul(first.T, grad_out, out=grad_w[2 * k + 2])
+        if grad_f is None:
             continue
-        # Slot terms in add.at's call order: a, c, then b, d. q is written
-        # where the second slot's term goes and replaced by q - s*p in place.
-        signed = np.sign(diff, out=diff)
-        signed *= np.matmul(grad_out, weights[2 * k + 1].T, out=work)
-        summed = terms[(2 * k + 1) * E : (2 * k + 2) * E]
+        # The terms in add.at's call order: slot k's, then slot k + 2's. q is
+        # written where the second slot's term goes and becomes q - s*p there.
+        signed = np.sign(diff, out=first)
+        signed *= np.matmul(grad_out, weights[2 * k + 1].T, out=second)
+        summed = terms[E : 2 * E]
         np.matmul(grad_out, weights[2 * k + 2].T, out=summed)
-        np.add(signed, summed, out=terms[2 * k * E : (2 * k + 1) * E])
+        np.add(signed, summed, out=terms[:E])
         np.subtract(summed, signed, out=summed)
-    del first, second, diff  # freed before the scatter allocates its two E x C arrays
-    if terms is None:
+        terms[2 * E] = 0.0
+        _scatter_sum(terms, idx[:, [k, k + 2]].T.ravel(), grad_f, second)
+    if grad_f is None:
         return None, grad_w, grad_bias
-
-    terms[4 * E] = 0.0
-    grad_f = _scatter_sum(terms, idx[:, [0, 2, 1, 3]].T.ravel(), E)
-    grad_f += np.matmul(grad_out, weights[0].T, out=work)
+    grad_f += np.matmul(grad_out, weights[0].T, out=first)
     return grad_f, grad_w, grad_bias
 
 
-def _scatter_sum(terms, targets, rows):
-    """``np.add.at(zeros((rows + 1, C)), targets, terms[:-1])[:rows]``, gathered.
+def _scatter_sum(terms, targets, out, gathered):
+    """Add each ``terms[i]`` to ``out[targets[i]]`` as ``np.add.at`` would, by gathers.
 
-    ``terms`` ends in one zero row. The plan's row r lists the positions i with
-    ``targets[i] == r`` in ascending order, which is the order ``np.add.at``
-    applies them, padded with the zero row up to the largest count K. Targets
-    equal to ``rows`` are sentinels and are dropped. Every plan entry indexes
-    ``terms`` by construction, so the gathers skip the range check.
+    ``out`` and the work buffer ``gathered`` are (rows, C), and ``terms``
+    ends in one zero row. The plan's row r lists the positions i with ``targets[i] == r`` in
+    ascending order, which is the order ``np.add.at`` applies them, padded
+    with the zero row up to the largest count K. Targets equal to ``rows``
+    are sentinels and are dropped. Every plan entry indexes ``terms`` by
+    construction, so the gathers skip the range check.
     """
+    rows = len(out)
     order = np.argsort(targets, kind="stable")
     counts = np.bincount(targets, minlength=rows + 1)[:rows]
     kept = int(counts.sum())
     plan = np.full((int(counts.max(initial=0)), rows), len(targets), dtype=np.intp)
     rank = np.arange(kept) - np.repeat(np.cumsum(counts) - counts, counts)
     plan[rank, targets[order[:kept]]] = order[:kept]
-    out = np.zeros((rows, terms.shape[1]))
-    gathered = np.empty_like(out)
     for column in plan:
         out += np.take(terms, column, axis=0, out=gathered, mode="clip")
-    return out
 
 
 # ---------------------------------------------------------------------------

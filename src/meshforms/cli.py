@@ -18,7 +18,7 @@ import numpy as np
 from . import datasets as ds
 from . import pipelines
 from .checkpoint import Checkpoint
-from .config import KIND_TOKENS, config_hash, parse_config
+from .config import KIND_TOKENS, check_seed, config_hash, parse_config
 from .errors import ConfigError, DataError, GraphError, MeshError, MeshFormsError
 from .features import extract, feature_norms, fit_channel_stats, normalize, write_features
 from .mesh import normalize_unit_box, parse_obj, save_obj
@@ -52,6 +52,7 @@ def _load_topology(path):
 
 
 def cmd_gen_data(args):
+    check_seed(args.seed, "--seed")
     spec = ds.DatasetSpec(
         generator=args.spec,
         classes=args.classes,
@@ -175,6 +176,8 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    if args.rotate_seed is not None:
+        check_seed(args.rotate_seed, "--rotate-seed")
     checkpoint = Checkpoint.load(args.checkpoint)
     samples = ds.load_dataset(args.data)
     task = checkpoint.meta_value("task")
@@ -194,6 +197,8 @@ def cmd_eval(args):
 
 
 def cmd_denoise(args):
+    if args.seed is not None:
+        check_seed(args.seed, "--seed")
     checkpoint = Checkpoint.load(args.checkpoint)
     if checkpoint.meta_value("task") != "denoising":
         raise ConfigError("checkpoint was not trained for denoising")

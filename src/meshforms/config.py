@@ -17,17 +17,20 @@ Keys (defaults in parentheses):
     epochs               (100)
     batch_size           gradient-accumulation group size (8)
     optimizer            adam | sgd  (adam)
-    learning_rate        (2e-4), decayed x0.1 at 75% of epochs
-    momentum             SGD momentum (0.9)
+    learning_rate        positive (2e-4), decayed x0.1 at 75% of epochs
+    momentum             SGD momentum in [0, 1) (0.9)
     noise_variance       vertex noise for denoising pairs (0.1)
     augment_rotation     random training rotations (false)
     augment_jitter       training vertex jitter sigma (0.0)
-    seed                 (0)
+    seed                 non-negative (0)
+
+Widths are positive, and every float is finite.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -79,6 +82,8 @@ class ExperimentConfig:
         self.conv_channels = tuple(int(c) for c in self.conv_channels)
         self.pool_targets = tuple(int(t) for t in self.pool_targets)
         self.channel_mask = tuple(int(m) for m in self.channel_mask)
+        if any(c < 1 for c in self.conv_channels):
+            raise ConfigError(f"conv_channels must be positive, got {self.conv_channels}")
         if len(self.conv_channels) != len(self.pool_targets):
             raise ConfigError("conv_channels and pool_targets lengths must match")
         if not self.conv_channels:
@@ -100,8 +105,16 @@ class ExperimentConfig:
             raise ConfigError("epochs and batch_size must be positive")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError("optimizer must be adam or sgd")
-        if self.noise_variance < 0:
-            raise ConfigError("noise_variance must be non-negative")
+        for key, in_range, rule in (
+            ("learning_rate", self.learning_rate > 0.0, "positive"),
+            ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
+            ("noise_variance", self.noise_variance >= 0.0, "non-negative"),
+            ("augment_jitter", self.augment_jitter >= 0.0, "non-negative"),
+        ):
+            value = getattr(self, key)
+            if not (in_range and math.isfinite(value)):
+                raise ConfigError(f"{key} must be finite and {rule}, got {value!r}")
+        check_seed(self.seed, "seed")
 
     @property
     def feature_kind(self):
@@ -115,6 +128,12 @@ class ExperimentConfig:
         if self.channel_mask:
             return int(sum(self.channel_mask))
         return KIND_CHANNELS[self.feature_kind]
+
+
+def check_seed(seed, name):
+    """ConfigError unless ``seed`` is non-negative, as numpy's seeding requires."""
+    if seed < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {seed}")
 
 
 # key -> type of its default: bool, int, float, str, or tuple (of ints)

@@ -5,6 +5,13 @@ Pool layers shrink the topology and push their collapse history onto a stack;
 Unpool layers pop it and restore the pre-pool topology, so encoder-decoder
 configurations end on the original edge set. Classification heads use
 GlobalAveragePool + Dense.
+
+No layer's backward rule reads the layer's own output: each reads its input,
+its parameters and what it kept from the forward (a mask, a mean and scale,
+a pool journal). In a ModelGraph each output has one consumer, the next
+layer, so that layer may overwrite the output's buffer once it has read what
+its own rule needs. ReLU does so after InstanceNorm: the pair holds one
+array per pass instead of two.
 """
 
 from __future__ import annotations
@@ -90,6 +97,12 @@ class MeshConv(Layer):
         return {"type": "mesh_conv", "in": self.in_channels, "out": self.out_ch}
 
 
+class _NormOutput(Value):
+    """An InstanceNorm output: a new array that no backward rule reads."""
+
+    __slots__ = ()
+
+
 class InstanceNorm(Layer):
     """Per-mesh, per-channel standardization with a learned affine.
 
@@ -114,7 +127,7 @@ class InstanceNorm(Layer):
             )
         gamma = self.gamma
         out_data, mu, sd = _knorm_forward(x.data, gamma.data, self.beta.data)
-        return Value(
+        return _NormOutput(
             out_data,
             (x, gamma, self.beta),
             lambda g: _knorm_backward(g, x.data, mu, sd, gamma.data),
@@ -125,8 +138,21 @@ class InstanceNorm(Layer):
 
 
 class ReLU(Layer):
+    """max(x, 0), with the subgradient 0 at 0.
+
+    On an InstanceNorm output the negatives are zeroed in that output's own
+    buffer, which the returned Value then shares (see the module docstring);
+    ``buf[~mask] = 0.0`` gives the bits of ``np.where(mask, x, 0.0)``, NaN and
+    -0.0 included. Any other input, such as a leaf, a constant or the
+    caller's array, goes through ``Value.relu`` and is left as it was.
+    """
+
     def __call__(self, x, ctx):
-        return x.relu()
+        if type(x) is not _NormOutput:
+            return x.relu()
+        mask = x.data > 0.0
+        x.data[~mask] = 0.0
+        return Value(x.data, (x,), lambda g: (g * mask,))
 
     def spec(self):
         return {"type": "relu"}

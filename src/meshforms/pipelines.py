@@ -319,6 +319,13 @@ def _model_inputs(checkpoint, config, mesh, topology):
     return (_inputs(config, mesh, topology) - stats.mean) / stats.std
 
 
+def _predict(model, inputs, topology):
+    """The model's output array for one mesh. Only the array outlives the call,
+    so an evaluation loop holds one mesh's graph at a time."""
+    out, _ = model.forward(inputs, topology)
+    return out.data
+
+
 def _test_samples(checkpoint: Checkpoint, task, samples):
     """The test split (or unsplit samples) for a checkpoint trained on ``task``."""
     trained = checkpoint.meta_value("task")
@@ -345,8 +352,8 @@ def evaluate_classification(checkpoint: Checkpoint, samples, rotation_seed=None)
             mesh = augment(mesh, random_rotation=True, seed=rotation_seed + i)
         topology = build_edge_topology(mesh)
         inputs = _model_inputs(checkpoint, config, mesh, topology)
-        out, _ = checkpoint.model.forward(inputs, topology)
-        if int(np.argmax(out.data)) == int(s.class_label):
+        logits = _predict(checkpoint.model, inputs, topology)
+        if int(np.argmax(logits)) == int(s.class_label):
             hits += 1
     return hits / len(test)
 
@@ -368,8 +375,7 @@ def evaluate_segmentation(checkpoint: Checkpoint, samples):
         topology = build_edge_topology(mesh)
         labels = _edge_targets(s, topology)
         inputs = _model_inputs(checkpoint, config, mesh, topology)
-        out, _ = checkpoint.model.forward(inputs, topology)
-        predicted = np.argmax(out.data, axis=1)
+        predicted = np.argmax(_predict(checkpoint.model, inputs, topology), axis=1)
         lengths = np.linalg.norm(
             mesh.vertices[topology.edges[:, 0]] - mesh.vertices[topology.edges[:, 1]],
             axis=1,
@@ -423,9 +429,9 @@ def evaluate_denoising(checkpoint: Checkpoint, pairs, output_features) -> float:
         _check_shared_topology(clean, noisy)
         topology = build_edge_topology(clean)
         inputs = _model_inputs(checkpoint, config, noisy, topology)
-        out, _ = checkpoint.model.forward(inputs, topology)
+        predicted = _predict(checkpoint.model, inputs, topology)
         target = extract(topology, clean, kind).values
-        errors.append(float(np.mean((out.data - target) ** 2)))
+        errors.append(float(np.mean((predicted - target) ** 2)))
     return float(np.mean(errors))
 
 

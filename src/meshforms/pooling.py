@@ -111,8 +111,8 @@ class PoolHistory:
     def surviving_ids(self):
         """Old edge ids still alive at the end, ascending (= compact order)."""
         alive = np.ones(self.initial_edge_count, dtype=bool)
-        for rec in self.records:
-            alive[list(rec.removed_edges)] = False
+        removed = itertools.chain.from_iterable(rec.removed_edges for rec in self.records)
+        alive[np.fromiter(removed, dtype=np.intp)] = False
         return np.flatnonzero(alive)
 
     def to_json(self) -> str:

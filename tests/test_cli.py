@@ -230,22 +230,36 @@ class TestPoolTrace:
         assert max(steps) >= 0 and min(steps) == -1
 
     def test_policies_produce_different_sidecars(self, tmp_path, capsys):
-        # a feature landscape with one weak ring diverges by construction
-        from test_pooling import build_divergence_fixture
-        from meshforms.mesh import save_obj
-        from meshforms import write_features
-        from meshforms.features import FeatureTensor
+        # a generated zoo mesh whose ff journals diverge between the policies
+        from meshforms import DatasetSpec, build_edge_topology, generate, pool
+        from meshforms.features import FF, extract, fit_channel_stats, normalize
+        from meshforms.mesh import normalize_unit_box
 
-        mesh, topology, features, e, a, f = build_divergence_fixture()
-        path = tmp_path / "fixture.obj"
+        mesh = generate(DatasetSpec("primitive-zoo", 1, 1, edge_range=(250, 400), seed=0))[0].mesh
+        path = tmp_path / "zoo.obj"
         path.write_bytes(write_obj(mesh))
-        # drive both policies through the pooling module on identical features
-        from meshforms import pool
-
-        target = topology.edge_count - 6
-        enh = pool(features, topology, target, mesh=mesh)
-        leg = pool(features, topology, target, mesh=mesh, policy="legacy")
-        assert enh.history.to_json() != leg.history.to_json()
+        sidecars = {}
+        for policy in ("enhanced", "legacy"):
+            out = tmp_path / policy
+            code, _, _ = run(
+                [
+                    "pool-trace", "--mesh", path, "--features", "ff",
+                    "--targets", "160", "--policy", policy, "--out", out,
+                ],
+                capsys,
+            )
+            assert code == 0
+            sidecars[policy] = (out / "stage_0_160.history.json").read_text()
+        assert sidecars["enhanced"] != sidecars["legacy"]
+        # each sidecar is the journal of pool() on the features the command pools
+        parsed = parse_obj(path.read_bytes())
+        topology = build_edge_topology(parsed)
+        unit = normalize_unit_box(parsed)
+        feats = extract(topology, unit, FF)
+        values = normalize(feats, fit_channel_stats([feats])).values
+        for policy, text in sidecars.items():
+            expected = pool(values, topology, 160, mesh=unit, policy=policy).history
+            assert text == expected.to_json() + "\n"
 
     def test_unreachable_target_exit_3(self, tmp_path, capsys):
         path = tmp_path / "tetra.obj"
@@ -326,6 +340,69 @@ def cli_dataset(tmp_path_factory):
     )
     assert code == 0
     return root
+
+
+def untrained_checkpoint(path, task):
+    """An untrained one-stage ff model for ``task``, saved at ``path``."""
+    from meshforms import ChannelStats
+
+    config = ExperimentConfig(task=task, conv_channels=(4,), pool_targets=(100,))
+    model = pipelines.build_model(config, config.input_channels(), 2)
+    meta = {
+        "task": task, "features": "ff", "channel_mask": [], "output_features": "ff",
+        "noise_variance": 0.1, "config_hash": "x", "seed": 0,
+    }
+    Checkpoint(model, ChannelStats(np.zeros(2), np.ones(2)), meta).save(path)
+    return path
+
+
+class TestNegativeSeeds:
+    """A negative seed is a ConfigError (exit 2) before any work, not numpy's
+    ValueError from deep inside generation, rotation or noise."""
+
+    def test_gen_data(self, tmp_path, capsys):
+        code, _, err = run(
+            [
+                "gen-data", "--spec", "primitive-zoo", "--classes", "2",
+                "--per-class", "2", "--train-per-class", "1", "--test-per-class", "1",
+                "--seed", "-1", "--out", tmp_path / "d",
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "--seed must be a non-negative integer" in err
+        assert not (tmp_path / "d").exists()
+
+    def test_eval_rotate_seed(self, cli_dataset, tmp_path, capsys):
+        ckpt = untrained_checkpoint(tmp_path / "m.ckpt", "classification")
+        code, stdout, err = run(
+            ["eval", "--checkpoint", ckpt, "--data", cli_dataset, "--rotate-seed", "-1"],
+            capsys,
+        )
+        assert code == 2
+        assert "--rotate-seed must be a non-negative integer" in err
+        assert stdout == ""
+
+    def test_denoise_seed(self, cli_dataset, tmp_path, capsys):
+        ckpt = untrained_checkpoint(tmp_path / "m.ckpt", "denoising")
+        code, _, err = run(
+            ["denoise", "--checkpoint", ckpt, "--data", cli_dataset, "--seed", "-1"], capsys
+        )
+        assert code == 2
+        assert "--seed must be a non-negative integer" in err
+
+    @pytest.mark.parametrize("setting", ["seed=-1", "conv_channels=-4,32", "conv_channels=0,32"])
+    def test_train_setting(self, cli_dataset, tmp_path, setting, capsys):
+        code, _, err = run(
+            [
+                "train", "--data", cli_dataset, "--out", tmp_path / "m.ckpt",
+                "--set", "epochs=1", "--set", "pool_targets=100,70", "--set", setting,
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert f"error: {setting.split('=')[0]} must be" in err
+        assert not (tmp_path / "m.ckpt").exists()
 
 
 class TestTrainEval:

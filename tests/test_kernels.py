@@ -1,12 +1,16 @@
 """Kernel edge cases: sentinel neighbor slots, degenerate faces, the scatter plan,
 the buffered convolution against its plain algebra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshforms import _kernels
+from meshforms import DatasetSpec, Mesh, _kernels, build_edge_topology, generate
+
+from conftest import fuzz_corpus
 
 
 class TestNumpyPathAlone:
@@ -52,7 +56,8 @@ def test_scatter_sum_replays_add_at_bitwise(case):
     for slot, term in zip((0, 2, 1, 3), slot_terms):
         np.add.at(expected, idx[:, slot], term)
     terms = np.vstack([slot_terms.reshape(4 * rows, channels), np.zeros((1, channels))])
-    got = _kernels._scatter_sum(terms, idx[:, [0, 2, 1, 3]].T.ravel(), rows)
+    got = np.zeros((rows, channels))
+    _kernels._scatter_sum(terms, idx[:, [0, 2, 1, 3]].T.ravel(), got, np.empty_like(got))
     assert got.tobytes() == expected[:rows].tobytes()
 
 
@@ -140,6 +145,54 @@ def test_conv_kernels_match_the_unbuffered_algebra_bitwise(case):
     grad_f, *params = _kernels.conv_backward(grad_out, features, neighbors, weights, False)
     assert grad_f is None
     assert [a.tobytes() for a in params] == [a.tobytes() for a in expected[2:]]
+
+
+def open_meshes():
+    """Closed corpus meshes with a few faces cut away: rings with sentinel slots."""
+    cut = [0, 1, 7, 20]
+    return [Mesh(m.vertices, np.delete(m.faces, cut, axis=0)) for m in fuzz_corpus(4, seed=3)]
+
+
+@pytest.mark.parametrize("mesh", open_meshes())
+def test_conv_on_open_meshes_matches_the_add_at_algebra(mesh):
+    neighbors = build_edge_topology(mesh).neighbors
+    assert (neighbors < 0).any()
+    rng = np.random.default_rng(len(neighbors))
+    rows = len(neighbors)
+    for c_in, c_out in ((3, 4), (16, 8)):
+        weights = rng.normal(size=(5, c_in, c_out))
+        bias, grad_out = rng.normal(size=c_out), rng.normal(size=(rows, c_out))
+        for features in (
+            rng.normal(size=(rows, c_in)),
+            rng.integers(-1, 2, size=(rows, c_in)).astype(np.float64),
+        ):
+            got = (
+                _kernels.conv_forward(features, neighbors, weights, bias),
+                *_kernels.conv_backward(grad_out, features, neighbors, weights),
+            )
+            expected = unbuffered_conv(features, neighbors, weights, bias, grad_out)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+
+def test_conv_backward_transient_peak_is_about_five_arrays():
+    """At 2000+ edges and 128 -> 64 channels, conv_backward allocates at most
+    5.5 arrays of E x C_in floats, outputs included (the gathers, the pair's
+    terms and grad_f; the four-slot stack took about 8)."""
+    mesh = generate(DatasetSpec("articulated-limbs", 1, 1, edge_range=(2000, 2200), seed=5))[0].mesh
+    neighbors = build_edge_topology(mesh).neighbors
+    rows, c_in, c_out = len(neighbors), 128, 64
+    rng = np.random.default_rng(0)
+    features, grad_out = rng.normal(size=(rows, c_in)), rng.normal(size=(rows, c_out))
+    weights = rng.normal(size=(5, c_in, c_out))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        grads = _kernels.conv_backward(grad_out, features, neighbors, weights)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert grads[0].shape == (rows, c_in)
+    assert peak <= 5.5 * rows * c_in * 8
 
 
 def test_ring_index_out_of_range_rejected():

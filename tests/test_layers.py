@@ -121,6 +121,48 @@ class TestForwardExamples:
             ModelGraph([Unpool()])
 
 
+class TestReLUBuffers:
+    """ReLU zeroes an InstanceNorm output in its own buffer and allocates for
+    anything else."""
+
+    def test_after_norm_shares_the_norm_buffer_with_where_bits(self, instance):
+        from meshforms._kernels import instance_norm_forward
+
+        _, topology, features = instance
+        features = features.copy()
+        features[:, 2] = 5.0  # a constant column normalizes to exact zeros
+        features[3, 1] = np.nan  # one NaN makes its whole column NaN
+        norm = InstanceNorm(3)
+        norm.gamma.data = np.array([1.0, 1.0, -1.0])
+        norm.beta.data = np.array([0.0, 0.0, -0.0])  # so those zeros are -0.0
+        before = features.copy()
+        with np.errstate(invalid="ignore"):
+            normed = instance_norm_forward(features, norm.gamma.data, norm.beta.data)[0]
+        assert np.isnan(normed[:, 1]).all() and np.signbit(normed[:, 2]).all()
+        expected = np.where(normed > 0.0, normed, 0.0)
+        with np.errstate(invalid="ignore"):
+            out, _ = ModelGraph([norm, ReLU()]).forward(features, topology)
+        assert out.data.tobytes() == expected.tobytes()
+        assert out.parents[0].data is out.data
+        assert before.tobytes() == features.tobytes()
+
+    def test_other_inputs_are_left_unchanged(self, instance):
+        _, topology, features = instance
+        ctx = MeshContext(topology)
+        before = features.copy()
+        out, _ = ModelGraph([ReLU()]).forward(features, topology)  # the caller's array
+        assert features.tobytes() == before.tobytes()
+        assert not np.shares_memory(out.data, features)
+        leaf = Value(features)
+        assert not np.shares_memory(ReLU()(leaf, ctx).data, features)
+        assert leaf.data.tobytes() == before.tobytes()
+        summed = leaf + 0.0
+        kept = summed.data.copy()
+        assert not np.shares_memory(summed.relu().data, summed.data)
+        assert not np.shares_memory(ReLU()(summed, ctx).data, summed.data)
+        assert summed.data.tobytes() == kept.tobytes()
+
+
 class TestGradientOracle:
     def test_mesh_conv(self, instance):
         _, topology, features = instance

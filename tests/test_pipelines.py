@@ -2,6 +2,7 @@
 
 import gc
 import types
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -28,6 +29,7 @@ from meshforms import (
     train,
 )
 from meshforms.autodiff import Value
+from meshforms.layers import ModelGraph
 from meshforms.pipelines import DENOISING_REFERENCE_MSE, build_model
 
 
@@ -79,6 +81,28 @@ class TestConfig:
             ExperimentConfig(features="ff", channel_mask=(1, 0, 1))
         with pytest.raises(ConfigError):
             ExperimentConfig(features="ff", channel_mask=(0, 0))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("conv_channels", (-4, 32)),
+            ("conv_channels", (0, 32)),
+            ("seed", -1),
+            ("learning_rate", float("nan")),
+            ("learning_rate", 0.0),
+            ("momentum", float("nan")),
+            ("momentum", 1.0),
+            ("augment_jitter", -1.0),
+            ("augment_jitter", float("nan")),
+            ("noise_variance", float("inf")),
+        ],
+    )
+    def test_out_of_range_values_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            tiny_config(**{key: value})
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        with pytest.raises(ConfigError, match=key):
+            parse_config("", {key: text, "pool_targets": "100,70"})
 
     def test_hash_ignores_formatting(self):
         a = parse_config("epochs = 5\ntask = classification\n")
@@ -296,6 +320,57 @@ class TestEvaluation:
             evaluate_segmentation(ckpt, samples)
         with pytest.raises(ConfigError):
             evaluate_denoising(ckpt, [], "ff")
+
+
+def graph_values(out):
+    """Every Value of the graph that ends in ``out``."""
+    seen, stack = {}, [out]
+    while stack:
+        value = stack.pop()
+        if id(value) not in seen:
+            seen[id(value)] = value
+            stack.extend(value.parents)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize(
+    "task, generator",
+    [
+        ("classification", "primitive-zoo"),
+        ("segmentation", "articulated-limbs"),
+        ("denoising", "primitive-zoo"),
+    ],
+)
+def test_evaluation_frees_each_graph_before_the_next_forward(task, generator, monkeypatch):
+    """When an evaluator starts a mesh's forward, no activation of the previous
+    mesh's graph is alive, without the cycle collector's help."""
+    samples = tiny_dataset(2, 3, generator=generator)
+    ckpt, _ = train(tiny_config(task=task, noise_variance=0.05), samples)
+    forward = ModelGraph.forward
+    previous = []  # weak references to the last forward's hidden activations
+    alive_at_entry = []
+
+    def watched(model, features, topology):
+        alive_at_entry.append(sum(ref() is not None for ref in previous))
+        previous.clear()
+        out, ctx = forward(model, features, topology)
+        hidden = [v for v in graph_values(out) if v.parents and v is not out]
+        previous.extend(weakref.ref(v.data) for v in hidden)
+        return out, ctx
+
+    monkeypatch.setattr(ModelGraph, "forward", watched)
+    gc.disable()
+    try:
+        if task == "classification":
+            evaluate_classification(ckpt, samples)
+        elif task == "segmentation":
+            evaluate_segmentation(ckpt, samples)
+        else:
+            evaluate_denoising(ckpt, make_denoising_pairs(samples, 0.05, seed=1), "ff")
+    finally:
+        gc.enable()
+    assert len(alive_at_entry) >= 2 and len(previous) > 5
+    assert alive_at_entry == [0] * len(alive_at_entry)
 
 
 def reachable_values(root):

@@ -571,6 +571,17 @@ class TestUnpool:
             rhs = float(np.sum(unpool_backward(g, history) * x))
             assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
 
+    @pytest.mark.parametrize("policy", [ENHANCED, BATCH_LEGACY])
+    def test_surviving_ids_equal_the_per_record_loop(self, small_corpus, policy):
+        for _, history in self._histories(small_corpus, policy, 0.6):
+            alive = np.ones(history.initial_edge_count, dtype=bool)
+            for rec in history.records:
+                alive[list(rec.removed_edges)] = False
+            got = history.surviving_ids()
+            assert got.dtype == np.flatnonzero(alive).dtype
+            assert np.array_equal(got, np.flatnonzero(alive))
+            assert len(got) == history.final_edge_count
+
 
 class TestHistorySerialization:
     def test_json_round_trip(self, icosahedron):
