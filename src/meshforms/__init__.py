@@ -87,6 +87,7 @@ from .datasets import (
     split,
 )
 from .pipelines import (
+    DENOISING_REFERENCE_MSE,
     MetricsReport,
     evaluate_classification,
     evaluate_denoising,

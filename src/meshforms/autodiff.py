@@ -30,14 +30,13 @@ def _unbroadcast(grad, shape):
 class Value:
     """Array node of the computation graph."""
 
-    __slots__ = ("data", "grad", "parents", "backward_rule", "name", "requires_grad")
+    __slots__ = ("data", "grad", "parents", "backward_rule", "requires_grad")
 
-    def __init__(self, data, parents=(), backward_rule=None, name=None):
+    def __init__(self, data, parents=(), backward_rule=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.parents = tuple(parents)
         self.backward_rule = backward_rule
-        self.name = name
         self.requires_grad = True
 
     @staticmethod

@@ -117,7 +117,7 @@ def cmd_pool_trace(args):
             for old in rec.removed_edges:
                 collapse_step[id_map[old]] = step
             step += 1
-        id_map = id_map[result.surviving_old_ids]
+        id_map = id_map[result.history.surviving_ids()]
         print(f"stage {stage} (target {target}): {result.stats.summary()}", file=sys.stderr)
         staged = result.state.export_mesh()
         save_obj(out_dir / f"stage_{stage}_{target}.obj", staged)

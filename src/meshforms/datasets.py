@@ -90,60 +90,51 @@ def _random_rotation(rng):
 # closed primitive constructions
 
 
-def _revolve(radii, heights, segments):
-    """Closed surface of revolution: rings of ``segments`` vertices + 2 poles."""
-    rings = len(radii)
-    theta = 2.0 * np.pi * np.arange(segments) / segments
-    verts = [np.array([0.0, 0.0, heights[0]])]
-    for r, z in zip(radii[1:-1], heights[1:-1]):
-        ring = np.column_stack(
-            [r * np.cos(theta), r * np.sin(theta), np.full(segments, z)]
-        )
-        verts.extend(ring)
-    verts.append(np.array([0.0, 0.0, heights[-1]]))
-    vertices = np.array(verts)
+def _tube_faces(rings, segments):
+    """Faces of a capped tube whose vertex 0 and last vertex are the poles.
+
+    Between them lie ``rings`` rings of ``segments`` vertices: a bottom fan,
+    two triangles per quad between consecutive rings, and a top fan.
+    """
 
     def ring_vertex(i, j):
         return 1 + i * segments + (j % segments)
 
-    faces = []
-    bottom = 0
-    top = len(vertices) - 1
-    inner_rings = rings - 2
-    for j in range(segments):
-        faces.append((bottom, ring_vertex(0, j + 1), ring_vertex(0, j)))
-    for i in range(inner_rings - 1):
+    top = 1 + rings * segments
+    faces = [(0, ring_vertex(0, j + 1), ring_vertex(0, j)) for j in range(segments)]
+    for i in range(rings - 1):
         for j in range(segments):
-            a = ring_vertex(i, j)
-            b = ring_vertex(i, j + 1)
-            c = ring_vertex(i + 1, j + 1)
-            d = ring_vertex(i + 1, j)
-            faces.append((a, b, c))
-            faces.append((a, c, d))
-    for j in range(segments):
-        faces.append((top, ring_vertex(inner_rings - 1, j), ring_vertex(inner_rings - 1, j + 1)))
-    return Mesh(vertices, np.array(faces))
+            a, b = ring_vertex(i, j), ring_vertex(i, j + 1)
+            c, d = ring_vertex(i + 1, j + 1), ring_vertex(i + 1, j)
+            faces += [(a, b, c), (a, c, d)]
+    faces += [(top, ring_vertex(rings - 1, j), ring_vertex(rings - 1, j + 1)) for j in range(segments)]
+    return np.array(faces)
+
+
+def _revolve(radii, heights, bottom, top, segments):
+    """Closed surface of revolution: a ring of ``segments`` vertices per
+    interior (radius, height), between poles at heights ``bottom`` and ``top``."""
+    theta = 2.0 * np.pi * np.arange(segments) / segments
+    verts = [np.array([0.0, 0.0, bottom])]
+    for r, z in zip(radii, heights):
+        verts.extend(np.column_stack([r * np.cos(theta), r * np.sin(theta), np.full(segments, z)]))
+    verts.append(np.array([0.0, 0.0, top]))
+    return Mesh(np.array(verts), _tube_faces(len(radii), segments))
 
 
 def _sphere(segments, rings, radius=0.5):
     lat = np.pi * np.arange(1, rings + 1) / (rings + 1)
-    radii = np.concatenate([[0.0], radius * np.sin(lat), [0.0]])
-    heights = np.concatenate([[-radius], -radius * np.cos(lat), [radius]])
-    return _revolve(radii, heights, segments)
+    return _revolve(radius * np.sin(lat), -radius * np.cos(lat), -radius, radius, segments)
 
 
 def _cone(segments, rings, radius=0.45, height=1.0):
     t = np.arange(1, rings + 1) / (rings + 1)
-    radii = np.concatenate([[0.0], radius * (1.0 - t), [0.0]])
-    heights = np.concatenate([[0.0], height * t, [height]])
-    return _revolve(radii, heights, segments)
+    return _revolve(radius * (1.0 - t), height * t, 0.0, height, segments)
 
 
 def _cylinder(segments, rings, radius=0.35, height=1.0):
     t = np.arange(1, rings + 1) / (rings + 1)
-    radii = np.concatenate([[0.0], np.full(rings, radius), [0.0]])
-    heights = np.concatenate([[0.0], height * t, [height]])
-    return _revolve(radii, heights, segments)
+    return _revolve(np.full(rings, radius), height * t, 0.0, height, segments)
 
 
 def _capsule(segments, rings, radius=0.3, height=1.0):
@@ -154,9 +145,7 @@ def _capsule(segments, rings, radius=0.3, height=1.0):
         radius * np.sin(np.pi / 2 * t / cap),
         np.where(t > 1 - cap, radius * np.sin(np.pi / 2 * (1 - t) / cap), radius),
     )
-    radii = np.concatenate([[0.0], profile, [0.0]])
-    heights = np.concatenate([[0.0], height * t, [height]])
-    return _revolve(radii, heights, segments)
+    return _revolve(profile, height * t, 0.0, height, segments)
 
 
 def _torus(segments_major, segments_minor, major=0.35, minor=0.15):
@@ -245,7 +234,16 @@ def _jitter(mesh, rng, fraction):
     )
 
 
-_ZOO_FAMILIES = ("sphere", "box", "torus", "cone", "cylinder", "capsule")
+# family -> builder of its mesh from the two tessellation parameters
+_ZOO_BUILDERS = {
+    "sphere": _sphere,
+    "box": lambda p, q: _box(p),
+    "torus": _torus,
+    "cone": _cone,
+    "cylinder": _cylinder,
+    "capsule": _capsule,
+}
+_ZOO_FAMILIES = tuple(_ZOO_BUILDERS)
 
 
 def _tessellation_options(edge_range, family):
@@ -287,20 +285,7 @@ def _make_zoo_sample(family, rng, edge_range):
             f"edge range {edge_range} unreachable for family {family!r}"
         )
     _, p, q = options[rng.integers(len(options))]
-    if family == "sphere":
-        mesh = _sphere(p, q)
-    elif family == "box":
-        mesh = _box(p)
-    elif family == "torus":
-        mesh = _torus(p, q)
-    elif family == "cone":
-        mesh = _cone(p, q)
-    elif family == "cylinder":
-        mesh = _cylinder(p, q)
-    elif family == "capsule":
-        mesh = _capsule(p, q)
-    else:
-        raise DataError(f"unknown family {family!r}")
+    mesh = _ZOO_BUILDERS[family](p, q)
     return _jitter(mesh, rng, float(rng.uniform(0.0, 0.08)))
 
 
@@ -389,11 +374,7 @@ def _glyph_wall_edges(bitmap):
     return 3 * sides
 
 
-def _make_engraved_cube(class_index, rng, edge_range, classes):
-    if classes > len(GLYPHS):
-        raise DataError(
-            f"engraved-cube supports at most {len(GLYPHS)} classes, got {classes}"
-        )
+def _make_engraved_cube(class_index, rng, edge_range):
     bitmap = _glyph_array(GLYPHS[class_index])
     if not glyph_is_safe(bitmap):
         raise DataError(f"glyph {class_index} violates the manifold-safety rule")
@@ -416,18 +397,8 @@ def _make_engraved_cube(class_index, rng, edge_range, classes):
     face = int(rng.integers(6))
     carve = np.zeros((size, size), dtype=bool)
     carve[ox : ox + gh, oy : oy + gw] = bitmap
-    if face == 0:
-        solid[:, :, -1][carve] = False
-    elif face == 1:
-        solid[:, :, 0][carve] = False
-    elif face == 2:
-        solid[:, -1, :][carve] = False
-    elif face == 3:
-        solid[:, 0, :][carve] = False
-    elif face == 4:
-        solid[-1, :, :][carve] = False
-    else:
-        solid[0, :, :][carve] = False
+    # faces 0-5: the far then the near side of axis 2, then 1, then 0
+    np.moveaxis(solid, 2 - face // 2, 0)[0 if face % 2 else -1][carve] = False
     return _voxel_surface(solid)
 
 
@@ -509,33 +480,10 @@ def _make_limbs(class_index, rng, edge_range):
         )
         verts.extend(ring)
     verts.append(points[-1])
-    vertices = np.array(verts)
-
-    def ring_vertex(i, j):
-        return 1 + i * segments + (j % segments)
-
-    faces = []
-    bottom, top = 0, len(vertices) - 1
-    for j in range(segments):
-        faces.append((bottom, ring_vertex(0, j + 1), ring_vertex(0, j)))
-    for i in range(rings - 1):
-        for j in range(segments):
-            a = ring_vertex(i, j)
-            b = ring_vertex(i, j + 1)
-            c = ring_vertex(i + 1, j + 1)
-            d = ring_vertex(i + 1, j)
-            faces.append((a, b, c))
-            faces.append((a, c, d))
-    for j in range(segments):
-        faces.append((top, ring_vertex(rings - 1, j), ring_vertex(rings - 1, j + 1)))
-    mesh = Mesh(vertices, np.array(faces))
+    mesh = Mesh(np.array(verts), _tube_faces(rings, segments))
 
     # per-vertex arclength fraction -> per-edge part labels
-    vertex_t = np.empty(len(vertices))
-    vertex_t[0] = 0.0
-    vertex_t[-1] = 1.0
-    for i in range(rings):
-        vertex_t[1 + i * segments : 1 + (i + 1) * segments] = t[i]
+    vertex_t = np.concatenate([[0.0], np.repeat(t, segments), [1.0]])
     topo = build_edge_topology(mesh)
     edge_t = (vertex_t[topo.edges[:, 0]] + vertex_t[topo.edges[:, 1]]) / 2.0
     labels = np.minimum((edge_t * parts).astype(np.int64), parts - 1)
@@ -548,19 +496,18 @@ def _make_limbs(class_index, rng, edge_range):
 
 def generate(spec: DatasetSpec):
     """All samples for a dataset spec, deterministic in the seed."""
+    limit = {PRIMITIVE_ZOO: len(_ZOO_FAMILIES), ENGRAVED_CUBE: len(GLYPHS)}.get(spec.generator)
+    if limit is not None and spec.classes > limit:
+        raise DataError(f"{spec.generator} supports at most {limit} classes, got {spec.classes}")
     samples = []
     for ci in range(spec.classes):
         for si in range(spec.per_class):
             rng = _rng_for(spec.seed, ci, si)
             edge_labels = None
             if spec.generator == PRIMITIVE_ZOO:
-                if spec.classes > len(_ZOO_FAMILIES):
-                    raise DataError(
-                        f"primitive-zoo supports at most {len(_ZOO_FAMILIES)} classes"
-                    )
                 mesh = _make_zoo_sample(_ZOO_FAMILIES[ci], rng, spec.edge_range)
             elif spec.generator == ENGRAVED_CUBE:
-                mesh = _make_engraved_cube(ci, rng, spec.edge_range, spec.classes)
+                mesh = _make_engraved_cube(ci, rng, spec.edge_range)
             else:
                 mesh, edge_labels = _make_limbs(ci, rng, spec.edge_range)
             report = validate_manifold(mesh)
@@ -610,6 +557,11 @@ def add_vertex_noise(mesh: Mesh, variance, seed=0):
 
 def split(samples, per_class_train, per_class_test, seed=0):
     """Stratified deterministic train/test assignment; returns new list."""
+    if per_class_train < 0 or per_class_test < 0:
+        raise DataError(
+            f"per-class train and test counts must be non-negative, "
+            f"got {per_class_train} and {per_class_test}"
+        )
     by_class = {}
     for s in samples:
         by_class.setdefault(s.class_label, []).append(s)

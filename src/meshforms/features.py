@@ -101,12 +101,10 @@ def _geometry(mesh: Mesh, topology: EdgeTopology):
     return lengths, dihedrals, opp, ratios
 
 
-def dihedral_angle(topology: EdgeTopology, mesh: Mesh, edge: int, signed=False):
+def dihedral_angle(topology: EdgeTopology, mesh: Mesh, edge: int):
     """Angle in [0, pi] between the unit normals of the edge's two faces.
 
-    Boundary edges yield 0. With ``signed=True`` the angle is negated for
-    concave folds (the far face's apex lying on the normal side of the first
-    face); the unsigned form is the default everywhere in the package.
+    Boundary edges yield 0.
     """
     f1, f2 = topology.edge_faces[edge]
     if f2 == SENTINEL:
@@ -120,13 +118,7 @@ def dihedral_angle(topology: EdgeTopology, mesh: Mesh, edge: int, signed=False):
             raise DegenerateFaceError(int(fi))
         normals.append(n / nn)
     n1, n2 = normals
-    phi = float(np.arctan2(np.linalg.norm(np.cross(n1, n2)), np.dot(n1, n2)))
-    if signed:
-        u, v = topology.edges[edge]
-        apex2 = int(mesh.faces[f2].sum() - u - v)
-        if np.dot(n1, mesh.vertices[apex2] - mesh.vertices[u]) > 0.0:
-            phi = -phi
-    return phi
+    return float(np.arctan2(np.linalg.norm(np.cross(n1, n2)), np.dot(n1, n2)))
 
 
 def fundamental_forms(topology: EdgeTopology, mesh: Mesh) -> FeatureTensor:
@@ -216,10 +208,6 @@ def normalize(features: FeatureTensor, stats: ChannelStats) -> FeatureTensor:
             f"{features.channels}"
         )
     return FeatureTensor((features.values - stats.mean) / stats.std, features.kind)
-
-
-def denormalize(features: FeatureTensor, stats: ChannelStats) -> FeatureTensor:
-    return FeatureTensor(features.values * stats.std + stats.mean, features.kind)
 
 
 def feature_norms(features: FeatureTensor) -> np.ndarray:

@@ -48,6 +48,14 @@ class MeshContext:
         return self.stack.pop()
 
 
+def _glorot(rng, shape):
+    """Uniform Glorot weights over the last two axes (fan in, fan out); zeros without an rng."""
+    if rng is None:
+        return np.zeros(shape)
+    limit = np.sqrt(6.0 / (shape[-2] + shape[-1]))
+    return rng.uniform(-limit, limit, size=shape)
+
+
 class Layer:
     def parameters(self):
         return {}
@@ -65,13 +73,8 @@ class MeshConv(Layer):
     def __init__(self, in_channels, out_channels, rng=None):
         self.in_channels = in_channels
         self.out_ch = out_channels
-        if rng is None:
-            weights = np.zeros((5, in_channels, out_channels))
-        else:
-            limit = np.sqrt(6.0 / (in_channels + out_channels))
-            weights = rng.uniform(-limit, limit, size=(5, in_channels, out_channels))
-        self.weights = Value(weights, name="weights")
-        self.bias = Value(np.zeros(out_channels), name="bias")
+        self.weights = Value(_glorot(rng, (5, in_channels, out_channels)))
+        self.bias = Value(np.zeros(out_channels))
 
     def parameters(self):
         return {"weights": self.weights, "bias": self.bias}
@@ -113,8 +116,8 @@ class InstanceNorm(Layer):
 
     def __init__(self, channels):
         self.channels = channels
-        self.gamma = Value(np.ones(channels), name="gamma")
-        self.beta = Value(np.zeros(channels), name="beta")
+        self.gamma = Value(np.ones(channels))
+        self.beta = Value(np.zeros(channels))
 
     def parameters(self):
         return {"gamma": self.gamma, "beta": self.beta}
@@ -216,13 +219,8 @@ class Dense(Layer):
     def __init__(self, in_channels, out_channels, rng=None):
         self.in_channels = in_channels
         self.out_ch = out_channels
-        if rng is None:
-            weights = np.zeros((in_channels, out_channels))
-        else:
-            limit = np.sqrt(6.0 / (in_channels + out_channels))
-            weights = rng.uniform(-limit, limit, size=(in_channels, out_channels))
-        self.weights = Value(weights, name="weights")
-        self.bias = Value(np.zeros(out_channels), name="bias")
+        self.weights = Value(_glorot(rng, (in_channels, out_channels)))
+        self.bias = Value(np.zeros(out_channels))
 
     def parameters(self):
         return {"weights": self.weights, "bias": self.bias}

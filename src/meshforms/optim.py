@@ -8,6 +8,8 @@ from .errors import GraphError
 
 SGD = "sgd"
 ADAM = "adam"
+# Adam's moment decay rates and denominator floor.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Optimizer:
@@ -17,25 +19,13 @@ class Optimizer:
     registry; a non-finite gradient raises, signalling training divergence.
     """
 
-    def __init__(
-        self,
-        params,
-        method=ADAM,
-        learning_rate=2e-4,
-        momentum=0.9,
-        beta1=0.9,
-        beta2=0.999,
-        eps=1e-8,
-    ):
+    def __init__(self, params, method=ADAM, learning_rate=2e-4, momentum=0.9):
         if method not in (SGD, ADAM):
             raise GraphError(f"unknown optimizer method {method!r}")
         self.params = dict(params)
         self.method = method
         self.learning_rate = float(learning_rate)
         self.momentum = float(momentum)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self.m = {k: np.zeros_like(v.data) for k, v in self.params.items()}
         if method == ADAM:
@@ -53,10 +43,8 @@ class Optimizer:
                 self.m[name] = self.momentum * self.m[name] + g
                 param.data = param.data - self.learning_rate * self.m[name]
             else:
-                self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-                self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-                m_hat = self.m[name] / (1.0 - self.beta1 ** self.step_count)
-                v_hat = self.v[name] / (1.0 - self.beta2 ** self.step_count)
-                param.data = param.data - self.learning_rate * m_hat / (
-                    np.sqrt(v_hat) + self.eps
-                )
+                self.m[name] = BETA1 * self.m[name] + (1.0 - BETA1) * g
+                self.v[name] = BETA2 * self.v[name] + (1.0 - BETA2) * g * g
+                m_hat = self.m[name] / (1.0 - BETA1 ** self.step_count)
+                v_hat = self.v[name] / (1.0 - BETA2 ** self.step_count)
+                param.data = param.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)

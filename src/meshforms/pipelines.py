@@ -148,7 +148,7 @@ def _class_count(samples):
     return 1 + max(int(s.class_label) for s in labelled)
 
 
-def build_model(config: ExperimentConfig, in_channels, out_dim, seed=None):
+def build_model(config: ExperimentConfig, in_channels, out_dim):
     """Encoder (+decoder for per-edge outputs) per the config's stage lists."""
     spec = []
     prev = in_channels
@@ -172,11 +172,7 @@ def build_model(config: ExperimentConfig, in_channels, out_dim, seed=None):
             spec.append({"type": "relu"})
             prev = width
         spec.append({"type": "dense", "in": prev, "out": out_dim})
-    return ModelGraph.from_spec(
-        spec,
-        seed=config.seed if seed is None else seed,
-        pooling_policy=config.pooling,
-    )
+    return ModelGraph.from_spec(spec, seed=config.seed, pooling_policy=config.pooling)
 
 
 def _loss_for(config, model, prepared: _Prepared, inputs, topology):

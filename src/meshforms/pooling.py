@@ -443,10 +443,6 @@ class PoolResult:
     state: PoolingState
     stats: PoolStats
 
-    @property
-    def surviving_old_ids(self):
-        return self.history.surviving_ids()
-
 
 def _pool(state: PoolingState, target_edges: int, incremental: bool):
     """Collapse until ``target_edges``; returns (PoolHistory, PoolStats).

@@ -405,6 +405,22 @@ class TestNegativeSeeds:
         assert not (tmp_path / "m.ckpt").exists()
 
 
+@pytest.mark.parametrize("train, test", [("-1", "2"), ("2", "-2")])
+def test_gen_data_rejects_a_negative_split_count(tmp_path, capsys, train, test):
+    """A negative per-class count is a DataError (exit 2) and writes nothing."""
+    code, stdout, err = run(
+        [
+            "gen-data", "--spec", "primitive-zoo", "--classes", "2", "--per-class", "4",
+            "--train-per-class", train, "--test-per-class", test, "--out", tmp_path / "d",
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert "per-class train and test counts must be non-negative" in err
+    assert stdout == ""
+    assert not (tmp_path / "d").exists()
+
+
 class TestTrainEval:
     def test_train_eval_round_trip(self, cli_dataset, tmp_path, capsys):
         ckpt = tmp_path / "model.ckpt"

@@ -1,5 +1,7 @@
 """Generator contracts, augmentation, noise injection, splits, manifests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,36 @@ class TestGenerate:
     def test_class_count_limit(self):
         with pytest.raises(DataError):
             generate(DatasetSpec("primitive-zoo", 40, 1, seed=0))
+
+
+# (generator, classes, per_class, edge_range, seed): every generator, every
+# zoo family and glyph, two edge ranges and two seeds each.
+GOLDEN_SPECS = [
+    (generator, classes, per_class, edge_range, seed)
+    for generator, classes, per_class, ranges in (
+        ("primitive-zoo", 6, 2, ((250, 400), (600, 900))),
+        ("engraved-cube", 12, 1, ((800, 1200), (1300, 1800))),
+        ("articulated-limbs", 3, 2, ((300, 600), (1500, 2500))),
+    )
+    for edge_range in ranges
+    for seed in (0, 7)
+]
+
+# sha256 over each generated sample's id, then dtype, shape and bytes of its
+# vertices, faces and edge labels (when it has them), for GOLDEN_SPECS in order.
+GOLDEN_DATASETS = "3eb1ab6bce3b3d34c2281f86ed546b24b63078021954001a1725ec915e9e15ed"
+
+
+def test_generated_datasets_are_byte_stable():
+    h = hashlib.sha256()
+    for generator, classes, per_class, edge_range, seed in GOLDEN_SPECS:
+        for s in generate(DatasetSpec(generator, classes, per_class, edge_range, seed)):
+            h.update(s.sample_id.encode())
+            for arr in (s.mesh.vertices, s.mesh.faces, s.edge_labels):
+                if arr is not None:
+                    h.update(f"{arr.dtype.str}{arr.shape}".encode())
+                    h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest() == GOLDEN_DATASETS
 
 
 class TestGlyphs:
@@ -178,6 +210,11 @@ class TestSplit:
     def test_insufficient_samples(self):
         with pytest.raises(DataError):
             split(self._samples(per_class=4), 4, 2, seed=0)
+
+    @pytest.mark.parametrize("train, test", [(-1, 2), (2, -2)])
+    def test_negative_count_rejected(self, train, test):
+        with pytest.raises(DataError, match="must be non-negative"):
+            split(self._samples(per_class=4), train, test, seed=0)
 
     def test_deterministic(self):
         samples = self._samples(per_class=6)

@@ -30,7 +30,6 @@ from meshforms import (
     write_features,
 )
 from meshforms.datasets import _random_rotation
-from meshforms.features import denormalize
 
 from conftest import fuzz_corpus, mutate_bytes
 
@@ -83,23 +82,17 @@ class TestDihedral:
             dihedral_angle(topo, mesh, shared_edge(topo))
         assert err.value.face_index == 0
 
-    def test_signed_variant_distinguishes_fold_direction(self, perpendicular_pair):
+    def test_unsigned_angle_ignores_fold_direction(self, perpendicular_pair):
         topo = build_edge_topology(perpendicular_pair)
         e = shared_edge(topo)
-        signed = dihedral_angle(topo, perpendicular_pair, e, signed=True)
-        assert abs(abs(signed) - np.pi / 2) < 1e-12
         # same winding, second apex folded to the other side of the first face
         folded_up = perpendicular_pair.with_vertices(
             perpendicular_pair.vertices * np.array([1.0, 1.0, -1.0])
         )
         topo_u = build_edge_topology(folded_up)
-        signed_u = dihedral_angle(topo_u, folded_up, shared_edge(topo_u), signed=True)
-        assert abs(signed + signed_u) < 1e-12
-        # the unsigned default reports the same magnitude for both folds
-        assert abs(
-            dihedral_angle(topo, perpendicular_pair, e)
-            - dihedral_angle(topo_u, folded_up, shared_edge(topo_u))
-        ) < 1e-12
+        angle = dihedral_angle(topo, perpendicular_pair, e)
+        assert abs(angle - np.pi / 2) < 1e-12
+        assert abs(angle - dihedral_angle(topo_u, folded_up, shared_edge(topo_u))) < 1e-12
 
 
 class TestFundamentalForms:
@@ -291,13 +284,6 @@ class TestChannelStats:
                            ChannelStats(np.array([2.0, 2.0]), np.array([4.0, 4.0])))
         assert np.allclose(normed.values[0], 0.0)
         assert np.allclose(normed.values[1], 1.0)
-
-    def test_normalize_then_denormalize(self, icosahedron):
-        topo = build_edge_topology(icosahedron)
-        ft = fundamental_forms(topo, icosahedron)
-        stats = fit_channel_stats([ft])
-        back = denormalize(normalize(ft, stats), stats)
-        assert np.max(np.abs(back.values - ft.values)) < 1e-12
 
     def test_channel_mismatch_rejected(self):
         stats = ChannelStats(np.zeros(3), np.ones(3))

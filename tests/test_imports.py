@@ -1,5 +1,6 @@
 """Static checks, in place of a linter: no program module imports a name it never
-uses, and no module-level private name goes unreferenced in the package."""
+uses, no module-level private name goes unreferenced in the package, and every
+public name is read by the program or exported from ``__init__.py``."""
 
 import ast
 import importlib
@@ -39,8 +40,9 @@ def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 
-def private_definitions(source):
-    """Module-level names with one leading underscore that ``source`` defines."""
+def module_definitions(source, private):
+    """Module-level names that ``source`` defines: those with one leading
+    underscore when ``private``, else those without one."""
     defined = {}
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -51,7 +53,7 @@ def private_definitions(source):
         else:
             continue
         for name in targets:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__") and name.startswith("_") == private:
                 defined.setdefault(name, node.lineno)
     return defined
 
@@ -71,7 +73,7 @@ def references(source):
 
 def test_detects_an_unreferenced_private_name():
     source = "_KEPT = 1\n_DROPPED = 2\n\ndef _helper():\n    return _KEPT\n"
-    unused = set(private_definitions(source)) - references(source)
+    unused = set(module_definitions(source, private=True)) - references(source)
     assert unused == {"_DROPPED", "_helper"}
 
 
@@ -81,8 +83,29 @@ def test_every_private_name_is_referenced():
     unused = [
         (name, line, private)
         for name, text in sources.items()
-        for private, line in private_definitions(text).items()
+        for private, line in module_definitions(text, private=True).items()
         if private not in referenced
+    ]
+    assert unused == []
+
+
+def test_detects_an_unreferenced_public_name():
+    module = "KEPT = 1\nEXPORTED = 2\nDROPPED = 3\n_PRIVATE = 4\n\ndef helper():\n    return KEPT\n"
+    readers = references(module) | references("from .module import EXPORTED\n")
+    assert set(module_definitions(module, private=False)) - readers == {"DROPPED", "helper"}
+
+
+def test_every_public_name_is_read_or_exported():
+    """A public module-level name is read by a package module, perfbench or
+    tools, or imported by ``__init__.py``, which is the allow-list of the API."""
+    readers = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    readers += sorted((ROOT / "tools").glob("*.py"))
+    referenced = set().union(*(references(p.read_text()) for p in readers))
+    unused = [
+        (path.name, line, public)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for public, line in module_definitions(path.read_text(), private=False).items()
+        if public not in referenced
     ]
     assert unused == []
 

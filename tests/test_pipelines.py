@@ -205,7 +205,7 @@ def frozen_gradients(monkeypatch):
     calls = []
     init = Value.__init__
 
-    def frozen_init(self, data, parents=(), backward_rule=None, name=None):
+    def frozen_init(self, data, parents=(), backward_rule=None):
         if backward_rule is not None:
             rule = backward_rule
 
@@ -215,7 +215,7 @@ def frozen_gradients(monkeypatch):
                 calls.append(g.shape)
                 return rule(g)
 
-        init(self, data, parents, backward_rule, name)
+        init(self, data, parents, backward_rule)
 
     monkeypatch.setattr(Value, "__init__", frozen_init)
     return calls
