@@ -4,8 +4,9 @@ Layout: magic ``MFCK``, u32 format version, u64 header length, then a JSON
 header (sorted keys), then raw little-endian float64 blobs in the order the
 header's ``blob_order`` lists. The header stores the layer spec list, the
 pooling policy, task metadata, the config hash, and the shapes of every blob;
-channel statistics ride along as two extra blobs. Loading reproduces the
-saved bytes exactly when re-saved.
+the channel statistics every evaluator needs ride along as two extra blobs,
+and a header without them is corrupt. Loading reproduces the saved bytes
+exactly when re-saved.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .layers import ModelGraph
 _MAGIC = b"MFCK"
 _PREFIX = struct.Struct("<4sIQ")
 FORMAT_VERSION = 1
+_STATS = ("channel_stats.mean", "channel_stats.std")  # blob names, after the parameters
 
 
 class Checkpoint:
@@ -45,18 +47,14 @@ class Checkpoint:
         blob_order = list(params.keys())
         blobs = [np.ascontiguousarray(params[k].data, dtype="<f8") for k in blob_order]
         shapes = {k: list(params[k].data.shape) for k in blob_order}
-        if self.channel_stats is not None:
-            for tag, arr in (
-                ("channel_stats.mean", self.channel_stats.mean),
-                ("channel_stats.std", self.channel_stats.std),
-            ):
-                blob_order.append(tag)
-                blobs.append(np.ascontiguousarray(arr, dtype="<f8"))
-                shapes[tag] = [int(arr.shape[0])]
+        for tag, arr in zip(_STATS, (self.channel_stats.mean, self.channel_stats.std)):
+            blob_order.append(tag)
+            blobs.append(np.ascontiguousarray(arr, dtype="<f8"))
+            shapes[tag] = [int(arr.shape[0])]
         header = {
             "layers": self.model.spec(),
             "pooling_policy": self.model.pooling_policy,
-            "has_channel_stats": self.channel_stats is not None,
+            "has_channel_stats": True,
             "blob_order": blob_order,
             "blob_shapes": shapes,
             "meta": self.meta,
@@ -88,10 +86,10 @@ class Checkpoint:
             if not all(isinstance(n, int) and n >= 0 for _, shape in shapes for n in shape):
                 raise ValueError("blob dimensions must be non-negative integers")
             expected = ModelGraph.parameter_shapes(header["layers"])
-            has_stats, meta = header["has_channel_stats"], dict(header["meta"])
-            missing = {"channel_stats.mean", "channel_stats.std"} - set(header["blob_order"])
-            if has_stats and missing:
-                raise KeyError(f"no blob {sorted(missing)}")
+            meta = dict(header["meta"])
+            stats_listed = set(_STATS) <= set(header["blob_order"])
+            if header["has_channel_stats"] is not True or not stats_listed:
+                raise ValueError("no channel statistics")
         except (ValueError, KeyError, TypeError, GraphError) as err:
             raise CheckpointError("checkpoint header corrupt") from err
         # Every size is checked before the model is built, so a corrupt header
@@ -101,7 +99,7 @@ class Checkpoint:
             raise CheckpointError("checkpoint truncated")
         if len(data) != end:
             raise CheckpointError("checkpoint size mismatch")
-        stored = {name: shape for name, shape in shapes if not name.startswith("channel_stats.")}
+        stored = {name: shape for name, shape in shapes if name not in _STATS}
         if set(expected) != set(stored):
             raise CheckpointError("checkpoint parameters do not match layer spec")
         for name, shape in expected.items():
@@ -121,12 +119,7 @@ class Checkpoint:
             blobs[name] = arr.reshape(shape).astype(np.float64)
         for name, value in model.parameters().items():
             value.data = blobs[name]
-        stats = None
-        if has_stats:
-            stats = ChannelStats(
-                blobs["channel_stats.mean"], blobs["channel_stats.std"]
-            )
-        return Checkpoint(model, stats, meta)
+        return Checkpoint(model, ChannelStats(*(blobs[tag] for tag in _STATS)), meta)
 
     def save(self, path):
         import pathlib

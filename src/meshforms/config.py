@@ -12,7 +12,7 @@ Keys (defaults in parentheses):
     channel_mask         comma list of 0/1 over the feature channels (all 1)
     output_features      ff | xyz, denoising target kind (ff)
     pooling              enhanced | legacy  (enhanced)
-    conv_channels        comma list of conv widths  (16,32)
+    conv_channels        comma list of conv widths, each 1..MAX_WIDTH  (16,32)
     pool_targets         comma list of edge targets, strictly decreasing
     epochs               (100)
     batch_size           gradient-accumulation group size (8)
@@ -24,7 +24,7 @@ Keys (defaults in parentheses):
     augment_jitter       training vertex jitter sigma (0.0)
     seed                 non-negative (0)
 
-Widths are positive, and every float is finite.
+Every float is finite.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ from .features import FF, LAPLACIAN, MESHCNN5, XYZ, XYZ_INV, KIND_CHANNELS
 CLASSIFICATION = "classification"
 SEGMENTATION = "segmentation"
 DENOISING = "denoising"
+
+# 32x the widest stage the benchmark trains; a decoder conv this wide holds 5 x 4096^2 weights.
+MAX_WIDTH = 4096
 
 KIND_TOKENS = {
     "ff": FF,
@@ -82,8 +85,8 @@ class ExperimentConfig:
         self.conv_channels = tuple(int(c) for c in self.conv_channels)
         self.pool_targets = tuple(int(t) for t in self.pool_targets)
         self.channel_mask = tuple(int(m) for m in self.channel_mask)
-        if any(c < 1 for c in self.conv_channels):
-            raise ConfigError(f"conv_channels must be positive, got {self.conv_channels}")
+        if any(not 1 <= c <= MAX_WIDTH for c in self.conv_channels):
+            raise ConfigError(f"conv_channels must be in 1..{MAX_WIDTH}, got {self.conv_channels}")
         if len(self.conv_channels) != len(self.pool_targets):
             raise ConfigError("conv_channels and pool_targets lengths must match")
         if not self.conv_channels:
@@ -99,8 +102,8 @@ class ExperimentConfig:
                     f"channel_mask length must be {KIND_CHANNELS[kind]} for "
                     f"{self.features}"
                 )
-            if not any(self.channel_mask):
-                raise ConfigError("channel_mask keeps no channels")
+            if not set(self.channel_mask) <= {0, 1} or not any(self.channel_mask):
+                raise ConfigError(f"channel_mask must be 0/1 with a 1, got {self.channel_mask}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
         if self.optimizer not in ("adam", "sgd"):

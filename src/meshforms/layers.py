@@ -4,7 +4,7 @@ A ModelGraph threads (per-edge features, edge topology) through its layers.
 Pool layers shrink the topology and push their collapse history onto a stack;
 Unpool layers pop it and restore the pre-pool topology, so encoder-decoder
 configurations end on the original edge set. Classification heads use
-GlobalAveragePool + Dense.
+GlobalAveragePool + Dense, so a mesh's class logits are one row.
 
 No layer's backward rule reads the layer's own output: each reads its input,
 its parameters and what it kept from the forward (a mask, a mean and scale,
@@ -204,17 +204,17 @@ class Unpool(Layer):
 
 
 class GlobalAveragePool(Layer):
-    """Mean over edges: per-edge rows -> one channel vector."""
+    """Mean over edges: per-edge rows -> one row."""
 
     def __call__(self, x, ctx):
-        return x.mean(axis=0)
+        return x.mean(axis=0, keepdims=True)
 
     def spec(self):
         return {"type": "global_average_pool"}
 
 
 class Dense(Layer):
-    """Affine map on the channel axis; applies per edge or to a pooled vector."""
+    """Affine map on the channel axis of every row."""
 
     def __init__(self, in_channels, out_channels, rng=None):
         self.in_channels = in_channels
@@ -343,20 +343,12 @@ class ModelGraph:
         }
 
 
-def cross_entropy(logits: Value, label) -> Value:
-    """Negative log softmax of the true class; mean over rows for 2-D logits."""
-    if logits.data.ndim == 1:
-        k = logits.data.shape[0]
-        idx = int(label)
-        if idx < 0 or idx >= k:
-            raise GraphError(f"label {idx} out of range for {k} classes")
-        shift = float(logits.data.max())
-        z = logits - shift
-        log_norm = z.exp().sum().log()
-        onehot = np.zeros(k)
-        onehot[idx] = 1.0
-        return log_norm - (z * onehot).sum()
-    labels = np.asarray(label, dtype=np.int64)
+def cross_entropy(logits: Value, labels) -> Value:
+    """Mean over the (rows, classes) logits of each row's negative log softmax
+    at its label; a single label stands for one row."""
+    if logits.data.ndim != 2:
+        raise GraphError(f"logits must be (rows, classes), got shape {logits.data.shape}")
+    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     n, k = logits.data.shape
     if labels.shape != (n,):
         raise GraphError("label vector length must match logit rows")
@@ -367,8 +359,7 @@ def cross_entropy(logits: Value, label) -> Value:
     log_norm = z.exp().sum(axis=1, keepdims=True).log()
     onehot = np.zeros((n, k))
     onehot[np.arange(n), labels] = 1.0
-    per_row = log_norm.sum(axis=1) - (z * onehot).sum(axis=1)
-    return per_row.mean()
+    return (log_norm - (z * onehot).sum(axis=1, keepdims=True)).mean()
 
 
 def mse(pred: Value, target) -> Value:

@@ -96,56 +96,63 @@ class _Prepared:
     mesh: object  # unit-box normalized (clean) mesh
     topology: object
     inputs_raw: np.ndarray
-    target: object = None  # class label, edge-label vector, or target features
-    noisy_mesh: object = None
+    target: object  # class label, edge-label vector, or target features
+    source: object  # the mesh the inputs come from: the noisy copy when de-noising
 
 
 def _prepare_samples(config: ExperimentConfig, samples):
-    prepared = []
-    for i, s in enumerate(samples):
-        mesh = normalize_unit_box(s.mesh)
+    """Yield each sample as the model reads it, one at a time.
+
+    The one path from a labelled mesh to its unit-box mesh, topology, raw
+    input and target, for training and evaluation alike. A class label is the
+    target of the mesh's one logit row; de-noising inputs come from the noisy
+    copy ``make_denoising_pairs`` draws with the config's seed.
+    """
+    if config.task == DENOISING:
+        pairs = make_denoising_pairs(samples, config.noise_variance, seed=config.seed)
+    else:
+        pairs = ((mesh, mesh) for mesh in (normalize_unit_box(s.mesh) for s in samples))
+    for s, (mesh, source) in zip(samples, pairs):
         topology = build_edge_topology(mesh)
+        inputs = _inputs(config, source, topology)
         if config.task == DENOISING:
-            noisy = add_vertex_noise(
-                mesh, config.noise_variance, seed=(config.seed * 100003 + 7 * i)
-            )
-            inputs = _inputs(config, noisy, topology)
             target = extract(topology, mesh, config.output_kind).values
-            prepared.append(_Prepared(s, mesh, topology, inputs, target, noisy))
-            continue
-        inputs = _inputs(config, mesh, topology)
-        if config.task == CLASSIFICATION:
+        elif config.task == CLASSIFICATION:
             if s.class_label is None:
                 raise DataError(f"sample {s.sample_id} has no class label")
-            target = int(s.class_label)
+            target = s.class_label
         else:
-            target = _edge_targets(s, topology)
-        prepared.append(_Prepared(s, mesh, topology, inputs, target))
-    return prepared
+            if s.edge_labels is None:
+                raise DataError(f"sample {s.sample_id} has no edge labels")
+            if len(s.edge_labels) != topology.edge_count:
+                raise DataError(
+                    f"sample {s.sample_id}: {len(s.edge_labels)} edge labels "
+                    f"for {topology.edge_count} edges"
+                )
+            target = np.asarray(s.edge_labels, dtype=np.int64)
+        yield _Prepared(s, mesh, topology, inputs, target, source)
 
 
-def _edge_targets(sample, topology):
-    """The sample's edge labels as int64, one per edge of ``topology``."""
-    if sample.edge_labels is None:
-        raise DataError(f"sample {sample.sample_id} has no edge labels")
-    if len(sample.edge_labels) != topology.edge_count:
-        raise DataError(
-            f"sample {sample.sample_id}: {len(sample.edge_labels)} edge labels "
-            f"for {topology.edge_count} edges"
-        )
-    return np.asarray(sample.edge_labels, dtype=np.int64)
-
-
-def _class_count(samples):
-    """1 + the largest class label; every label must lie in 0..(labelled samples - 1)."""
-    labelled = [s for s in samples if s.class_label is not None]
-    for s in labelled:
-        if not 0 <= int(s.class_label) < len(labelled):
+def _class_count(config, samples, prepared):
+    """1 + the largest label, from labels that must lie in 0..(n - 1): class
+    labels over the n labelled samples, edge labels over the n train edges."""
+    if config.task == CLASSIFICATION:
+        kind, unit = "class", "samples"
+        labelled = [
+            (s.sample_id, np.asarray([s.class_label])) for s in samples if s.class_label is not None
+        ]
+    else:
+        kind, unit = "edge", "edges"
+        labelled = [(p.sample.sample_id, p.target) for p in prepared]
+    n = sum(len(labels) for _, labels in labelled)
+    for sample_id, labels in labelled:
+        bad = labels[(labels < 0) | (labels >= n)]
+        if len(bad):
             raise DataError(
-                f"sample {s.sample_id}: class label {s.class_label} is not in "
-                f"0..{len(labelled) - 1} ({len(labelled)} labelled samples)"
+                f"sample {sample_id}: {kind} label {bad[0]} is not in "
+                f"0..{n - 1} ({n} labelled {unit})"
             )
-    return 1 + max(int(s.class_label) for s in labelled)
+    return 1 + max(int(labels.max()) for _, labels in labelled)
 
 
 def build_model(config: ExperimentConfig, in_channels, out_dim):
@@ -186,9 +193,8 @@ def _augmented_inputs(config, prepared: _Prepared, epoch, index):
     """Re-extract features from an augmented copy when augmentation is on."""
     if not (config.augment_rotation or config.augment_jitter > 0.0):
         return prepared.inputs_raw, prepared.topology
-    base = prepared.noisy_mesh if config.task == DENOISING else prepared.mesh
     moved = augment(
-        base,
+        prepared.source,
         random_rotation=config.augment_rotation,
         vertex_jitter_sigma=config.augment_jitter,
         seed=(config.seed * 1000003 + epoch * 1009 + index),
@@ -206,14 +212,11 @@ def train(config: ExperimentConfig, samples, dataset_hash=""):
     test_samples = [s for s in samples if s.split == TEST]
     if not train_samples:
         raise DataError("dataset has no training split")
-    prepared = _prepare_samples(config, train_samples)
-
-    if config.task == CLASSIFICATION:
-        out_dim = _class_count(samples)
-    elif config.task == SEGMENTATION:
-        out_dim = 1 + max(int(p.target.max()) for p in prepared)
-    else:
+    prepared = list(_prepare_samples(config, train_samples))
+    if config.task == DENOISING:
         out_dim = prepared[0].target.shape[1]
+    else:
+        out_dim = _class_count(config, samples, prepared)
 
     stats = fit_channel_stats([p.inputs_raw for p in prepared])
     model = build_model(config, config.input_channels(), out_dim)
@@ -298,10 +301,14 @@ def train(config: ExperimentConfig, samples, dataset_hash=""):
     return checkpoint, report
 
 
-def _checkpoint_config(checkpoint: Checkpoint) -> ExperimentConfig:
+def _checkpoint_config(checkpoint: Checkpoint, task) -> ExperimentConfig:
+    """The input settings of a checkpoint, which must be trained for ``task``."""
+    trained = checkpoint.meta_value("task")
+    if trained != task:
+        raise ConfigError(f"checkpoint task is {trained}, not {task}")
     meta = checkpoint.meta
     return ExperimentConfig(
-        task=checkpoint.meta_value("task"),
+        task=trained,
         features=checkpoint.meta_value("features"),
         channel_mask=tuple(meta.get("channel_mask", ())),
         output_features=meta.get("output_features", "ff"),
@@ -310,48 +317,46 @@ def _checkpoint_config(checkpoint: Checkpoint) -> ExperimentConfig:
     )
 
 
-def _model_inputs(checkpoint, config, mesh, topology):
+def _predict(checkpoint, inputs_raw, topology):
+    """The model's output array for one mesh's raw inputs, standardized with the
+    checkpoint's statistics. Only the array outlives the call, so an evaluation
+    loop holds one mesh's graph at a time."""
     stats = checkpoint.channel_stats
-    return (_inputs(config, mesh, topology) - stats.mean) / stats.std
-
-
-def _predict(model, inputs, topology):
-    """The model's output array for one mesh. Only the array outlives the call,
-    so an evaluation loop holds one mesh's graph at a time."""
-    out, _ = model.forward(inputs, topology)
+    out, _ = checkpoint.model.forward((inputs_raw - stats.mean) / stats.std, topology)
     return out.data
 
 
-def _test_samples(checkpoint: Checkpoint, task, samples):
-    """The test split (or unsplit samples) for a checkpoint trained on ``task``."""
-    trained = checkpoint.meta_value("task")
-    if trained != task:
-        raise ConfigError(f"checkpoint task is {trained}, not {task}")
+def _label_accuracy(checkpoint: Checkpoint, task, samples, rotation_seed=None):
+    """Mean over the test split (or unsplit samples) of the weighted share of
+    logit rows whose argmax is the label: an edge weighs its length, a mesh's
+    one row 1."""
+    config = _checkpoint_config(checkpoint, task)
     test = [s for s in samples if s.split == TEST or not s.split]
     if not test:
         raise DataError("no test meshes to evaluate")
-    return test
+    scores = []
+    for i, p in enumerate(_prepare_samples(config, test)):
+        inputs = p.inputs_raw
+        if rotation_seed is not None:
+            rotated = augment(p.mesh, random_rotation=True, seed=rotation_seed + i)
+            inputs = _inputs(config, rotated, p.topology)
+        predicted = np.argmax(_predict(checkpoint, inputs, p.topology), axis=1)
+        weights = 1.0
+        if task == SEGMENTATION:
+            ends = p.mesh.vertices[p.topology.edges]
+            weights = np.linalg.norm(ends[:, 0] - ends[:, 1], axis=1)
+        scores.append(soft_edge_accuracy(weights, predicted, p.target))
+    return float(np.mean(scores))
 
 
 def evaluate_classification(checkpoint: Checkpoint, samples, rotation_seed=None):
     """Fraction of test meshes whose argmax logit matches the label.
 
     ``rotation_seed`` applies a random rigid rotation to every mesh first
-    (robustness probes).
+    (robustness probes); its inputs are re-extracted on the topology of the
+    unrotated mesh, whose faces a rotation keeps.
     """
-    test = _test_samples(checkpoint, CLASSIFICATION, samples)
-    config = _checkpoint_config(checkpoint)
-    hits = 0
-    for i, s in enumerate(test):
-        mesh = normalize_unit_box(s.mesh)
-        if rotation_seed is not None:
-            mesh = augment(mesh, random_rotation=True, seed=rotation_seed + i)
-        topology = build_edge_topology(mesh)
-        inputs = _model_inputs(checkpoint, config, mesh, topology)
-        logits = _predict(checkpoint.model, inputs, topology)
-        if int(np.argmax(logits)) == int(s.class_label):
-            hits += 1
-    return hits / len(test)
+    return _label_accuracy(checkpoint, CLASSIFICATION, samples, rotation_seed)
 
 
 def soft_edge_accuracy(lengths, predicted, labels):
@@ -363,21 +368,7 @@ def soft_edge_accuracy(lengths, predicted, labels):
 
 def evaluate_segmentation(checkpoint: Checkpoint, samples):
     """Mean soft edge accuracy over the test meshes."""
-    test = _test_samples(checkpoint, SEGMENTATION, samples)
-    config = _checkpoint_config(checkpoint)
-    scores = []
-    for s in test:
-        mesh = normalize_unit_box(s.mesh)
-        topology = build_edge_topology(mesh)
-        labels = _edge_targets(s, topology)
-        inputs = _model_inputs(checkpoint, config, mesh, topology)
-        predicted = np.argmax(_predict(checkpoint.model, inputs, topology), axis=1)
-        lengths = np.linalg.norm(
-            mesh.vertices[topology.edges[:, 0]] - mesh.vertices[topology.edges[:, 1]],
-            axis=1,
-        )
-        scores.append(soft_edge_accuracy(lengths, predicted, labels))
-    return float(np.mean(scores))
+    return _label_accuracy(checkpoint, SEGMENTATION, samples)
 
 
 def make_denoising_pairs(samples, variance, seed=0):
@@ -412,20 +403,16 @@ def identity_baseline(pairs, output_features) -> float:
 
 def evaluate_denoising(checkpoint: Checkpoint, pairs, output_features) -> float:
     """Average MSE between model output and the clean mesh's raw features."""
-    trained = checkpoint.meta_value("task")
-    if trained != DENOISING:
-        raise ConfigError(f"checkpoint task is {trained}, not denoising")
+    config = _checkpoint_config(checkpoint, DENOISING)
     predicted = checkpoint.meta_value("output_features")
     if predicted != output_features:
         raise ConfigError(f"checkpoint predicts {predicted}, asked for {output_features}")
-    config = _checkpoint_config(checkpoint)
     kind = KIND_TOKENS[output_features]
     errors = []
     for clean, noisy in pairs:
         _check_shared_topology(clean, noisy)
         topology = build_edge_topology(clean)
-        inputs = _model_inputs(checkpoint, config, noisy, topology)
-        predicted = _predict(checkpoint.model, inputs, topology)
+        predicted = _predict(checkpoint, _inputs(config, noisy, topology), topology)
         target = extract(topology, clean, kind).values
         errors.append(float(np.mean((predicted - target) ** 2)))
     return float(np.mean(errors))

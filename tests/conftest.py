@@ -92,6 +92,23 @@ def icosahedron():
     return oriented_closed_mesh(verts, face_sets)
 
 
+def finite_difference(fun, x, h=1e-5):
+    """Central differences of the scalar ``fun()`` over every entry of ``x``, which
+    it perturbs in place and restores."""
+    grad = np.zeros_like(x)
+    flat = x.reshape(-1)
+    gflat = grad.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        hi = fun()
+        flat[i] = orig - h
+        lo = fun()
+        flat[i] = orig
+        gflat[i] = (hi - lo) / (2 * h)
+    return grad
+
+
 def fuzz_corpus(count, seed=0, edge_range=(150, 400)):
     """Random closed manifold meshes of mixed families."""
     per_class = -(-count // 6)

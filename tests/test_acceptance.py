@@ -47,7 +47,7 @@ from meshforms.pipelines import run_ablation
 from meshforms.pooling import BATCH_LEGACY, PoolingState
 from meshforms.topology import EdgeTopology
 
-from conftest import fuzz_corpus
+from conftest import finite_difference, fuzz_corpus
 from test_pooling import build_divergence_fixture
 
 
@@ -184,21 +184,6 @@ def test_criterion_2_conv_order_invariance():
 # 3. gradient oracle for every layer
 
 
-def _finite_difference(fun, x, h=1e-5):
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        hi = fun()
-        flat[i] = orig - h
-        lo = fun()
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2 * h)
-    return grad
-
-
 def _layer_max_rel_error(layer, features, topology):
     probe = {}
     probe_rng = np.random.default_rng(3)
@@ -221,9 +206,9 @@ def _layer_max_rel_error(layer, features, topology):
         denom = max(np.max(np.abs(fd)), np.max(np.abs(grad)), 1e-8)
         return float(np.max(np.abs(grad - fd)) / denom)
 
-    worst = max(worst, rel(inputs.grad, _finite_difference(objective, features)))
+    worst = max(worst, rel(inputs.grad, finite_difference(objective, features)))
     for value in layer.parameters().values():
-        worst = max(worst, rel(value.grad, _finite_difference(objective, value.data)))
+        worst = max(worst, rel(value.grad, finite_difference(objective, value.data)))
     return worst
 
 
@@ -264,10 +249,10 @@ def test_criterion_3_gradient_oracle():
         for name, layer in layers.items()
     }
 
-    logits = rng.normal(size=6)
+    logits = rng.normal(size=(1, 6))  # one mesh's class logits
     v = Value(logits)
     cross_entropy(v, 2).backward()
-    fd = _finite_difference(lambda: float(cross_entropy(Value(logits), 2).data), logits)
+    fd = finite_difference(lambda: float(cross_entropy(Value(logits), 2).data), logits)
     errors["cross_entropy"] = float(
         np.max(np.abs(v.grad - fd)) / max(np.max(np.abs(fd)), 1e-8)
     )
@@ -275,7 +260,7 @@ def test_criterion_3_gradient_oracle():
     target = rng.normal(size=(8, 3))
     v = Value(pred)
     mse(v, target).backward()
-    fd = _finite_difference(lambda: float(mse(Value(pred), target).data), pred)
+    fd = finite_difference(lambda: float(mse(Value(pred), target).data), pred)
     errors["mse"] = float(np.max(np.abs(v.grad - fd)) / max(np.max(np.abs(fd)), 1e-8))
 
     elapsed = time.perf_counter() - started

@@ -5,20 +5,7 @@ import pytest
 
 from meshforms import GraphError, Value
 
-
-def finite_difference(fun, x, h=1e-5):
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        hi = fun()
-        flat[i] = orig - h
-        lo = fun()
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2 * h)
-    return grad
+from conftest import finite_difference
 
 
 def check_grad(build, *arrays, h=1e-5, tol=1e-6):

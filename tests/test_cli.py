@@ -5,6 +5,7 @@ import io
 import json
 import pathlib
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshforms import (
+    ChannelStats,
     Checkpoint,
     ExperimentConfig,
     parse_obj,
@@ -344,8 +346,6 @@ def cli_dataset(tmp_path_factory):
 
 def untrained_checkpoint(path, task):
     """An untrained one-stage ff model for ``task``, saved at ``path``."""
-    from meshforms import ChannelStats
-
     config = ExperimentConfig(task=task, conv_channels=(4,), pool_targets=(100,))
     model = pipelines.build_model(config, config.input_channels(), 2)
     meta = {
@@ -391,7 +391,10 @@ class TestNegativeSeeds:
         assert code == 2
         assert "--seed must be a non-negative integer" in err
 
-    @pytest.mark.parametrize("setting", ["seed=-1", "conv_channels=-4,32", "conv_channels=0,32"])
+    @pytest.mark.parametrize(
+        "setting",
+        ["seed=-1", "conv_channels=-4,32", "conv_channels=0,32", "conv_channels=100000000000,32"],
+    )
     def test_train_setting(self, cli_dataset, tmp_path, setting, capsys):
         code, _, err = run(
             [
@@ -488,7 +491,8 @@ class TestTrainEval:
         config = ExperimentConfig(conv_channels=(4,), pool_targets=(100,))
         model = pipelines.build_model(config, config.input_channels(), 3)
         ckpt = tmp_path / "cut.ckpt"
-        ckpt.write_bytes(Checkpoint(model, None, {"task": "classification"}).to_bytes()[:cut])
+        stats = ChannelStats(np.zeros(2), np.ones(2))
+        ckpt.write_bytes(Checkpoint(model, stats, {"task": "classification"}).to_bytes()[:cut])
         code, _, err = run([command, "--checkpoint", ckpt, "--data", cli_dataset], capsys)
         assert code == 2
         assert "error: checkpoint" in err
@@ -498,7 +502,8 @@ class TestTrainEval:
         config = ExperimentConfig(conv_channels=(4,), pool_targets=(100,))
         model = pipelines.build_model(config, config.input_channels(), 3)
         ckpt = tmp_path / "no-task.ckpt"
-        Checkpoint(model, None, {"features": "ff", "seed": 0}).save(ckpt)
+        stats = ChannelStats(np.zeros(2), np.ones(2))
+        Checkpoint(model, stats, {"features": "ff", "seed": 0}).save(ckpt)
         code, _, err = run([command, "--checkpoint", ckpt, "--data", cli_dataset], capsys)
         assert code == 3
         assert "checkpoint meta has no 'task'" in err
@@ -591,6 +596,72 @@ class TestTrainEval:
         assert code == 2
         assert f"sample {fields[0]}: class label {label} is not in 0..11" in err
         assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("label", ["99999999999", "-1"])
+    def test_edge_label_out_of_range_exit_2(self, tmp_path, label, capsys):
+        """A train mesh's edge label must lie in 0..(train edges - 1): a huge one
+        would size the head, a negative one would fail inside the loss."""
+        data = tmp_path / "limbs"
+        gen = [
+            "gen-data", "--spec", "articulated-limbs", "--classes", "2", "--per-class", "1",
+            "--train-per-class", "1", "--test-per-class", "0", "--edge-range", "250,500",
+            "--out", data,
+        ]
+        assert run(gen, capsys)[0] == 0
+        files = sorted((data / "meshes").glob("*.edgelabels"))
+        edges = sum(len(f.read_text().splitlines()) for f in files)
+        rows = files[1].read_text().splitlines()
+        rows[5] = " ".join(rows[5].split()[:2] + [label])
+        files[1].write_text("\n".join(rows) + "\n")
+        code, _, err = run(
+            [
+                "train", "--data", data, "--out", tmp_path / "m.ckpt",
+                "--set", "task=segmentation", "--set", "epochs=1",
+                "--set", "conv_channels=4,6", "--set", "pool_targets=200,150",
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert err.endswith(
+            f"error: sample {files[1].stem}: edge label {label} is not in "
+            f"0..{edges - 1} ({edges} labelled edges)\n"
+        )
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_eval_of_unlabelled_test_mesh_exit_2(self, cli_dataset, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(cli_dataset, data)
+        rows = (data / "index.tsv").read_text().splitlines()
+        row = next(i for i, line in enumerate(rows) if "\ttest\t" in line)
+        fields = rows[row].split("\t")
+        fields[2] = ""
+        rows[row] = "\t".join(fields)
+        (data / "index.tsv").write_text("\n".join(rows) + "\n")
+        ckpt = untrained_checkpoint(tmp_path / "m.ckpt", "classification")
+        code, _, err = run(["eval", "--checkpoint", ckpt, "--data", data], capsys)
+        assert code == 2
+        assert err == f"error: sample {fields[0]} has no class label\n"
+
+    def test_checkpoint_without_channel_stats_exit_2(self, cli_dataset, tmp_path, capsys):
+        """Every evaluator standardizes with the stats, so a header without them
+        is corrupt, not a model that fails at its first mesh."""
+        data = untrained_checkpoint(tmp_path / "m.ckpt", "classification").read_bytes()
+        size = struct.unpack_from("<Q", data, 8)[0]
+        header = json.loads(data[16 : 16 + size])
+        tags = header["blob_order"][-2:]
+        assert tags == ["channel_stats.mean", "channel_stats.std"]
+        stats_bytes = 8 * sum(header["blob_shapes"].pop(tag)[0] for tag in tags)
+        del header["blob_order"][-2:]
+        header["has_channel_stats"] = False
+        encoded = json.dumps(header).encode()
+        ckpt = tmp_path / "no-stats.ckpt"
+        ckpt.write_bytes(
+            struct.pack("<4sIQ", b"MFCK", 1, len(encoded)) + encoded
+            + data[16 + size : len(data) - stats_bytes]
+        )
+        code, stdout, err = run(["eval", "--checkpoint", ckpt, "--data", cli_dataset], capsys)
+        assert code == 2
+        assert (stdout, err) == ("", "error: checkpoint header corrupt\n")
 
     def test_ablate_prints_four_rows(self, cli_dataset, capsys):
         code, stdout, _ = run(

@@ -13,7 +13,7 @@ from meshforms import DatasetSpec, GraphError, MeshConv, Value, build_edge_topol
 from meshforms._kernels import conv_backward, conv_forward
 from meshforms.layers import MeshContext
 
-from conftest import SMALL_CORPUS_SEED, flat_pair_mesh, fuzz_corpus
+from conftest import SMALL_CORPUS_SEED, finite_difference, flat_pair_mesh, fuzz_corpus
 
 
 def swapped_pairs(neighbors):
@@ -63,21 +63,6 @@ class TestForward:
         layer = MeshConv(3, 4, np.random.default_rng(0))
         with pytest.raises(GraphError, match="mesh_conv expects 3 channels"):
             layer(Value(features[:, :2]), MeshContext(topology))
-
-
-def finite_difference(fun, x, h=1e-5):
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        hi = fun()
-        flat[i] = orig - h
-        lo = fun()
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2 * h)
-    return grad
 
 
 def relative_error(got, expected):

@@ -31,7 +31,7 @@ from meshforms import (
 from meshforms._kernels import INSTANCE_NORM_EPS
 from meshforms.layers import MeshContext
 
-from conftest import fuzz_corpus, mutate_bytes
+from conftest import finite_difference, fuzz_corpus, mutate_bytes
 
 
 @pytest.fixture(scope="module")
@@ -43,21 +43,6 @@ def instance():
     # spread feature norms so pooling selection is stable under h=1e-5 probes
     features *= (1.0 + np.arange(topology.edge_count)[:, None] * 0.01)
     return mesh, topology, features
-
-
-def finite_difference(fun, x, h=1e-5):
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        hi = fun()
-        flat[i] = orig - h
-        lo = fun()
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2 * h)
-    return grad
 
 
 def assert_close_to_fd(grad, fd, tol=1e-6):
@@ -212,8 +197,9 @@ class TestGradientOracle:
         layer_gradcheck(Dense(3, 5, np.random.default_rng(3)), features, topology)
 
     def test_cross_entropy_vector(self):
+        """One mesh's class logits: a single row with a single label."""
         rng = np.random.default_rng(4)
-        logits = rng.normal(size=5)
+        logits = rng.normal(size=(1, 5))
         v = Value(logits)
         cross_entropy(v, 2).backward()
 
@@ -325,12 +311,21 @@ class TestLayerContracts:
 
     def test_cross_entropy_uniform_logits(self):
         for k in (2, 5, 9):
-            loss = cross_entropy(Value(np.zeros(k)), 0)
+            loss = cross_entropy(Value(np.zeros((1, k))), 0)
             assert np.isclose(float(loss.data), np.log(k))
 
     def test_cross_entropy_label_out_of_range(self):
         with pytest.raises(GraphError):
-            cross_entropy(Value(np.zeros(3)), 3)
+            cross_entropy(Value(np.zeros((1, 3))), 3)
+
+    def test_cross_entropy_rejects_vector_logits(self):
+        with pytest.raises(GraphError, match=r"logits must be \(rows, classes\), got shape \(3,\)"):
+            cross_entropy(Value(np.zeros(3)), 0)
+
+    def test_gap_keeps_the_row_axis(self, instance):
+        _, topology, features = instance
+        out = GlobalAveragePool()(Value(features), MeshContext(topology))
+        assert out.data.shape == (1, features.shape[1])
 
     def test_mse_examples(self):
         assert float(mse(Value(np.ones((4, 2))), np.ones((4, 2))).data) == 0.0
@@ -392,12 +387,16 @@ class TestOptimizer:
         assert p.data[0] < 0 < p.data[1]
 
 
+# Empty channel statistics, which an empty model's checkpoint still carries.
+_NO_CHANNELS = {"channel_stats.mean": [0], "channel_stats.std": [0]}
+
+
 def _header(**changes):
     """A checkpoint header that decodes to an empty model, with ``changes``."""
     header = {
-        "blob_order": [],
-        "blob_shapes": {},
-        "has_channel_stats": False,
+        "blob_order": list(_NO_CHANNELS),
+        "blob_shapes": _NO_CHANNELS,
+        "has_channel_stats": True,
         "layers": [],
         "meta": {},
         "pooling_policy": "enhanced",
@@ -449,8 +448,10 @@ class TestCheckpoint:
             _header(layers=[{"type": "dense", "out": 2}]),
             _header(layers=5),
             _header(blob_order=["w"], blob_shapes={"w": [-2]}),
-            _header(has_channel_stats=True),
+            _header(blob_order=[]),
             _header(pooling_policy="bogus"),
+            _header(has_channel_stats=False, blob_order=[], blob_shapes={}),
+            _header(has_channel_stats=False),
         ],
     )
     def test_corrupt_header_rejected(self, header):
@@ -469,7 +470,8 @@ class TestCheckpoint:
         ids=["out", "in"],
     )
     def test_oversized_layer_rejected_before_building(self, change):
-        data = Checkpoint(self._model(), None, {"task": "classification"}).to_bytes()
+        stats = ChannelStats(np.array([0.5, -1.0]), np.array([2.0, 0.25]))
+        data = Checkpoint(self._model(), stats, {"task": "classification"}).to_bytes()
         size = struct.unpack_from("<Q", data, 8)[0]
         header = json.loads(data[16 : 16 + size])
         header["layers"][0].update(change)
@@ -479,7 +481,9 @@ class TestCheckpoint:
             Checkpoint.from_bytes(prefix + encoded + data[16 + size :])
 
     def test_blob_size_beyond_int64_is_truncation(self):
-        header = _header(blob_order=["w"], blob_shapes={"w": [2**62, 4]})
+        header = _header(
+            blob_order=["w", *_NO_CHANNELS], blob_shapes={"w": [2**62, 4], **_NO_CHANNELS}
+        )
         prefix = struct.pack("<4sIQ", b"MFCK", 1, len(header))
         with pytest.raises(CheckpointError, match="truncated"):
             Checkpoint.from_bytes(prefix + header)

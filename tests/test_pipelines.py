@@ -3,14 +3,18 @@
 import gc
 import types
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshforms import (
     Checkpoint,
     ConfigError,
+    MeshFormsError,
+    PoolTargetError,
     DataError,
     DatasetSpec,
     ExperimentConfig,
@@ -30,6 +34,7 @@ from meshforms import (
 )
 from meshforms.autodiff import Value
 from meshforms.layers import ModelGraph
+from meshforms.config import MAX_WIDTH
 from meshforms.pipelines import DENOISING_REFERENCE_MSE, build_model
 
 
@@ -87,6 +92,7 @@ class TestConfig:
         [
             ("conv_channels", (-4, 32)),
             ("conv_channels", (0, 32)),
+            ("channel_mask", (2, 0)),
             ("seed", -1),
             ("learning_rate", float("nan")),
             ("learning_rate", 0.0),
@@ -127,6 +133,104 @@ class TestConfig:
     def test_channel_mask_counts(self):
         cfg = tiny_config(features="meshcnn5", channel_mask=(1, 0, 0, 1, 1))
         assert cfg.input_channels() == 3
+
+    def test_width_upper_bound(self):
+        """A width past MAX_WIDTH is a ConfigError, not a MemoryError at build."""
+        assert tiny_config(conv_channels=(MAX_WIDTH, 8)).conv_channels == (MAX_WIDTH, 8)
+        for widths in ((MAX_WIDTH + 1, 8), (8, 100_000_000_000)):
+            with pytest.raises(ConfigError, match=f"conv_channels must be in 1..{MAX_WIDTH}"):
+                tiny_config(conv_channels=widths)
+
+
+# Per config key: values that pass validation, their range boundaries among
+# them, then mutations. MAX_WIDTH itself is left to test_width_upper_bound:
+# a segmentation decoder would hold 5 x 4096 x 4096 weights.
+_VALID_VALUES = {
+    "task": ["classification", "segmentation", "denoising"],
+    "features": ["ff", "meshcnn5", "xyz", "xyz-inv", "laplacian"],
+    "channel_mask": ["", "1,0", "0,1"],
+    "output_features": ["ff", "xyz"],
+    "pooling": ["enhanced", "legacy"],
+    "batch_size": ["1", "2", "99999999999999999999"],
+    "optimizer": ["adam", "sgd"],
+    "learning_rate": ["2e-4", "1e-2", "5e-324"],
+    "momentum": ["0", "0.9", "0.9999999999999999"],
+    "noise_variance": ["0", "0.05"],
+    "augment_rotation": ["true", "FALSE"],
+    "augment_jitter": ["0", "0.01"],
+    "seed": ["0", "7", "99999999999999999999"],
+    "epochs": ["1", "100000"],
+}
+_MUTATED_VALUES = {
+    "task": ["", "Classification", "alchemy"],
+    "features": ["", "ff5", "FF"],
+    "channel_mask": ["0,0", "1", "1,1,1,1,1,1", "2,0", "x"],
+    "output_features": ["meshcnn5", ""],
+    "pooling": ["batch", ""],
+    "batch_size": ["0", "-3", "1.5"],
+    "optimizer": ["rmsprop"],
+    "learning_rate": ["0", "-1e-3", "nan", "inf", "1e999", "x"],
+    "momentum": ["1", "-0.1", "nan", "-inf"],
+    "noise_variance": ["-0.1", "inf", "nan"],
+    "augment_rotation": ["yes", "1", ""],
+    "augment_jitter": ["-0.01", "nan"],
+    "seed": ["-1", "1.0", ""],
+    "epochs": ["0", "-1", "1.5", "x"],
+}
+# (conv_channels, pool_targets) pairs that fit the dataset's 204-378 edges,
+# then mismatched, out-of-range and malformed ones.
+_VALID_STAGES = [("4", "180"), ("1,3", "190,120"), ("3,2", "200,1")]
+_MUTATED_STAGES = [
+    ("4097", "180"), ("100000000000,4", "190,120"), ("0,4", "190,120"), ("-1", "180"),
+    ("4", "190,120"), ("", ""), ("4.5", "180"), ("4", "180,180"), ("4,4", "120,190"),
+    ("4", "0"), ("4", "-5"), ("4,", "180,"), ("4", "99999"),
+]
+
+
+@st.composite
+def config_draws(draw):
+    """(config text, --set overrides) over a few keys, each value valid, at a
+    boundary or mutated; lines carry comments, odd spacing and junk."""
+    stages = draw(st.sampled_from(_VALID_STAGES) | st.sampled_from(_MUTATED_STAGES))
+    pairs = [("conv_channels", stages[0]), ("pool_targets", stages[1])]
+    for key in draw(st.lists(st.sampled_from(sorted(_MUTATED_VALUES)), unique=True, max_size=5)):
+        bad = draw(st.integers(0, 3)) == 0
+        pairs.append((key, draw(st.sampled_from((_MUTATED_VALUES if bad else _VALID_VALUES)[key]))))
+    lines, overrides = [], {}
+    for key, value in pairs:
+        if draw(st.booleans()):
+            overrides[key] = value
+        else:
+            line = draw(st.sampled_from(["{} = {}", "{}={}  # note", "  {}  =  {}"]))
+            lines.append(line.format(key, value))
+    harmless, broken = ["", "# comment"], ["epochs", "bogus = 1", "= 3"]
+    junk = draw(st.sampled_from(broken if draw(st.integers(0, 3)) == 0 else harmless))
+    lines.insert(draw(st.integers(0, len(lines))), junk)
+    return "\n".join(lines) + "\n", overrides
+
+
+@pytest.fixture(scope="module")
+def property_dataset():
+    """Two train and two test limbs (204-378 edges), class and edge labelled."""
+    spec = DatasetSpec("articulated-limbs", 2, 2, edge_range=(250, 500), seed=1)
+    return split(generate(spec), 1, 1, seed=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(draw=config_draws())
+def test_config_draw_is_rejected_or_trains(property_dataset, draw):
+    """A config either fails as a ConfigError or trains one epoch; the one
+    typed failure a valid config may meet there is a pool target that these
+    meshes cannot reach."""
+    text, overrides = draw
+    try:
+        config = parse_config(text, overrides)
+    except ConfigError:
+        return
+    try:
+        train(replace(config, epochs=1), property_dataset)
+    except MeshFormsError as err:
+        assert isinstance(err, PoolTargetError) or "pool target" in str(err), err
 
 
 class TestMetricDefinitions:
