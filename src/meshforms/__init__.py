@@ -92,8 +92,6 @@ from .pipelines import (
     evaluate_classification,
     evaluate_denoising,
     evaluate_segmentation,
-    identity_baseline,
-    make_denoising_pairs,
     run_ablation,
     soft_edge_accuracy,
     train,

@@ -200,23 +200,15 @@ def cmd_denoise(args):
     if args.seed is not None:
         check_seed(args.seed, "--seed")
     checkpoint = Checkpoint.load(args.checkpoint)
-    if checkpoint.meta_value("task") != "denoising":
-        raise ConfigError("checkpoint was not trained for denoising")
     samples = [s for s in ds.load_dataset(args.data) if s.split == ds.TEST]
     if not samples:
         raise DataError("dataset has no test split")
-    variance = (
-        args.variance
-        if args.variance is not None
-        else checkpoint.meta.get("noise_variance", 0.1)
+    model_mse, ident = pipelines.evaluate_denoising(
+        checkpoint, samples, seed=args.seed or 0, variance=args.variance
     )
-    pairs = pipelines.make_denoising_pairs(samples, variance, seed=args.seed or 0)
-    out_kind = checkpoint.meta_value("output_features")
-    model_mse = pipelines.evaluate_denoising(checkpoint, pairs, out_kind)
-    ident = pipelines.identity_baseline(pairs, out_kind)
     print(f"config_hash = {checkpoint.meta_value('config_hash')}")
     print(f"seed = {args.seed or 0}")
-    print(f"output_features = {out_kind}")
+    print(f"output_features = {checkpoint.meta_value('output_features')}")
     print(f"model_mse = {model_mse:.6g}")
     print(f"identity_mse = {ident:.6g}")
     return 0

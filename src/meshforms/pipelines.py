@@ -1,16 +1,18 @@
 """Training and evaluation for classification, segmentation and de-noising.
 
-Normalization statistics are fitted on the training split only and ride in
-the checkpoint. Meshes are unit-box normalized before feature extraction;
-de-noising inputs come from the noisy copy, targets are the clean mesh's raw
-feature channels of the configured output kind, and the reported MSE is
-computed on those raw channels.
+Every labelled mesh, in training and in every evaluator, goes through
+``_prepare_samples``: unit-box mesh, its topology, the raw model input and the
+target. Normalization statistics are fitted on the training split only and
+ride in the checkpoint. De-noising inputs come from a noisy copy of the mesh,
+targets are the clean mesh's raw feature channels of the configured output
+kind, and the reported MSEs (model and identity) are computed on those raw
+channels.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,7 +20,6 @@ from .checkpoint import Checkpoint
 from .config import (
     CLASSIFICATION,
     DENOISING,
-    KIND_TOKENS,
     SEGMENTATION,
     ExperimentConfig,
     config_hash,
@@ -97,22 +98,27 @@ class _Prepared:
     topology: object
     inputs_raw: np.ndarray
     target: object  # class label, edge-label vector, or target features
-    source: object  # the mesh the inputs come from: the noisy copy when de-noising
+    source: object  # the mesh the inputs come from: noisy when de-noising, rotated when probed
 
 
-def _prepare_samples(config: ExperimentConfig, samples):
+def _prepare_samples(config: ExperimentConfig, samples, rotation_seed):
     """Yield each sample as the model reads it, one at a time.
 
     The one path from a labelled mesh to its unit-box mesh, topology, raw
     input and target, for training and evaluation alike. A class label is the
-    target of the mesh's one logit row; de-noising inputs come from the noisy
-    copy ``make_denoising_pairs`` draws with the config's seed.
+    target of the mesh's one logit row. The input comes from ``source``: for
+    de-noising a noisy copy drawn with the config's seed, and, when
+    ``rotation_seed`` is set, a random rotation of the mesh (robustness
+    probes). ``mesh`` and the topology stay those of the clean, unrotated mesh.
     """
-    if config.task == DENOISING:
-        pairs = make_denoising_pairs(samples, config.noise_variance, seed=config.seed)
-    else:
-        pairs = ((mesh, mesh) for mesh in (normalize_unit_box(s.mesh) for s in samples))
-    for s, (mesh, source) in zip(samples, pairs):
+    for i, s in enumerate(samples):
+        mesh = source = normalize_unit_box(s.mesh)
+        if config.task == DENOISING:
+            source = add_vertex_noise(
+                mesh, config.noise_variance, seed=config.seed * 100003 + 7 * i
+            )
+        if rotation_seed is not None:
+            source = augment(source, random_rotation=True, seed=rotation_seed + i)
         topology = build_edge_topology(mesh)
         inputs = _inputs(config, source, topology)
         if config.task == DENOISING:
@@ -212,7 +218,7 @@ def train(config: ExperimentConfig, samples, dataset_hash=""):
     test_samples = [s for s in samples if s.split == TEST]
     if not train_samples:
         raise DataError("dataset has no training split")
-    prepared = list(_prepare_samples(config, train_samples))
+    prepared = list(_prepare_samples(config, train_samples, rotation_seed=None))
     if config.task == DENOISING:
         out_dim = prepared[0].target.shape[1]
     else:
@@ -288,14 +294,8 @@ def train(config: ExperimentConfig, samples, dataset_hash=""):
                 checkpoint, test_samples
             )
         else:
-            pairs = make_denoising_pairs(
-                test_samples, config.noise_variance, seed=config.seed + 555
-            )
-            report.metrics["test_mse"] = evaluate_denoising(
-                checkpoint, pairs, config.output_features
-            )
-            report.metrics["identity_mse"] = identity_baseline(
-                pairs, config.output_features
+            report.metrics["test_mse"], report.metrics["identity_mse"] = evaluate_denoising(
+                checkpoint, test_samples, seed=config.seed + 555
             )
     report.wall_clock_s = time.perf_counter() - started
     return checkpoint, report
@@ -311,7 +311,11 @@ def _checkpoint_config(checkpoint: Checkpoint, task) -> ExperimentConfig:
         task=trained,
         features=checkpoint.meta_value("features"),
         channel_mask=tuple(meta.get("channel_mask", ())),
-        output_features=meta.get("output_features", "ff"),
+        output_features=(
+            checkpoint.meta_value("output_features")
+            if trained == DENOISING
+            else meta.get("output_features", "ff")
+        ),
         noise_variance=meta.get("noise_variance", 0.1),
         seed=meta.get("seed", 0),
     )
@@ -326,21 +330,22 @@ def _predict(checkpoint, inputs_raw, topology):
     return out.data
 
 
+def _test_split(samples):
+    """The test split, or the samples when none is split off."""
+    test = [s for s in samples if s.split == TEST or not s.split]
+    if not test:
+        raise DataError("no test meshes to evaluate")
+    return test
+
+
 def _label_accuracy(checkpoint: Checkpoint, task, samples, rotation_seed=None):
     """Mean over the test split (or unsplit samples) of the weighted share of
     logit rows whose argmax is the label: an edge weighs its length, a mesh's
     one row 1."""
     config = _checkpoint_config(checkpoint, task)
-    test = [s for s in samples if s.split == TEST or not s.split]
-    if not test:
-        raise DataError("no test meshes to evaluate")
     scores = []
-    for i, p in enumerate(_prepare_samples(config, test)):
-        inputs = p.inputs_raw
-        if rotation_seed is not None:
-            rotated = augment(p.mesh, random_rotation=True, seed=rotation_seed + i)
-            inputs = _inputs(config, rotated, p.topology)
-        predicted = np.argmax(_predict(checkpoint, inputs, p.topology), axis=1)
+    for p in _prepare_samples(config, _test_split(samples), rotation_seed):
+        predicted = np.argmax(_predict(checkpoint, p.inputs_raw, p.topology), axis=1)
         weights = 1.0
         if task == SEGMENTATION:
             ends = p.mesh.vertices[p.topology.edges]
@@ -353,7 +358,7 @@ def evaluate_classification(checkpoint: Checkpoint, samples, rotation_seed=None)
     """Fraction of test meshes whose argmax logit matches the label.
 
     ``rotation_seed`` applies a random rigid rotation to every mesh first
-    (robustness probes); its inputs are re-extracted on the topology of the
+    (robustness probes); its inputs are extracted on the topology of the
     unrotated mesh, whose faces a rotation keeps.
     """
     return _label_accuracy(checkpoint, CLASSIFICATION, samples, rotation_seed)
@@ -371,51 +376,26 @@ def evaluate_segmentation(checkpoint: Checkpoint, samples):
     return _label_accuracy(checkpoint, SEGMENTATION, samples)
 
 
-def make_denoising_pairs(samples, variance, seed=0):
-    """(clean, noisy) unit-box meshes sharing connectivity."""
-    pairs = []
-    for i, s in enumerate(samples):
-        clean = normalize_unit_box(s.mesh)
-        noisy = add_vertex_noise(clean, variance, seed=seed * 100003 + 7 * i)
-        pairs.append((clean, noisy))
-    return pairs
+def evaluate_denoising(checkpoint: Checkpoint, samples, seed, variance=None):
+    """(model MSE, identity MSE) over the test meshes.
 
-
-def _check_shared_topology(clean, noisy):
-    if not np.array_equal(clean.faces, noisy.faces) or (
-        clean.vertex_count != noisy.vertex_count
-    ):
-        raise DataError("clean and noisy meshes do not share topology")
-
-
-def identity_baseline(pairs, output_features) -> float:
-    """Average MSE of just returning the noisy features unchanged."""
-    kind = KIND_TOKENS[output_features]
-    errors = []
-    for clean, noisy in pairs:
-        _check_shared_topology(clean, noisy)
-        topology = build_edge_topology(clean)
-        clean_f = extract(topology, clean, kind).values
-        noisy_f = extract(topology, noisy, kind).values
-        errors.append(float(np.mean((clean_f - noisy_f) ** 2)))
-    return float(np.mean(errors))
-
-
-def evaluate_denoising(checkpoint: Checkpoint, pairs, output_features) -> float:
-    """Average MSE between model output and the clean mesh's raw features."""
+    Each test mesh gets a noisy copy drawn with ``seed`` at ``variance`` (the
+    checkpoint's noise variance when None). Both MSEs average, over meshes,
+    the mean squared difference from the clean mesh's raw output features:
+    of the model's prediction from the noisy copy, and of the noisy copy's
+    own features (returning the input unchanged).
+    """
     config = _checkpoint_config(checkpoint, DENOISING)
-    predicted = checkpoint.meta_value("output_features")
-    if predicted != output_features:
-        raise ConfigError(f"checkpoint predicts {predicted}, asked for {output_features}")
-    kind = KIND_TOKENS[output_features]
-    errors = []
-    for clean, noisy in pairs:
-        _check_shared_topology(clean, noisy)
-        topology = build_edge_topology(clean)
-        predicted = _predict(checkpoint, _inputs(config, noisy, topology), topology)
-        target = extract(topology, clean, kind).values
-        errors.append(float(np.mean((predicted - target) ** 2)))
-    return float(np.mean(errors))
+    if variance is None:
+        variance = config.noise_variance
+    config = replace(config, noise_variance=variance, seed=seed)
+    model_errors, identity_errors = [], []
+    for p in _prepare_samples(config, _test_split(samples), rotation_seed=None):
+        predicted = _predict(checkpoint, p.inputs_raw, p.topology)
+        noisy = extract(p.topology, p.source, config.output_kind).values
+        model_errors.append(float(np.mean((predicted - p.target) ** 2)))
+        identity_errors.append(float(np.mean((p.target - noisy) ** 2)))
+    return float(np.mean(model_errors)), float(np.mean(identity_errors))
 
 
 def run_ablation(base_config: ExperimentConfig, samples, dataset_hash=""):

@@ -451,7 +451,7 @@ def _pool(state: PoolingState, target_edges: int, incremental: bool):
     a legal collapse unchecked.
     """
     if target_edges >= state.live_edge_count:
-        raise MeshError(
+        raise GraphError(
             f"pool target {target_edges} is not below the current edge count "
             f"{state.live_edge_count}"
         )

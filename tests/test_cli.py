@@ -408,6 +408,69 @@ class TestNegativeSeeds:
         assert not (tmp_path / "m.ckpt").exists()
 
 
+class TestDenoise:
+    @pytest.mark.parametrize(
+        "extra, golden",
+        [
+            (
+                ["--seed", "3"],
+                "config_hash = x\nseed = 3\noutput_features = ff\n"
+                "model_mse = 0.995615\nidentity_mse = 1.71573\n",
+            ),
+            (
+                ["--seed", "3", "--variance", "0.05"],
+                "config_hash = x\nseed = 3\noutput_features = ff\n"
+                "model_mse = 0.995275\nidentity_mse = 1.48983\n",
+            ),
+        ],
+    )
+    def test_untrained_report_golden(self, cli_dataset, tmp_path, extra, golden, capsys):
+        ckpt = untrained_checkpoint(tmp_path / "m.ckpt", "denoising")
+        code, stdout, _ = run(
+            ["denoise", "--checkpoint", ckpt, "--data", cli_dataset, *extra], capsys
+        )
+        assert code == 0
+        assert stdout == golden
+
+    @pytest.mark.parametrize("variance", ["nan", "inf", "-1"])
+    def test_variance_follows_the_config_rule(self, cli_dataset, tmp_path, variance, capsys):
+        ckpt = untrained_checkpoint(tmp_path / "m.ckpt", "denoising")
+        code, stdout, err = run(
+            ["denoise", "--checkpoint", ckpt, "--data", cli_dataset, "--variance", variance],
+            capsys,
+        )
+        assert code == 2
+        assert "noise_variance must be finite and non-negative" in err
+        assert stdout == ""
+
+    def test_checkpoint_without_output_features_exit_3(self, cli_dataset, tmp_path, capsys):
+        config = ExperimentConfig(task="denoising", conv_channels=(4,), pool_targets=(100,))
+        model = pipelines.build_model(config, config.input_channels(), 2)
+        ckpt = tmp_path / "no-kind.ckpt"
+        stats = ChannelStats(np.zeros(2), np.ones(2))
+        Checkpoint(model, stats, {"task": "denoising", "features": "ff"}).save(ckpt)
+        code, stdout, err = run(["denoise", "--checkpoint", ckpt, "--data", cli_dataset], capsys)
+        assert code == 3
+        assert "checkpoint meta has no 'output_features'" in err
+        assert stdout == ""
+
+
+def test_unreachable_pool_target_exit_3(cli_dataset, tmp_path, capsys):
+    """A target at or above the edge count is a runtime failure, as is running
+    out of legal collapses."""
+    code, stdout, err = run(
+        [
+            "train", "--data", cli_dataset, "--out", tmp_path / "m.ckpt",
+            "--set", "epochs=1", "--set", "conv_channels=4", "--set", "pool_targets=99999",
+        ],
+        capsys,
+    )
+    assert code == 3
+    assert "pool target 99999" in err
+    assert stdout == ""
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 @pytest.mark.parametrize("train, test", [("-1", "2"), ("2", "-2")])
 def test_gen_data_rejects_a_negative_split_count(tmp_path, capsys, train, test):
     """A negative per-class count is a DataError (exit 2) and writes nothing."""

@@ -24,18 +24,18 @@ from meshforms import (
     evaluate_segmentation,
     format_config,
     generate,
-    identity_baseline,
-    make_denoising_pairs,
-    normalize_unit_box,
     parse_config,
     soft_edge_accuracy,
     split,
     train,
 )
+from meshforms import pipelines
 from meshforms.autodiff import Value
 from meshforms.layers import ModelGraph
 from meshforms.config import MAX_WIDTH
+from meshforms.features import extract
 from meshforms.pipelines import DENOISING_REFERENCE_MSE, build_model
+from meshforms.topology import build_edge_topology
 
 
 def tiny_dataset(task_classes=3, per_class=4, seed=1, generator="primitive-zoo"):
@@ -383,21 +383,7 @@ class TestEvaluation:
         )
         for s in samples:
             s.split = "test"
-        cfg = tiny_config(epochs=1)
-        model = build_model(cfg, 2, classes)
-        ckpt = Checkpoint(
-            model,
-            _unit_stats(2),
-            {
-                "task": "classification",
-                "features": "ff",
-                "channel_mask": [],
-                "output_features": "ff",
-                "noise_variance": 0.1,
-                "config_hash": "x",
-                "seed": 0,
-            },
-        )
+        ckpt = untrained_checkpoint(tiny_config(epochs=1), classes)
         accuracy = evaluate_classification(ckpt, samples)
         n = len(samples)
         sigma = np.sqrt(0.25 * 0.75 / n)
@@ -423,7 +409,7 @@ class TestEvaluation:
         with pytest.raises(ConfigError):
             evaluate_segmentation(ckpt, samples)
         with pytest.raises(ConfigError):
-            evaluate_denoising(ckpt, [], "ff")
+            evaluate_denoising(ckpt, [], seed=0)
 
 
 def graph_values(out):
@@ -470,7 +456,7 @@ def test_evaluation_frees_each_graph_before_the_next_forward(task, generator, mo
         elif task == "segmentation":
             evaluate_segmentation(ckpt, samples)
         else:
-            evaluate_denoising(ckpt, make_denoising_pairs(samples, 0.05, seed=1), "ff")
+            evaluate_denoising(ckpt, samples, seed=1, variance=0.05)
     finally:
         gc.enable()
     assert len(alive_at_entry) >= 2 and len(previous) > 5
@@ -504,31 +490,86 @@ def _unit_stats(channels):
     return ChannelStats(np.zeros(channels), np.ones(channels))
 
 
+def untrained_checkpoint(config, out_dim):
+    """An untrained ``build_model`` checkpoint of ``config`` on ff inputs, with
+    unit statistics."""
+    meta = {
+        "task": config.task,
+        "features": "ff",
+        "channel_mask": [],
+        "output_features": config.output_features,
+        "noise_variance": config.noise_variance,
+        "config_hash": "x",
+        "seed": config.seed,
+    }
+    return Checkpoint(build_model(config, 2, out_dim), _unit_stats(2), meta)
+
+
+def unsplit(samples):
+    """The samples with no split, so an evaluator reads every one."""
+    return [replace(s, split="") for s in samples]
+
+
+@pytest.mark.parametrize(
+    "task, generator",
+    [
+        ("classification", "primitive-zoo"),
+        ("segmentation", "articulated-limbs"),
+        ("denoising", "primitive-zoo"),
+    ],
+)
+def test_evaluation_builds_one_topology_per_test_mesh(task, generator, monkeypatch):
+    samples = tiny_dataset(2, 3, generator=generator)
+    ckpt = untrained_checkpoint(tiny_config(task=task, noise_variance=0.05), 2)
+    built = []
+
+    def counted(mesh):
+        built.append(mesh)
+        return build_edge_topology(mesh)
+
+    monkeypatch.setattr(pipelines, "build_edge_topology", counted)
+    if task == "classification":
+        evaluate_classification(ckpt, samples)
+    elif task == "segmentation":
+        evaluate_segmentation(ckpt, samples)
+    else:
+        evaluate_denoising(ckpt, samples, seed=1)
+    assert len(built) == sum(s.split == "test" for s in samples)
+
+
 class TestDenoising:
+    @pytest.mark.parametrize(
+        "kind, golden",
+        [
+            ("ff", (0.6730151969796866, 1.4204437981328475)),
+            ("xyz", (0.4924243263535805, 0.02464148738073776)),
+        ],
+    )
+    def test_untrained_mse_golden(self, kind, golden):
+        """Model and identity MSEs of an untrained model, bit for bit."""
+        cfg = tiny_config(task="denoising", output_features=kind, noise_variance=0.05)
+        ckpt = untrained_checkpoint(cfg, {"ff": 2, "xyz": 3}[kind])
+        assert evaluate_denoising(ckpt, tiny_dataset(), seed=4) == golden
+
     def test_identity_baseline_zero_noise(self):
-        samples = tiny_dataset(2, 2)
-        pairs = make_denoising_pairs(samples, 0.0, seed=1)
-        assert identity_baseline(pairs, "ff") == 0.0
+        ckpt = untrained_checkpoint(tiny_config(task="denoising"), 2)
+        _, ident = evaluate_denoising(ckpt, unsplit(tiny_dataset(2, 2)), seed=1, variance=0.0)
+        assert ident == 0.0
 
     def test_identity_baseline_positive_with_noise(self):
-        samples = tiny_dataset(2, 2)
-        pairs = make_denoising_pairs(samples, 0.1, seed=1)
-        assert identity_baseline(pairs, "ff") > 0.0
-        assert identity_baseline(pairs, "xyz") > 0.0
-
-    def test_topology_mismatch_rejected(self):
-        samples = tiny_dataset(2, 2)
-        clean = normalize_unit_box(samples[0].mesh)
-        other = normalize_unit_box(samples[1].mesh)
-        with pytest.raises(DataError):
-            identity_baseline([(clean, other)], "ff")
+        samples = unsplit(tiny_dataset(2, 2))
+        for kind, channels in (("ff", 2), ("xyz", 3)):
+            cfg = tiny_config(task="denoising", output_features=kind)
+            _, ident = evaluate_denoising(
+                untrained_checkpoint(cfg, channels), samples, seed=1, variance=0.1
+            )
+            assert ident > 0.0
 
     def test_xyz_identity_scales_with_noise_variance(self):
         # midpoint of two noisy endpoints has variance sigma^2/2 per channel
-        samples = tiny_dataset(1, 2)
+        ckpt = untrained_checkpoint(tiny_config(task="denoising", output_features="xyz"), 3)
         var = 0.02
-        pairs = make_denoising_pairs(samples, var, seed=2)
-        ident = identity_baseline(pairs, "xyz")
+        _, ident = evaluate_denoising(ckpt, unsplit(tiny_dataset(1, 2)), seed=2, variance=var)
         assert abs(ident - var / 2) < var * 0.25
 
 
@@ -540,3 +581,16 @@ class TestRotationProbe:
         base = evaluate_classification(ckpt, samples)
         rotated = evaluate_classification(ckpt, samples, rotation_seed=5)
         assert base == rotated  # invariant features: identical decisions
+
+    def test_rotation_probe_extracts_once_per_test_mesh(self, monkeypatch):
+        samples = tiny_dataset(2, 3)
+        ckpt = untrained_checkpoint(tiny_config(), 2)
+        kinds = []
+
+        def counted(topology, mesh, kind):
+            kinds.append(kind)
+            return extract(topology, mesh, kind)
+
+        monkeypatch.setattr(pipelines, "extract", counted)
+        evaluate_classification(ckpt, samples, rotation_seed=5)
+        assert len(kinds) == sum(s.split == "test" for s in samples)
