@@ -169,8 +169,9 @@ def instance_norm_forward(x, gamma, beta):
 def instance_norm_backward(g, x, mu, sd, gamma):
     """(g_x, g_gamma, g_beta) for ``instance_norm_forward``, from its mu and sd.
 
-    Exact: this is bit for bit what ``Value.backward`` computes through the
-    composed algebra mu = x.mean(0), c = x - mu, var = (c * c).mean(0),
+    Exact: this is bit for bit what the broadcasting operator algebra that
+    the tests keep as the oracle (``tests/algebra.py``) computes through
+    mu = x.mean(0), c = x - mu, var = (c * c).mean(0),
     n = c / (var + eps).sqrt(), out = n * gamma + beta. Every value below is
     the same numpy operation on the same operands (each product or sum only
     swapped or written in place, which changes no bit), and the gradients
@@ -178,7 +179,7 @@ def instance_norm_backward(g, x, mu, sd, gamma):
     them. ``c`` receives g_n / sd first and then the variance term twice,
     because ``c * c`` names one parent twice; ``x`` receives the direct term
     and then the mean's broadcast. The means multiply by 1/E. With one row
-    the autodiff skips the sums onto (1, C) operands, which can differ from
+    the algebra skips the sums onto (1, C) operands, which can differ from
     a one-row sum only in the sign of a zero; such a zero reaches g_x only
     as g_c + (-g_c) = +0.0, so summing anyway changes no output bit. Only mu
     and sd are kept from the forward; c and n are recomputed.

@@ -1,13 +1,14 @@
 """Minimal reverse-mode differentiation over dense numpy arrays.
 
 A Value wraps an ndarray plus its gradient accumulator and the rule for
-pushing an upstream gradient to its parents. ``backward`` walks the graph
-once in reverse topological order. Only leaves (values without a rule, such
-as parameters) keep their gradient afterwards, and a constant leaf (such as
-a model input) gets none: an intermediate node's gradient is dropped once its
-rule has pushed it on, and is never copied. A rule must not write to the
-gradient it is handed. Broadcasting in the arithmetic ops is undone by
-summing the gradient over the broadcast axes.
+pushing an upstream gradient to its parents. The engine has no arithmetic of
+its own: every node with a rule is made by a layer or a loss, whose rule
+returns one gradient per parent, shaped like that parent. ``backward`` walks
+the graph once in reverse topological order. Only leaves (values without a
+rule, such as parameters) keep their gradient afterwards, and a constant leaf
+(such as a model input) gets none: an intermediate node's gradient is dropped
+once its rule has pushed it on, and is never copied. A rule must not write to
+the gradient it is handed.
 """
 
 from __future__ import annotations
@@ -15,16 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GraphError
-
-
-def _unbroadcast(grad, shape):
-    g = grad
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
 
 
 class Value:
@@ -49,14 +40,6 @@ class Value:
         value = Value(data)
         value.requires_grad = False
         return value
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @staticmethod
-    def ensure(x):
-        return x if isinstance(x, Value) else Value.constant(x)
 
     def accumulate(self, grad):
         """Add ``grad`` to this node's gradient.
@@ -113,121 +96,6 @@ class Value:
             for parent, pg in zip(node.parents, parent_grads):
                 if pg is not None and parent.requires_grad:
                     parent.accumulate(pg)
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def __add__(self, other):
-        other = Value.ensure(other)
-        out_data = self.data + other.data
-        return Value(
-            out_data,
-            (self, other),
-            lambda g: (
-                _unbroadcast(g, self.data.shape),
-                _unbroadcast(g, other.data.shape),
-            ),
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Value(-self.data, (self,), lambda g: (-g,))
-
-    def __sub__(self, other):
-        other = Value.ensure(other)
-        out_data = self.data - other.data
-        return Value(
-            out_data,
-            (self, other),
-            lambda g: (
-                _unbroadcast(g, self.data.shape),
-                _unbroadcast(-g, other.data.shape),
-            ),
-        )
-
-    def __rsub__(self, other):
-        return Value.ensure(other) - self
-
-    def __mul__(self, other):
-        other = Value.ensure(other)
-        out_data = self.data * other.data
-        return Value(
-            out_data,
-            (self, other),
-            lambda g: (
-                _unbroadcast(g * other.data, self.data.shape),
-                _unbroadcast(g * self.data, other.data.shape),
-            ),
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = Value.ensure(other)
-        out_data = self.data / other.data
-        return Value(
-            out_data,
-            (self, other),
-            lambda g: (
-                _unbroadcast(g / other.data, self.data.shape),
-                _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape),
-            ),
-        )
-
-    def __matmul__(self, other):
-        other = Value.ensure(other)
-        a, b = self.data, other.data
-        out_data = a @ b
-
-        def rule(g):
-            if a.ndim == 1:
-                ga = g @ b.T
-                gb = np.outer(a, g)
-            else:
-                ga = g @ b.T
-                gb = a.T @ g
-            return ga, gb
-
-        return Value(out_data, (self, other), rule)
-
-    # -- elementwise functions -------------------------------------------------
-
-    def relu(self):
-        mask = self.data > 0.0
-        return Value(np.where(mask, self.data, 0.0), (self,), lambda g: (g * mask,))
-
-    def exp(self):
-        out_data = np.exp(self.data)
-        return Value(out_data, (self,), lambda g: (g * out_data,))
-
-    def log(self):
-        return Value(np.log(self.data), (self,), lambda g: (g / self.data,))
-
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-        return Value(out_data, (self,), lambda g: (g / (2.0 * out_data),))
-
-    # -- reductions --------------------------------------------------------------
-
-    def sum(self, axis=None, keepdims=False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def rule(g):
-            if axis is None:
-                return (np.broadcast_to(g, self.data.shape),)
-            gg = g if keepdims else np.expand_dims(g, axis)
-            return (np.broadcast_to(gg, self.data.shape),)
-
-        return Value(out_data, (self,), rule)
-
-    def mean(self, axis=None, keepdims=False):
-        count = (
-            self.data.size
-            if axis is None
-            else self.data.shape[axis]
-        )
-        summed = self.sum(axis=axis, keepdims=keepdims)
-        return summed * (1.0 / count)
 
     def __repr__(self):
         return f"Value(shape={self.data.shape})"

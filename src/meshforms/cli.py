@@ -200,11 +200,8 @@ def cmd_denoise(args):
     if args.seed is not None:
         check_seed(args.seed, "--seed")
     checkpoint = Checkpoint.load(args.checkpoint)
-    samples = [s for s in ds.load_dataset(args.data) if s.split == ds.TEST]
-    if not samples:
-        raise DataError("dataset has no test split")
     model_mse, ident = pipelines.evaluate_denoising(
-        checkpoint, samples, seed=args.seed or 0, variance=args.variance
+        checkpoint, ds.load_dataset(args.data), seed=args.seed or 0, variance=args.variance
     )
     print(f"config_hash = {checkpoint.meta_value('config_hash')}")
     print(f"seed = {args.seed or 0}")

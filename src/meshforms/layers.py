@@ -6,7 +6,11 @@ Unpool layers pop it and restore the pre-pool topology, so encoder-decoder
 configurations end on the original edge set. Classification heads use
 GlobalAveragePool + Dense, so a mesh's class logits are one row.
 
-No layer's backward rule reads the layer's own output: each reads its input,
+Every layer call and every loss makes one graph node. Its rule gives, bit for
+bit, the gradients of the same computation composed from elementwise,
+broadcasting and reduction steps (the tests keep that algebra as the oracle),
+and computes none for a loss's target or labels, which are not parents. No
+layer's backward rule reads the layer's own output: each reads its input,
 its parameters and what it kept from the forward (a mask, a mean and scale,
 a pool journal). In a ModelGraph each output has one consumer, the next
 layer, so that layer may overwrite the output's buffer once it has read what
@@ -143,19 +147,21 @@ class InstanceNorm(Layer):
 class ReLU(Layer):
     """max(x, 0), with the subgradient 0 at 0.
 
-    On an InstanceNorm output the negatives are zeroed in that output's own
-    buffer, which the returned Value then shares (see the module docstring);
-    ``buf[~mask] = 0.0`` gives the bits of ``np.where(mask, x, 0.0)``, NaN and
-    -0.0 included. Any other input, such as a leaf, a constant or the
-    caller's array, goes through ``Value.relu`` and is left as it was.
+    The select ANDs each value's bits with all ones where x > 0 and with zero
+    elsewhere, which gives the bits of ``np.where(x > 0, x, 0.0)``, NaN and
+    -0.0 included. It writes into an InstanceNorm output's own buffer, which
+    the returned Value then shares (see the module docstring). Any other
+    input, such as a leaf, a constant or the caller's array, is left as it
+    was, and the select writes over the new array of AND masks. The backward
+    stays ``g * mask``: an AND there would turn a -0.0 gradient into +0.0.
     """
 
     def __call__(self, x, ctx):
-        if type(x) is not _NormOutput:
-            return x.relu()
         mask = x.data > 0.0
-        x.data[~mask] = 0.0
-        return Value(x.data, (x,), lambda g: (g * mask,))
+        keep = np.negative(mask, dtype=np.uint64)  # all ones where x > 0, else 0
+        out = x.data if type(x) is _NormOutput else keep.view(np.float64)
+        np.bitwise_and(x.data.view(np.uint64), keep, out=out.view(np.uint64))
+        return Value(out, (x,), lambda g: (g * mask,))
 
     def spec(self):
         return {"type": "relu"}
@@ -204,10 +210,13 @@ class Unpool(Layer):
 
 
 class GlobalAveragePool(Layer):
-    """Mean over edges: per-edge rows -> one row."""
+    """Mean over edges: per-edge rows -> one row, the column sums times 1/E."""
 
     def __call__(self, x, ctx):
-        return x.mean(axis=0, keepdims=True)
+        shape = x.data.shape
+        inv_rows = 1.0 / shape[0]
+        out_data = x.data.sum(axis=0, keepdims=True) * inv_rows
+        return Value(out_data, (x,), lambda g: (np.broadcast_to(g * inv_rows, shape),))
 
     def spec(self):
         return {"type": "global_average_pool"}
@@ -226,11 +235,16 @@ class Dense(Layer):
         return {"weights": self.weights, "bias": self.bias}
 
     def __call__(self, x, ctx):
-        if x.data.shape[-1] != self.in_channels:
+        if x.data.ndim != 2 or x.data.shape[1] != self.in_channels:
             raise GraphError(
-                f"dense expects {self.in_channels} channels, got {x.data.shape[-1]}"
+                f"dense expects (rows, {self.in_channels}) features, got shape {x.data.shape}"
             )
-        return x @ self.weights + self.bias
+        w = self.weights
+
+        def rule(g):
+            return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+
+        return Value(x.data @ w.data + self.bias.data, (x, w, self.bias), rule)
 
     def spec(self):
         return {"type": "dense", "in": self.in_channels, "out": self.out_ch}
@@ -345,7 +359,12 @@ class ModelGraph:
 
 def cross_entropy(logits: Value, labels) -> Value:
     """Mean over the (rows, classes) logits of each row's negative log softmax
-    at its label; a single label stands for one row."""
+    at its label; a single label stands for one row.
+
+    With z = logits - rowmax and s = rowsum(exp(z)), the loss is
+    sum(log(s) - rowsum(z * onehot)) * (1/rows). Its gradient at z is
+    (g/rows) / s * exp(z) plus -(g/rows) * onehot, added in that order.
+    """
     if logits.data.ndim != 2:
         raise GraphError(f"logits must be (rows, classes), got shape {logits.data.shape}")
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
@@ -354,21 +373,41 @@ def cross_entropy(logits: Value, labels) -> Value:
         raise GraphError("label vector length must match logit rows")
     if labels.min() < 0 or labels.max() >= k:
         raise GraphError(f"label out of range for {k} classes")
-    shift = logits.data.max(axis=1, keepdims=True)
-    z = logits - shift
-    log_norm = z.exp().sum(axis=1, keepdims=True).log()
+    inv_rows = 1.0 / n
+    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    exp_z = np.exp(z)
+    sums = exp_z.sum(axis=1, keepdims=True)
     onehot = np.zeros((n, k))
     onehot[np.arange(n), labels] = 1.0
-    return (log_norm - (z * onehot).sum(axis=1, keepdims=True)).mean()
+    picked = (z * onehot).sum(axis=1, keepdims=True)
+    loss = (np.log(sums) - picked).sum() * inv_rows
+
+    def rule(g):
+        g_row = g * inv_rows
+        g_z = g_row / sums * exp_z
+        g_z += -g_row * onehot
+        return (g_z,)
+
+    return Value(loss, (logits,), rule)
 
 
 def mse(pred: Value, target) -> Value:
-    """Mean squared difference over all edges and channels."""
+    """Mean squared difference over all edges and channels.
+
+    With d = pred - target, the loss is sum(d * d) * (1/size) and its
+    gradient at pred is a + a for a = (g/size) * d, one term per factor.
+    """
     target = np.asarray(getattr(target, "values", target), dtype=np.float64)
     if pred.data.shape != target.shape:
         raise GraphError(
             f"prediction shape {pred.data.shape} does not match target "
             f"{target.shape}"
         )
-    diff = pred - target
-    return (diff * diff).mean()
+    inv_size = 1.0 / target.size
+    diff = pred.data - target
+
+    def rule(g):
+        a = g * inv_size * diff
+        return (a + a,)
+
+    return Value((diff * diff).sum() * inv_size, (pred,), rule)

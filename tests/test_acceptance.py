@@ -45,6 +45,7 @@ from meshforms.pipelines import run_ablation
 from meshforms.pooling import BATCH_LEGACY, PoolingState
 from meshforms.topology import EdgeTopology
 
+from algebra import weighted_sum
 from conftest import finite_difference, fuzz_corpus
 from test_pooling import build_divergence_fixture
 
@@ -197,7 +198,7 @@ def _layer_max_rel_error(layer, features, topology):
     inputs = Value(features)
     ctx = MeshContext(topology)
     out = layer(inputs, ctx)
-    ((out * Value(probe[out.data.shape])).sum()).backward()
+    weighted_sum(out, probe[out.data.shape]).backward()
     worst = 0.0
 
     def rel(grad, fd):

@@ -443,6 +443,25 @@ class TestDenoise:
         assert "noise_variance must be finite and non-negative" in err
         assert stdout == ""
 
+    def test_unsplit_dataset_is_all_test(self, cli_dataset, tmp_path, capsys):
+        """Rows without a split tag are test meshes, as under ``eval``."""
+        ckpt = untrained_checkpoint(tmp_path / "m.ckpt", "denoising")
+        stdouts = []
+        for tag in ("", "test"):
+            data = tmp_path / f"data-{tag or 'unsplit'}"
+            shutil.copytree(cli_dataset, data)
+            index = data / "index.tsv"
+            header, *rows = index.read_text().splitlines()
+            rows = ["\t".join([*r.split("\t")[:3], tag, r.split("\t")[4]]) for r in rows]
+            index.write_text("\n".join([header, *rows]) + "\n")
+            code, stdout, _ = run(
+                ["denoise", "--checkpoint", ckpt, "--data", data, "--seed", "3"], capsys
+            )
+            assert code == 0
+            stdouts.append(stdout)
+        assert stdouts[0] == stdouts[1]
+        assert "model_mse = " in stdouts[0]
+
     def test_checkpoint_without_output_features_exit_3(self, cli_dataset, tmp_path, capsys):
         config = ExperimentConfig(task="denoising", conv_channels=(4,), pool_targets=(100,))
         model = pipelines.build_model(config, config.input_channels(), 2)

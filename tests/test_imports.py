@@ -110,6 +110,20 @@ def test_every_public_name_is_read_or_exported():
     assert unused == []
 
 
+def test_the_engine_has_no_operator_algebra():
+    """Every graph node comes from a layer or a loss: ``Value`` defines no
+    arithmetic or reduction, and the broadcasting helpers live only in the
+    tests' composed oracle."""
+    autodiff = importlib.import_module("meshforms.autodiff")
+    removed = {
+        "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+        "__truediv__", "__rtruediv__", "__matmul__", "__rmatmul__", "__neg__",
+        "exp", "log", "sqrt", "relu", "sum", "mean", "ensure",
+    }
+    assert sorted(removed & set(vars(autodiff.Value))) == []
+    assert not hasattr(autodiff, "_unbroadcast")
+
+
 def test_every_benchmark_hook_exists(monkeypatch):
     """Each (owner, attribute) perfbench's tracer replaces is defined on that owner.
 

@@ -28,9 +28,18 @@ from meshforms import (
     cross_entropy,
     mse,
 )
-from meshforms._kernels import INSTANCE_NORM_EPS
-from meshforms.layers import MeshContext
+from meshforms.layers import MeshContext, _NormOutput
 
+from algebra import (
+    add,
+    composed_cross_entropy,
+    composed_dense,
+    composed_global_average_pool,
+    composed_instance_norm,
+    composed_mse,
+    relu,
+    weighted_sum,
+)
 from conftest import finite_difference, fuzz_corpus, mutate_bytes
 
 
@@ -64,7 +73,7 @@ def layer_gradcheck(layer, features, topology):
     objective()  # fix the probe weights
     inputs = Value(features)
     out = layer(inputs, MeshContext(topology))
-    ((out * Value(probe[out.data.shape])).sum()).backward()
+    weighted_sum(out, probe[out.data.shape]).backward()
 
     assert_close_to_fd(inputs.grad, finite_difference(objective, features))
     for value in layer.parameters().values():
@@ -141,9 +150,8 @@ class TestReLUBuffers:
         leaf = Value(features)
         assert not np.shares_memory(ReLU()(leaf, ctx).data, features)
         assert leaf.data.tobytes() == before.tobytes()
-        summed = leaf + 0.0
+        summed = add(leaf, 0.0)
         kept = summed.data.copy()
-        assert not np.shares_memory(summed.relu().data, summed.data)
         assert not np.shares_memory(ReLU()(summed, ctx).data, summed.data)
         assert summed.data.tobytes() == kept.tobytes()
 
@@ -233,13 +241,46 @@ class TestGradientOracle:
         assert_close_to_fd(v.grad, finite_difference(objective, pred))
 
 
-def composed_instance_norm(x, gamma, beta):
-    """InstanceNorm as autodiff algebra, five graph nodes deep: the oracle."""
-    mu = x.mean(axis=0, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=0, keepdims=True)
-    normed = centered / (var + INSTANCE_NORM_EPS).sqrt()
-    return normed * gamma + beta
+def one_node_and_composed_bits(one_node, composed, arrays, g):
+    """Bytes of the forward and of every input's gradient under upstream ``g``,
+    for the library's one-node build and for the composed oracle."""
+    got = []
+    for build in (one_node, composed):
+        inputs = [Value(a) for a in arrays]
+        with np.errstate(all="ignore"):
+            out = build(*inputs)
+            weighted_sum(out, g).backward()
+        got.append([a.tobytes() for a in [out.data] + [v.grad for v in inputs]])
+    return got
+
+
+def scaled(rng, shape):
+    """Normal entries times one scale from 1e-3 to 1e3."""
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 3.0)
+
+
+def with_specials(draw, x):
+    """``x`` with up to three entries set to NaN, +-0 or +-inf."""
+    flat = x.reshape(-1)
+    for i in draw(st.lists(st.integers(0, flat.size - 1), max_size=3)):
+        flat[i] = draw(st.sampled_from([np.nan, 0.0, -0.0, np.inf, -np.inf]))
+    return x
+
+
+def upstream(draw, rng, shape):
+    """A gradient of ``shape``: normal, all +0, all -0, or NaN or zero rows."""
+    g = np.array(scaled(rng, shape))
+    kind = draw(st.sampled_from(["normal", "zero", "negative zero", "nan rows", "zero rows"]))
+    rows = rng.random(shape[:1]) < 0.5 if g.ndim else True
+    if kind == "zero":
+        g[...] = 0.0
+    elif kind == "negative zero":
+        g[...] = -0.0
+    elif kind == "nan rows":
+        g[rows] = np.nan
+    elif kind == "zero rows":
+        g[rows] = 0.0
+    return g
 
 
 @st.composite
@@ -270,17 +311,95 @@ def norm_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_instance_norm_is_the_composed_algebra_bitwise(case):
     x, gamma, beta, g = case
-    got = []
-    for build in ("layer", "composed"):
-        inputs, scale, shift = Value(x), Value(gamma), Value(beta)
-        if build == "layer":
-            layer = InstanceNorm(x.shape[1])
-            layer.gamma, layer.beta = scale, shift
-            out = layer(inputs, None)
-        else:
-            out = composed_instance_norm(inputs, scale, shift)
-        (out * Value(g)).sum().backward()
-        got.append([a.tobytes() for a in (out.data, inputs.grad, scale.grad, shift.grad)])
+
+    def layer(inputs, scale, shift):
+        norm = InstanceNorm(x.shape[1])
+        norm.gamma, norm.beta = scale, shift
+        return norm(inputs, None)
+
+    got = one_node_and_composed_bits(layer, composed_instance_norm, (x, gamma, beta), g)
+    assert got[0] == got[1]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_global_average_pool_is_the_composed_algebra_bitwise(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (data.draw(st.integers(1, 300)), data.draw(st.integers(1, 40)))
+    x = with_specials(data.draw, scaled(rng, shape))
+    g = upstream(data.draw, rng, (1, shape[1]))
+    got = one_node_and_composed_bits(
+        lambda v: GlobalAveragePool()(v, None), composed_global_average_pool, (x,), g
+    )
+    assert got[0] == got[1]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_dense_is_the_composed_algebra_bitwise(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows, cin, cout = (data.draw(st.integers(1, n)) for n in (50, 20, 20))
+    x = with_specials(data.draw, scaled(rng, (rows, cin)))
+    w = with_specials(data.draw, scaled(rng, (cin, cout)))
+    b = with_specials(data.draw, scaled(rng, cout))
+    g = upstream(data.draw, rng, (rows, cout))
+
+    def layer(inputs, weights, bias):
+        dense = Dense(cin, cout)
+        dense.weights, dense.bias = weights, bias
+        return dense(inputs, None)
+
+    got = one_node_and_composed_bits(layer, composed_dense, (x, w, b), g)
+    assert got[0] == got[1]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_cross_entropy_is_the_composed_algebra_bitwise(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows, classes = data.draw(st.integers(1, 40)), data.draw(st.integers(2, 8))
+    logits = with_specials(data.draw, scaled(rng, (rows, classes)))
+    labels = rng.integers(0, classes, size=rows)
+    g = upstream(data.draw, rng, ())
+    got = one_node_and_composed_bits(
+        lambda v: cross_entropy(v, labels),
+        lambda v: composed_cross_entropy(v, labels),
+        (logits,),
+        g,
+    )
+    assert got[0] == got[1]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_mse_is_the_composed_algebra_bitwise(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (data.draw(st.integers(1, 50)), data.draw(st.integers(1, 8)))
+    pred = with_specials(data.draw, scaled(rng, shape))
+    target = with_specials(data.draw, scaled(rng, shape))
+    g = upstream(data.draw, rng, ())
+    got = one_node_and_composed_bits(
+        lambda v: mse(v, target), lambda v: composed_mse(v, target), (pred,), g
+    )
+    assert got[0] == got[1]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_relu_is_the_composed_algebra_bitwise(data):
+    """On an InstanceNorm output (its own buffer) and on any other input."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (data.draw(st.integers(1, 300)), data.draw(st.integers(1, 40)))
+    x = with_specials(data.draw, scaled(rng, shape))
+    g = upstream(data.draw, rng, shape)
+    after_norm = data.draw(st.booleans())
+
+    def layer(inputs):
+        if after_norm:
+            inputs = _NormOutput(inputs.data.copy(), (inputs,), lambda up: (up,))
+        return ReLU()(inputs, None)
+
+    got = one_node_and_composed_bits(layer, relu, (x,), g)
     assert got[0] == got[1]
 
 
@@ -336,14 +455,14 @@ class TestLayerContracts:
         _, topology, features = instance
         model = ModelGraph([ReLU()])
         out, _ = model.forward(features, topology)
-        loss = (out * out).sum()
+        loss = mse(out, np.zeros(out.data.shape))
         model.backward(loss)
         with pytest.raises(GraphError, match="without"):
             model.backward(loss)
 
     def test_backward_on_a_fresh_model_rejected(self, instance):
         x = Value(instance[2])
-        loss = (x * x).sum()
+        loss = mse(x, np.zeros(x.data.shape))
         with pytest.raises(GraphError, match="backward called without a forward pass"):
             ModelGraph([ReLU()]).backward(loss)
 
