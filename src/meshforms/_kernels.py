@@ -16,10 +16,50 @@ import numpy as np
 # convolution over the ordered 4-neighbor ring
 #
 # Both kernels walk the ring one slot pair at a time, (a, c) and then (b, d),
-# gathering each pair once into buffers that every E x C temporary of the pass
+# gathering each pair once into buffers that every temporary of the pass
 # reuses. Each value is still the result of the same numpy operation on the
 # same operands as the unbuffered algebra in the docstrings, so every output
-# bit is that algebra's.
+# bit is that algebra's; ``tests/conv_oracle.py`` keeps the whole-array
+# kernels as the oracle.
+#
+# Buffers. The forward runs in row blocks: each output row reads only its own
+# ring, so it holds ``out`` plus four block-sized buffers (two gathers, their
+# difference or sum, one product) of about ``_BLOCK_BYTES``, which stay in
+# cache, and no E x C temporary. The backward holds four E x C_in buffers
+# (one gather buffer, two rows of slot terms, grad_f) and its GEMMs stay
+# whole.
+#
+# Why blocks are cut where they are, and why the backward is not blocked, as
+# measured with numpy's OpenBLAS on x86-64. A row block of ``x @ w`` gave the
+# bytes of the same rows of the whole product in every case tried, with two
+# exceptions that the block bounds avoid: numpy computes a one-row product
+# with GEMV, not GEMM, and with one or two output columns a block that
+# starts off a multiple of 64 rows changed bits. Blocks therefore start at
+# multiples of 64 rows, and a remainder of fewer than 64 rows joins the last
+# block. (Where two NaNs meet in a sum, which one the GEMM returns may still
+# differ; no other bit does.) A row block of ``g @ w.T``, the grad_f half of
+# the backward, is not bitwise: 39 of 96 split cases differed, always in a
+# tail block of a few rows or at 5-16 columns, and even
+# ``g @ np.ascontiguousarray(w.T)`` differed from ``g @ w.T`` in 12 of 60
+# whole-size cases. The weight gradients sum over all E rows.
+
+# Bytes of one forward row block's temporaries: three C_in-wide rows and one
+# C_out-wide row.
+_BLOCK_BYTES = 2**20
+
+
+def _block_rows(in_channels, out_channels):
+    """Rows of one forward block at these channel counts, a positive multiple of 64."""
+    return max(1, _BLOCK_BYTES // (8 * 64 * (3 * in_channels + out_channels))) * 64
+
+
+def _block_bounds(rows, block):
+    """[0, block, 2 block, ..., rows]; fewer than 64 rows left join the last block."""
+    bounds = list(range(0, rows, block)) or [0]
+    if len(bounds) > 1 and rows - bounds[-1] < 64:
+        bounds.pop()
+    bounds.append(rows)
+    return bounds
 
 
 def _ring_index(neighbors, rows):
@@ -46,19 +86,27 @@ def conv_forward(features, neighbors, weights, bias):
                        + w3 |f(b)-f(d)| + w4 (f(b)+f(d))
 
     Sentinel (-1) neighbor slots contribute zero vectors. The terms are added
-    to ``out`` in the order written.
+    to ``out`` in the order written, one row block at a time.
     """
     E, C = features.shape
+    out_channels = weights.shape[2]
     idx, missing = _ring_index(neighbors, E)
-    first, second, work = np.empty((E, C)), np.empty((E, C)), np.empty((E, C))
-    out = features @ weights[0]
-    product = np.empty_like(out)
-    for k in (0, 1):
-        _gather_pair(features, idx, missing, k, first, second)
-        np.subtract(first, second, out=work)
-        out += np.matmul(np.abs(work, out=work), weights[2 * k + 1], out=product)
-        out += np.matmul(np.add(first, second, out=work), weights[2 * k + 2], out=product)
-    out += bias
+    bounds = _block_bounds(E, _block_rows(C, out_channels))
+    size = max(bounds[1], bounds[-1] - bounds[-2])  # the first or the last block
+    first, second, work = np.empty((size, C)), np.empty((size, C)), np.empty((size, C))
+    product = np.empty((size, out_channels))
+    out = np.empty((E, out_channels))
+    for start, stop in zip(bounds, bounds[1:]):
+        n = stop - start
+        block_out, f, s, w, p = out[start:stop], first[:n], second[:n], work[:n], product[:n]
+        ring, gaps = idx[start:stop], missing[start:stop]
+        np.matmul(features[start:stop], weights[0], out=block_out)
+        for k in (0, 1):
+            _gather_pair(features, ring, gaps, k, f, s)
+            np.subtract(f, s, out=w)
+            block_out += np.matmul(np.abs(w, out=w), weights[2 * k + 1], out=p)
+            block_out += np.matmul(np.add(f, s, out=w), weights[2 * k + 2], out=p)
+        block_out += bias
     return out
 
 
@@ -83,11 +131,12 @@ def conv_backward(grad_out, features, neighbors, weights, input_grad=True):
     adding the zero row as padding, at the end of either pair, leaves every
     bit as it is.
 
-    Buffers, in E x C units at C input channels: two gather buffers, the
-    pair's terms (two, plus the zero row) and grad_f, so at most five are
-    live. The first gather buffer holds f(a), then f(a) + f(c), then s*p;
-    the second f(c), then |d|, then p, then the rows the scatter gathers.
-    The terms rows hold d until s*p is formed.
+    Buffers, in E x C units at C input channels: one gather buffer, the
+    pair's terms (two, plus the zero row) and grad_f, so at most four are
+    live. The gather buffer holds f(a), then f(a) + f(c), then s*p, then the
+    rows the scatter gathers. The first terms rows hold f(c), then |d|, then
+    p, then slot k's term s*p + q; the second hold d, then q, then slot
+    k + 2's term q - s*p. Without ``input_grad`` three buffers are live.
     """
     E, C = features.shape
     idx, missing = _ring_index(neighbors, E)
@@ -95,9 +144,9 @@ def conv_backward(grad_out, features, neighbors, weights, input_grad=True):
     np.matmul(features.T, grad_out, out=grad_w[0])
     grad_bias = grad_out.sum(axis=0)
 
-    first, second = np.empty((E, C)), np.empty((E, C))
-    terms = np.empty((2 * E + 1 if input_grad else E, C))
-    diff = terms[:E]
+    first = np.empty((E, C))
+    terms = np.empty((2 * E + 1 if input_grad else 2 * E, C))
+    second, diff = terms[:E], terms[E : 2 * E]
     grad_f = np.zeros((E, C)) if input_grad else None
     for k in (0, 1):
         _gather_pair(features, idx, missing, k, first, second)
@@ -107,16 +156,15 @@ def conv_backward(grad_out, features, neighbors, weights, input_grad=True):
         np.matmul(first.T, grad_out, out=grad_w[2 * k + 2])
         if grad_f is None:
             continue
-        # The terms in add.at's call order: slot k's, then slot k + 2's. q is
-        # written where the second slot's term goes and becomes q - s*p there.
+        # The terms in add.at's call order, slot k's and then slot k + 2's,
+        # formed in place: q is written over d and becomes q - s*p there.
         signed = np.sign(diff, out=first)
         signed *= np.matmul(grad_out, weights[2 * k + 1].T, out=second)
-        summed = terms[E : 2 * E]
-        np.matmul(grad_out, weights[2 * k + 2].T, out=summed)
-        np.add(signed, summed, out=terms[:E])
-        np.subtract(summed, signed, out=summed)
+        np.matmul(grad_out, weights[2 * k + 2].T, out=diff)
+        np.add(signed, diff, out=second)
+        np.subtract(diff, signed, out=diff)
         terms[2 * E] = 0.0
-        _scatter_sum(terms, idx[:, [k, k + 2]].T.ravel(), grad_f, second)
+        _scatter_sum(terms, idx[:, [k, k + 2]].T.ravel(), grad_f, first)
     if grad_f is None:
         return None, grad_w, grad_bias
     grad_f += np.matmul(grad_out, weights[0].T, out=first)

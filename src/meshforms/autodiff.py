@@ -9,6 +9,11 @@ rule, such as parameters) keep their gradient afterwards, and a constant leaf
 (such as a model input) gets none: an intermediate node's gradient is dropped
 once its rule has pushed it on, and is never copied. A rule must not write to
 the gradient it is handed.
+
+``backward`` consumes the graph: once a node's rule has run, the node drops
+its rule and its parents, so an array that rules captured is freed as soon
+as the last rule reading it has run. A consumed node is no leaf, and a
+second ``backward`` that reaches one raises ``GraphError``.
 """
 
 from __future__ import annotations
@@ -47,9 +52,11 @@ class Value:
         A leaf keeps a copy, so the gradients an optimizer reads are owned,
         writable arrays. An intermediate node keeps its first gradient as
         given: no backward rule writes to the gradient it is handed, and a
-        second gradient is added into a new array.
+        second gradient is added into a new array. It reads only the
+        gradient, since a model drops an intermediate node's ``data`` (see
+        ``layers.ModelGraph.forward``).
         """
-        grad = np.asarray(grad, dtype=np.float64).reshape(self.data.shape)
+        grad = np.asarray(grad, dtype=np.float64)
         if self.grad is None:
             self.grad = grad.copy() if self.backward_rule is None else grad
         else:
@@ -61,6 +68,7 @@ class Value:
     # -- graph traversal -----------------------------------------------------
 
     def _topo_order(self):
+        """Every node of the graph, each after its parents."""
         order = []
         visited = set()
         stack = [(self, False)]
@@ -72,6 +80,8 @@ class Value:
             if id(node) in visited:
                 continue
             visited.add(id(node))
+            if node.parents is None:
+                raise GraphError("backward over a graph that an earlier backward consumed")
             stack.append((node, True))
             for p in node.parents:
                 if id(p) not in visited:
@@ -81,21 +91,30 @@ class Value:
     def backward(self):
         """Accumulate gradients of this (scalar) value into the graph's leaves.
 
-        An intermediate node's ``grad`` is set back to None once its rule has
-        run, so a backward pass holds at most the gradients still in flight.
+        Nodes leave the topological order as their rules run, and each drops
+        its rule, parents and ``grad`` then, so a backward pass holds at most
+        the gradients still in flight and the arrays that pending rules read.
         """
-        if self.data.size != 1:
-            raise GraphError("backward requires a scalar value")
         order = self._topo_order()
+        if self.data is None or self.data.size != 1:
+            raise GraphError("backward requires a scalar value")
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node.backward_rule is None or node.grad is None:
-                continue
-            parent_grads = node.backward_rule(node.grad)
-            node.grad = None
-            for parent, pg in zip(node.parents, parent_grads):
-                if pg is not None and parent.requires_grad:
-                    parent.accumulate(pg)
+        while order:
+            order.pop()._consume()
+
+    def _consume(self):
+        """Push this node's gradient to its parents; drop its rule, parents and grad."""
+        rule, parents, grad = self.backward_rule, self.parents, self.grad
+        if rule is None:
+            return
+        self.backward_rule = self.parents = self.grad = None
+        if grad is None:
+            return
+        parent_grads = rule(grad)
+        del rule, grad  # the arrays only this rule read are freed here
+        for parent, pg in zip(parents, parent_grads):
+            if pg is not None and parent.requires_grad:
+                parent.accumulate(pg)
 
     def __repr__(self):
-        return f"Value(shape={self.data.shape})"
+        return f"Value(shape={None if self.data is None else self.data.shape})"

@@ -16,6 +16,15 @@ a pool journal). In a ModelGraph each output has one consumer, the next
 layer, so that layer may overwrite the output's buffer once it has read what
 its own rule needs. ReLU does so after InstanceNorm: the pair holds one
 array per pass instead of two.
+
+A rule captures the arrays it reads when its layer runs and reads no node's
+``data`` later. ``ModelGraph.forward`` drops each layer's input from its node
+once the layer returns, so the graph keeps only what some rule captured:
+the inputs of MeshConv, InstanceNorm and Dense, the ReLU masks, the norm
+statistics and the pool journals, plus the model output. The rules of Pool,
+Unpool and GlobalAveragePool read no feature array, so their inputs are
+freed as soon as the layer returns. Backward then frees each captured array
+once the last rule reading it has run (see ``autodiff``).
 """
 
 from __future__ import annotations
@@ -93,10 +102,11 @@ class MeshConv(Layer):
         if x.data.shape[0] != len(neighbors):
             raise GraphError("mesh_conv feature rows do not match topology")
         w, b = self.weights, self.bias
-        out_data = _kconv_forward(x.data, neighbors, w.data, b.data)
+        features, weights, input_grad = x.data, w.data, x.requires_grad
+        out_data = _kconv_forward(features, neighbors, weights, b.data)
 
         def rule(g):
-            return _kconv_backward(g, x.data, neighbors, w.data, x.requires_grad)
+            return _kconv_backward(g, features, neighbors, weights, input_grad)
 
         return Value(out_data, (x, w, b), rule)
 
@@ -132,12 +142,12 @@ class InstanceNorm(Layer):
                 f"instance_norm expects {self.channels} channels, "
                 f"got {x.data.shape[1]}"
             )
-        gamma = self.gamma
-        out_data, mu, sd = _knorm_forward(x.data, gamma.data, self.beta.data)
+        features, gamma = x.data, self.gamma.data
+        out_data, mu, sd = _knorm_forward(features, gamma, self.beta.data)
         return _NormOutput(
             out_data,
-            (x, gamma, self.beta),
-            lambda g: _knorm_backward(g, x.data, mu, sd, gamma.data),
+            (x, self.gamma, self.beta),
+            lambda g: _knorm_backward(g, features, mu, sd, gamma),
         )
 
     def spec(self):
@@ -239,12 +249,12 @@ class Dense(Layer):
             raise GraphError(
                 f"dense expects (rows, {self.in_channels}) features, got shape {x.data.shape}"
             )
-        w = self.weights
+        features, weights = x.data, self.weights.data
 
         def rule(g):
-            return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+            return g @ weights.T, features.T @ g, g.sum(axis=0)
 
-        return Value(x.data @ w.data + self.bias.data, (x, w, self.bias), rule)
+        return Value(features @ weights + self.bias.data, (x, self.weights, self.bias), rule)
 
     def spec(self):
         return {"type": "dense", "in": self.in_channels, "out": self.out_ch}
@@ -337,9 +347,10 @@ class ModelGraph:
         x = Value.constant(arr)
         for i, layer in enumerate(self.layers):
             try:
-                x = layer(x, ctx)
+                out = layer(x, ctx)
             except GraphError as exc:
                 raise GraphError(f"layer {i} ({layer.spec()['type']}): {exc}") from exc
+            x.data, x = None, out  # the layer's rule captured what it reads of x
         self._forwarded = True
         return x, ctx
 

@@ -3,12 +3,13 @@
 import collections
 import hashlib
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from meshforms import DatasetSpec, Mesh, build_edge_topology, generate
+from meshforms import DatasetSpec, Mesh, Value, build_edge_topology, generate
 
 
 def oriented_closed_mesh(vertices, face_sets):
@@ -160,6 +161,33 @@ def read_counts(monkeypatch):
 
     monkeypatch.setattr(pathlib.Path, "read_bytes", counted)
     return counts
+
+
+@pytest.fixture
+def made_arrays(monkeypatch):
+    """Weak references to the array of every graph node made with parents, in order.
+
+    A model's forward drops each layer's input from its node, so a test sees
+    the activations of a pass through this record, not through the graph.
+    """
+    made = []
+    init = Value.__init__
+
+    def recording_init(self, data, parents=(), backward_rule=None):
+        init(self, data, parents, backward_rule)
+        if parents:
+            made.append(weakref.ref(self.data))
+
+    monkeypatch.setattr(Value, "__init__", recording_init)
+    return made
+
+
+def with_specials(draw, x):
+    """``x`` with up to three entries set to NaN, +-0 or +-inf."""
+    flat = x.reshape(-1)
+    for i in draw(st.lists(st.integers(0, flat.size - 1), max_size=3)):
+        flat[i] = draw(st.sampled_from([np.nan, 0.0, -0.0, np.inf, -np.inf]))
+    return x
 
 
 def mutate_bytes(data, draw, max_edits=4):

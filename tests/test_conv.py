@@ -1,5 +1,6 @@
 """Edge convolution: examples, order invariance, gradient oracle, goldens."""
 
+import functools
 import hashlib
 import os
 import pathlib
@@ -8,12 +9,21 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshforms import DatasetSpec, GraphError, MeshConv, Value, build_edge_topology, generate
-from meshforms._kernels import conv_backward, conv_forward
+from meshforms._kernels import _block_rows, conv_backward, conv_forward
 from meshforms.layers import MeshContext
 
-from conftest import SMALL_CORPUS_SEED, finite_difference, flat_pair_mesh, fuzz_corpus
+import conv_oracle
+from conftest import (
+    SMALL_CORPUS_SEED,
+    finite_difference,
+    flat_pair_mesh,
+    fuzz_corpus,
+    with_specials,
+)
 
 
 def swapped_pairs(neighbors):
@@ -105,6 +115,88 @@ class TestBackward:
             upstream, features, topology.neighbors, identity_weights(3)
         )
         assert np.array_equal(grad_f, upstream)
+
+
+CONV_CHANNELS = (1, 2, 5, 16, 32, 64, 128)
+
+
+@functools.cache
+def mesh_rings():
+    """Rings of a boundary pair (sentinel slots) and of two closed fuzz meshes."""
+    meshes = [flat_pair_mesh()] + fuzz_corpus(2, seed=3)
+    return [build_edge_topology(mesh).neighbors for mesh in meshes]
+
+
+@st.composite
+def conv_cases(draw):
+    """(features, neighbors, weights, bias, grad_out, input_grad).
+
+    The ring is a mesh's or a random one with sentinel slots. A random ring
+    has up to 300 edges, or one or two forward blocks plus a tail of 1-3
+    rows. Features are Gaussian at a drawn scale or drawn from {-1, 0, 1},
+    whose tied ring rows make sign zero, and features, weights and the
+    upstream gradient may hold NaN, +-0 or +-inf.
+    """
+    cin, cout = draw(st.sampled_from(CONV_CHANNELS)), draw(st.sampled_from(CONV_CHANNELS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ring = draw(st.sampled_from(["mesh", "small", "tail"]))
+    if ring == "mesh":
+        neighbors = draw(st.sampled_from(mesh_rings()))
+    else:
+        if ring == "small":
+            edges = draw(st.integers(1, 300))
+        else:
+            edges = draw(st.integers(1, 2)) * _block_rows(cin, cout) + draw(st.integers(1, 3))
+        neighbors = rng.integers(-1, edges, size=(edges, 4))
+        neighbors[rng.random((edges, 4)) < 0.1] = -1
+    edges = len(neighbors)
+    if draw(st.booleans()):
+        features = rng.normal(size=(edges, cin)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    else:
+        features = rng.integers(-1, 2, size=(edges, cin)).astype(float)
+    limit = np.sqrt(6.0 / (cin + cout))
+    weights = rng.uniform(-limit, limit, size=(5, cin, cout))
+    grad_out = rng.normal(size=(edges, cout))
+    for array in (features, weights, grad_out):
+        with_specials(draw, array)
+    bias = rng.normal(size=cout)
+    return features, neighbors, weights, bias, grad_out, draw(st.booleans())
+
+
+def nan_canonical_bytes(array):
+    """Bytes of ``array`` with every NaN as numpy's ``nan``."""
+    return np.where(np.isnan(array), np.nan, array).tobytes()
+
+
+@given(conv_cases())
+@settings(max_examples=200, deadline=None)
+def test_kernels_are_the_whole_array_oracle_bitwise(case):
+    """The blocked forward and the four-buffer backward give the bytes of the
+    whole-array, five-buffer kernels ``conv_oracle`` keeps.
+
+    The forward's NaNs are compared as NaNs: where two NaNs meet in a sum,
+    which one OpenBLAS's GEMM returns depends on the rows it is given, so a
+    row block may return the other NaN. Every other forward bit, and every
+    backward bit, NaNs included, must match.
+    """
+    features, neighbors, weights, bias, grad_out, input_grad = case
+    with np.errstate(all="ignore"):
+        got, expected = [
+            [
+                forward(features, neighbors, weights, bias),
+                *backward(grad_out, features, neighbors, weights, input_grad),
+            ]
+            for forward, backward in (
+                (conv_forward, conv_backward),
+                (conv_oracle.conv_forward, conv_oracle.conv_backward),
+            )
+        ]
+    assert got[0].shape == expected[0].shape
+    assert nan_canonical_bytes(got[0]) == nan_canonical_bytes(expected[0])
+    assert (got[1] is None) == (expected[1] is None) == (not input_grad)
+    for mine, theirs in zip(got[1:], expected[1:]):
+        if mine is not None:
+            assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
 
 
 GOLDEN_CHANNELS = ((5, 16), (16, 32), (64, 128), (128, 64))

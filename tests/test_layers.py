@@ -1,5 +1,6 @@
 """Layer semantics, per-layer gradient oracle, optimizers, checkpoints."""
 
+import gc
 import json
 import struct
 
@@ -40,7 +41,7 @@ from algebra import (
     relu,
     weighted_sum,
 )
-from conftest import finite_difference, fuzz_corpus, mutate_bytes
+from conftest import finite_difference, fuzz_corpus, mutate_bytes, with_specials
 
 
 @pytest.fixture(scope="module")
@@ -136,8 +137,9 @@ class TestReLUBuffers:
         expected = np.where(normed > 0.0, normed, 0.0)
         with np.errstate(invalid="ignore"):
             out, _ = ModelGraph([norm, ReLU()]).forward(features, topology)
+            normed_value = norm(Value.constant(features), MeshContext(topology))
+            assert ReLU()(normed_value, None).data is normed_value.data
         assert out.data.tobytes() == expected.tobytes()
-        assert out.parents[0].data is out.data
         assert before.tobytes() == features.tobytes()
 
     def test_other_inputs_are_left_unchanged(self, instance):
@@ -257,14 +259,6 @@ def one_node_and_composed_bits(one_node, composed, arrays, g):
 def scaled(rng, shape):
     """Normal entries times one scale from 1e-3 to 1e3."""
     return rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 3.0)
-
-
-def with_specials(draw, x):
-    """``x`` with up to three entries set to NaN, +-0 or +-inf."""
-    flat = x.reshape(-1)
-    for i in draw(st.lists(st.integers(0, flat.size - 1), max_size=3)):
-        flat[i] = draw(st.sampled_from([np.nan, 0.0, -0.0, np.inf, -np.inf]))
-    return x
 
 
 def upstream(draw, rng, shape):
@@ -404,13 +398,132 @@ def test_relu_is_the_composed_algebra_bitwise(data):
 
 
 def test_instance_norm_is_one_node_holding_no_edge_sized_array(instance):
+    """Its rule holds the input's and gamma's own arrays, and of its own only
+    the (1, C) mean and scale."""
     _, topology, features = instance
     x = Value(features)
-    out = InstanceNorm(3)(x, MeshContext(topology))
+    layer = InstanceNorm(3)
+    out = layer(x, MeshContext(topology))
     assert out.parents[0] is x and all(not p.parents for p in out.parents)
     held = [c.cell_contents for c in out.backward_rule.__closure__]
     arrays = [v for v in held if isinstance(v, np.ndarray)]
-    assert arrays and all(a.shape == (1, 3) for a in arrays)
+    own = [a for a in arrays if a is not x.data and a is not layer.gamma.data]
+    assert len(arrays) == 4 and len(own) == 2 and all(a.shape == (1, 3) for a in own)
+
+
+def encoder_decoder(edges):
+    """Spec of a two-stage encoder-decoder on 3 input channels with a 3-class head."""
+
+    def block(cin, cout):
+        return [
+            {"type": "mesh_conv", "in": cin, "out": cout},
+            {"type": "instance_norm", "channels": cout},
+            {"type": "relu"},
+        ]
+
+    return (
+        block(3, 4)
+        + [{"type": "pool", "target": edges - 24}]
+        + block(4, 6)
+        + [{"type": "pool", "target": edges - 48}, {"type": "unpool"}]
+        + block(6, 4)
+        + [{"type": "unpool"}]
+        + block(4, 4)
+        + [{"type": "dense", "in": 4, "out": 3}]
+    )
+
+
+@pytest.fixture
+def graph_step(instance, made_arrays):
+    """(model, features, topology, labels, made): ``made`` gets a weak reference
+    to each new node's array as the node is made, one per layer call."""
+    _, topology, features = instance
+    model = ModelGraph.from_spec(encoder_decoder(topology.edge_count), seed=3)
+    labels = np.arange(topology.edge_count) % 3
+    gc.disable()
+    yield model, features, topology, labels, made_arrays
+    gc.enable()
+
+
+class TestGraphLifetime:
+    """What a training step's graph holds, seen through weak references with
+    the cycle collector off."""
+
+    def test_forward_drops_the_inputs_no_rule_reads(self, graph_step):
+        model, features, topology, _, made = graph_step
+        out, _ = model.forward(features, topology)
+        kinds = [spec["type"] for spec in model.spec()]
+        # Layer i's input is layer i - 1's output. A ReLU's input is an
+        # InstanceNorm buffer that the ReLU's output shares, so it lives as
+        # long as the layer after the ReLU needs it.
+        for kind, ref in zip(kinds[1:], made):
+            if kind != "relu":
+                assert (ref() is not None) == (kind in ("mesh_conv", "instance_norm", "dense")), kind
+        assert out.data is not None and made[-1]() is out.data
+
+    def test_decoder_is_freed_before_the_first_conv_rule_runs(self, graph_step, monkeypatch):
+        model, features, topology, labels, made = graph_step
+        first_unpool = [spec["type"] for spec in model.spec()].index("unpool")
+        call = MeshConv.__call__
+        alive = []
+
+        def watched_call(layer, x, ctx):
+            out = call(layer, x, ctx)
+            if layer is model.layers[0]:
+                rule = out.backward_rule
+
+                def watched_rule(g):
+                    alive.append(sum(ref() is not None for ref in decoder))
+                    return rule(g)
+
+                out.backward_rule = watched_rule
+            return out
+
+        monkeypatch.setattr(MeshConv, "__call__", watched_call)
+        out, _ = model.forward(features, topology)
+        loss = cross_entropy(out, labels)
+        del out
+        layer_outputs = made[: len(model.layers)]
+        decoder = [ref for ref in layer_outputs[first_unpool:] if ref() is not None]
+        assert len(decoder) >= 5
+        model.backward(loss)
+        assert alive == [0]
+        assert loss.data is not None
+
+    def test_backward_consumes_every_non_leaf(self, graph_step):
+        model, features, topology, labels, _ = graph_step
+        out, _ = model.forward(features, topology)
+        loss = cross_entropy(out, labels)
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node.parents)
+        inner = [v for v in nodes.values() if v.parents]
+        leaves = [v for v in nodes.values() if not v.parents]
+        assert len(inner) == len(model.layers) + 1
+        grads = model.backward(loss)
+        assert all(v.backward_rule is None and v.parents is None for v in inner)
+        assert all(v.parents == () for v in leaves)
+        assert all(np.isfinite(g).all() for g in grads.values())
+        assert out.data is not None and loss.data is not None
+
+    def test_second_backward_over_a_consumed_graph_raises(self, graph_step):
+        model, features, topology, labels, _ = graph_step
+        out, _ = model.forward(features, topology)
+        loss = cross_entropy(out, labels)
+        model.backward(loss)
+        with pytest.raises(GraphError, match="consumed"):
+            loss.backward()
+        with pytest.raises(GraphError, match="consumed"):
+            cross_entropy(out, labels).backward()
+
+    def test_backward_from_a_dropped_node_raises(self, graph_step):
+        model, features, topology, _, _ = graph_step
+        out, _ = model.forward(features, topology)
+        with pytest.raises(GraphError, match="scalar"):
+            out.parents[0].backward()
 
 
 class TestLayerContracts:

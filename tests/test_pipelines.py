@@ -2,7 +2,6 @@
 
 import gc
 import types
-import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -416,17 +415,6 @@ class TestEvaluation:
             evaluate_denoising(ckpt, [], seed=0)
 
 
-def graph_values(out):
-    """Every Value of the graph that ends in ``out``."""
-    seen, stack = {}, [out]
-    while stack:
-        value = stack.pop()
-        if id(value) not in seen:
-            seen[id(value)] = value
-            stack.extend(value.parents)
-    return list(seen.values())
-
-
 @pytest.mark.parametrize(
     "task, generator",
     [
@@ -435,7 +423,9 @@ def graph_values(out):
         ("denoising", "primitive-zoo"),
     ],
 )
-def test_evaluation_frees_each_graph_before_the_next_forward(task, generator, monkeypatch):
+def test_evaluation_frees_each_graph_before_the_next_forward(
+    task, generator, monkeypatch, made_arrays
+):
     """When an evaluator starts a mesh's forward, no activation of the previous
     mesh's graph is alive, without the cycle collector's help."""
     samples = tiny_dataset(2, 3, generator=generator)
@@ -447,9 +437,9 @@ def test_evaluation_frees_each_graph_before_the_next_forward(task, generator, mo
     def watched(model, features, topology):
         alive_at_entry.append(sum(ref() is not None for ref in previous))
         previous.clear()
+        made_arrays.clear()
         out, ctx = forward(model, features, topology)
-        hidden = [v for v in graph_values(out) if v.parents and v is not out]
-        previous.extend(weakref.ref(v.data) for v in hidden)
+        previous.extend(ref for ref in made_arrays if ref() is not out.data)
         return out, ctx
 
     monkeypatch.setattr(ModelGraph, "forward", watched)
