@@ -52,6 +52,7 @@ from .features import (
     write_features,
 )
 from .pooling import (
+    ILLEGAL_REASONS,
     CollapseRecord,
     PoolHistory,
     PoolingState,

@@ -18,11 +18,11 @@ import numpy as np
 from . import datasets as ds
 from . import pipelines
 from .checkpoint import Checkpoint
-from .config import KIND_TOKENS, check_seed, config_hash, parse_config
+from .config import CLASSIFICATION, KIND_TOKENS, SEGMENTATION, check_seed, config_hash, parse_config
 from .errors import ConfigError, DataError, GraphError, MeshError, MeshFormsError
 from .features import extract, feature_norms, fit_channel_stats, normalize, write_features
 from .mesh import normalize_unit_box, parse_obj, save_obj
-from .pooling import pool
+from .pooling import ENHANCED, POLICIES, pool
 from .topology import build_edge_topology, validate_manifold
 
 
@@ -179,16 +179,16 @@ def cmd_eval(args):
     if args.rotate_seed is not None:
         check_seed(args.rotate_seed, "--rotate-seed")
     checkpoint = Checkpoint.load(args.checkpoint)
-    samples = ds.load_dataset(args.data)
+    samples = ds.load_dataset(args.data, keep=ds.in_test_split)
     task = checkpoint.meta_value("task")
     print(f"config_hash = {checkpoint.meta_value('config_hash')}")
     print(f"seed = {checkpoint.meta_value('seed')}")
-    if task == "classification":
+    if task == CLASSIFICATION:
         accuracy = pipelines.evaluate_classification(
             checkpoint, samples, rotation_seed=args.rotate_seed
         )
         print(f"test_accuracy = {accuracy:.6g}")
-    elif task == "segmentation":
+    elif task == SEGMENTATION:
         accuracy = pipelines.evaluate_segmentation(checkpoint, samples)
         print(f"soft_edge_accuracy = {accuracy:.6g}")
     else:
@@ -200,8 +200,9 @@ def cmd_denoise(args):
     if args.seed is not None:
         check_seed(args.seed, "--seed")
     checkpoint = Checkpoint.load(args.checkpoint)
+    samples = ds.load_dataset(args.data, keep=ds.in_test_split)
     model_mse, ident = pipelines.evaluate_denoising(
-        checkpoint, ds.load_dataset(args.data), seed=args.seed or 0, variance=args.variance
+        checkpoint, samples, seed=args.seed or 0, variance=args.variance
     )
     print(f"config_hash = {checkpoint.meta_value('config_hash')}")
     print(f"seed = {args.seed or 0}")
@@ -263,7 +264,7 @@ def build_parser():
     p.add_argument("--mesh", required=True)
     p.add_argument("--features", required=True, choices=tuple(KIND_TOKENS))
     p.add_argument("--targets", type=_int_list, required=True, metavar="N1,N2,...")
-    p.add_argument("--policy", choices=("enhanced", "legacy"), default="enhanced")
+    p.add_argument("--policy", choices=POLICIES, default=ENHANCED)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pool_trace)
 

@@ -32,9 +32,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 from .errors import ConfigError
 from .features import FF, LAPLACIAN, MESHCNN5, XYZ, XYZ_INV, KIND_CHANNELS
+from .pooling import ENHANCED, POLICIES
 
 CLASSIFICATION = "classification"
 SEGMENTATION = "segmentation"
@@ -58,7 +60,7 @@ class ExperimentConfig:
     features: str = "ff"
     channel_mask: tuple = ()
     output_features: str = "ff"
-    pooling: str = "enhanced"
+    pooling: str = ENHANCED
     conv_channels: tuple = (16, 32)
     pool_targets: tuple = (350, 210)
     epochs: int = 100
@@ -72,6 +74,12 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key, kind in _KEY_TYPES.items():
+            value = getattr(self, key)
+            if not _has_type(value, kind):
+                raise ConfigError(f"bad value {value!r} for key {key!r}")
+            if kind is tuple:
+                setattr(self, key, tuple(map(int, value)))
         if self.task not in (CLASSIFICATION, SEGMENTATION, DENOISING):
             raise ConfigError(f"unknown task {self.task!r}")
         if self.features not in KIND_TOKENS:
@@ -80,11 +88,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"output_features must be ff or xyz, got {self.output_features!r}"
             )
-        if self.pooling not in ("enhanced", "legacy"):
-            raise ConfigError("pooling must be enhanced or legacy")
-        self.conv_channels = tuple(int(c) for c in self.conv_channels)
-        self.pool_targets = tuple(int(t) for t in self.pool_targets)
-        self.channel_mask = tuple(int(m) for m in self.channel_mask)
+        if self.pooling not in POLICIES:
+            raise ConfigError(f"pooling must be one of {', '.join(POLICIES)}")
         if any(not 1 <= c <= MAX_WIDTH for c in self.conv_channels):
             raise ConfigError(f"conv_channels must be in 1..{MAX_WIDTH}, got {self.conv_channels}")
         if len(self.conv_channels) != len(self.pool_targets):
@@ -141,6 +146,16 @@ def check_seed(seed, name):
 
 # key -> type of its default: bool, int, float, str, or tuple (of ints)
 _KEY_TYPES = {f.name: type(f.default) for f in fields(ExperimentConfig)}
+
+
+def _has_type(value, kind):
+    """Whether ``value`` fits a field of ``kind``: int takes an integral number, float
+    a real one (a bool is neither), tuple a list or tuple of ints, bool and str their own."""
+    if kind is tuple:
+        return isinstance(value, (list, tuple)) and all(_has_type(v, int) for v in value)
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, {int: Integral, float: Real}.get(kind, kind))
 
 
 def parse_config(text: str, overrides=None) -> ExperimentConfig:

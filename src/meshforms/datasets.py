@@ -660,13 +660,20 @@ _THIRD = itemgetter(2)
 _INT64 = np.iinfo(np.int64)
 
 
-def load_dataset(directory):
-    """The samples that ``directory``'s index.tsv lists."""
-    return load_dataset_with_hash(directory)[0]
+def in_test_split(split_tag):
+    """Whether evaluators read a mesh so tagged: a test mesh, or one no split claims."""
+    return split_tag == TEST or not split_tag
 
 
-def load_dataset_with_hash(directory):
-    """``(samples, dataset_hash(directory))`` from one read of each file."""
+def load_dataset(directory, keep=None):
+    """The samples that ``directory``'s index.tsv lists; with ``keep``, only the
+    rows whose split tag ``keep`` accepts, and no other row's files are read."""
+    return load_dataset_with_hash(directory, keep)[0]
+
+
+def load_dataset_with_hash(directory, keep=None):
+    """``(samples, hash)`` from one read of each file a kept row names (see
+    :func:`load_dataset`); with every row kept, the hash is :func:`dataset_hash`."""
     root = pathlib.Path(directory)
     index = root / _INDEX_NAME
     if not index.exists():
@@ -690,6 +697,8 @@ def load_dataset_with_hash(directory):
         if len(parts) != 5:
             raise DataError(f"malformed index row: {line!r}")
         sample_id, rel, cls, split_tag, label_rel = parts
+        if keep is not None and not keep(split_tag):
+            continue
         mesh = parse_obj(read(root / rel))
         edge_labels = None
         if label_rel:

@@ -38,7 +38,7 @@ from ._kernels import instance_norm_backward as _knorm_backward
 from ._kernels import instance_norm_forward as _knorm_forward
 from .autodiff import Value
 from .errors import GraphError
-from .pooling import BATCH_LEGACY, ENHANCED
+from .pooling import ENHANCED, POLICIES
 from .topology import EdgeTopology
 
 
@@ -283,7 +283,7 @@ class ModelGraph:
     """Ordered layer list with a parameter registry."""
 
     def __init__(self, layers, pooling_policy=ENHANCED):
-        if pooling_policy not in (ENHANCED, BATCH_LEGACY):
+        if pooling_policy not in POLICIES:
             raise GraphError(f"unknown pooling policy {pooling_policy!r}")
         self.layers = list(layers)
         self.pooling_policy = pooling_policy
@@ -337,7 +337,7 @@ class ModelGraph:
 
     def forward(self, features, topology: EdgeTopology):
         """Run all layers; returns (output Value, MeshContext)."""
-        arr = np.asarray(getattr(features, "values", features), dtype=np.float64)
+        arr = np.asarray(features, dtype=np.float64)
         if arr.shape[0] != topology.edge_count:
             raise GraphError(
                 f"feature rows {arr.shape[0]} do not match edge count "
@@ -408,7 +408,7 @@ def mse(pred: Value, target) -> Value:
     With d = pred - target, the loss is sum(d * d) * (1/size) and its
     gradient at pred is a + a for a = (g/size) * d, one term per factor.
     """
-    target = np.asarray(getattr(target, "values", target), dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
     if pred.data.shape != target.shape:
         raise GraphError(
             f"prediction shape {pred.data.shape} does not match target "

@@ -24,12 +24,13 @@ from .config import (
     ExperimentConfig,
     config_hash,
 )
-from .datasets import TEST, TRAIN, add_vertex_noise, augment
+from .datasets import TEST, TRAIN, add_vertex_noise, augment, in_test_split
 from .errors import ConfigError, DataError, GraphError
 from .features import extract, fit_channel_stats
 from .layers import ModelGraph, cross_entropy, mse
 from .mesh import normalize_unit_box
 from .optim import Optimizer
+from .pooling import BATCH_LEGACY, ENHANCED
 from .topology import build_edge_topology
 
 # Published average-MSE levels for the de-noising configurations (identity
@@ -310,7 +311,7 @@ def _checkpoint_config(checkpoint: Checkpoint, task) -> ExperimentConfig:
     return ExperimentConfig(
         task=trained,
         features=checkpoint.meta_value("features"),
-        channel_mask=tuple(meta.get("channel_mask", ())),
+        channel_mask=meta.get("channel_mask", ()),
         output_features=(
             checkpoint.meta_value("output_features")
             if trained == DENOISING
@@ -332,7 +333,7 @@ def _predict(checkpoint, inputs_raw, topology):
 
 def _test_split(samples):
     """The test split, or the samples when none is split off."""
-    test = [s for s in samples if s.split == TEST or not s.split]
+    test = [s for s in samples if in_test_split(s.split)]
     if not test:
         raise DataError("no test meshes to evaluate")
     return test
@@ -404,16 +405,9 @@ def run_ablation(base_config: ExperimentConfig, samples, dataset_hash=""):
     Returns (rows, table text) where rows are (pooling, features, report).
     """
     rows = []
-    for pooling in ("legacy", "enhanced"):
+    for pooling in (BATCH_LEGACY, ENHANCED):
         for features in ("meshcnn5", "ff"):
-            config = ExperimentConfig(
-                **{
-                    **base_config.__dict__,
-                    "pooling": pooling,
-                    "features": features,
-                    "channel_mask": (),
-                }
-            )
+            config = replace(base_config, pooling=pooling, features=features, channel_mask=())
             _, report = train(config, samples, dataset_hash=dataset_hash)
             rows.append((pooling, features, report))
     metric = {

@@ -12,11 +12,15 @@ policy ranks all edges once up front and walks that frozen order. Only the
 two survivors are rescored; other edges of the wider ring are left alone even
 though the collapse also affects them geometrically.
 
-Collapse legality: the edge is interior, every edge touching its endpoints is
-interior, the endpoints share exactly two neighbor vertices (link condition),
-those two shared vertices have valence at least 4, and the merged vertex
-keeps valence at least 3. Together these keep every intermediate mesh a
-consistently oriented 2-manifold with no duplicate faces.
+Collapse legality, checked in this order; each rule is named by the reason
+of :data:`ILLEGAL_REASONS` that :meth:`PoolingState.collapse_illegality`
+returns when it fails first. The edge is alive (``EDGE_REMOVED``) and interior
+(``BOUNDARY_EDGE``), every edge touching its endpoints is interior
+(``INCIDENT_BOUNDARY``), the endpoints share exactly two neighbor vertices,
+the link condition of Dey et al. 1999 (``LINK_CONDITION``), those two have
+valence at least 4 (``SHARED_VALENCE``), and the merged vertex keeps valence
+at least 3 (``MERGED_VALENCE``). Together these keep every intermediate mesh
+a consistently oriented 2-manifold with no duplicate faces.
 
 A collapse updates only primary connectivity (edge endpoints, edge-face and
 face-edge incidence) and the vertex links it touches. Rings (the rule of
@@ -33,7 +37,6 @@ import heapq
 import itertools
 import json
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -46,6 +49,16 @@ from .topology import SENTINEL, EdgeTopology, incident_edges, rings
 
 ENHANCED = "enhanced"
 BATCH_LEGACY = "legacy"
+POLICIES = (ENHANCED, BATCH_LEGACY)
+
+EDGE_REMOVED = "edge already removed"
+BOUNDARY_EDGE = "boundary edge"
+INCIDENT_BOUNDARY = "incident boundary edge"
+LINK_CONDITION = "link condition violated (not two shared neighbors)"
+SHARED_VALENCE = "shared neighbor vertex has valence < 4"
+MERGED_VALENCE = "merged vertex would have valence < 3"
+ILLEGAL_REASONS = (EDGE_REMOVED, BOUNDARY_EDGE, INCIDENT_BOUNDARY, LINK_CONDITION,
+                   SHARED_VALENCE, MERGED_VALENCE)
 
 # The divisor of the survivor averages and of their backward. A 0-d array
 # divides exactly as the float 3.0 does, and spares each row-sized ufunc call
@@ -199,7 +212,7 @@ class PoolingState:
     """
 
     def __init__(self, topology: EdgeTopology, features, positions=None):
-        feats = np.array(getattr(features, "values", features), dtype=np.float64)
+        feats = np.array(features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] != topology.edge_count:
             raise MeshError(
                 f"features shape {feats.shape} does not match "
@@ -218,10 +231,6 @@ class PoolingState:
         self.links = [None] * len(topology.vertex_edges)
         boundary = topology.edges[~topology.interior_mask]
         self.boundary_vertices = frozenset(boundary.ravel().tolist())
-
-    @classmethod
-    def from_mesh(cls, mesh: Mesh, topology: EdgeTopology, features):
-        return cls(topology, features, positions=mesh.vertices)
 
     # -- queries ------------------------------------------------------------
 
@@ -259,37 +268,24 @@ class PoolingState:
             self.links[w] = link
         return link
 
-    def _neighbor_set(self, w):
-        """``w``'s neighbors as a set, built as per-vertex edge sets built it.
-
-        Which of two vertices a set iterates first can depend on which went
-        in first. Filling the set from ascending edge ids, as the edge sets
-        were, names the vertex the set-based check named when both shared
-        vertices of a tetrahedron fail.
-        """
-        pairs = map(self.edges.__getitem__, set(sorted(self.link(w).values())))
-        return {y if x == w else x for x, y in pairs}
-
     def collapse_illegality(self, edge):
-        """Reason string if the collapse is illegal, else None."""
+        """The reason of :data:`ILLEGAL_REASONS` the collapse is illegal for, else None."""
         if not self.edge_alive[edge]:
-            return "edge already removed"
+            return EDGE_REMOVED
         if self.edge_faces[edge][1] == SENTINEL:
-            return "boundary edge"
+            return BOUNDARY_EDGE
         u, v = self.edges[edge]
         if u in self.boundary_vertices or v in self.boundary_vertices:
-            return "incident boundary edge"
+            return INCIDENT_BOUNDARY
         link_u, link_v = self.link(u), self.link(v)
         common = link_u.keys() & link_v.keys()
         if len(common) != 2:
-            return f"link condition violated ({len(common)} shared neighbors)"
+            return LINK_CONDITION
         for w in common:
             if len(self.link(w)) < 4:
-                if all(len(self.link(x)) < 4 for x in common):  # a tetrahedron
-                    w = next(iter(self._neighbor_set(u) & self._neighbor_set(v)))
-                return f"shared neighbor vertex {w} has valence < 4"
+                return SHARED_VALENCE
         if len(link_u) + len(link_v) < 7:
-            return "merged vertex would have valence < 3"
+            return MERGED_VALENCE
         return None
 
     # -- mutation -----------------------------------------------------------
@@ -414,10 +410,10 @@ class PoolingState:
 class PoolStats:
     """What one pool call did; not part of the journal.
 
-    ``illegal_pops`` counts the popped edges that could not collapse by
-    reason, a reason being its ``collapse_illegality`` text before the first
-    digit. ``queue_rebuilds`` counts the times the queue ran dry and was
-    filled again from the live edges.
+    ``illegal_pops`` counts the popped edges that could not collapse, keyed
+    by the reason of :data:`ILLEGAL_REASONS` ``collapse_illegality`` gave.
+    ``queue_rebuilds`` counts the times the queue ran dry and was filled
+    again from the live edges.
     """
 
     collapses: int = 0
@@ -426,12 +422,11 @@ class PoolStats:
 
     def summary(self):
         """One line: the three counts, then the illegal pops by reason."""
-        reasons = ", ".join(f"{r!r}: {n}" for r, n in sorted(self.illegal_pops.items()))
         return (
             f"collapses={self.collapses} "
             f"illegal_pops={sum(self.illegal_pops.values())} "
             f"queue_rebuilds={self.queue_rebuilds} "
-            f"by_reason={{{reasons}}}"
+            f"by_reason={dict(sorted(self.illegal_pops.items()))}"
         )
 
 
@@ -444,12 +439,23 @@ class PoolResult:
     stats: PoolStats
 
 
-def _pool(state: PoolingState, target_edges: int, incremental: bool):
-    """Collapse until ``target_edges``; returns (PoolHistory, PoolStats).
+def pool(
+    features,
+    topology: EdgeTopology,
+    target_edges: int,
+    *,
+    mesh: Mesh = None,
+    policy: str = ENHANCED,
+):
+    """Pool down to ``target_edges`` (or the first count below it).
 
-    Each pop asks :meth:`PoolingState.collapse_illegality` once and applies
-    a legal collapse unchecked.
+    ``ENHANCED`` rescores the two survivors after every collapse;
+    ``BATCH_LEGACY`` walks the selection order frozen at entry. Each pop asks
+    :meth:`PoolingState.collapse_illegality` once; a legal collapse runs unchecked.
     """
+    if policy not in POLICIES:
+        raise GraphError(f"unknown pooling policy {policy!r}")
+    state = PoolingState(topology, features, positions=None if mesh is None else mesh.vertices)
     if target_edges >= state.live_edge_count:
         raise GraphError(
             f"pool target {target_edges} is not below the current edge count "
@@ -458,8 +464,9 @@ def _pool(state: PoolingState, target_edges: int, incremental: bool):
     history = PoolHistory(
         initial_edge_count=state.live_edge_count, final_edge_count=state.live_edge_count
     )
-    illegal = Counter()  # full reason text; grouped by prefix once at the end
+    illegal = Counter()
     rebuilds = 0
+    incremental = policy == ENHANCED
     frozen = None if incremental else state.scores.copy()
     queue = ScoreQueue(state.scores if incremental else frozen)
     # looked up once per call; a wrapper installed on the class before the call sees every pop
@@ -472,9 +479,7 @@ def _pool(state: PoolingState, target_edges: int, incremental: bool):
                 raise PoolTargetError(target_edges, state.live_edge_count)
             # every remaining entry was consumed or stale; rank the survivors again
             scores = state.scores if incremental else frozen
-            queue = ScoreQueue(
-                np.where(state.edge_alive, scores, np.inf)
-            )
+            queue = ScoreQueue(np.where(state.edge_alive, scores, np.inf))
             rebuilds += 1
             progressed = False
             continue
@@ -489,34 +494,8 @@ def _pool(state: PoolingState, target_edges: int, incremental: bool):
             for survivor in record.surviving_edges:
                 queue.push(survivor, state.scores[survivor])
     history.final_edge_count = state.live_edge_count
-    by_reason = Counter()
-    for reason, count in illegal.items():
-        by_reason[re.split(r"\d", reason, maxsplit=1)[0]] += count
-    return history, PoolStats(len(history.records), dict(by_reason), rebuilds)
-
-
-def pool(
-    features,
-    topology: EdgeTopology,
-    target_edges: int,
-    *,
-    mesh: Mesh = None,
-    policy: str = ENHANCED,
-):
-    """Pool down to ``target_edges`` (or the first count below it).
-
-    ``ENHANCED`` rescores the two survivors after every collapse;
-    ``BATCH_LEGACY`` walks the selection order frozen at entry.
-    """
-    if policy not in (ENHANCED, BATCH_LEGACY):
-        raise GraphError(f"unknown pooling policy {policy!r}")
-    state = (
-        PoolingState.from_mesh(mesh, topology, features)
-        if mesh is not None
-        else PoolingState(topology, features)
-    )
-    history, stats = _pool(state, target_edges, incremental=policy == ENHANCED)
     out_features, out_topology = state.compact()
+    stats = PoolStats(len(history.records), dict(illegal), rebuilds)
     return PoolResult(out_features, out_topology, history, state, stats)
 
 
@@ -531,7 +510,7 @@ def unpool(features, history: PoolHistory) -> np.ndarray:
     Removed edges receive the feature of the survivor that absorbed them; the
     collapsed edge itself, which fed both survivors, receives their mean.
     """
-    feats = np.asarray(getattr(features, "values", features), dtype=np.float64)
+    feats = np.asarray(features, dtype=np.float64)
     if feats.shape[0] != history.final_edge_count:
         raise MeshError(
             f"feature rows {feats.shape[0]} do not match pooled edge count "

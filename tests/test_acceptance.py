@@ -286,7 +286,7 @@ def test_criterion_4_pooling_soundness():
         topology = build_edge_topology(mesh)
         rng = np.random.default_rng(i)
         features = rng.normal(size=(topology.edge_count, 3))
-        state = PoolingState.from_mesh(mesh, topology, features)
+        state = PoolingState(topology, features, positions=mesh.vertices)
         target = topology.edge_count // 2
         queue = ScoreQueue(state.scores)
         while state.live_edge_count > target:

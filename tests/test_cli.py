@@ -1,5 +1,6 @@
 """CLI contracts: exit codes, determinism, file outputs."""
 
+import ast
 import contextlib
 import io
 import json
@@ -13,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshforms import (
+    ILLEGAL_REASONS,
     ChannelStats,
     Checkpoint,
+    ConfigError,
     ExperimentConfig,
     parse_obj,
     pipelines,
@@ -24,6 +27,7 @@ from meshforms import (
 from meshforms.cli import main
 from meshforms.datasets import _random_rotation
 from meshforms.mesh import RigidMotion, apply_motion, write_obj
+from meshforms.pooling import ENHANCED, POLICIES
 
 from conftest import dataset_files_and_hash, mutate_bytes
 
@@ -294,6 +298,19 @@ class TestPoolTrace:
         ]
         collapses = [int(line.split("collapses=")[1].split()[0]) for line in summaries]
         assert sum(collapses) == int(lines[1].split(" = ")[1])
+        # illegal pops are keyed by the full reason, one of pooling's six
+        reasons = [ast.literal_eval(line.split("by_reason=")[1]) for line in summaries]
+        assert any(reasons) and set().union(*reasons) <= set(ILLEGAL_REASONS)
+
+    def test_policy_choices_are_pooling_policies(self, capsys):
+        code, stdout, _ = run(["pool-trace", "--help"], capsys)
+        assert code == 0
+        assert "--policy {%s}" % ",".join(POLICIES) in stdout
+        assert ExperimentConfig().pooling == ENHANCED
+        assert [ExperimentConfig(pooling=name).pooling for name in POLICIES] == list(POLICIES)
+        for name in ("Enhanced", "batch", ""):
+            with pytest.raises(ConfigError, match="pooling must be one of enhanced, legacy"):
+                ExperimentConfig(pooling=name)
 
     @pytest.mark.parametrize("targets", ["-5", "150,0"])
     def test_non_positive_target_refused_before_pooling(self, tmp_path, capsys, monkeypatch, targets):
@@ -745,6 +762,48 @@ class TestTrainEval:
         assert code == 2
         assert (stdout, err) == ("", "error: checkpoint header corrupt\n")
 
+    @pytest.mark.parametrize(
+        "key", ["task", "features", "channel_mask", "output_features", "noise_variance", "seed"]
+    )
+    @pytest.mark.parametrize("value", ["a", ["a"], {"a": 1}, True, None])
+    @pytest.mark.parametrize(
+        "command, task", [("eval", "classification"), ("denoise", "denoising")]
+    )
+    def test_meta_of_the_wrong_type_exit_2(
+        self, cli_dataset, tmp_path, command, task, key, value, capsys
+    ):
+        """Each config value a checkpoint's meta carries goes through the config's
+        type rule, so a wrong type is a ConfigError, not a raw TypeError."""
+        ckpt = Checkpoint.load(untrained_checkpoint(tmp_path / "m.ckpt", task))
+        ckpt.meta[key] = value
+        ckpt.save(tmp_path / "bad.ckpt")
+        code, _, err = run(
+            [command, "--checkpoint", tmp_path / "bad.ckpt", "--data", cli_dataset], capsys
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command, task", [("eval", "classification"), ("denoise", "denoising")]
+    )
+    def test_evaluators_read_only_test_meshes(self, cli_dataset, tmp_path, command, task, capsys):
+        """A corrupt train-split mesh is never read; a corrupt test mesh still exits 2."""
+        data = tmp_path / "data"
+        shutil.copytree(cli_dataset, data)
+        ckpt = untrained_checkpoint(tmp_path / "m.ckpt", task)
+        clean = run([command, "--checkpoint", ckpt, "--data", data], capsys)
+        assert clean[0] == 0
+        rows = [line.split("\t") for line in (data / "index.tsv").read_text().splitlines()[1:]]
+        for split in ("train", "test"):
+            for row in rows:
+                if row[3] == split:
+                    (data / row[1]).write_bytes(b"\xff not an OBJ\n")
+            outcome = run([command, "--checkpoint", ckpt, "--data", data], capsys)
+            if split == "train":
+                assert outcome == clean
+            else:
+                assert outcome[0] == 2 and outcome[2].startswith("error: ")
+
     def test_ablate_prints_four_rows(self, cli_dataset, capsys):
         code, stdout, _ = run(
             [
@@ -757,8 +816,8 @@ class TestTrainEval:
         assert code == 0
         lines = [l for l in stdout.splitlines() if l and not l.startswith(("config", "seed", "dataset"))]
         assert len(lines) == 5  # header + 4 grid rows
-        grid = {tuple(l.split()[:2]) for l in lines[1:]}
-        assert grid == {
+        grid = [tuple(l.split()[:2]) for l in lines[1:]]
+        assert grid == [
             ("legacy", "meshcnn5"), ("legacy", "ff"),
             ("enhanced", "meshcnn5"), ("enhanced", "ff"),
-        }
+        ]

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import re
 from collections import Counter
 
 import numpy as np
@@ -11,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshforms import (
+    ILLEGAL_REASONS,
     DataError,
     Mesh,
     GraphError,
@@ -28,6 +28,7 @@ from meshforms import (
 from meshforms.pooling import (
     BATCH_LEGACY,
     ENHANCED,
+    MERGED_VALENCE,
     CollapseRecord,
     pool_backward,
     unpool_backward,
@@ -72,7 +73,7 @@ def make_state(mesh, features=None, seed=0):
     if features is None:
         rng = np.random.default_rng(seed)
         features = rng.normal(size=(topology.edge_count, 3))
-    return PoolingState.from_mesh(mesh, topology, features), topology
+    return PoolingState(topology, features, positions=mesh.vertices), topology
 
 
 def first_legal_edge(state):
@@ -165,10 +166,10 @@ class SetOracle(PoolingState):
                     return "incident boundary edge"
         common = self.vertex_neighbors(u) & self.vertex_neighbors(v)
         if len(common) != 2:
-            return f"link condition violated ({len(common)} shared neighbors)"
+            return "link condition violated (not two shared neighbors)"
         for w in common:
             if len(self.vertex_edges[w]) < 4:
-                return f"shared neighbor vertex {w} has valence < 4"
+                return "shared neighbor vertex has valence < 4"
         if len(self.vertex_edges[u]) + len(self.vertex_edges[v]) < 7:
             return "merged vertex would have valence < 3"
         return None
@@ -265,7 +266,7 @@ def oracle_meshes():
     tetra = closed_tetrahedron()
     sphere = closed[0]
     n = sphere.vertex_count
-    # 66 and 2 are congruent mod 8: a set of both orders them by insertion
+    # the tetrahedron's vertex ids lie among the sphere's
     ids = np.concatenate([np.delete(np.arange(n + 4), [56, 66, 35, 2]), [56, 66, 35, 2]])
     vertices = np.zeros((n + 4, 3))
     vertices[ids[:n]] = sphere.vertices
@@ -342,7 +343,7 @@ def build_divergence_fixture():
     topology = build_edge_topology(mesh)
     E = topology.edge_count
     for e in range(E):
-        probe = PoolingState.from_mesh(mesh, topology, np.ones((E, 1)))
+        probe = PoolingState(topology, np.ones((E, 1)), positions=mesh.vertices)
         if probe.collapse_illegality(e) is not None:
             continue
         a, b = (int(x) for x in probe.ring(e)[:2])
@@ -386,7 +387,7 @@ class TestPolicyDivergence:
         mesh = fuzz_corpus(1, seed=41, edge_range=(200, 320))[0]
         topology = build_edge_topology(mesh)
         E = topology.edge_count
-        probe = PoolingState.from_mesh(mesh, topology, np.ones((E, 1)))
+        probe = PoolingState(topology, np.ones((E, 1)), positions=mesh.vertices)
         chosen = []
         used_vertices = set()
         for e in range(E):
@@ -677,11 +678,11 @@ def test_two_stage_pooling_is_byte_stable():
     assert h.hexdigest() == GOLDEN_TWO_STAGE
 
 
-# Illegal pops by reason (text before the first digit) when pooling the fuzz
-# corpus to 60% of its edges with seeded random features.
+# Illegal pops by reason when pooling the fuzz corpus to 60% of its edges
+# with seeded random features.
 GOLDEN_ILLEGAL_REASONS = {
-    ENHANCED: {"link condition violated (": 26},
-    BATCH_LEGACY: {"link condition violated (": 19},
+    ENHANCED: {"link condition violated (not two shared neighbors)": 26},
+    BATCH_LEGACY: {"link condition violated (not two shared neighbors)": 19},
 }
 
 
@@ -694,7 +695,7 @@ def hooked_counts(monkeypatch):
     def counting(state, edge):
         reason = check(state, edge)
         if reason is not None:
-            reasons[re.split(r"\d", reason, maxsplit=1)[0]] += 1
+            reasons[reason] += 1
         return reason
 
     def building(queue, scores):
@@ -737,3 +738,38 @@ def test_pool_stats_equal_the_hooked_counts(small_corpus, monkeypatch):
                 assert stats.queue_rebuilds == queues["built"] - 1
                 rebuilds += stats.queue_rebuilds
     assert rebuilds > 0
+
+
+@pytest.mark.parametrize("policy", [ENHANCED, BATCH_LEGACY])
+def test_every_refusal_is_one_of_the_six_reasons(oracle_meshes, policy, monkeypatch):
+    """Pooling the oracle meshes, holed ones and a tetrahedron among them, as
+    deep as each goes: every refusal the check returns and every key of
+    ``PoolStats.illegal_pops`` is one of ILLEGAL_REASONS. No pop returns a
+    dead edge, so one is asked about directly.
+
+    Every reason but the merged-valence one occurs. That rule never fires on a
+    manifold: endpoints of valence 3 and 3 close a tetrahedron, whose shared
+    vertices fail the shared-valence rule first."""
+    returned, keys = Counter(), set()
+    check = PoolingState.collapse_illegality
+
+    def recording(state, edge):
+        reason = check(state, edge)
+        returned[reason] += 1
+        return reason
+
+    monkeypatch.setattr(PoolingState, "collapse_illegality", recording)
+    for i, mesh in enumerate(oracle_meshes):
+        topology = build_edge_topology(mesh)
+        features = np.random.default_rng(i).normal(size=(topology.edge_count, 4))
+        for target in (int(0.6 * topology.edge_count), 3):
+            try:
+                result = pool(features, topology, target, policy=policy)
+            except PoolTargetError:
+                continue
+            keys |= result.stats.illegal_pops.keys()
+            result.state.collapse_illegality(result.history.records[0].collapsed_edge)
+    del returned[None]
+    assert len(set(ILLEGAL_REASONS)) == 6
+    assert keys <= set(ILLEGAL_REASONS)
+    assert set(ILLEGAL_REASONS) - set(returned) == {MERGED_VALENCE}
