@@ -180,19 +180,20 @@ def cmd_eval(args):
         check_seed(args.rotate_seed, "--rotate-seed")
     checkpoint = Checkpoint.load(args.checkpoint)
     samples = ds.load_dataset(args.data, keep=ds.in_test_split)
-    task = checkpoint.meta_value("task")
-    print(f"config_hash = {checkpoint.meta_value('config_hash')}")
-    print(f"seed = {checkpoint.meta_value('seed')}")
+    task, seed = checkpoint.meta_value("task"), checkpoint.meta_value("seed")
     if task == CLASSIFICATION:
         accuracy = pipelines.evaluate_classification(
             checkpoint, samples, rotation_seed=args.rotate_seed
         )
-        print(f"test_accuracy = {accuracy:.6g}")
+        result = f"test_accuracy = {accuracy:.6g}"
     elif task == SEGMENTATION:
         accuracy = pipelines.evaluate_segmentation(checkpoint, samples)
-        print(f"soft_edge_accuracy = {accuracy:.6g}")
+        result = f"soft_edge_accuracy = {accuracy:.6g}"
     else:
-        raise ConfigError("use the denoise subcommand for denoising checkpoints")
+        raise ConfigError(f"checkpoint task is {task}, not classification or segmentation")
+    print(f"config_hash = {checkpoint.meta_value('config_hash')}")
+    print(f"seed = {seed}")
+    print(result)
     return 0
 
 

@@ -303,11 +303,13 @@ def train(config: ExperimentConfig, samples, dataset_hash=""):
 
 
 def _checkpoint_config(checkpoint: Checkpoint, task) -> ExperimentConfig:
-    """The input settings of a checkpoint, which must be trained for ``task``."""
+    """The input settings of a checkpoint trained for ``task``; its config hash is a string."""
     trained = checkpoint.meta_value("task")
     if trained != task:
         raise ConfigError(f"checkpoint task is {trained}, not {task}")
     meta = checkpoint.meta
+    if not isinstance(meta.get("config_hash", ""), str):
+        raise ConfigError(f"bad value {meta['config_hash']!r} for key 'config_hash'")
     return ExperimentConfig(
         task=trained,
         features=checkpoint.meta_value("features"),

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DataError, GraphError, IllegalCollapseError, MeshError, PoolTargetError
 from .mesh import Mesh
-from .topology import SENTINEL, EdgeTopology, incident_edges, rings
+from .topology import SENTINEL, EdgeTopology
 
 ENHANCED = "enhanced"
 BATCH_LEGACY = "legacy"
@@ -382,15 +382,10 @@ class PoolingState:
         face_map = np.full(len(self.face_alive) + 1, SENTINEL, dtype=np.int64)
         face_map[live_faces] = np.arange(len(live_faces))
         edges = _int_rows(self.edges, live, 2)
-        used, vertex_map = self._vertex_map(edges)
-
-        edges = vertex_map[edges]
+        edges = self._vertex_map(edges)[1][edges]
         edge_faces = face_map[_int_rows(self.edge_faces, live, 2)]
         face_edges = edge_map[_int_rows(self.face_edges, live_faces, 3)]
-        vertex_edges = incident_edges(edges, int(used.sum()))
-        neighbors = rings(edge_faces, face_edges)
-        topology = EdgeTopology(edges, edge_faces, neighbors, face_edges, vertex_edges)
-        return self.features[live], topology
+        return self.features[live], EdgeTopology(edges, edge_faces, face_edges)
 
     def export_mesh(self) -> Mesh:
         """Live faces on live vertices, numbered as in :meth:`compact`."""

@@ -11,6 +11,7 @@ boundary edges hold the sentinel ``-1``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,23 +22,30 @@ SENTINEL = -1
 
 
 class EdgeTopology:
-    """Connectivity arrays for the edges of a validated mesh.
+    """Connectivity of the edges of a validated mesh: three stored arrays, and
+    two fields derived from them on first read and then kept.
 
     edges: (E, 2) int64, smaller vertex first.
     edge_faces: (E, 2) int64 face ids, second slot -1 on boundary edges.
-    neighbors: (E, 4) int64 edge ids (a, b, c, d), -1 sentinels on boundaries.
     face_edges: (F, 3) int64, edge id at position i spans face[i], face[i+1].
-    vertex_edges: per-vertex list of incident edge ids (ascending).
+    neighbors (derived, :func:`rings`): (E, 4) int64 edge ids (a, b, c, d),
+    -1 sentinels on boundaries.
+    vertex_edges (derived, :func:`incident_edges`): per-vertex list of
+    incident edge ids (ascending).
     """
 
-    __slots__ = ("edges", "edge_faces", "neighbors", "face_edges", "vertex_edges")
-
-    def __init__(self, edges, edge_faces, neighbors, face_edges, vertex_edges):
+    def __init__(self, edges, edge_faces, face_edges):
         self.edges = edges
         self.edge_faces = edge_faces
-        self.neighbors = neighbors
         self.face_edges = face_edges
-        self.vertex_edges = vertex_edges
+
+    @cached_property
+    def neighbors(self):
+        return rings(self.edge_faces, self.face_edges)
+
+    @cached_property
+    def vertex_edges(self):
+        return incident_edges(self.edges)
 
     @property
     def edge_count(self):
@@ -92,11 +100,12 @@ def rings(edge_faces, face_edges):
     return out
 
 
-def incident_edges(edges, vertex_count):
-    """Per-vertex list of incident edge ids, ascending, from an (E, 2) array."""
+def incident_edges(edges):
+    """Per-vertex list of incident edge ids, ascending, from an (E, 2) array
+    with no isolated vertex, so that the largest vertex id + 1 counts them."""
     ends = edges.ravel()
     ids = (np.argsort(ends, kind="stable") // 2).tolist()
-    stops = np.cumsum(np.bincount(ends, minlength=vertex_count)).tolist()
+    stops = np.cumsum(np.bincount(ends)).tolist()
     return [ids[start:stop] for start, stop in zip([0] + stops, stops)]
 
 
@@ -116,7 +125,7 @@ def _sorted_runs(keys):
 
 
 def _scan(mesh: Mesh):
-    """One scan of the faces: every manifold finding, then the rings if clean.
+    """One scan of the faces: every manifold finding, then the topology if clean.
 
     Half-edge ``i = 3f + k`` runs from ``faces[f, k]`` to
     ``faces[f, (k + 1) % 3]``. Ids and report entries come out in the order
@@ -175,15 +184,7 @@ def _scan(mesh: Mesh):
     edge_faces[:, 0] = first // 3
     shared = counts == 2
     edge_faces[shared, 1] = order[starts[shared] + 1] // 3
-    face_edges = half_edge_ids.reshape(-1, 3)
-    topology = EdgeTopology(
-        edges,
-        edge_faces,
-        rings(edge_faces, face_edges),
-        face_edges,
-        incident_edges(edges, n),
-    )
-    return report, topology
+    return report, EdgeTopology(edges, edge_faces, half_edge_ids.reshape(-1, 3))
 
 
 def validate_manifold(mesh: Mesh) -> ValidationReport:

@@ -777,11 +777,45 @@ class TestTrainEval:
         ckpt = Checkpoint.load(untrained_checkpoint(tmp_path / "m.ckpt", task))
         ckpt.meta[key] = value
         ckpt.save(tmp_path / "bad.ckpt")
-        code, _, err = run(
+        code, stdout, err = run(
             [command, "--checkpoint", tmp_path / "bad.ckpt", "--data", cli_dataset], capsys
         )
         assert code == 2
+        assert stdout == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("value", [["x"], {"x": 1}, True, None, 1, 1.5])
+    @pytest.mark.parametrize(
+        "command, task", [("eval", "classification"), ("denoise", "denoising")]
+    )
+    def test_config_hash_not_a_string_exit_2(
+        self, cli_dataset, tmp_path, command, task, value, capsys
+    ):
+        """Both reports print the meta's config hash, which must be a string."""
+        ckpt = Checkpoint.load(untrained_checkpoint(tmp_path / "m.ckpt", task))
+        ckpt.meta["config_hash"] = value
+        ckpt.save(tmp_path / "bad.ckpt")
+        code, stdout, err = run(
+            [command, "--checkpoint", tmp_path / "bad.ckpt", "--data", cli_dataset], capsys
+        )
+        assert (code, stdout) == (2, "")
+        assert err == f"error: bad value {value!r} for key 'config_hash'\n"
+
+    def test_eval_prints_nothing_on_an_error_exit(self, cli_dataset, tmp_path, capsys):
+        """A meta without a seed, or of another task, ends with an empty stdout."""
+        ckpt = Checkpoint.load(untrained_checkpoint(tmp_path / "m.ckpt", "classification"))
+        del ckpt.meta["seed"]
+        ckpt.save(tmp_path / "no-seed.ckpt")
+        code, stdout, err = run(
+            ["eval", "--checkpoint", tmp_path / "no-seed.ckpt", "--data", cli_dataset], capsys
+        )
+        assert (code, stdout, err) == (3, "", "error: checkpoint meta has no 'seed'\n")
+        ckpt = untrained_checkpoint(tmp_path / "d.ckpt", "denoising")
+        code, stdout, err = run(["eval", "--checkpoint", ckpt, "--data", cli_dataset], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == (
+            "error: checkpoint task is denoising, not classification or segmentation\n"
+        )
 
     @pytest.mark.parametrize(
         "command, task", [("eval", "classification"), ("denoise", "denoising")]

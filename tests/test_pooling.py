@@ -64,6 +64,13 @@ def consistency_check(state, euler_characteristic):
     edge_map = np.cumsum(state.edge_alive) - 1
     _, compacted = state.compact()
     assert np.array_equal(compacted.neighbors, edge_map[[state.ring(e) for e in alive]])
+    # compact numbers the exported mesh's vertices, which the derived incidence
+    # counts as the largest vertex id + 1
+    incidence = [[] for _ in range(mesh.vertex_count)]
+    for e, (u, v) in enumerate(compacted.edges.tolist()):
+        incidence[u].append(e)
+        incidence[v].append(e)
+    assert compacted.vertex_edges == incidence
     norms = np.linalg.norm(state.features[alive], axis=1)
     assert np.max(np.abs(norms - state.scores[alive])) < 1e-12
 

@@ -1,6 +1,7 @@
 """Edge-topology construction and manifold validation."""
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,15 +11,20 @@ from hypothesis import strategies as st
 from meshforms import (
     DatasetSpec,
     Mesh,
+    MeshConv,
     TopologyError,
+    Value,
     build_edge_topology,
     euler_genus,
     generate,
     parse_obj,
+    pool,
     validate_manifold,
     write_obj,
 )
-from meshforms.topology import SENTINEL, EdgeTopology, ValidationReport, _scan
+from meshforms import topology as topology_module
+from meshforms.layers import MeshContext
+from meshforms.topology import SENTINEL, EdgeTopology, ValidationReport, _scan, incident_edges
 
 from conftest import fuzz_corpus
 
@@ -100,10 +106,11 @@ def walk_scan(mesh):
     topology = EdgeTopology(
         np.array(edges, dtype=np.int64).reshape(-1, 2),
         np.array(edge_faces, dtype=np.int64).reshape(-1, 2),
-        np.array(neighbors, dtype=np.int64).reshape(-1, 4),
         np.array(face_edges, dtype=np.int64).reshape(-1, 3),
-        vertex_edges,
     )
+    # the walk's own rings and incidence, so the oracle never derives them
+    topology.neighbors = np.array(neighbors, dtype=np.int64).reshape(-1, 4)
+    topology.vertex_edges = vertex_edges
     return report, topology
 
 
@@ -196,6 +203,56 @@ class TestBuildTopology:
             topo = build_edge_topology(mesh)
             g = euler_genus(mesh, topo)
             assert g == int(g) and g >= 0
+
+
+class TestDerivedFields:
+    """``neighbors`` and ``vertex_edges`` are derived from the three stored
+    arrays on first read, at most once per topology, and only if read."""
+
+    @pytest.fixture
+    def derivations(self, monkeypatch):
+        calls = Counter()
+        for name in ("rings", "incident_edges"):
+            def counted(*args, _name=name, _original=getattr(topology_module, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(topology_module, name, counted)
+        return calls
+
+    def test_scan_derives_nothing(self, icosahedron, derivations):
+        assert validate_manifold(icosahedron).is_clean
+        topology = build_edge_topology(icosahedron)
+        assert not derivations
+        for _ in range(2):
+            assert topology.neighbors is topology.neighbors
+            assert topology.vertex_edges is topology.vertex_edges
+        assert derivations == {"rings": 1, "incident_edges": 1}
+
+    def test_pool_derives_nothing_for_its_output(self, derivations):
+        mesh = fuzz_corpus(1, seed=5)[0]
+        topology = build_edge_topology(mesh)
+        features = np.random.default_rng(0).normal(size=(topology.edge_count, 3))
+        topology.vertex_edges  # the pooling state builds its links from these
+        derivations.clear()
+        result = pool(features, topology, topology.edge_count - 30, mesh=mesh)
+        assert not derivations
+        assert result.topology.neighbors.shape == (result.topology.edge_count, 4)
+        assert derivations == {"rings": 1}
+
+    def test_conv_derives_the_ring_once(self, icosahedron, derivations):
+        topology = build_edge_topology(icosahedron)
+        rng = np.random.default_rng(1)
+        conv = MeshConv(3, 4, rng)
+        x = rng.normal(size=(topology.edge_count, 3))
+        first = conv(Value(x), MeshContext(topology)).data
+        second = conv(Value(x), MeshContext(topology)).data
+        assert np.array_equal(first, second)
+        assert derivations == {"rings": 1}
+
+
+def test_incident_edges_of_no_edges():
+    assert incident_edges(np.empty((0, 2), dtype=np.int64)) == []
 
 
 def three_triangle_fan_edge():
