@@ -5,8 +5,8 @@ header (sorted keys), then raw little-endian float64 blobs in the order the
 header's ``blob_order`` lists. The header stores the layer spec list, the
 pooling policy, task metadata, the config hash, and the shapes of every blob;
 the channel statistics every evaluator needs ride along as two extra blobs,
-and a header without them is corrupt. Loading reproduces the saved bytes
-exactly when re-saved.
+and a header without them is corrupt, as is a NaN or an infinity in any blob.
+Loading reproduces the saved bytes exactly when re-saved.
 """
 
 from __future__ import annotations
@@ -116,6 +116,8 @@ class Checkpoint:
             count = math.prod(shape)
             arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
             offset += count * 8
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"checkpoint blob {name} holds a non-finite number")
             blobs[name] = arr.reshape(shape).astype(np.float64)
         for name, value in model.parameters().items():
             value.data = blobs[name]

@@ -18,7 +18,8 @@ import numpy as np
 from . import datasets as ds
 from . import pipelines
 from .checkpoint import Checkpoint
-from .config import CLASSIFICATION, KIND_TOKENS, SEGMENTATION, check_seed, config_hash, parse_config
+from .config import (CLASSIFICATION, DENOISING, KIND_TOKENS, SEGMENTATION, check_seed,
+                     config_hash, parse_config)
 from .errors import ConfigError, DataError, GraphError, MeshError, MeshFormsError
 from .features import extract, feature_norms, fit_channel_stats, normalize, write_features
 from .mesh import normalize_unit_box, parse_obj, save_obj
@@ -181,19 +182,13 @@ def cmd_eval(args):
     checkpoint = Checkpoint.load(args.checkpoint)
     samples = ds.load_dataset(args.data, keep=ds.in_test_split)
     task, seed = checkpoint.meta_value("task"), checkpoint.meta_value("seed")
-    if task == CLASSIFICATION:
-        accuracy = pipelines.evaluate_classification(
-            checkpoint, samples, rotation_seed=args.rotate_seed
-        )
-        result = f"test_accuracy = {accuracy:.6g}"
-    elif task == SEGMENTATION:
-        accuracy = pipelines.evaluate_segmentation(checkpoint, samples)
-        result = f"soft_edge_accuracy = {accuracy:.6g}"
-    else:
+    if task not in (CLASSIFICATION, SEGMENTATION):
         raise ConfigError(f"checkpoint task is {task}, not classification or segmentation")
+    metrics = pipelines.evaluate(checkpoint, task, samples, rotation_seed=args.rotate_seed)
     print(f"config_hash = {checkpoint.meta_value('config_hash')}")
     print(f"seed = {seed}")
-    print(result)
+    for name, value in metrics.items():
+        print(f"{name} = {value:.6g}")
     return 0
 
 
@@ -202,14 +197,14 @@ def cmd_denoise(args):
         check_seed(args.seed, "--seed")
     checkpoint = Checkpoint.load(args.checkpoint)
     samples = ds.load_dataset(args.data, keep=ds.in_test_split)
-    model_mse, ident = pipelines.evaluate_denoising(
-        checkpoint, samples, seed=args.seed or 0, variance=args.variance
+    metrics = pipelines.evaluate(
+        checkpoint, DENOISING, samples, seed=args.seed or 0, variance=args.variance
     )
     print(f"config_hash = {checkpoint.meta_value('config_hash')}")
     print(f"seed = {args.seed or 0}")
     print(f"output_features = {checkpoint.meta_value('output_features')}")
-    print(f"model_mse = {model_mse:.6g}")
-    print(f"identity_mse = {ident:.6g}")
+    print(f"model_mse = {metrics['test_mse']:.6g}")
+    print(f"identity_mse = {metrics['identity_mse']:.6g}")
     return 0
 
 

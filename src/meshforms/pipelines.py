@@ -1,12 +1,12 @@
 """Training and evaluation for classification, segmentation and de-noising.
 
-Every labelled mesh, in training and in every evaluator, goes through
-``_prepare_samples``: unit-box mesh, its topology, the raw model input and the
-target. Normalization statistics are fitted on the training split only and
-ride in the checkpoint. De-noising inputs come from a noisy copy of the mesh,
-targets are the clean mesh's raw feature channels of the configured output
-kind, and the reported MSEs (model and identity) are computed on those raw
-channels.
+Every labelled mesh, in training and in ``evaluate``, the one evaluation loop
+of all three tasks, goes through ``_prepare_samples``: unit-box mesh, its
+topology, the raw model input and the target. Normalization statistics are
+fitted on the training split only and ride in the checkpoint. De-noising
+inputs come from a noisy copy of the mesh, targets are the clean mesh's raw
+feature channels of the configured output kind, and the reported MSEs (model
+and identity) are computed on those raw channels.
 """
 
 from __future__ import annotations
@@ -43,6 +43,14 @@ DENOISING_REFERENCE_MSE = {
     "xyz_identity": 0.01,
     "ff_to_xyz": 0.08,
     "meshcnn5_to_xyz": 0.082,
+}
+
+# The test metrics each task reports, in the order ``evaluate`` computes them;
+# an ablation row shows the first.
+TEST_METRICS = {
+    CLASSIFICATION: ("test_accuracy",),
+    SEGMENTATION: ("soft_edge_accuracy",),
+    DENOISING: ("test_mse", "identity_mse"),
 }
 
 
@@ -286,18 +294,9 @@ def train(config: ExperimentConfig, samples, dataset_hash=""):
     )
     report.metrics["final_train_loss"] = curve[-1]
     if test_samples:
-        if config.task == CLASSIFICATION:
-            report.metrics["test_accuracy"] = evaluate_classification(
-                checkpoint, test_samples
-            )
-        elif config.task == SEGMENTATION:
-            report.metrics["soft_edge_accuracy"] = evaluate_segmentation(
-                checkpoint, test_samples
-            )
-        else:
-            report.metrics["test_mse"], report.metrics["identity_mse"] = evaluate_denoising(
-                checkpoint, test_samples, seed=config.seed + 555
-            )
+        report.metrics.update(
+            evaluate(checkpoint, config.task, test_samples, seed=config.seed + 555)
+        )
     report.wall_clock_s = time.perf_counter() - started
     return checkpoint, report
 
@@ -341,30 +340,39 @@ def _test_split(samples):
     return test
 
 
-def _label_accuracy(checkpoint: Checkpoint, task, samples, rotation_seed=None):
-    """Mean over the test split (or unsplit samples) of the weighted share of
-    logit rows whose argmax is the label: an edge weighs its length, a mesh's
-    one row 1."""
+def evaluate(checkpoint: Checkpoint, task, samples, rotation_seed=None, seed=0, variance=None):
+    """``{metric: value}`` over the test split (or the unsplit samples) for a
+    checkpoint trained for ``task``, with the names of ``TEST_METRICS[task]``.
+
+    Each metric is a mean over meshes. A label task scores the weighted share
+    of logit rows whose argmax is the label: an edge weighs its length, a
+    mesh's one row 1. De-noising scores two mean squared differences from the
+    clean mesh's raw output features: of the model's prediction from a noisy
+    copy drawn with ``seed`` at ``variance`` (the checkpoint's noise variance
+    when None), and of the noisy copy's own features (returning the input
+    unchanged). ``rotation_seed`` rotates every mesh's input source first
+    (robustness probes); its inputs are extracted on the topology of the
+    unrotated mesh, whose faces a rotation keeps, and edge labels stay.
+    """
     config = _checkpoint_config(checkpoint, task)
+    if variance is None:
+        variance = config.noise_variance
+    config = replace(config, noise_variance=variance, seed=seed)
     scores = []
     for p in _prepare_samples(config, _test_split(samples), rotation_seed):
-        predicted = np.argmax(_predict(checkpoint, p.inputs_raw, p.topology), axis=1)
+        out = _predict(checkpoint, p.inputs_raw, p.topology)
+        if task == DENOISING:
+            noisy = extract(p.topology, p.source, config.output_kind).values
+            scores.append((np.mean((out - p.target) ** 2), np.mean((p.target - noisy) ** 2)))
+            continue
         weights = 1.0
         if task == SEGMENTATION:
             ends = p.mesh.vertices[p.topology.edges]
             weights = np.linalg.norm(ends[:, 0] - ends[:, 1], axis=1)
-        scores.append(soft_edge_accuracy(weights, predicted, p.target))
-    return float(np.mean(scores))
-
-
-def evaluate_classification(checkpoint: Checkpoint, samples, rotation_seed=None):
-    """Fraction of test meshes whose argmax logit matches the label.
-
-    ``rotation_seed`` applies a random rigid rotation to every mesh first
-    (robustness probes); its inputs are extracted on the topology of the
-    unrotated mesh, whose faces a rotation keeps.
-    """
-    return _label_accuracy(checkpoint, CLASSIFICATION, samples, rotation_seed)
+        scores.append((soft_edge_accuracy(weights, np.argmax(out, axis=1), p.target),))
+    # a mean per metric over its own column: an axis-0 mean sums in another order
+    columns = (float(np.mean(column)) for column in zip(*scores))
+    return dict(zip(TEST_METRICS[task], columns))
 
 
 def soft_edge_accuracy(lengths, predicted, labels):
@@ -374,31 +382,20 @@ def soft_edge_accuracy(lengths, predicted, labels):
     return float((lengths * correct).sum() / lengths.sum())
 
 
-def evaluate_segmentation(checkpoint: Checkpoint, samples):
+def evaluate_classification(checkpoint: Checkpoint, samples, rotation_seed=None):
+    """Fraction of test meshes whose argmax logit matches the label."""
+    return evaluate(checkpoint, CLASSIFICATION, samples, rotation_seed)["test_accuracy"]
+
+
+def evaluate_segmentation(checkpoint: Checkpoint, samples, rotation_seed=None):
     """Mean soft edge accuracy over the test meshes."""
-    return _label_accuracy(checkpoint, SEGMENTATION, samples)
+    return evaluate(checkpoint, SEGMENTATION, samples, rotation_seed)["soft_edge_accuracy"]
 
 
 def evaluate_denoising(checkpoint: Checkpoint, samples, seed, variance=None):
-    """(model MSE, identity MSE) over the test meshes.
-
-    Each test mesh gets a noisy copy drawn with ``seed`` at ``variance`` (the
-    checkpoint's noise variance when None). Both MSEs average, over meshes,
-    the mean squared difference from the clean mesh's raw output features:
-    of the model's prediction from the noisy copy, and of the noisy copy's
-    own features (returning the input unchanged).
-    """
-    config = _checkpoint_config(checkpoint, DENOISING)
-    if variance is None:
-        variance = config.noise_variance
-    config = replace(config, noise_variance=variance, seed=seed)
-    model_errors, identity_errors = [], []
-    for p in _prepare_samples(config, _test_split(samples), rotation_seed=None):
-        predicted = _predict(checkpoint, p.inputs_raw, p.topology)
-        noisy = extract(p.topology, p.source, config.output_kind).values
-        model_errors.append(float(np.mean((predicted - p.target) ** 2)))
-        identity_errors.append(float(np.mean((p.target - noisy) ** 2)))
-    return float(np.mean(model_errors)), float(np.mean(identity_errors))
+    """(model MSE, identity MSE) over the test meshes."""
+    metrics = evaluate(checkpoint, DENOISING, samples, seed=seed, variance=variance)
+    return metrics["test_mse"], metrics["identity_mse"]
 
 
 def run_ablation(base_config: ExperimentConfig, samples, dataset_hash=""):
@@ -412,11 +409,7 @@ def run_ablation(base_config: ExperimentConfig, samples, dataset_hash=""):
             config = replace(base_config, pooling=pooling, features=features, channel_mask=())
             _, report = train(config, samples, dataset_hash=dataset_hash)
             rows.append((pooling, features, report))
-    metric = {
-        CLASSIFICATION: "test_accuracy",
-        SEGMENTATION: "soft_edge_accuracy",
-        DENOISING: "test_mse",
-    }[base_config.task]
+    metric = TEST_METRICS[base_config.task][0]
     lines = [f"{'pooling':<10} {'features':<10} {metric:>14}"]
     for pooling, features, report in rows:
         value = report.metrics.get(metric, float("nan"))

@@ -20,7 +20,9 @@ returns when it fails first. The edge is alive (``EDGE_REMOVED``) and interior
 the link condition of Dey et al. 1999 (``LINK_CONDITION``), those two have
 valence at least 4 (``SHARED_VALENCE``), and the merged vertex keeps valence
 at least 3 (``MERGED_VALENCE``). Together these keep every intermediate mesh
-a consistently oriented 2-manifold with no duplicate faces.
+a consistently oriented 2-manifold with no duplicate faces. The last rule
+refuses only on pinched meshes: two valence-3 endpoints whose shared
+neighbours each join a second fan.
 
 A collapse updates only primary connectivity (edge endpoints, edge-face and
 face-edge incidence) and the vertex links it touches. Rings (the rule of

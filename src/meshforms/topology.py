@@ -191,8 +191,8 @@ def validate_manifold(mesh: Mesh) -> ValidationReport:
     """Check edge degrees, orientation consistency, stray vertices, duplicates.
 
     An empty report is exactly the condition under which
-    :func:`build_edge_topology` succeeds. Face self-intersection is not
-    examined.
+    :func:`build_edge_topology` succeeds. Face self-intersection and vertex
+    links are not examined, so a vertex pinched between two fans passes.
     """
     return _scan(mesh)[0]
 

@@ -801,6 +801,33 @@ class TestTrainEval:
         assert (code, stdout) == (2, "")
         assert err == f"error: bad value {value!r} for key 'config_hash'\n"
 
+    @pytest.mark.parametrize(
+        "blob, value",
+        [("weight", np.nan), ("weight", np.inf), ("std", np.nan), ("mean", np.nan)],
+    )
+    @pytest.mark.parametrize(
+        "command, task", [("eval", "classification"), ("denoise", "denoising")]
+    )
+    def test_non_finite_checkpoint_exit_2(
+        self, cli_dataset, tmp_path, command, task, blob, value, capsys
+    ):
+        """Training never writes a NaN or an infinity, so a checkpoint holding
+        one is corrupt, not a model that evaluates to a number."""
+        ckpt = Checkpoint.load(untrained_checkpoint(tmp_path / "m.ckpt", task))
+        name, weights = next(iter(ckpt.model.parameters().items()))
+        name, array = {
+            "weight": (name, weights.data),
+            "std": ("channel_stats.std", ckpt.channel_stats.std),
+            "mean": ("channel_stats.mean", ckpt.channel_stats.mean),
+        }[blob]
+        array.reshape(-1)[0] = value
+        ckpt.save(tmp_path / "bad.ckpt")
+        code, stdout, err = run(
+            [command, "--checkpoint", tmp_path / "bad.ckpt", "--data", cli_dataset], capsys
+        )
+        assert (code, stdout) == (2, "")
+        assert err == f"error: checkpoint blob {name} holds a non-finite number\n"
+
     def test_eval_prints_nothing_on_an_error_exit(self, cli_dataset, tmp_path, capsys):
         """A meta without a seed, or of another task, ends with an empty stdout."""
         ckpt = Checkpoint.load(untrained_checkpoint(tmp_path / "m.ckpt", "classification"))
@@ -855,3 +882,67 @@ class TestTrainEval:
             ("legacy", "meshcnn5"), ("legacy", "ff"),
             ("enhanced", "meshcnn5"), ("enhanced", "ff"),
         ]
+
+    def test_ablate_report_has_each_rows_metrics(self, cli_dataset, tmp_path, capsys):
+        """One record per metric of each grid row, tagged with the row's pooling
+        and features; the test metric is the one the table prints."""
+        report = tmp_path / "ablate.jsonl"
+        code, stdout, _ = run(
+            [
+                "ablate", "--data", cli_dataset, "--report", report,
+                "--set", "epochs=1", "--set", "conv_channels=4,6",
+                "--set", "pool_targets=100,70", "--seed", "2",
+            ],
+            capsys,
+        )
+        assert code == 0
+        table = {tuple(l.split()[:2]): l.split()[2] for l in stdout.splitlines()[4:]}
+        rows = {}
+        for record in map(json.loads, report.read_text().splitlines()):
+            rows.setdefault((record.pop("pooling"), record.pop("features")), []).append(record)
+        assert list(rows) == list(table)
+        for row, records in rows.items():
+            metrics = [r["metric"] for r in records]
+            assert metrics == ["final_train_loss", "test_accuracy", "train_loss"]
+            assert f"{records[1]['value']:.6g}" == table[row]
+            assert {r["seed"] for r in records} == {2}
+
+
+# A 1-epoch segmentation model on xyz inputs, whose accuracy a rotation moves.
+SEGMENTATION_EVAL_STDOUT = "config_hash = cf2fc075223a\nseed = 3\nsoft_edge_accuracy = 0.414521\n"
+
+
+@pytest.fixture(scope="module")
+def xyz_segmentation(tmp_path_factory):
+    """(dataset, checkpoint) of a 1-epoch xyz segmentation model on limbs."""
+    root = tmp_path_factory.mktemp("segmentation")
+    data, ckpt = root / "data", root / "m.ckpt"
+    assert main(
+        [
+            "gen-data", "--spec", "articulated-limbs", "--classes", "2",
+            "--per-class", "2", "--train-per-class", "1", "--test-per-class", "1",
+            "--edge-range", "300,600", "--seed", "3", "--out", str(data),
+        ]
+    ) == 0
+    assert main(
+        [
+            "train", "--data", str(data), "--out", str(ckpt),
+            "--set", "task=segmentation", "--set", "features=xyz", "--set", "epochs=1",
+            "--set", "conv_channels=6,8", "--set", "pool_targets=250,200", "--seed", "3",
+        ]
+    ) == 0
+    return data, ckpt
+
+
+def test_eval_rotate_seed_probes_segmentation(xyz_segmentation, capsys):
+    """Without a seed the report is the pinned one; each seed rotates the xyz
+    inputs and moves the accuracy."""
+    data, ckpt = xyz_segmentation
+    outs = [
+        run(["eval", "--checkpoint", ckpt, "--data", data, *seed], capsys)
+        for seed in ([], ["--rotate-seed", "7"], ["--rotate-seed", "8"])
+    ]
+    assert outs[0] == (0, SEGMENTATION_EVAL_STDOUT, "")
+    assert all(code == 0 for code, _, _ in outs)
+    accuracies = {out.splitlines()[-1] for _, out, _ in outs}
+    assert len(accuracies) == 3

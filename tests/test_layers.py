@@ -741,6 +741,7 @@ class TestCheckpoint:
             return
         for name, value in loaded.model.parameters().items():
             assert value.data.dtype == np.float64, name
+            assert np.isfinite(value.data).all(), name
 
     def test_init_seeded_and_bounded(self):
         m1 = self._model()

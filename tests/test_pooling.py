@@ -29,6 +29,8 @@ from meshforms.pooling import (
     BATCH_LEGACY,
     ENHANCED,
     MERGED_VALENCE,
+    POLICIES,
+    SHARED_VALENCE,
     CollapseRecord,
     pool_backward,
     unpool_backward,
@@ -285,6 +287,34 @@ def oracle_meshes():
 def closed_tetrahedron():
     verts = np.array([(1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)])
     return oriented_closed_mesh(verts, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
+def glued(meshes, hubs, joints):
+    """``meshes`` in one vertex numbering, each later one moved so that its
+    vertex ``joints[i]`` lands on, and is, vertex ``hubs[i]`` of those before it.
+
+    Each glue pinches the hub between two fans: every edge keeps two faces
+    and the orientation stays consistent, but the hub's link is two loops.
+    """
+    vertices, faces = [meshes[0].vertices], [meshes[0].faces]
+    n = meshes[0].vertex_count
+    for mesh, hub, joint in zip(meshes[1:], hubs, joints):
+        ids = np.arange(mesh.vertex_count) + n
+        ids[joint + 1 :] -= 1
+        ids[joint] = hub
+        shift = np.vstack(vertices)[hub] - mesh.vertices[joint]
+        vertices.append(np.delete(mesh.vertices, joint, axis=0) + shift)
+        faces.append(ids[mesh.faces])
+        n += mesh.vertex_count - 1
+    return Mesh(np.vstack(vertices), np.vstack(faces))
+
+
+def pinched_tetrahedra():
+    """Tetrahedron {0, 1, 2, 3} with a second one glued at vertex 2 and a third
+    at vertex 3. Edge (0, 1) has endpoints of valence 3 and shared neighbours
+    of valence 6."""
+    tetra = closed_tetrahedron()
+    return glued([tetra] * 3, hubs=(2, 3), joints=(0, 0))
 
 
 def pool_backward_oracle(grad_pooled, history):
@@ -749,14 +779,11 @@ def test_pool_stats_equal_the_hooked_counts(small_corpus, monkeypatch):
 
 @pytest.mark.parametrize("policy", [ENHANCED, BATCH_LEGACY])
 def test_every_refusal_is_one_of_the_six_reasons(oracle_meshes, policy, monkeypatch):
-    """Pooling the oracle meshes, holed ones and a tetrahedron among them, as
-    deep as each goes: every refusal the check returns and every key of
-    ``PoolStats.illegal_pops`` is one of ILLEGAL_REASONS. No pop returns a
-    dead edge, so one is asked about directly.
-
-    Every reason but the merged-valence one occurs. That rule never fires on a
-    manifold: endpoints of valence 3 and 3 close a tetrahedron, whose shared
-    vertices fail the shared-valence rule first."""
+    """Pooling the oracle meshes, holed ones and a tetrahedron among them, and
+    the pinched tetrahedra, as deep as each goes: every refusal the check
+    returns and every key of ``PoolStats.illegal_pops`` is one of
+    ILLEGAL_REASONS, and every reason occurs. No pop returns a dead edge, so
+    one is asked about directly."""
     returned, keys = Counter(), set()
     check = PoolingState.collapse_illegality
 
@@ -766,7 +793,7 @@ def test_every_refusal_is_one_of_the_six_reasons(oracle_meshes, policy, monkeypa
         return reason
 
     monkeypatch.setattr(PoolingState, "collapse_illegality", recording)
-    for i, mesh in enumerate(oracle_meshes):
+    for i, mesh in enumerate(oracle_meshes + [pinched_tetrahedra()]):
         topology = build_edge_topology(mesh)
         features = np.random.default_rng(i).normal(size=(topology.edge_count, 4))
         for target in (int(0.6 * topology.edge_count), 3):
@@ -779,4 +806,51 @@ def test_every_refusal_is_one_of_the_six_reasons(oracle_meshes, policy, monkeypa
     del returned[None]
     assert len(set(ILLEGAL_REASONS)) == 6
     assert keys <= set(ILLEGAL_REASONS)
-    assert set(ILLEGAL_REASONS) - set(returned) == {MERGED_VALENCE}
+    assert set(returned) == set(ILLEGAL_REASONS)
+
+
+def test_merged_valence_refuses_at_a_pinched_vertex():
+    """A shared neighbour of two valence-3 endpoints need not have valence 3:
+    on the pinched tetrahedra only the merged-valence rule refuses edge
+    (0, 1), and collapsing it anyway leaves two faces on one vertex set."""
+    mesh = pinched_tetrahedra()
+    assert validate_manifold(mesh).is_clean
+    state, topology = make_state(mesh)
+    reasons = {
+        tuple(ends): state.collapse_illegality(e) for e, ends in enumerate(topology.edges.tolist())
+    }
+    assert reasons.pop((0, 1)) == MERGED_VALENCE
+    assert set(reasons.values()) == {SHARED_VALENCE}
+    state._collapse(topology.edges.tolist().index([0, 1]))
+    assert "share the same vertex set" in validate_manifold(state.export_mesh()).summary()
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_pinched_meshes_stay_manifold_to_exhaustion(policy):
+    """Three zoo meshes glued in a chain, the middle one pinched at two
+    vertices, pool in stages of a fifth of their edges until no collapse is
+    legal; every stage passes the consistency check, and the merged-valence
+    rule refuses some pops."""
+    rng = np.random.default_rng(29)
+    corpus = fuzz_corpus(12, seed=83, edge_range=(60, 150))
+    merged_refusals = 0
+    for _ in range(30):
+        parts = [corpus[i] for i in rng.choice(len(corpus), 3, replace=False)]
+        first, middle = (m.vertex_count for m in parts[:2])
+        hubs = [int(rng.integers(first)), first + int(rng.integers(middle - 1))]
+        mesh = glued(parts, hubs, [int(rng.integers(m.vertex_count)) for m in parts[1:]])
+        topology = build_edge_topology(mesh)
+        chi = mesh.vertex_count - topology.edge_count + mesh.face_count
+        features = rng.normal(size=(topology.edge_count, 4))
+        while True:
+            try:
+                result = pool(features, topology, int(0.8 * topology.edge_count), mesh=mesh,
+                              policy=policy)
+            except PoolTargetError as exc:
+                if exc.achieved == topology.edge_count:
+                    break
+                result = pool(features, topology, exc.achieved, mesh=mesh, policy=policy)
+            consistency_check(result.state, chi)
+            merged_refusals += result.stats.illegal_pops.get(MERGED_VALENCE, 0)
+            features, topology, mesh = result.features, result.topology, result.state.export_mesh()
+    assert merged_refusals > 0
