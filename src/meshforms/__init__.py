@@ -41,7 +41,6 @@ from .features import (
     ChannelStats,
     FeatureTensor,
     coordinate_features,
-    dihedral_angle,
     extract,
     feature_norms,
     fit_channel_stats,

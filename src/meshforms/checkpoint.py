@@ -17,7 +17,7 @@ import struct
 
 import numpy as np
 
-from .errors import CheckpointError, GraphError
+from .errors import CheckpointError, GraphError, MeshError
 from .features import ChannelStats
 from .layers import ModelGraph
 
@@ -119,9 +119,13 @@ class Checkpoint:
             if not np.isfinite(arr).all():
                 raise CheckpointError(f"checkpoint blob {name} holds a non-finite number")
             blobs[name] = arr.reshape(shape).astype(np.float64)
+        try:
+            stats = ChannelStats(*(blobs[tag] for tag in _STATS))
+        except MeshError as err:
+            raise CheckpointError(f"checkpoint channel statistics corrupt: {err}") from err
         for name, value in model.parameters().items():
             value.data = blobs[name]
-        return Checkpoint(model, ChannelStats(*(blobs[tag] for tag in _STATS)), meta)
+        return Checkpoint(model, stats, meta)
 
     def save(self, path):
         import pathlib

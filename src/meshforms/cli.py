@@ -18,10 +18,10 @@ import numpy as np
 from . import datasets as ds
 from . import pipelines
 from .checkpoint import Checkpoint
-from .config import (CLASSIFICATION, DENOISING, KIND_TOKENS, SEGMENTATION, check_seed,
-                     config_hash, parse_config)
+from .config import CLASSIFICATION, DENOISING, SEGMENTATION, check_seed, config_hash, parse_config
 from .errors import ConfigError, DataError, GraphError, MeshError, MeshFormsError
-from .features import extract, feature_norms, fit_channel_stats, normalize, write_features
+from .features import (KIND_TOKENS, extract, feature_norms, fit_channel_stats, normalize,
+                       write_features)
 from .mesh import normalize_unit_box, parse_obj, save_obj
 from .pooling import ENHANCED, POLICIES, pool
 from .topology import build_edge_topology, validate_manifold
@@ -239,7 +239,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    p.add_argument("--spec", required=True, choices=(ds.PRIMITIVE_ZOO, ds.ENGRAVED_CUBE, ds.ARTICULATED_LIMBS))
+    p.add_argument("--spec", required=True, choices=tuple(ds.GENERATORS))
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--per-class", type=int, required=True)
     p.add_argument("--edge-range", type=_int_pair, default=(400, 700), metavar="LO,HI")

@@ -35,7 +35,8 @@ from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
 from .errors import ConfigError
-from .features import FF, LAPLACIAN, MESHCNN5, XYZ, XYZ_INV, KIND_CHANNELS
+from .features import KIND_CHANNELS, KIND_TOKENS
+from .optim import METHODS
 from .pooling import ENHANCED, POLICIES
 
 CLASSIFICATION = "classification"
@@ -44,14 +45,6 @@ DENOISING = "denoising"
 
 # 32x the widest stage the benchmark trains; a decoder conv this wide holds 5 x 4096^2 weights.
 MAX_WIDTH = 4096
-
-KIND_TOKENS = {
-    "ff": FF,
-    "meshcnn5": MESHCNN5,
-    "xyz": XYZ,
-    "xyz-inv": XYZ_INV,
-    "laplacian": LAPLACIAN,
-}
 
 
 @dataclass
@@ -65,7 +58,7 @@ class ExperimentConfig:
     pool_targets: tuple = (350, 210)
     epochs: int = 100
     batch_size: int = 8
-    optimizer: str = "adam"
+    optimizer: str = METHODS[0]
     learning_rate: float = 2e-4
     momentum: float = 0.9
     noise_variance: float = 0.1
@@ -111,8 +104,8 @@ class ExperimentConfig:
                 raise ConfigError(f"channel_mask must be 0/1 with a 1, got {self.channel_mask}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError("optimizer must be adam or sgd")
+        if self.optimizer not in METHODS:
+            raise ConfigError(f"optimizer must be {' or '.join(METHODS)}")
         for key, in_range, rule in (
             ("learning_rate", self.learning_rate > 0.0, "positive"),
             ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),

@@ -59,7 +59,7 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.generator not in (PRIMITIVE_ZOO, ENGRAVED_CUBE, ARTICULATED_LIMBS):
+        if self.generator not in GENERATORS:
             raise DataError(f"unknown generator {self.generator!r}")
         if self.classes < 1 or self.per_class < 1:
             raise DataError("classes and per_class must be positive")
@@ -278,7 +278,8 @@ def _tessellation_options(edge_range, family):
     return options
 
 
-def _make_zoo_sample(family, rng, edge_range):
+def _make_zoo_sample(class_index, rng, edge_range):
+    family = _ZOO_FAMILIES[class_index]
     options = _tessellation_options(edge_range, family)
     if not options:
         raise DataError(
@@ -286,7 +287,7 @@ def _make_zoo_sample(family, rng, edge_range):
         )
     _, p, q = options[rng.integers(len(options))]
     mesh = _ZOO_BUILDERS[family](p, q)
-    return _jitter(mesh, rng, float(rng.uniform(0.0, 0.08)))
+    return _jitter(mesh, rng, float(rng.uniform(0.0, 0.08))), None
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +400,7 @@ def _make_engraved_cube(class_index, rng, edge_range):
     carve[ox : ox + gh, oy : oy + gw] = bitmap
     # faces 0-5: the far then the near side of axis 2, then 1, then 0
     np.moveaxis(solid, 2 - face // 2, 0)[0 if face % 2 else -1][carve] = False
-    return _voxel_surface(solid)
+    return _voxel_surface(solid), None
 
 
 # ---------------------------------------------------------------------------
@@ -490,26 +491,28 @@ def _make_limbs(class_index, rng, edge_range):
     return mesh, labels
 
 
+# generator -> (builder of (mesh, edge labels or None) from class index, rng and
+# edge range; most classes it supports, or None for no limit)
+GENERATORS = {
+    PRIMITIVE_ZOO: (_make_zoo_sample, len(_ZOO_FAMILIES)),
+    ENGRAVED_CUBE: (_make_engraved_cube, len(GLYPHS)),
+    ARTICULATED_LIMBS: (_make_limbs, None),
+}
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
 
 def generate(spec: DatasetSpec):
     """All samples for a dataset spec, deterministic in the seed."""
-    limit = {PRIMITIVE_ZOO: len(_ZOO_FAMILIES), ENGRAVED_CUBE: len(GLYPHS)}.get(spec.generator)
+    build, limit = GENERATORS[spec.generator]
     if limit is not None and spec.classes > limit:
         raise DataError(f"{spec.generator} supports at most {limit} classes, got {spec.classes}")
     samples = []
     for ci in range(spec.classes):
         for si in range(spec.per_class):
-            rng = _rng_for(spec.seed, ci, si)
-            edge_labels = None
-            if spec.generator == PRIMITIVE_ZOO:
-                mesh = _make_zoo_sample(_ZOO_FAMILIES[ci], rng, spec.edge_range)
-            elif spec.generator == ENGRAVED_CUBE:
-                mesh = _make_engraved_cube(ci, rng, spec.edge_range)
-            else:
-                mesh, edge_labels = _make_limbs(ci, rng, spec.edge_range)
+            mesh, edge_labels = build(ci, _rng_for(spec.seed, ci, si), spec.edge_range)
             report = validate_manifold(mesh)
             if not report.is_clean:
                 raise DataError(

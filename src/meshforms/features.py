@@ -30,7 +30,7 @@ import numpy as np
 from . import _kernels
 from .errors import DegenerateFaceError, MeshError
 from .mesh import Mesh
-from .topology import SENTINEL, EdgeTopology
+from .topology import EdgeTopology
 
 FF = "FF"
 MESHCNN5 = "MESHCNN5"
@@ -38,9 +38,18 @@ XYZ = "XYZ"
 XYZ_INV = "XYZ_INV"
 LAPLACIAN = "LAPLACIAN"
 
-KIND_CHANNELS = {FF: 2, MESHCNN5: 5, XYZ: 3, XYZ_INV: 2, LAPLACIAN: 3}
-_KIND_CODES = {FF: 0, MESHCNN5: 1, XYZ: 2, XYZ_INV: 3, LAPLACIAN: 4}
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
+# Every kind once: (kind, config/CLI token, channels). A kind's position is its
+# code in the feature container, so a new kind goes at the end.
+_KINDS = (
+    (FF, "ff", 2),
+    (MESHCNN5, "meshcnn5", 5),
+    (XYZ, "xyz", 3),
+    (XYZ_INV, "xyz-inv", 2),
+    (LAPLACIAN, "laplacian", 3),
+)
+KIND_TOKENS = {token: kind for kind, token, _ in _KINDS}
+KIND_CHANNELS = {kind: channels for kind, _, channels in _KINDS}
+_CODE_KINDS = tuple(KIND_CHANNELS)
 
 STD_FLOOR = 1e-8
 
@@ -99,26 +108,6 @@ def _geometry(mesh: Mesh, topology: EdgeTopology):
     if bad_face >= 0:
         raise DegenerateFaceError(bad_face)
     return lengths, dihedrals, opp, ratios
-
-
-def dihedral_angle(topology: EdgeTopology, mesh: Mesh, edge: int):
-    """Angle in [0, pi] between the unit normals of the edge's two faces.
-
-    Boundary edges yield 0.
-    """
-    f1, f2 = topology.edge_faces[edge]
-    if f2 == SENTINEL:
-        return 0.0
-    normals = []
-    for fi in (f1, f2):
-        tri = mesh.vertices[mesh.faces[fi]]
-        n = np.cross(tri[1] - tri[0], tri[2] - tri[0])
-        nn = np.linalg.norm(n)
-        if nn == 0.0:
-            raise DegenerateFaceError(int(fi))
-        normals.append(n / nn)
-    n1, n2 = normals
-    return float(np.arctan2(np.linalg.norm(np.cross(n1, n2)), np.dot(n1, n2)))
 
 
 def fundamental_forms(topology: EdgeTopology, mesh: Mesh) -> FeatureTensor:
@@ -226,7 +215,7 @@ def write_features(features: FeatureTensor) -> bytes:
     header = _HEADER.pack(
         _MAGIC,
         1,
-        _KIND_CODES[features.kind],
+        _CODE_KINDS.index(features.kind),
         features.edge_count,
         features.channels,
     )
@@ -240,12 +229,15 @@ def read_features(data: bytes) -> FeatureTensor:
     magic, version, code, edge_count, channels = _HEADER.unpack_from(data)
     if magic != _MAGIC or version != 1:
         raise MeshError("not a feature container")
-    if code not in _CODE_KINDS:
+    if code >= len(_CODE_KINDS):
         raise MeshError(f"unknown feature kind code {code}")
+    kind = _CODE_KINDS[code]
+    if channels != KIND_CHANNELS[kind]:
+        raise MeshError(f"{kind} features must have {KIND_CHANNELS[kind]} channels, got {channels}")
     expected = _HEADER.size + edge_count * channels * 8
     if len(data) != expected:
         raise MeshError("feature container size mismatch")
     values = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).reshape(
         edge_count, channels
     )
-    return FeatureTensor(values.astype(np.float64), _CODE_KINDS[code])
+    return FeatureTensor(values.astype(np.float64), kind)

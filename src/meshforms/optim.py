@@ -8,6 +8,7 @@ from .errors import GraphError
 
 SGD = "sgd"
 ADAM = "adam"
+METHODS = (ADAM, SGD)  # the first is the config default
 # Adam's moment decay rates and denominator floor.
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -20,7 +21,7 @@ class Optimizer:
     """
 
     def __init__(self, params, method=ADAM, learning_rate=2e-4, momentum=0.9):
-        if method not in (SGD, ADAM):
+        if method not in METHODS:
             raise GraphError(f"unknown optimizer method {method!r}")
         self.params = dict(params)
         self.method = method

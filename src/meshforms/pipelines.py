@@ -352,7 +352,8 @@ def evaluate(checkpoint: Checkpoint, task, samples, rotation_seed=None, seed=0, 
     when None), and of the noisy copy's own features (returning the input
     unchanged). ``rotation_seed`` rotates every mesh's input source first
     (robustness probes); its inputs are extracted on the topology of the
-    unrotated mesh, whose faces a rotation keeps, and edge labels stay.
+    unrotated mesh, whose faces a rotation keeps, and edge labels stay. A
+    non-finite metric, from weights that overflow, is a DataError.
     """
     config = _checkpoint_config(checkpoint, task)
     if variance is None:
@@ -372,7 +373,11 @@ def evaluate(checkpoint: Checkpoint, task, samples, rotation_seed=None, seed=0, 
         scores.append((soft_edge_accuracy(weights, np.argmax(out, axis=1), p.target),))
     # a mean per metric over its own column: an axis-0 mean sums in another order
     columns = (float(np.mean(column)) for column in zip(*scores))
-    return dict(zip(TEST_METRICS[task], columns))
+    metrics = dict(zip(TEST_METRICS[task], columns))
+    for name, value in metrics.items():
+        if not np.isfinite(value):  # finite weights can still overflow
+            raise DataError(f"evaluation gives a non-finite {name}")
+    return metrics
 
 
 def soft_edge_accuracy(lengths, predicted, labels):

@@ -537,7 +537,7 @@ def unpool_backward(grad_initial, history: PoolHistory) -> np.ndarray:
         g[b] = 0.0
         g[d] = 0.0
         g[e] = 0.0
-    return g[history.surviving_ids()].copy()
+    return g[history.surviving_ids()]
 
 
 def pool_backward(grad_pooled, history: PoolHistory) -> np.ndarray:

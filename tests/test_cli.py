@@ -4,6 +4,7 @@ import ast
 import contextlib
 import io
 import json
+import math
 import pathlib
 import shutil
 import struct
@@ -25,8 +26,10 @@ from meshforms import (
     validate_manifold,
 )
 from meshforms.cli import main
-from meshforms.datasets import _random_rotation
+from meshforms.datasets import GENERATORS, _random_rotation
+from meshforms.features import KIND_TOKENS
 from meshforms.mesh import RigidMotion, apply_motion, write_obj
+from meshforms.optim import METHODS
 from meshforms.pooling import ENHANCED, POLICIES
 
 from conftest import dataset_files_and_hash, mutate_bytes
@@ -199,6 +202,42 @@ class TestGenData:
         assert code == 0
         assert "dataset_hash = " in stdout
 
+    @pytest.mark.parametrize(
+        "flag, value, code, message",
+        [
+            ("--classes", "0", 2, "error: classes and per_class must be positive"),
+            ("--edge-range", "5,3", 2, "error: bad edge range (5, 3)"),
+            ("--edge-range", "5", 1, "argument --edge-range: expected LO,HI"),
+        ],
+    )
+    def test_bad_spec_writes_nothing(self, tmp_path, capsys, flag, value, code, message):
+        args = {
+            "--spec": "primitive-zoo", "--classes": "2", "--per-class": "2",
+            "--train-per-class": "1", "--test-per-class": "1", "--out": tmp_path / "d",
+        }
+        args[flag] = value
+        outcome = run(["gen-data", *(part for pair in args.items() for part in pair)], capsys)
+        assert outcome[:2] == (code, "")
+        assert message in outcome[2]
+        assert not (tmp_path / "d").exists()
+
+    def test_samples_beyond_the_split_are_dropped(self, tmp_path, capsys):
+        """``--per-class`` above train + test generates every sample, and the
+        split keeps only train + test of each class."""
+        code, stdout, _ = run(
+            [
+                "gen-data", "--spec", "primitive-zoo", "--classes", "2",
+                "--per-class", "4", "--train-per-class", "1", "--test-per-class", "2",
+                "--edge-range", "150,300", "--seed", "3", "--out", tmp_path / "d",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert "samples = 6" in stdout
+        rows = [line.split("\t") for line in (tmp_path / "d" / "index.tsv").read_text().splitlines()[1:]]
+        assert sorted(row[3] for row in rows) == ["test"] * 4 + ["train"] * 2
+        assert len(list((tmp_path / "d" / "meshes").iterdir())) == 6
+
 
 class TestPoolTrace:
     def _sphere_path(self, tmp_path):
@@ -312,6 +351,17 @@ class TestPoolTrace:
             with pytest.raises(ConfigError, match="pooling must be one of enhanced, legacy"):
                 ExperimentConfig(pooling=name)
 
+    def test_non_integer_target_exit_1(self, tmp_path, capsys):
+        path, _ = self._sphere_path(tmp_path)
+        code, stdout, err = run(
+            ["pool-trace", "--mesh", path, "--features", "ff", "--targets", "1,x",
+             "--out", tmp_path / "t"],
+            capsys,
+        )
+        assert (code, stdout) == (1, "")
+        assert "expected a comma-separated integer list" in err
+        assert not (tmp_path / "t").exists()
+
     @pytest.mark.parametrize("targets", ["-5", "150,0"])
     def test_non_positive_target_refused_before_pooling(self, tmp_path, capsys, monkeypatch, targets):
         path, _ = self._sphere_path(tmp_path)
@@ -340,6 +390,26 @@ class TestPoolTrace:
             capsys,
         )
         assert code == 1
+
+
+def test_choices_are_the_declared_vocabularies(capsys):
+    """Each CLI choice list is the declaration of its module."""
+    for command, flag, names in (
+        ("gen-data", "--spec", GENERATORS),
+        ("features", "--kind", KIND_TOKENS),
+        ("pool-trace", "--features", KIND_TOKENS),
+    ):
+        code, stdout, _ = run([command, "--help"], capsys)
+        assert code == 0
+        assert "%s {%s}" % (flag, ",".join(names)) in stdout
+
+
+def test_optimizer_is_one_of_the_methods():
+    assert ExperimentConfig().optimizer == METHODS[0] == "adam"
+    assert [ExperimentConfig(optimizer=m).optimizer for m in METHODS] == ["adam", "sgd"]
+    for name in ("Adam", "rmsprop", ""):
+        with pytest.raises(ConfigError, match="^optimizer must be adam or sgd$"):
+            ExperimentConfig(optimizer=name)
 
 
 @pytest.fixture(scope="module")
@@ -371,6 +441,20 @@ def untrained_checkpoint(path, task):
     }
     Checkpoint(model, ChannelStats(np.zeros(2), np.ones(2)), meta).save(path)
     return path
+
+
+# NaN, infinities, numbers that overflow once multiplied, and subnormals.
+EXTREMES = [np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324, 2.2e-310]
+
+
+@pytest.fixture(scope="module")
+def small_checkpoints(tmp_path_factory):
+    """(directory, {task: bytes of an untrained checkpoint}) for eval and denoise."""
+    root = tmp_path_factory.mktemp("small_checkpoints")
+    return root, {
+        task: untrained_checkpoint(root / f"{task}.ckpt", task).read_bytes()
+        for task in ("classification", "denoising")
+    }
 
 
 class TestNegativeSeeds:
@@ -827,6 +911,80 @@ class TestTrainEval:
         )
         assert (code, stdout) == (2, "")
         assert err == f"error: checkpoint blob {name} holds a non-finite number\n"
+
+    def test_segmentation_without_edge_labels_exit_2(self, cli_dataset, tmp_path, capsys):
+        code, stdout, err = run(
+            [
+                "train", "--data", cli_dataset, "--out", tmp_path / "m.ckpt",
+                "--set", "task=segmentation", "--set", "epochs=1",
+                "--set", "conv_channels=4", "--set", "pool_targets=100",
+            ],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")
+        assert err.endswith("\nerror: sample c00_s000 has no edge labels\n")
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--set", "foo"], "--set expects key=value, got 'foo'"),
+            (["--set", "bogus=1"], "unknown config key 'bogus'"),
+            (["--set", "epochs=0"], "epochs and batch_size must be positive"),
+            (["--config", "nofile"], "no such config file: nofile"),
+        ],
+    )
+    def test_bad_config_exit_2(self, cli_dataset, tmp_path, monkeypatch, args, message, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run(
+            ["train", "--data", cli_dataset, "--out", tmp_path / "m.ckpt", *args], capsys
+        )
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_weights_exit_2(self, cli_dataset, tmp_path, capsys):
+        """Finite weights whose prediction overflows give no report."""
+        ckpt = Checkpoint.load(untrained_checkpoint(tmp_path / "m.ckpt", "denoising"))
+        name, weights = list(ckpt.model.parameters().items())[-2]
+        weights.data[:] = 1e308
+        ckpt.save(tmp_path / "big.ckpt")
+        code, stdout, err = run(
+            ["denoise", "--checkpoint", tmp_path / "big.ckpt", "--data", cli_dataset], capsys
+        )
+        assert (code, stdout, err) == (2, "", "error: evaluation gives a non-finite test_mse\n")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_extreme_blob_values_exit_0_finite_or_2_empty(
+        self, cli_dataset, small_checkpoints, data
+    ):
+        """NaN, infinities, huge and subnormal numbers written at drawn blob
+        values: ``eval`` and ``denoise`` print only finite numbers and exit 0,
+        or print nothing and exit 2."""
+        root, valid = small_checkpoints
+        command, task = data.draw(
+            st.sampled_from([("eval", "classification"), ("denoise", "denoising")])
+        )
+        start = 16 + struct.unpack_from("<Q", valid[task], 8)[0]
+        mutated = bytearray(valid[task])
+        for _ in range(data.draw(st.integers(1, 3))):
+            index = data.draw(st.integers(0, (len(mutated) - start) // 8 - 1))
+            struct.pack_into("<d", mutated, start + 8 * index, data.draw(st.sampled_from(EXTREMES)))
+        path = root / "mutated.ckpt"
+        path.write_bytes(bytes(mutated))
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--checkpoint", str(path), "--data", str(cli_dataset)])
+        if code == 2:
+            assert stdout.getvalue() == ""
+            return
+        assert code == 0
+        report = dict(line.split(" = ") for line in stdout.getvalue().splitlines())
+        del report["config_hash"]
+        report.pop("output_features", None)
+        assert all(math.isfinite(float(value)) for value in report.values())
 
     def test_eval_prints_nothing_on_an_error_exit(self, cli_dataset, tmp_path, capsys):
         """A meta without a seed, or of another task, ends with an empty stdout."""

@@ -24,6 +24,7 @@ from meshforms import (
     validate_manifold,
 )
 from meshforms.datasets import (
+    GENERATORS,
     GLYPHS,
     _edge_labels,
     _glyph_array,
@@ -87,8 +88,14 @@ class TestGenerate:
             generate(DatasetSpec("primitive-zoo", 2, 1, edge_range=(1, 5), seed=0))
 
     def test_class_count_limit(self):
-        with pytest.raises(DataError):
-            generate(DatasetSpec("primitive-zoo", 40, 1, seed=0))
+        for generator, limit in (("primitive-zoo", 6), ("engraved-cube", 12)):
+            with pytest.raises(DataError, match=f"^{generator} supports at most {limit} classes"):
+                generate(DatasetSpec(generator, 40, 1, seed=0))
+
+    def test_unknown_generator(self):
+        assert list(GENERATORS) == ["primitive-zoo", "engraved-cube", "articulated-limbs"]
+        with pytest.raises(DataError, match="unknown generator 'cube-zoo'"):
+            DatasetSpec("cube-zoo", 1, 1)
 
 
 # (generator, classes, per_class, edge_range, seed): every generator, every
@@ -267,6 +274,14 @@ class TestManifest:
         assert read_counts == {path: 1 for path in files}
         assert len(files) == 5 and all(s.edge_labels is not None for s in loaded)
         assert digest == expected == dataset_hash(tmp_path)
+
+    def test_blank_index_rows_are_skipped(self, tmp_path):
+        samples = generate(DatasetSpec("primitive-zoo", 2, 1, (150, 300), seed=6))
+        save_dataset(tmp_path, samples)
+        index = tmp_path / "index.tsv"
+        header, *rows = index.read_text().splitlines()
+        index.write_text("\n".join([header, "", rows[0], " \t ", *rows[1:]]) + "\n")
+        assert [s.sample_id for s in load_dataset(tmp_path)] == [s.sample_id for s in samples]
 
     def test_missing_index_rejected(self, tmp_path):
         with pytest.raises(DataError):

@@ -1,5 +1,7 @@
 """Per-edge feature extraction, invariances, normalization, serialization."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from meshforms import (
     apply_motion,
     build_edge_topology,
     coordinate_features,
-    dihedral_angle,
+    extract,
     feature_norms,
     fit_channel_stats,
     fundamental_forms,
@@ -36,6 +38,11 @@ from conftest import fuzz_corpus, mutate_bytes
 
 def shared_edge(topology):
     return int(np.flatnonzero(topology.interior_mask)[0])
+
+
+def dihedral_angle(topology, mesh, edge):
+    """The dihedral channel of the fundamental forms at one edge."""
+    return fundamental_forms(topology, mesh).values[edge, 1]
 
 
 def face_normal(mesh, face_index):
@@ -308,6 +315,24 @@ class TestSerialization:
     def test_rejects_corrupt(self):
         with pytest.raises(MeshError):
             read_features(b"not a container")
+
+    def test_code_byte_of_each_kind(self, icosahedron):
+        """A kind's position in the kind table is its container code, so the
+        table cannot be reordered without changing these bytes."""
+        topo = build_edge_topology(icosahedron)
+        codes = {
+            kind: write_features(extract(topo, icosahedron, kind))[8]
+            for kind in (FF, MESHCNN5, XYZ, XYZ_INV, LAPLACIAN)
+        }
+        assert codes == {FF: 0, MESHCNN5: 1, XYZ: 2, XYZ_INV: 3, LAPLACIAN: 4}
+
+    @pytest.mark.parametrize("edge_count", [2**62, 2**40, 0])
+    def test_channel_count_checked_before_sizing(self, edge_count):
+        """A bare header whose channel count is wrong for its kind is a
+        MeshError, whatever edge count it claims."""
+        header = struct.pack("<4sIBxxxQI", b"MFFT", 1, 0, edge_count, 0)
+        with pytest.raises(MeshError, match="FF features must have 2 channels, got 0"):
+            read_features(header)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

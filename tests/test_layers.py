@@ -18,7 +18,6 @@ from meshforms import (
     GraphError,
     InstanceNorm,
     MeshConv,
-    MeshFormsError,
     ModelGraph,
     Optimizer,
     Pool,
@@ -720,6 +719,42 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             Checkpoint.from_bytes(prefix + header)
 
+    def _edited(self, edit):
+        """A valid checkpoint's bytes after ``edit(header, blobs)``, which may
+        change the decoded header and the list of float64 blob bytes in place."""
+        stats = ChannelStats(np.array([0.5, -1.0]), np.array([2.0, 0.25]))
+        data = Checkpoint(self._model(), stats, {"task": "classification"}).to_bytes()
+        end = 16 + struct.unpack_from("<Q", data, 8)[0]
+        header = json.loads(data[16:end])
+        blobs = [data[i : i + 8] for i in range(end, len(data), 8)]
+        edit(header, blobs)
+        encoded = json.dumps(header).encode()
+        return struct.pack("<4sIQ", b"MFCK", 1, len(encoded)) + encoded + b"".join(blobs)
+
+    def test_blob_names_must_match_layer_spec(self):
+        def rename(header, blobs):
+            header["blob_order"][0] = "layer0.w"
+            header["blob_shapes"]["layer0.w"] = header["blob_shapes"].pop("layer0.weights")
+
+        with pytest.raises(CheckpointError, match="parameters do not match layer spec"):
+            Checkpoint.from_bytes(self._edited(rename))
+
+    def test_rejected_channel_stats_are_a_checkpoint_error(self):
+        """Statistics that ChannelStats refuses make a corrupt checkpoint, not a
+        MeshError: a std below the floor, or a std shorter than the mean."""
+
+        def zero_std(header, blobs):
+            blobs[-2:] = [struct.pack("<d", 0.0)] * 2
+
+        def short_std(header, blobs):
+            header["blob_shapes"]["channel_stats.std"] = [1]
+            del blobs[-1]
+
+        with pytest.raises(CheckpointError, match="statistics corrupt: std below floor"):
+            Checkpoint.from_bytes(self._edited(zero_std))
+        with pytest.raises(CheckpointError, match="statistics corrupt: mean/std shape mismatch"):
+            Checkpoint.from_bytes(self._edited(short_std))
+
     def test_parameter_shapes_are_the_built_shapes(self):
         model = self._model()
         shapes = {name: value.data.shape for name, value in model.parameters().items()}
@@ -737,7 +772,7 @@ class TestCheckpoint:
             mutated = mutate_bytes(valid, data.draw, max_edits=6)
         try:
             loaded = Checkpoint.from_bytes(mutated)
-        except MeshFormsError:
+        except CheckpointError:
             return
         for name, value in loaded.model.parameters().items():
             assert value.data.dtype == np.float64, name
