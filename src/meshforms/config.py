@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
 from .errors import ConfigError
-from .features import KIND_CHANNELS, KIND_TOKENS
+from .features import KIND_CHANNELS, KIND_TOKENS, OUTPUT_TOKENS
 from .optim import METHODS
 from .pooling import ENHANCED, POLICIES
 
@@ -77,9 +77,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown task {self.task!r}")
         if self.features not in KIND_TOKENS:
             raise ConfigError(f"unknown feature kind {self.features!r}")
-        if self.output_features not in ("ff", "xyz"):
+        if self.output_features not in OUTPUT_TOKENS:
             raise ConfigError(
-                f"output_features must be ff or xyz, got {self.output_features!r}"
+                f"output_features must be {' or '.join(OUTPUT_TOKENS)}, "
+                f"got {self.output_features!r}"
             )
         if self.pooling not in POLICIES:
             raise ConfigError(f"pooling must be one of {', '.join(POLICIES)}")

@@ -50,6 +50,8 @@ _KINDS = (
 KIND_TOKENS = {token: kind for kind, token, _ in _KINDS}
 KIND_CHANNELS = {kind: channels for kind, _, channels in _KINDS}
 _CODE_KINDS = tuple(KIND_CHANNELS)
+# The kinds a de-noising model may output, by token, in table order.
+OUTPUT_TOKENS = tuple(token for kind, token, _ in _KINDS if kind in (FF, XYZ))
 
 STD_FLOOR = 1e-8
 

@@ -29,6 +29,8 @@ once the last rule reading it has run (see ``autodiff``).
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 from . import pooling as _pooling
@@ -279,6 +281,27 @@ _LAYER_BUILDERS = {
 }
 
 
+_ALLOCATOR_SET = False
+
+
+def _keep_freed_memory_mapped():
+    """Let glibc keep up to 64 MiB of freed heap mapped; elsewhere do nothing.
+
+    By default glibc returns the heap top to the OS after each backward pass,
+    and the next step faults the same pages in again: 3-5 thousand minor
+    faults a segmentation step on 2k-edge meshes. Both thresholds are set,
+    because fixing either one alone turns off glibc's dynamic mmap threshold
+    and faults more. E x C arrays up to 32 MiB come from the heap and go back
+    to it. The arithmetic and its bits do not change.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library handle
+        return
+    if mallopt(-3, 32 << 20):  # M_MMAP_THRESHOLD; 0 where the value is refused
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 class ModelGraph:
     """Ordered layer list with a parameter registry."""
 
@@ -343,6 +366,10 @@ class ModelGraph:
                 f"feature rows {arr.shape[0]} do not match edge count "
                 f"{topology.edge_count}"
             )
+        global _ALLOCATOR_SET
+        if not _ALLOCATOR_SET:
+            _ALLOCATOR_SET = True
+            _keep_freed_memory_mapped()
         ctx = MeshContext(topology, self.pooling_policy)
         x = Value.constant(arr)
         for i, layer in enumerate(self.layers):

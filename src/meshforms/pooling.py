@@ -148,7 +148,7 @@ class PoolHistory:
         except (ValueError, RecursionError):  # not JSON, not UTF-8, or nested too deep
             raise DataError("pool journal is not JSON") from None
         try:
-            return PoolHistory(
+            history = PoolHistory(
                 [CollapseRecord.from_dict(r) for r in _items(d["records"])],
                 _int(d["initial_edge_count"]),
                 _int(d["final_edge_count"]),
@@ -157,6 +157,33 @@ class PoolHistory:
             raise DataError(f"pool journal has no key {err}") from None
         except TypeError:  # indexing something that is not a JSON object
             raise DataError("pool journal: a journal or record is not a JSON object") from None
+        history._check()
+        return history
+
+    def _check(self):
+        """DataError unless every record could come from pooling: fields that
+        agree as :meth:`PoolingState.collapse` writes them, ids in
+        ``0 .. initial_edge_count - 1``, no edge removed twice or surviving a
+        record after its removal, and three edges fewer per record."""
+        n = self.initial_edge_count
+        if n < 0 or self.final_edge_count != n - 3 * len(self.records):
+            raise DataError(
+                f"pool journal: final_edge_count {self.final_edge_count} is not "
+                f"initial_edge_count {n} minus 3 per record"
+            )
+        removed = set()
+        for rec in self.records:
+            (a, c), (e, b, d) = rec.surviving_edges, rec.removed_edges
+            if rec.collapsed_edge != e or rec.source_sets != ((a, b, e), (c, d, e)):
+                raise DataError("pool journal: a record's fields disagree")
+            if not all(0 <= i < n for i in (a, c, e, b, d)):
+                raise DataError(f"pool journal: an edge id lies outside 0..{n - 1}")
+            count = len(removed)
+            removed.update(rec.removed_edges)
+            if len(removed) != count + 3:
+                raise DataError("pool journal: an edge is removed twice")
+            if not removed.isdisjoint(rec.surviving_edges):
+                raise DataError("pool journal: a surviving edge is already removed")
 
 
 class ScoreQueue:
@@ -187,30 +214,20 @@ class ScoreQueue:
         return None
 
 
-def _live(alive):
-    """Indices whose flag is set, ascending."""
-    return list(itertools.compress(range(len(alive)), alive))
-
-
-def _int_rows(rows, ids, width):
-    """(len(ids), width) int64 array of the int lists ``rows[i]``, i in ``ids``."""
-    flat = itertools.chain.from_iterable(map(rows.__getitem__, ids))
-    return np.fromiter(flat, dtype=np.int64, count=len(ids) * width).reshape(-1, width)
-
-
 class PoolingState:
     """Mutable working copy of features + connectivity during pooling.
 
-    Only primary connectivity is stored: ``edges``, ``edge_faces``,
-    ``face_edges`` and the ``edge_alive`` / ``face_alive`` flags, held as
-    plain Python lists, which a collapse reads and writes far faster than
-    numpy scalars. ``links[w]`` is vertex ``w``'s ``{neighbor vertex: edge
-    id}`` map over live edges, or None until :meth:`link` first builds it from
-    the topology's incident edges; a vertex merged away keeps an empty link.
-    ``boundary_vertices`` holds the vertices with a boundary edge; no
-    collapse changes it. Neighbor rings and face corners are derived
-    (:meth:`ring`, :meth:`compact`, :meth:`export_mesh`). ``features``,
-    ``scores`` and ``positions`` stay numpy arrays.
+    Only primary connectivity is stored, as flat Python int lists, which a
+    collapse reads and writes far faster than numpy scalars: edge ``e``'s
+    endpoints and faces sit at ``2e`` and ``2e + 1`` of ``edges`` and
+    ``edge_faces``, face ``g``'s edges at ``3g .. 3g + 2`` of ``face_edges``.
+    ``edge_alive`` and ``face_alive`` flag what is left. ``links[w]`` is vertex
+    ``w``'s ``{neighbor vertex: edge id}`` map over live edges, or None until
+    :meth:`link` first builds it from the topology's incidence; a vertex
+    merged away keeps an empty link. ``boundary_vertices`` holds the vertices
+    with a boundary edge; no collapse changes it. Neighbor rings and face
+    corners are derived (:meth:`ring`, :meth:`compact`, :meth:`export_mesh`).
+    ``features``, ``scores`` and ``positions`` stay numpy arrays.
     """
 
     def __init__(self, topology: EdgeTopology, features, positions=None):
@@ -221,16 +238,17 @@ class PoolingState:
                 f"{topology.edge_count} edges"
             )
         self.features = feats
-        self.edges = topology.edges.tolist()
-        self.edge_faces = topology.edge_faces.tolist()
-        self.face_edges = topology.face_edges.tolist()
+        self.edges = topology.edges.ravel().tolist()
+        self.edge_faces = topology.edge_faces.ravel().tolist()
+        self.face_edges = topology.face_edges.ravel().tolist()
         self.positions = None if positions is None else np.array(positions, dtype=np.float64)
         self.edge_alive = [True] * topology.edge_count
-        self.face_alive = [True] * len(self.face_edges)
+        self.face_alive = [True] * len(topology.face_edges)
         self.live_edge_count = topology.edge_count
         self.scores = np.linalg.norm(self.features, axis=1)
-        self._vertex_edges = topology.vertex_edges  # read only, to build links
-        self.links = [None] * len(topology.vertex_edges)
+        # read only, to build links: vertex w's edges are ids[starts[w]:starts[w + 1]]
+        self._incident, self._starts = topology.incidence
+        self.links = [None] * (len(self._starts) - 1)
         boundary = topology.edges[~topology.interior_mask]
         self.boundary_vertices = frozenset(boundary.ravel().tolist())
 
@@ -239,16 +257,18 @@ class PoolingState:
     def ring(self, edge):
         """The ring ``(a, b, c, d)`` of ``edge``: :func:`topology.rings` for one edge.
 
-        Face slots ``(k + 1) % 3`` and ``(k + 2) % 3`` are read as ``k - 2``, ``k - 1``.
+        In each face the ring takes the edges at slots ``k + 1`` and ``k + 2``
+        (mod 3) after the slot ``k`` that holds ``edge``.
         """
         ring = []
-        for g in self.edge_faces[edge]:
+        face_edges = self.face_edges
+        for g in self.edge_faces[2 * edge : 2 * edge + 2]:
             if g == SENTINEL:
                 ring += (SENTINEL, SENTINEL)
             else:
-                fe = self.face_edges[g]
-                k = fe.index(edge)
-                ring += (fe[k - 2], fe[k - 1])
+                first = 3 * g
+                k = face_edges.index(edge, first, first + 3) - first
+                ring += (face_edges[first + (k + 1) % 3], face_edges[first + (k + 2) % 3])
         return tuple(ring)
 
     def link(self, w):
@@ -263,10 +283,10 @@ class PoolingState:
         if link is None:
             edges, alive = self.edges, self.edge_alive
             link = {}
-            for e in self._vertex_edges[w]:
+            for e in self._incident[self._starts[w] : self._starts[w + 1]]:
                 if alive[e]:
-                    x, y = edges[e]
-                    link[y if x == w else x] = e
+                    x = edges[2 * e]
+                    link[edges[2 * e + 1] if x == w else x] = e
             self.links[w] = link
         return link
 
@@ -274,9 +294,9 @@ class PoolingState:
         """The reason of :data:`ILLEGAL_REASONS` the collapse is illegal for, else None."""
         if not self.edge_alive[edge]:
             return EDGE_REMOVED
-        if self.edge_faces[edge][1] == SENTINEL:
+        if self.edge_faces[2 * edge + 1] == SENTINEL:
             return BOUNDARY_EDGE
-        u, v = self.edges[edge]
+        u, v = self.edges[2 * edge], self.edges[2 * edge + 1]
         if u in self.boundary_vertices or v in self.boundary_vertices:
             return INCIDENT_BOUNDARY
         link_u, link_v = self.link(u), self.link(v)
@@ -301,13 +321,13 @@ class PoolingState:
     def _collapse(self, e) -> CollapseRecord:
         """Collapse edge ``e``, which :meth:`collapse_illegality` found legal."""
         edges, edge_faces, face_edges, links = self.edges, self.edge_faces, self.face_edges, self.links
-        u, v = edges[e]
-        f1, f2 = edge_faces[e]
+        u, v = edges[2 * e], edges[2 * e + 1]
+        f1, f2 = edge_faces[2 * e], edge_faces[2 * e + 1]
         a, b, c, d = self.ring(e)
 
         # b and d are interior, so each one's other face is its face sum minus f1/f2
-        fb = sum(edge_faces[b]) - f1
-        fd = sum(edge_faces[d]) - f2
+        fb = edge_faces[2 * b] + edge_faces[2 * b + 1] - f1
+        fd = edge_faces[2 * d] + edge_faces[2 * d + 1] - f2
 
         # feature averaging in place, (a + b + e) / 3 and (c + d + e) / 3, and
         # survivor rescoring; sqrt(x.dot(x)) is what np.linalg.norm computes
@@ -328,19 +348,15 @@ class PoolingState:
         # faces: drop the collapsed pair, a and c take over b's and d's slots
         self.face_alive[f1] = False
         self.face_alive[f2] = False
-        fe = face_edges[fb]
-        fe[fe.index(b)] = a
-        fe = face_edges[fd]
-        fe[fe.index(d)] = c
-        ef = edge_faces[a]
-        ef[ef.index(f1)] = fb
-        ef = edge_faces[c]
-        ef[ef.index(f2)] = fd
+        face_edges[face_edges.index(b, 3 * fb, 3 * fb + 3)] = a
+        face_edges[face_edges.index(d, 3 * fd, 3 * fd + 3)] = c
+        edge_faces[edge_faces.index(f1, 2 * a, 2 * a + 2)] = fb
+        edge_faces[edge_faces.index(f2, 2 * c, 2 * c + 2)] = fd
 
         # retire e, b, d; collapse_illegality built both endpoints' links
         link_u, link_v = links[u], links[v]
         for dead in (e, b, d):
-            x, y = edges[dead]
+            x, y = edges[2 * dead], edges[2 * dead + 1]
             if links[x] is not None:
                 del links[x][y]
             if links[y] is not None:
@@ -350,7 +366,7 @@ class PoolingState:
 
         # merge v into u; a neighbor's link not built yet reads the new ends later
         for other, moved in link_v.items():
-            edges[moved] = [u, other] if u < other else [other, u]
+            edges[2 * moved : 2 * moved + 2] = (u, other) if u < other else (other, u)
             link_u[other] = moved
             link = links[other]
             if link is not None:
@@ -370,33 +386,40 @@ class PoolingState:
         used[live_edges] = True
         return used, np.cumsum(used) - 1
 
+    def _arrays(self):
+        """The (E, 2) int64 edge array, and the live edge and face ids, ascending."""
+        return (
+            np.array(self.edges, dtype=np.int64).reshape(-1, 2),
+            np.flatnonzero(np.array(self.edge_alive, dtype=bool)),
+            np.flatnonzero(np.array(self.face_alive, dtype=bool)),
+        )
+
     def compact(self):
         """Renumber live edges/faces/vertices ascending, as int64 arrays.
 
         Returns (features, topology); the vertex numbering matches
         :meth:`export_mesh` so staged pooling stays consistent.
         """
-        live = _live(self.edge_alive)
-        live_faces = _live(self.face_alive)
+        edges, live, live_faces = self._arrays()
         edge_map = np.full(len(self.edge_alive), SENTINEL, dtype=np.int64)
         edge_map[live] = np.arange(len(live))
         # one entry more, at index SENTINEL (-1), so a boundary slot maps to itself
         face_map = np.full(len(self.face_alive) + 1, SENTINEL, dtype=np.int64)
         face_map[live_faces] = np.arange(len(live_faces))
-        edges = _int_rows(self.edges, live, 2)
+        edges = edges[live]
         edges = self._vertex_map(edges)[1][edges]
-        edge_faces = face_map[_int_rows(self.edge_faces, live, 2)]
-        face_edges = edge_map[_int_rows(self.face_edges, live_faces, 3)]
+        edge_faces = face_map[np.array(self.edge_faces, dtype=np.int64).reshape(-1, 2)[live]]
+        face_edges = edge_map[np.array(self.face_edges, dtype=np.int64).reshape(-1, 3)[live_faces]]
         return self.features[live], EdgeTopology(edges, edge_faces, face_edges)
 
     def export_mesh(self) -> Mesh:
         """Live faces on live vertices, numbered as in :meth:`compact`."""
         if self.positions is None:
             raise MeshError("pooling state has no vertex positions to export")
-        edges = _int_rows(self.edges, range(len(self.edges)), 2)
-        used, vertex_map = self._vertex_map(edges[_live(self.edge_alive)])
+        edges, live, live_faces = self._arrays()
+        used, vertex_map = self._vertex_map(edges[live])
         # corner k of a face is the vertex its edge slots k - 1 and k share
-        ends = edges[_int_rows(self.face_edges, _live(self.face_alive), 3)]
+        ends = edges[np.array(self.face_edges, dtype=np.int64).reshape(-1, 3)[live_faces]]
         prev = ends[:, [2, 0, 1]]
         first = prev[..., :1]
         corners = np.where((first == ends).any(axis=-1), prev[..., 0], prev[..., 1])

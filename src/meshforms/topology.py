@@ -23,15 +23,18 @@ SENTINEL = -1
 
 class EdgeTopology:
     """Connectivity of the edges of a validated mesh: three stored arrays, and
-    two fields derived from them on first read and then kept.
+    fields derived from them on first read and then kept.
 
     edges: (E, 2) int64, smaller vertex first.
     edge_faces: (E, 2) int64 face ids, second slot -1 on boundary edges.
     face_edges: (F, 3) int64, edge id at position i spans face[i], face[i+1].
     neighbors (derived, :func:`rings`): (E, 4) int64 edge ids (a, b, c, d),
     -1 sentinels on boundaries.
-    vertex_edges (derived, :func:`incident_edges`): per-vertex list of
-    incident edge ids (ascending).
+    incidence (derived, :func:`incident_edges`): ``(ids, starts)``, two int
+    lists; vertex ``w``'s incident edge ids, ascending, are
+    ``ids[starts[w]:starts[w + 1]]``.
+    vertex_edges (derived from ``incidence``): per-vertex list of incident
+    edge ids (ascending).
     """
 
     def __init__(self, edges, edge_faces, face_edges):
@@ -44,8 +47,13 @@ class EdgeTopology:
         return rings(self.edge_faces, self.face_edges)
 
     @cached_property
-    def vertex_edges(self):
+    def incidence(self):
         return incident_edges(self.edges)
+
+    @cached_property
+    def vertex_edges(self):
+        ids, starts = self.incidence
+        return [ids[start:stop] for start, stop in zip(starts, starts[1:])]
 
     @property
     def edge_count(self):
@@ -101,12 +109,13 @@ def rings(edge_faces, face_edges):
 
 
 def incident_edges(edges):
-    """Per-vertex list of incident edge ids, ascending, from an (E, 2) array
-    with no isolated vertex, so that the largest vertex id + 1 counts them."""
+    """Incident edge ids sorted by vertex, then ascending, and each vertex's
+    start among them (one start more, at the end), as two int lists, from an
+    (E, 2) array with no isolated vertex, so that the largest vertex id + 1
+    counts the vertices."""
     ends = edges.ravel()
     ids = (np.argsort(ends, kind="stable") // 2).tolist()
-    stops = np.cumsum(np.bincount(ends)).tolist()
-    return [ids[start:stop] for start, stop in zip([0] + stops, stops)]
+    return ids, [0] + np.cumsum(np.bincount(ends)).tolist()
 
 
 def _runs(ordered):

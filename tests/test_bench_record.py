@@ -63,3 +63,47 @@ def test_record_reports_failed_share(tmp_path, capsys):
     assert not limbs["correct"]
     printed = capsys.readouterr().out
     assert "segment-limbs  failed operations: parent 0 (0/20)  change 0.15 (3/20)" in printed
+
+
+def verdicts(tmp_path, parent_ms, change_ms, change_setup=0.25):
+    """claim_met and within_bound of host_norm and setup_s over paired seeds."""
+    seeds = range(len(parent_ms))
+    parents = [capture(tmp_path / f"p{s}.txt", s, parent_ms[s], 0.25) for s in seeds]
+    changes = [capture(tmp_path / f"c{s}.txt", s, change_ms[s], change_setup) for s in seeds]
+    out = tmp_path / "BENCH.json"
+    args = ["--pr", "3", "--out", out, "--parent", *parents, "--change", *changes]
+    assert bench_record.main([str(a) for a in args]) == 0
+    metrics = json.loads(out.read_text())["workloads"]["segment-limbs"]["metrics"]
+    return {
+        name: (metrics[name]["claim_met"], metrics[name]["within_bound"])
+        for name in ("mesh_ms.host_norm", "setup_s")
+    }
+
+
+PARENT_MS = [100.0 + s for s in range(10)]  # median 104.5, IQR 4.5
+
+
+def test_claim_met_needs_nine_of_ten_wins_and_a_gap_beyond_the_parent_iqr(tmp_path, capsys):
+    # 10/10 wins, medians 10 ms apart
+    got = verdicts(tmp_path, PARENT_MS, [p - 10.0 for p in PARENT_MS])
+    assert got == {"mesh_ms.host_norm": (True, True), "setup_s": (False, True)}
+    assert "claim met  within bound" in capsys.readouterr().out
+    # 9/10 wins and a tie in the tenth pair still meet it
+    change = [p - 10.0 for p in PARENT_MS[:9]] + [PARENT_MS[9]]
+    assert verdicts(tmp_path, PARENT_MS, change)["mesh_ms.host_norm"] == (True, True)
+    # 8/10: a tie and a loss
+    change = [p - 10.0 for p in PARENT_MS[:8]] + [PARENT_MS[8], PARENT_MS[9] + 1.0]
+    assert verdicts(tmp_path, PARENT_MS, change)["mesh_ms.host_norm"] == (False, True)
+    # 10/10, but the medians differ by 3 ms, inside the parent's IQR of 4.5 ms
+    change = [p - 3.0 for p in PARENT_MS]
+    assert verdicts(tmp_path, PARENT_MS, change)["mesh_ms.host_norm"] == (False, True)
+
+
+def test_within_bound_reads_the_declared_bound(tmp_path, capsys):
+    # setup_s is bounded at 25% worse: +24% stays inside, +30% does not
+    assert verdicts(tmp_path, PARENT_MS, PARENT_MS, change_setup=0.31)["setup_s"] == (False, True)
+    assert verdicts(tmp_path, PARENT_MS, PARENT_MS, change_setup=0.325)["setup_s"] == (False, False)
+    # host_norm bounded at 25%: +30% lies outside
+    got = verdicts(tmp_path, PARENT_MS, [1.3 * p for p in PARENT_MS])["mesh_ms.host_norm"]
+    assert got == (False, False)
+    assert "claim not met  outside bound" in capsys.readouterr().out

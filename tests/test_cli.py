@@ -27,7 +27,7 @@ from meshforms import (
 )
 from meshforms.cli import main
 from meshforms.datasets import GENERATORS, _random_rotation
-from meshforms.features import KIND_TOKENS
+from meshforms.features import FF, KIND_TOKENS, OUTPUT_TOKENS, XYZ
 from meshforms.mesh import RigidMotion, apply_motion, write_obj
 from meshforms.optim import METHODS
 from meshforms.pooling import ENHANCED, POLICIES
@@ -410,6 +410,16 @@ def test_optimizer_is_one_of_the_methods():
     for name in ("Adam", "rmsprop", ""):
         with pytest.raises(ConfigError, match="^optimizer must be adam or sgd$"):
             ExperimentConfig(optimizer=name)
+
+
+def test_output_features_are_the_declared_output_kinds():
+    assert OUTPUT_TOKENS == ("ff", "xyz")
+    assert [KIND_TOKENS[token] for token in OUTPUT_TOKENS] == [FF, XYZ]
+    for token in OUTPUT_TOKENS:
+        assert ExperimentConfig(task="denoising", output_features=token).output_features == token
+    for token in sorted(set(KIND_TOKENS) - set(OUTPUT_TOKENS)) + ["", "FF"]:
+        with pytest.raises(ConfigError, match=f"^output_features must be ff or xyz, got '{token}'$"):
+            ExperimentConfig(output_features=token)
 
 
 @pytest.fixture(scope="module")

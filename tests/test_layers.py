@@ -1,8 +1,13 @@
 """Layer semantics, per-layer gradient oracle, optimizers, checkpoints."""
 
+import ctypes
 import gc
 import json
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -523,6 +528,67 @@ class TestGraphLifetime:
         out, _ = model.forward(features, topology)
         with pytest.raises(GraphError, match="scalar"):
             out.parents[0].backward()
+
+
+# One warm-up training step, then the minor page faults of six more, over two
+# limbs meshes of 1.5-1.7k edges taken in turn, the larger first, through a
+# 64/128-channel encoder-decoder. With "default" the allocator policy is
+# marked as already applied, so the child keeps glibc's own thresholds, as
+# before the policy existed.
+_STEP_FAULTS = """
+import resource, sys
+import numpy as np
+from meshforms import layers
+from meshforms.config import ExperimentConfig
+from meshforms.datasets import ARTICULATED_LIMBS, DatasetSpec, generate
+from meshforms.pipelines import build_model
+from meshforms.topology import build_edge_topology
+
+if sys.argv[1] == "default":
+    layers._ALLOCATOR_SET = True
+samples = generate(DatasetSpec(ARTICULATED_LIMBS, 2, 1, (1500, 1700), seed=3))
+topologies = sorted((build_edge_topology(s.mesh) for s in samples), key=lambda t: -t.edge_count)
+rng = np.random.default_rng(0)
+steps = []
+for topology in topologies:
+    edges = topology.edge_count
+    assert edges >= 1500, edges
+    steps.append((rng.normal(size=(edges, 5)), topology, rng.integers(0, 4, edges)))
+config = ExperimentConfig(task="segmentation", pooling="legacy", conv_channels=(64, 128),
+                          pool_targets=(1400, 1200))
+model = build_model(config, 5, 4)
+for step in range(7):
+    if step == 1:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    features, topology, labels = steps[step % 2]
+    out, _ = model.forward(features, topology)
+    model.backward(layers.cross_entropy(out, labels))
+    del out
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_later_training_steps_reuse_freed_memory():
+    """Under the allocator policy, steps after the first take under a tenth
+    of the minor page faults that glibc's default thresholds give."""
+    here = pathlib.Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(path))
+    faults = {}
+    for mode in ("default", "policy"):
+        child = subprocess.run([sys.executable, "-c", _STEP_FAULTS, mode], env=env,
+                               capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        faults[mode] = int(child.stdout)
+    assert faults["policy"] * 10 < faults["default"], faults
 
 
 class TestLayerContracts:

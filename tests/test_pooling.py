@@ -1,6 +1,7 @@
 """Edge-collapse pooling: soundness fuzz, policy divergence, unpooling."""
 
 import hashlib
+import json
 import math
 from collections import Counter
 
@@ -53,11 +54,11 @@ def consistency_check(state, euler_characteristic):
     assert mesh.vertex_count - len(alive) + mesh.face_count == euler_characteristic
     for e in alive:
         for slot in range(2):
-            face = state.edge_faces[e][slot]
+            face = state.edge_faces[2 * e + slot]
             assert face != SENTINEL and state.face_alive[face]
             pair = state.ring(e)[2 * slot : 2 * slot + 2]
             assert set(int(p) for p in pair) <= set(
-                int(x) for x in state.face_edges[face]
+                int(x) for x in state.face_edges[3 * face : 3 * face + 3]
             )
         for nb in state.ring(e):
             assert state.edge_alive[nb]
@@ -147,16 +148,35 @@ class TestCollapse:
 
 
 class SetOracle(PoolingState):
-    """The pooling state before vertex links: per-vertex incident-edge sets.
+    """The pooling state before vertex links: per-vertex incident-edge sets,
+    over nested per-edge and per-face lists.
 
     ``collapse_illegality`` rebuilds both endpoints' neighbor sets on every
     call, and ``_collapse`` averages survivors into fresh arrays; both are the
     replaced code, kept as the reference the link-based state must match.
+    ``flat(name)`` gives a connectivity list in the state's flat layout.
     """
 
     def __init__(self, topology, features):
         super().__init__(topology, features)
+        self.edges = topology.edges.tolist()
+        self.edge_faces = topology.edge_faces.tolist()
+        self.face_edges = topology.face_edges.tolist()
         self.vertex_edges = [set(v) for v in topology.vertex_edges]
+
+    def flat(self, name):
+        return [i for row in getattr(self, name) for i in row]
+
+    def ring(self, edge):
+        ring = []
+        for g in self.edge_faces[edge]:
+            if g == SENTINEL:
+                ring += (SENTINEL, SENTINEL)
+            else:
+                fe = self.face_edges[g]
+                k = fe.index(edge)
+                ring += (fe[k - 2], fe[k - 1])
+        return tuple(ring)
 
     def vertex_neighbors(self, v):
         pairs = map(self.edges.__getitem__, self.vertex_edges[v])
@@ -229,7 +249,7 @@ def live_links(state):
     links = {}
     for e, alive in enumerate(state.edge_alive):
         if alive:
-            x, y = state.edges[e]
+            x, y = state.edges[2 * e : 2 * e + 2]
             links.setdefault(x, {})[y] = e
             links.setdefault(y, {})[x] = e
     return links
@@ -355,7 +375,9 @@ def test_vertex_links_match_the_set_oracle(oracle_meshes, data):
         assert oracle._collapse(edge) == records[-1]
         assert state.features.tobytes() == oracle.features.tobytes()
         assert state.scores.tobytes() == oracle.scores.tobytes()
-        for name in ("edges", "edge_faces", "face_edges", "edge_alive", "face_alive"):
+        for name in ("edges", "edge_faces", "face_edges"):
+            assert getattr(state, name) == oracle.flat(name), name
+        for name in ("edge_alive", "face_alive"):
             assert getattr(state, name) == getattr(oracle, name), name
         derived = live_links(state)
         for v, link in enumerate(state.links):
@@ -621,6 +643,15 @@ class TestUnpool:
             assert len(got) == history.final_edge_count
 
 
+def one_record_journal(removed=(0, 5, 6), survivors=(1, 2), final=7):
+    """A journal of one collapse on 10 edges, with the given fields."""
+    e, b, d = removed
+    a, c = survivors
+    record = {"collapsed_edge": e, "surviving_edges": [a, c], "removed_edges": [e, b, d],
+              "source_sets": [[a, b, e], [c, d, e]]}
+    return json.dumps({"records": [record], "initial_edge_count": 10, "final_edge_count": final})
+
+
 class TestHistorySerialization:
     def test_json_round_trip(self, icosahedron):
         topology = build_edge_topology(icosahedron)
@@ -642,11 +673,22 @@ class TestHistorySerialization:
             ('{"records": {}, "initial_edge_count": 1, "final_edge_count": 1}', "list of records"),
             ('{"records": [], "initial_edge_count": 1.0, "final_edge_count": 1}', "an integer"),
             ('{"records": [], "initial_edge_count": 1, "final_edge_count": true}', "an integer"),
+            (one_record_journal(removed=[0, 5, 99]), "outside 0..9"),
+            (one_record_journal(removed=[0, -1, 5]), "outside 0..9"),
+            (one_record_journal(final=9), "final_edge_count 9 is not initial_edge_count 10"),
+            (one_record_journal(removed=[0, 5, 5]), "removed twice"),
+            (one_record_journal(survivors=[1, 5]), "surviving edge is already removed"),
+            (one_record_journal().replace('"collapsed_edge": 0', '"collapsed_edge": 1'),
+             "fields disagree"),
+            (one_record_journal().replace("[[1, 5, 0]", "[[1, 0, 5]"), "fields disagree"),
+            ('{"records": [], "initial_edge_count": -1, "final_edge_count": -1}',
+             "initial_edge_count -1 minus 3"),
         ],
     )
     def test_malformed_journal_rejected(self, text, message):
         with pytest.raises(DataError, match=message):
             PoolHistory.from_json(text)
+        assert PoolHistory.from_json(one_record_journal()).final_edge_count == 7
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -662,6 +704,12 @@ class TestHistorySerialization:
         for record in history.records:
             assert all(type(i) is int for i in (record.collapsed_edge, *record.surviving_edges,
                                                 *record.removed_edges, *sum(record.source_sets, ())))
+        # a journal that loads replays without a raw error, and ends on its final edge count
+        pooled = np.ones((history.final_edge_count, 2))
+        restored = unpool(pooled, history)
+        assert restored.shape == (history.initial_edge_count, 2) and np.all(restored == 1.0)
+        assert pool_backward(pooled, history).shape == restored.shape
+        assert unpool_backward(restored, history).shape == pooled.shape
 
 
 # sha256 over the journal JSON, the pooled features, the compacted neighbor

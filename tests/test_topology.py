@@ -226,6 +226,7 @@ class TestDerivedFields:
         assert not derivations
         for _ in range(2):
             assert topology.neighbors is topology.neighbors
+            assert topology.incidence is topology.incidence
             assert topology.vertex_edges is topology.vertex_edges
         assert derivations == {"rings": 1, "incident_edges": 1}
 
@@ -252,7 +253,9 @@ class TestDerivedFields:
 
 
 def test_incident_edges_of_no_edges():
-    assert incident_edges(np.empty((0, 2), dtype=np.int64)) == []
+    no_edges = np.empty((0, 2), dtype=np.int64)
+    assert incident_edges(no_edges) == ([], [0])
+    assert EdgeTopology(no_edges, no_edges, np.empty((0, 3), dtype=np.int64)).vertex_edges == []
 
 
 def three_triangle_fan_edge():

@@ -9,9 +9,16 @@ the report lines perfbench prints above it.
 Runs of the parent and of the change pair up by workload and seed. For every
 end-to-end metric that BENCHMARK.json declares, the record holds the parent
 and change medians and interquartile ranges, the number of pairs the change
-won, and the relative change of the medians. It also holds each side's
-failed-operation share: the gate lines' ``failed`` over ``attempted``, summed
-over the paired runs. Usage:
+won, and the relative change of the medians. It states two verdicts:
+
+- ``claim_met``: the change won at least 9 of every 10 pairs (a tie counts
+  for neither side), and its median is better than the parent's by more than
+  the parent's IQR;
+- ``within_bound``: the change's median is no worse than the parent's by more
+  than the metric's ``bound`` in BENCHMARK.json.
+
+It also holds each side's failed-operation share: the gate lines' ``failed``
+over ``attempted``, summed over the paired runs. Usage:
 
     python3 tools/bench_record.py --pr 6 --out BENCH_6.json \\
         --parent runs/parent-*.txt --change runs/change-*.txt
@@ -74,7 +81,7 @@ def summarize(parent_runs, change_runs, declared):
             continue
         pairs = [(parent_runs[workload, s], change_runs[workload, s]) for s in seeds]
         metrics = {}
-        for name, unit, lower_is_better in declared:
+        for name, unit, lower_is_better, bound in declared:
             try:
                 parent = [p["gate"]["metrics"][name]["value"] for p, _ in pairs]
                 change = [c["gate"]["metrics"][name]["value"] for _, c in pairs]
@@ -83,13 +90,17 @@ def summarize(parent_runs, change_runs, declared):
             sign = 1.0 if lower_is_better else -1.0
             wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
             p_stats, c_stats = quartiles(parent), quartiles(change)
+            gain = sign * (p_stats["median"] - c_stats["median"])
+            relative = c_stats["median"] / p_stats["median"] - 1.0
             metrics[name] = {
                 "unit": unit,
                 "better": "lower" if lower_is_better else "higher",
                 "parent": p_stats,
                 "change": c_stats,
                 "change_wins": int(wins),
-                "median_change": c_stats["median"] / p_stats["median"] - 1.0,
+                "median_change": relative,
+                "claim_met": bool(10 * wins >= 9 * len(pairs) and gain > p_stats["iqr"]),
+                "within_bound": bool(sign * relative <= bound),
             }
         workloads[workload] = {
             "pairs": len(pairs),
@@ -117,7 +128,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     spec = json.loads(BENCHMARK.read_text())
-    declared = [(m["name"], m["unit"], m["better"] == "lower") for m in spec["end_to_end"]]
+    declared = [
+        (m["name"], m["unit"], m["better"] == "lower", m["bound"]) for m in spec["end_to_end"]
+    ]
     sides = {}
     for side in ("parent", "change"):
         runs = {}
@@ -145,7 +158,9 @@ def main(argv=None):
                 f"{workload:14s} {name:18s} parent {m['parent']['median']:10.4g} "
                 f"(IQR {m['parent']['iqr']:.3g})  change {m['change']['median']:10.4g} "
                 f"(IQR {m['change']['iqr']:.3g})  {m['median_change']:+.1%}  "
-                f"wins {m['change_wins']}/{entry['pairs']}"
+                f"wins {m['change_wins']}/{entry['pairs']}  "
+                f"claim {'met' if m['claim_met'] else 'not met'}  "
+                f"{'within' if m['within_bound'] else 'outside'} bound"
             )
         print(f"{workload:14s} digests identical: {entry['digests_identical']}")
         shares = entry["failed_share"]
