@@ -17,6 +17,7 @@ from .errors import (
     IllegalCollapseError,
     MeshError,
     MeshFormsError,
+    NonFiniteError,
     ObjParseError,
     PoolTargetError,
     TopologyError,
@@ -87,11 +88,9 @@ from .datasets import (
     split,
 )
 from .pipelines import (
-    DENOISING_REFERENCE_MSE,
+    TEST_METRICS,
     MetricsReport,
-    evaluate_classification,
-    evaluate_denoising,
-    evaluate_segmentation,
+    evaluate,
     run_ablation,
     soft_edge_accuracy,
     train,

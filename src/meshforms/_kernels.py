@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DegenerateFaceError
+
 
 # ---------------------------------------------------------------------------
 # convolution over the ordered 4-neighbor ring
@@ -276,17 +278,17 @@ def _cross(a, b):
 def edge_geometry(vertices, edges, edge_faces, faces):
     """Per-edge length, dihedral angle, opposite angles, length/height ratios.
 
-    Returns (lengths, dihedrals, opposite_angle_pairs, ratio_pairs, bad_face)
-    where pairs are unsorted per incident-face slot and missing boundary slots
-    are zero. ``bad_face`` is the first zero-area face index, or -1.
+    Returns (lengths, dihedrals, opposite_angle_pairs, ratio_pairs) where
+    pairs are unsorted per incident-face slot and missing boundary slots are
+    zero. Raises DegenerateFaceError naming the first zero-area face.
     """
     tri = vertices[faces]
     normal = _cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
     cross_norm = np.linalg.norm(normal, axis=1)
     bad = np.flatnonzero(cross_norm == 0.0)
-    bad_face = int(bad[0]) if len(bad) else -1
-    safe = np.where(cross_norm == 0.0, 1.0, cross_norm)
-    unit = normal / safe[:, None]
+    if len(bad):
+        raise DegenerateFaceError(int(bad[0]))
+    unit = normal / cross_norm[:, None]
 
     u = vertices[edges[:, 0]]
     v = vertices[edges[:, 1]]
@@ -316,7 +318,5 @@ def edge_geometry(vertices, edges, edge_faces, faces):
         cw = _cross(wu, wv)
         ang = np.arctan2(np.linalg.norm(cw, axis=1), (wu * wv).sum(axis=1))
         opp_angles[:, slot] = np.where(present, ang, 0.0)
-        ratios[:, slot] = np.where(
-            present, lengths * lengths / safe[fk_safe], 0.0
-        )
-    return lengths, dihedral, opp_angles, ratios, bad_face
+        ratios[:, slot] = np.where(present, lengths * lengths / cross_norm[fk_safe], 0.0)
+    return lengths, dihedral, opp_angles, ratios

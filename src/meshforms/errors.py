@@ -54,6 +54,10 @@ class GraphError(MeshFormsError):
     """Model graph misconfiguration or shape mismatch."""
 
 
+class NonFiniteError(GraphError):
+    """A layer's input was not finite or overflowed inside the layer."""
+
+
 class ConfigError(MeshFormsError):
     """Invalid experiment configuration."""
 

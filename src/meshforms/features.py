@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateFaceError, MeshError
+from .errors import MeshError
 from .mesh import Mesh
 from .topology import EdgeTopology
 
@@ -103,18 +103,11 @@ class ChannelStats:
         object.__setattr__(self, "std", std)
 
 
-def _geometry(mesh: Mesh, topology: EdgeTopology):
-    lengths, dihedrals, opp, ratios, bad_face = _kernels.edge_geometry(
-        mesh.vertices, topology.edges, topology.edge_faces, mesh.faces
-    )
-    if bad_face >= 0:
-        raise DegenerateFaceError(bad_face)
-    return lengths, dihedrals, opp, ratios
-
-
 def fundamental_forms(topology: EdgeTopology, mesh: Mesh) -> FeatureTensor:
     """Channel 0: edge length; channel 1: dihedral angle."""
-    lengths, dihedrals, _, _ = _geometry(mesh, topology)
+    lengths, dihedrals, _, _ = _kernels.edge_geometry(
+        mesh.vertices, topology.edges, topology.edge_faces, mesh.faces
+    )
     return FeatureTensor(np.column_stack([lengths, dihedrals]), FF)
 
 
@@ -125,7 +118,9 @@ def meshcnn5(topology: EdgeTopology, mesh: Mesh) -> FeatureTensor:
     angles, length/height ratios) is sorted ascending. Boundary edges fill
     the missing face's slot with zero before sorting.
     """
-    _, dihedrals, opp, ratios = _geometry(mesh, topology)
+    _, dihedrals, opp, ratios = _kernels.edge_geometry(
+        mesh.vertices, topology.edges, topology.edge_faces, mesh.faces
+    )
     opp = np.sort(opp, axis=1)
     ratios = np.sort(ratios, axis=1)
     return FeatureTensor(np.column_stack([dihedrals, opp, ratios]), MESHCNN5)

@@ -39,7 +39,7 @@ from ._kernels import conv_forward as _kconv_forward
 from ._kernels import instance_norm_backward as _knorm_backward
 from ._kernels import instance_norm_forward as _knorm_forward
 from .autodiff import Value
-from .errors import GraphError
+from .errors import GraphError, NonFiniteError
 from .pooling import ENHANCED, POLICIES
 from .topology import EdgeTopology
 
@@ -127,7 +127,9 @@ class InstanceNorm(Layer):
 
     One graph node whose rule keeps only the per-channel mean and scale and
     recomputes the centred features; its gradients are bit for bit those of
-    the composed mean, variance and affine algebra (see the kernels).
+    the composed mean, variance and affine algebra (see the kernels). A
+    non-finite scale, from a non-finite input or an overflow, raises
+    NonFiniteError: the NaN output would otherwise pass ReLU as 0.
     """
 
     def __init__(self, channels):
@@ -146,6 +148,8 @@ class InstanceNorm(Layer):
             )
         features, gamma = x.data, self.gamma.data
         out_data, mu, sd = _knorm_forward(features, gamma, self.beta.data)
+        if not np.isfinite(sd).all():
+            raise NonFiniteError("non-finite channel scale: the input is not finite or overflows")
         return _NormOutput(
             out_data,
             (x, self.gamma, self.beta),
@@ -376,7 +380,7 @@ class ModelGraph:
             try:
                 out = layer(x, ctx)
             except GraphError as exc:
-                raise GraphError(f"layer {i} ({layer.spec()['type']}): {exc}") from exc
+                raise type(exc)(f"layer {i} ({layer.spec()['type']}): {exc}") from exc
             x.data, x = None, out  # the layer's rule captured what it reads of x
         self._forwarded = True
         return x, ctx

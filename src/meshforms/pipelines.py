@@ -2,8 +2,9 @@
 
 Every labelled mesh, in training and in ``evaluate``, the one evaluation loop
 of all three tasks, goes through ``_prepare_samples``: unit-box mesh, its
-topology, the raw model input and the target. Normalization statistics are
-fitted on the training split only and ride in the checkpoint. De-noising
+topology, the raw model input and the target, and then through ``_forward``,
+which standardizes that input and runs the model. Normalization statistics
+are fitted on the training split only and ride in the checkpoint. De-noising
 inputs come from a noisy copy of the mesh, targets are the clean mesh's raw
 feature channels of the configured output kind, and the reported MSEs (model
 and identity) are computed on those raw channels.
@@ -25,25 +26,13 @@ from .config import (
     config_hash,
 )
 from .datasets import TEST, TRAIN, add_vertex_noise, augment, in_test_split
-from .errors import ConfigError, DataError, GraphError
+from .errors import ConfigError, DataError, GraphError, NonFiniteError
 from .features import extract, fit_channel_stats
 from .layers import ModelGraph, cross_entropy, mse
 from .mesh import normalize_unit_box
 from .optim import Optimizer
 from .pooling import BATCH_LEGACY, ENHANCED
 from .topology import build_edge_topology
-
-# Published average-MSE levels for the de-noising configurations (identity
-# baselines and trained models); orientation points for reading reports, not
-# targets the synthetic benchmark reproduces.
-DENOISING_REFERENCE_MSE = {
-    "ff_identity": 0.05,
-    "ff_to_ff": 0.0096,
-    "meshcnn5_to_ff": 0.012,
-    "xyz_identity": 0.01,
-    "ff_to_xyz": 0.08,
-    "meshcnn5_to_xyz": 0.082,
-}
 
 # The test metrics each task reports, in the order ``evaluate`` computes them;
 # an ablation row shows the first.
@@ -197,24 +186,25 @@ def build_model(config: ExperimentConfig, in_channels, out_dim):
     return ModelGraph.from_spec(spec, seed=config.seed, pooling_policy=config.pooling)
 
 
-def _loss_for(config, model, prepared: _Prepared, inputs, topology):
-    out, _ = model.forward(inputs, topology)
-    if config.task == DENOISING:
-        return mse(out, prepared.target)
-    return cross_entropy(out, prepared.target)
+def _forward(model, stats, inputs_raw, topology):
+    """The model's output Value for one mesh's raw inputs, standardized with
+    the training split's channel statistics: the one way training and
+    evaluation run a mesh through a model."""
+    out, _ = model.forward((inputs_raw - stats.mean) / stats.std, topology)
+    return out
 
 
 def _augmented_inputs(config, prepared: _Prepared, epoch, index):
-    """Re-extract features from an augmented copy when augmentation is on."""
+    """Raw inputs, re-extracted from an augmented copy when augmentation is on."""
     if not (config.augment_rotation or config.augment_jitter > 0.0):
-        return prepared.inputs_raw, prepared.topology
+        return prepared.inputs_raw
     moved = augment(
         prepared.source,
         random_rotation=config.augment_rotation,
         vertex_jitter_sigma=config.augment_jitter,
         seed=(config.seed * 1000003 + epoch * 1009 + index),
     )
-    return _inputs(config, moved, prepared.topology), prepared.topology
+    return _inputs(config, moved, prepared.topology)
 
 
 def train(config: ExperimentConfig, samples, dataset_hash=""):
@@ -242,6 +232,7 @@ def train(config: ExperimentConfig, samples, dataset_hash=""):
         momentum=config.momentum,
     )
     decay_epoch = int(0.75 * config.epochs)
+    loss_of = mse if config.task == DENOISING else cross_entropy
 
     curve = []
     for epoch in range(config.epochs):
@@ -257,9 +248,8 @@ def train(config: ExperimentConfig, samples, dataset_hash=""):
             grads = None
             for index in batch:
                 p = prepared[index]
-                inputs_raw, topology = _augmented_inputs(config, p, epoch, int(index))
-                inputs = (inputs_raw - stats.mean) / stats.std
-                loss = _loss_for(config, model, p, inputs, topology)
+                inputs_raw = _augmented_inputs(config, p, epoch, int(index))
+                loss = loss_of(_forward(model, stats, inputs_raw, p.topology), p.target)
                 value = float(loss.data)
                 if not np.isfinite(value):
                     raise GraphError(
@@ -269,8 +259,7 @@ def train(config: ExperimentConfig, samples, dataset_hash=""):
                 epoch_losses.append(value)
                 grads = model.backward(loss)
                 del loss  # free this step's graph before the next forward builds one
-            scaled = {k: g / len(batch) for k, g in grads.items()}
-            optimizer.step(scaled)
+            optimizer.step({k: g / len(batch) for k, g in grads.items()})
         curve.append(float(np.mean(epoch_losses)))
 
     meta = {
@@ -323,15 +312,6 @@ def _checkpoint_config(checkpoint: Checkpoint, task) -> ExperimentConfig:
     )
 
 
-def _predict(checkpoint, inputs_raw, topology):
-    """The model's output array for one mesh's raw inputs, standardized with the
-    checkpoint's statistics. Only the array outlives the call, so an evaluation
-    loop holds one mesh's graph at a time."""
-    stats = checkpoint.channel_stats
-    out, _ = checkpoint.model.forward((inputs_raw - stats.mean) / stats.std, topology)
-    return out.data
-
-
 def _test_split(samples):
     """The test split, or the samples when none is split off."""
     test = [s for s in samples if in_test_split(s.split)]
@@ -352,16 +332,21 @@ def evaluate(checkpoint: Checkpoint, task, samples, rotation_seed=None, seed=0, 
     when None), and of the noisy copy's own features (returning the input
     unchanged). ``rotation_seed`` rotates every mesh's input source first
     (robustness probes); its inputs are extracted on the topology of the
-    unrotated mesh, whose faces a rotation keeps, and edge labels stay. A
-    non-finite metric, from weights that overflow, is a DataError.
+    unrotated mesh, whose faces a rotation keeps, and edge labels stay.
+    Finite weights that overflow, in a norm layer's scale or in a metric, give
+    a DataError; every other model error keeps its type.
     """
     config = _checkpoint_config(checkpoint, task)
     if variance is None:
         variance = config.noise_variance
     config = replace(config, noise_variance=variance, seed=seed)
+    model, stats = checkpoint.model, checkpoint.channel_stats
     scores = []
     for p in _prepare_samples(config, _test_split(samples), rotation_seed):
-        out = _predict(checkpoint, p.inputs_raw, p.topology)
+        try:  # only the array outlives the line: one mesh's graph at a time
+            out = _forward(model, stats, p.inputs_raw, p.topology).data
+        except NonFiniteError as exc:  # finite weights can still overflow
+            raise DataError(f"evaluation overflows: {exc}") from exc
         if task == DENOISING:
             noisy = extract(p.topology, p.source, config.output_kind).values
             scores.append((np.mean((out - p.target) ** 2), np.mean((p.target - noisy) ** 2)))
@@ -375,7 +360,7 @@ def evaluate(checkpoint: Checkpoint, task, samples, rotation_seed=None, seed=0, 
     columns = (float(np.mean(column)) for column in zip(*scores))
     metrics = dict(zip(TEST_METRICS[task], columns))
     for name, value in metrics.items():
-        if not np.isfinite(value):  # finite weights can still overflow
+        if not np.isfinite(value):  # an overflow after the last norm
             raise DataError(f"evaluation gives a non-finite {name}")
     return metrics
 
@@ -388,19 +373,8 @@ def soft_edge_accuracy(lengths, predicted, labels):
 
 
 def evaluate_classification(checkpoint: Checkpoint, samples, rotation_seed=None):
-    """Fraction of test meshes whose argmax logit matches the label."""
+    """``evaluate``'s test accuracy; the benchmark's workloads call this name."""
     return evaluate(checkpoint, CLASSIFICATION, samples, rotation_seed)["test_accuracy"]
-
-
-def evaluate_segmentation(checkpoint: Checkpoint, samples, rotation_seed=None):
-    """Mean soft edge accuracy over the test meshes."""
-    return evaluate(checkpoint, SEGMENTATION, samples, rotation_seed)["soft_edge_accuracy"]
-
-
-def evaluate_denoising(checkpoint: Checkpoint, samples, seed, variance=None):
-    """(model MSE, identity MSE) over the test meshes."""
-    metrics = evaluate(checkpoint, DENOISING, samples, seed=seed, variance=variance)
-    return metrics["test_mse"], metrics["identity_mse"]
 
 
 def run_ablation(base_config: ExperimentConfig, samples, dataset_hash=""):

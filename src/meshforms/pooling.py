@@ -486,9 +486,9 @@ def pool(
     )
     illegal = Counter()
     rebuilds = 0
-    incremental = policy == ENHANCED
-    frozen = None if incremental else state.scores.copy()
-    queue = ScoreQueue(state.scores if incremental else frozen)
+    # the one array the queue ranks by: the live scores, or a copy frozen at entry
+    ranks = state.scores if policy == ENHANCED else state.scores.copy()
+    queue = ScoreQueue(ranks)
     # looked up once per call; a wrapper installed on the class before the call sees every pop
     illegality, collapse, append = state.collapse_illegality, state._collapse, history.records.append
     progressed = True
@@ -498,8 +498,7 @@ def pool(
             if not progressed:
                 raise PoolTargetError(target_edges, state.live_edge_count)
             # every remaining entry was consumed or stale; rank the survivors again
-            scores = state.scores if incremental else frozen
-            queue = ScoreQueue(np.where(state.edge_alive, scores, np.inf))
+            queue = ScoreQueue(np.where(state.edge_alive, ranks, np.inf))
             rebuilds += 1
             progressed = False
             continue
@@ -510,9 +509,9 @@ def pool(
         record = collapse(edge)
         append(record)
         progressed = True
-        if incremental:
+        if ranks is state.scores:
             for survivor in record.surviving_edges:
-                queue.push(survivor, state.scores[survivor])
+                queue.push(survivor, ranks[survivor])
     history.final_edge_count = state.live_edge_count
     out_features, out_topology = state.compact()
     stats = PoolStats(len(history.records), dict(illegal), rebuilds)

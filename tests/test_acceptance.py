@@ -18,8 +18,7 @@ from meshforms import (
     ScoreQueue,
     apply_motion,
     build_edge_topology,
-    evaluate_classification,
-    evaluate_denoising,
+    evaluate,
     generate,
     pool,
     split,
@@ -392,7 +391,8 @@ def test_criterion_7_denoising():
             seed=0,
         )
         checkpoint, _ = train(config, samples)
-        results[out_kind] = evaluate_denoising(checkpoint, test, seed=555, variance=0.1)
+        metrics = evaluate(checkpoint, "denoising", test, seed=555, variance=0.1)
+        results[out_kind] = metrics["test_mse"], metrics["identity_mse"]
     elapsed = time.perf_counter() - started
     ff_model, ff_ident = results["ff"]
     xyz_model, xyz_ident = results["xyz"]
@@ -419,8 +419,8 @@ def test_criterion_8_rotation_gap(zoo_dataset, ff_checkpoint, xyz_checkpoint):
     xyz_ckpt, xyz_report = xyz_checkpoint
     ff_base = ff_report.metrics["test_accuracy"]
     xyz_base = xyz_report.metrics["test_accuracy"]
-    ff_rot = evaluate_classification(ff_ckpt, zoo_dataset, rotation_seed=777)
-    xyz_rot = evaluate_classification(xyz_ckpt, zoo_dataset, rotation_seed=777)
+    ff_rot = evaluate(ff_ckpt, "classification", zoo_dataset, rotation_seed=777)["test_accuracy"]
+    xyz_rot = evaluate(xyz_ckpt, "classification", zoo_dataset, rotation_seed=777)["test_accuracy"]
     ff_drop = (ff_base - ff_rot) * 100
     xyz_drop = (xyz_base - xyz_rot) * 100
     ok = abs(ff_drop) < 1.0 and xyz_drop >= 10.0

@@ -1114,3 +1114,50 @@ def test_eval_rotate_seed_probes_segmentation(xyz_segmentation, capsys):
     assert all(code == 0 for code, _, _ in outs)
     accuracies = {out.splitlines()[-1] for _, out, _ in outs}
     assert len(accuracies) == 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("task", ["classification", "segmentation"])
+def test_overflow_inside_the_network_exit_2(task, cli_dataset, xyz_segmentation, tmp_path, capsys):
+    """With every first-layer weight at 1e308 the InstanceNorm output is NaN,
+    which ReLU would pass on as zeros and ``eval`` would score as a finite
+    accuracy; the norm refuses it, so there is no report."""
+    if task == "classification":
+        data, path = cli_dataset, untrained_checkpoint(tmp_path / "m.ckpt", task)
+    else:
+        data, path = xyz_segmentation
+    ckpt = Checkpoint.load(path)
+    ckpt.model.parameters()["layer0.weights"].data[:] = 1e308
+    ckpt.save(tmp_path / "big.ckpt")
+    code, stdout, err = run(["eval", "--checkpoint", tmp_path / "big.ckpt", "--data", data], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: evaluation overflows: layer 1 (instance_norm): non-finite")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflow_inside_the_network_while_training_exit_3(cli_dataset, tmp_path, capsys):
+    """A step that overflows the next forward is a diverged run, not bad data."""
+    code, stdout, err = run(
+        [
+            "train", "--data", cli_dataset, "--out", tmp_path / "m.ckpt", "--set", "epochs=2",
+            "--set", "conv_channels=4", "--set", "pool_targets=100",
+            "--set", "learning_rate=1e300",
+        ],
+        capsys,
+    )
+    assert (code, stdout) == (3, "")
+    assert "layer 1 (instance_norm): non-finite channel scale" in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_eval_unreachable_pool_target_exit_3(cli_dataset, tmp_path, capsys):
+    """Only an overflow turns a model error in ``eval`` into exit 2."""
+    config = ExperimentConfig(conv_channels=(4,), pool_targets=(99999,))
+    model = pipelines.build_model(config, config.input_channels(), 2)
+    meta = {"task": "classification", "features": "ff", "config_hash": "x", "seed": 0}
+    Checkpoint(model, ChannelStats(np.zeros(2), np.ones(2)), meta).save(tmp_path / "m.ckpt")
+    code, stdout, err = run(
+        ["eval", "--checkpoint", tmp_path / "m.ckpt", "--data", cli_dataset], capsys
+    )
+    assert (code, stdout) == (3, "")
+    assert "layer 3 (pool): pool target 99999 is not below the current edge count" in err

@@ -1,11 +1,14 @@
 """Static checks, in place of a linter: no program module imports a name it never
-uses, no module-level private name goes unreferenced in the package, and every
-public name is read by the program or exported from ``__init__.py``."""
+uses, no module-level private name goes unreferenced in the package, every
+public name is read by the program or exported from ``__init__.py``, and every
+meshforms name the benchmark reads exists."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 
+import numpy as np
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -141,3 +144,71 @@ def test_every_benchmark_hook_exists(monkeypatch):
     assert hooked
     for owner, name in hooked:
         assert name in vars(owner), f"{owner.__name__}.{name}"
+
+
+def meshforms_references(source):
+    """``(dotted name, resolves)`` for each meshforms name ``source`` imports
+    and each attribute chain it reads from one, as far as the chain stays on
+    module, class or function objects of meshforms."""
+    tree = ast.parse(source)
+    bound, found = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "meshforms":
+                    bound[alias.asname or alias.name] = importlib.import_module(alias.name)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "meshforms":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                found.append((f"{node.module}.{alias.name}", hasattr(module, alias.name)))
+                if hasattr(module, alias.name):
+                    bound[alias.asname or alias.name] = getattr(module, alias.name)
+
+    def resolve(node):
+        """The object ``node`` names, or None where the chain leaves meshforms."""
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if not isinstance(node, ast.Attribute):
+            return None
+        owner = resolve(node.value)
+        if owner is None:
+            return None
+        found.append((f"{ast.unparse(node.value)}.{node.attr}", hasattr(owner, node.attr)))
+        value = getattr(owner, node.attr, None)
+        return value if callable(value) or inspect.ismodule(value) else None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            resolve(node)
+    return sorted(set(found))
+
+
+def test_detects_a_missing_meshforms_name():
+    source = (
+        "from meshforms import pipelines\nfrom meshforms.layers import Pool, Gone\n"
+        "pipelines.evaluate(1)\npipelines.gone()\nPool.__call__\nlocal.anything\n"
+    )
+    missing = [name for name, resolves in meshforms_references(source) if not resolves]
+    assert missing == ["meshforms.layers.Gone", "pipelines.gone"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "perfbench").glob("*.py")), ids=lambda p: p.name
+)
+def test_every_meshforms_name_perfbench_reads_exists(path):
+    """The benchmark calls library names directly (``pipelines.evaluate_classification``,
+    ``pooling.pool_batch_legacy``, ``pipelines.build_model``); removing one would
+    break the gated run while every other test passes."""
+    assert [name for name, resolves in meshforms_references(path.read_text()) if not resolves] == []
+
+
+def test_model_state_perfbench_reads_exists():
+    """Instance attributes the benchmark's tracer and checks read."""
+    from meshforms import build_edge_topology, layers
+    from meshforms.mesh import Mesh
+
+    mesh = Mesh(np.eye(3), np.array([[0, 1, 2]]))
+    ctx = layers.MeshContext(build_edge_topology(mesh), "legacy")
+    assert (ctx.stack, ctx.histories) == ([], [])
+    model = layers.ModelGraph([layers.Pool(2)], pooling_policy="legacy")
+    assert [p.target_edges for p in model.layers] == [2] and model.pooling_policy == "legacy"

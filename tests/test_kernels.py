@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshforms import DatasetSpec, Mesh, _kernels, build_edge_topology, generate
+from meshforms import DatasetSpec, DegenerateFaceError, Mesh, _kernels, build_edge_topology, generate
 
 from conftest import fuzz_corpus
 
@@ -28,8 +28,9 @@ class TestNumpyPathAlone:
         edges = np.array([[0, 1], [1, 2], [0, 2]])
         edge_faces = np.array([[0, -1], [0, -1], [0, -1]])
         faces = np.array([[0, 1, 2]])
-        out = _kernels.edge_geometry(verts, edges, edge_faces, faces)
-        assert out[4] == 0
+        with pytest.raises(DegenerateFaceError) as err:
+            _kernels.edge_geometry(verts, edges, edge_faces, faces)
+        assert err.value.face_index == 0
 
 
 @st.composite

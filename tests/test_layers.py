@@ -24,6 +24,7 @@ from meshforms import (
     InstanceNorm,
     MeshConv,
     ModelGraph,
+    NonFiniteError,
     Optimizer,
     Pool,
     ReLU,
@@ -130,21 +131,37 @@ class TestReLUBuffers:
         _, topology, features = instance
         features = features.copy()
         features[:, 2] = 5.0  # a constant column normalizes to exact zeros
-        features[3, 1] = np.nan  # one NaN makes its whole column NaN
         norm = InstanceNorm(3)
         norm.gamma.data = np.array([1.0, 1.0, -1.0])
         norm.beta.data = np.array([0.0, 0.0, -0.0])  # so those zeros are -0.0
         before = features.copy()
+        out, _ = ModelGraph([norm, ReLU()]).forward(features, topology)
+        normed = instance_norm_forward(features, norm.gamma.data, norm.beta.data)[0]
+        assert np.signbit(normed[:, 2]).all()
+        assert out.data.tobytes() == np.where(normed > 0.0, normed, 0.0).tobytes()
+        assert before.tobytes() == features.tobytes()
+        normed_value = norm(Value.constant(features), MeshContext(topology))
+        assert ReLU()(normed_value, None).data is normed_value.data
+        # The layer refuses a NaN column, so the kernel makes that norm output.
+        features[3, 1] = np.nan  # one NaN makes its whole column NaN
         with np.errstate(invalid="ignore"):
             normed = instance_norm_forward(features, norm.gamma.data, norm.beta.data)[0]
         assert np.isnan(normed[:, 1]).all() and np.signbit(normed[:, 2]).all()
         expected = np.where(normed > 0.0, normed, 0.0)
-        with np.errstate(invalid="ignore"):
-            out, _ = ModelGraph([norm, ReLU()]).forward(features, topology)
-            normed_value = norm(Value.constant(features), MeshContext(topology))
-            assert ReLU()(normed_value, None).data is normed_value.data
-        assert out.data.tobytes() == expected.tobytes()
-        assert before.tobytes() == features.tobytes()
+        assert ReLU()(_NormOutput(normed), None).data is normed
+        assert normed.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
+    def test_non_finite_scale_names_the_norm_layer(self, instance, value):
+        """A non-finite input, or one whose squares overflow, is refused
+        before ReLU can turn the NaN output into zeros."""
+        _, topology, features = instance
+        features = features.copy()
+        features[3, 1] = value
+        model = ModelGraph([InstanceNorm(3), ReLU()])
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteError, match=r"layer 0 \(instance_norm\)"):
+                model.forward(features, topology)
 
     def test_other_inputs_are_left_unchanged(self, instance):
         _, topology, features = instance

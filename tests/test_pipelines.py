@@ -18,9 +18,7 @@ from meshforms import (
     DatasetSpec,
     ExperimentConfig,
     config_hash,
-    evaluate_classification,
-    evaluate_denoising,
-    evaluate_segmentation,
+    evaluate,
     format_config,
     generate,
     parse_config,
@@ -33,7 +31,7 @@ from meshforms.autodiff import Value
 from meshforms.layers import ModelGraph
 from meshforms.config import MAX_WIDTH
 from meshforms.features import extract
-from meshforms.pipelines import DENOISING_REFERENCE_MSE, build_model
+from meshforms.pipelines import build_model
 from meshforms.topology import build_edge_topology
 
 
@@ -250,12 +248,6 @@ class TestMetricDefinitions:
         soft = soft_edge_accuracy(np.ones(50), predicted, labels)
         assert np.isclose(soft, np.mean(predicted == labels))
 
-    def test_reference_table_recorded(self):
-        assert DENOISING_REFERENCE_MSE["ff_identity"] == 0.05
-        assert DENOISING_REFERENCE_MSE["ff_to_ff"] == 0.0096
-        assert DENOISING_REFERENCE_MSE["xyz_identity"] == 0.01
-        assert DENOISING_REFERENCE_MSE["meshcnn5_to_xyz"] == 0.082
-
 
 class TestTraining:
     def test_one_epoch_on_eight_meshes(self):
@@ -387,7 +379,7 @@ class TestEvaluation:
         for s in samples:
             s.split = "test"
         ckpt = untrained_checkpoint(tiny_config(epochs=1), classes)
-        accuracy = evaluate_classification(ckpt, samples)
+        accuracy = evaluate(ckpt, "classification", samples)["test_accuracy"]
         n = len(samples)
         sigma = np.sqrt(0.25 * 0.75 / n)
         assert abs(accuracy - 1.0 / classes) <= 3 * sigma + 1e-9
@@ -395,7 +387,7 @@ class TestEvaluation:
     def test_no_graph_node_reachable_after_evaluation(self):
         samples = tiny_dataset()
         ckpt, _ = train(tiny_config(), samples)  # train ends with an evaluation
-        evaluate_classification(ckpt, samples)
+        evaluate(ckpt, "classification", samples)
         values = reachable_values(ckpt.model)
         assert [v for v in values if v.parents] == []
         assert sorted(map(id, values)) == sorted(map(id, ckpt.model.parameters().values()))
@@ -404,15 +396,15 @@ class TestEvaluation:
         samples = tiny_dataset()
         ckpt, _ = train(tiny_config(), samples)
         with pytest.raises(DataError):
-            evaluate_classification(ckpt, [s for s in samples if s.split == "train"][:0])
+            evaluate(ckpt, "classification", [s for s in samples if s.split == "train"][:0])
 
     def test_task_mismatch_rejected(self):
         samples = tiny_dataset()
         ckpt, _ = train(tiny_config(), samples)
         with pytest.raises(ConfigError):
-            evaluate_segmentation(ckpt, samples)
+            evaluate(ckpt, "segmentation", samples)
         with pytest.raises(ConfigError):
-            evaluate_denoising(ckpt, [], seed=0)
+            evaluate(ckpt, "denoising", [], seed=0)
 
 
 @pytest.mark.parametrize(
@@ -445,16 +437,40 @@ def test_evaluation_frees_each_graph_before_the_next_forward(
     monkeypatch.setattr(ModelGraph, "forward", watched)
     gc.disable()
     try:
-        if task == "classification":
-            evaluate_classification(ckpt, samples)
-        elif task == "segmentation":
-            evaluate_segmentation(ckpt, samples)
-        else:
-            evaluate_denoising(ckpt, samples, seed=1, variance=0.05)
+        evaluate(ckpt, task, samples, seed=1, variance=0.05)
     finally:
         gc.enable()
     assert len(alive_at_entry) >= 2 and len(previous) > 5
     assert alive_at_entry == [0] * len(alive_at_entry)
+
+
+@pytest.mark.parametrize(
+    "task, generator",
+    [
+        ("classification", "primitive-zoo"),
+        ("segmentation", "articulated-limbs"),
+        ("denoising", "primitive-zoo"),
+    ],
+)
+def test_training_and_evaluation_feed_the_model_the_same_bytes(task, generator, monkeypatch):
+    """One epoch without augmentation gives ``ModelGraph.forward`` the same
+    standardized array for each mesh as evaluating the trained checkpoint."""
+    train_only = [s for s in tiny_dataset(2, 3, generator=generator) if s.split == "train"]
+    forward = ModelGraph.forward
+    fed = []
+
+    def captured(model, features, topology):
+        fed.append(np.asarray(features).tobytes())
+        return forward(model, features, topology)
+
+    monkeypatch.setattr(ModelGraph, "forward", captured)
+    config = tiny_config(task=task, noise_variance=0.05)
+    ckpt, _ = train(config, train_only)  # no test split, so no evaluation
+    trained = sorted(fed)
+    fed.clear()
+    evaluate(ckpt, task, unsplit(train_only), seed=config.seed)
+    assert len(trained) == len(train_only) == len(set(trained))
+    assert sorted(fed) == trained
 
 
 def reachable_values(root):
@@ -522,12 +538,7 @@ def test_evaluation_builds_one_topology_per_test_mesh(task, generator, monkeypat
         return build_edge_topology(mesh)
 
     monkeypatch.setattr(pipelines, "build_edge_topology", counted)
-    if task == "classification":
-        evaluate_classification(ckpt, samples)
-    elif task == "segmentation":
-        evaluate_segmentation(ckpt, samples)
-    else:
-        evaluate_denoising(ckpt, samples, seed=1)
+    evaluate(ckpt, task, samples, seed=1)
     assert len(built) == sum(s.split == "test" for s in samples)
 
 
@@ -543,28 +554,29 @@ class TestDenoising:
         """Model and identity MSEs of an untrained model, bit for bit."""
         cfg = tiny_config(task="denoising", output_features=kind, noise_variance=0.05)
         ckpt = untrained_checkpoint(cfg, {"ff": 2, "xyz": 3}[kind])
-        assert evaluate_denoising(ckpt, tiny_dataset(), seed=4) == golden
+        metrics = evaluate(ckpt, "denoising", tiny_dataset(), seed=4)
+        assert (metrics["test_mse"], metrics["identity_mse"]) == golden
 
     def test_identity_baseline_zero_noise(self):
         ckpt = untrained_checkpoint(tiny_config(task="denoising"), 2)
-        _, ident = evaluate_denoising(ckpt, unsplit(tiny_dataset(2, 2)), seed=1, variance=0.0)
-        assert ident == 0.0
+        metrics = evaluate(ckpt, "denoising", unsplit(tiny_dataset(2, 2)), seed=1, variance=0.0)
+        assert metrics["identity_mse"] == 0.0
 
     def test_identity_baseline_positive_with_noise(self):
         samples = unsplit(tiny_dataset(2, 2))
         for kind, channels in (("ff", 2), ("xyz", 3)):
             cfg = tiny_config(task="denoising", output_features=kind)
-            _, ident = evaluate_denoising(
-                untrained_checkpoint(cfg, channels), samples, seed=1, variance=0.1
+            metrics = evaluate(
+                untrained_checkpoint(cfg, channels), "denoising", samples, seed=1, variance=0.1
             )
-            assert ident > 0.0
+            assert metrics["identity_mse"] > 0.0
 
     def test_xyz_identity_scales_with_noise_variance(self):
         # midpoint of two noisy endpoints has variance sigma^2/2 per channel
         ckpt = untrained_checkpoint(tiny_config(task="denoising", output_features="xyz"), 3)
         var = 0.02
-        _, ident = evaluate_denoising(ckpt, unsplit(tiny_dataset(1, 2)), seed=2, variance=var)
-        assert abs(ident - var / 2) < var * 0.25
+        metrics = evaluate(ckpt, "denoising", unsplit(tiny_dataset(1, 2)), seed=2, variance=var)
+        assert abs(metrics["identity_mse"] - var / 2) < var * 0.25
 
 
 class TestRotationProbe:
@@ -572,8 +584,8 @@ class TestRotationProbe:
         samples = tiny_dataset(2, 3)
         cfg = tiny_config(features="ff", epochs=1)
         ckpt, _ = train(cfg, samples)
-        base = evaluate_classification(ckpt, samples)
-        rotated = evaluate_classification(ckpt, samples, rotation_seed=5)
+        base = evaluate(ckpt, "classification", samples)
+        rotated = evaluate(ckpt, "classification", samples, rotation_seed=5)
         assert base == rotated  # invariant features: identical decisions
 
     def test_rotation_probe_extracts_once_per_test_mesh(self, monkeypatch):
@@ -586,5 +598,5 @@ class TestRotationProbe:
             return extract(topology, mesh, kind)
 
         monkeypatch.setattr(pipelines, "extract", counted)
-        evaluate_classification(ckpt, samples, rotation_seed=5)
+        evaluate(ckpt, "classification", samples, rotation_seed=5)
         assert len(kinds) == sum(s.split == "test" for s in samples)
