@@ -333,8 +333,8 @@ def evaluate(checkpoint: Checkpoint, task, samples, rotation_seed=None, seed=0, 
     unchanged). ``rotation_seed`` rotates every mesh's input source first
     (robustness probes); its inputs are extracted on the topology of the
     unrotated mesh, whose faces a rotation keeps, and edge labels stay.
-    Finite weights that overflow, in a norm layer's scale or in a metric, give
-    a DataError; every other model error keeps its type.
+    Finite weights that overflow, in a norm layer's scale, in the model output
+    or in a metric, give a DataError; every other model error keeps its type.
     """
     config = _checkpoint_config(checkpoint, task)
     if variance is None:
@@ -351,6 +351,10 @@ def evaluate(checkpoint: Checkpoint, task, samples, rotation_seed=None, seed=0, 
             noisy = extract(p.topology, p.source, config.output_kind).values
             scores.append((np.mean((out - p.target) ** 2), np.mean((p.target - noisy) ** 2)))
             continue
+        # an argmax scores even logits that overflowed after the last norm; a
+        # non-finite prediction already makes a de-noising metric non-finite
+        if not np.isfinite(out).all():
+            raise DataError("evaluation overflows: the model output is not finite")
         weights = 1.0
         if task == SEGMENTATION:
             ends = p.mesh.vertices[p.topology.edges]
@@ -360,7 +364,7 @@ def evaluate(checkpoint: Checkpoint, task, samples, rotation_seed=None, seed=0, 
     columns = (float(np.mean(column)) for column in zip(*scores))
     metrics = dict(zip(TEST_METRICS[task], columns))
     for name, value in metrics.items():
-        if not np.isfinite(value):  # an overflow after the last norm
+        if not np.isfinite(value):  # a de-noising prediction that overflowed
             raise DataError(f"evaluation gives a non-finite {name}")
     return metrics
 

@@ -45,7 +45,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, GraphError, IllegalCollapseError, MeshError, PoolTargetError
+from .errors import (
+    DataError,
+    GraphError,
+    IllegalCollapseError,
+    MeshError,
+    NonFiniteError,
+    PoolTargetError,
+)
 from .mesh import Mesh
 from .topology import SENTINEL, EdgeTopology
 
@@ -66,6 +73,10 @@ ILLEGAL_REASONS = (EDGE_REMOVED, BOUNDARY_EDGE, INCIDENT_BOUNDARY, LINK_CONDITIO
 # divides exactly as the float 3.0 does, and spares each row-sized ufunc call
 # the conversion of a Python float, which costs about as much as the division.
 _THREE = np.array(3.0)
+
+# the slots after slot k of a face, in ring order: (k + 1) % 3 and (k + 2) % 3
+_NEXT = (1, 2, 0)
+_AFTER_NEXT = (2, 0, 1)
 
 
 class CollapseRecord(NamedTuple):
@@ -197,13 +208,15 @@ class ScoreQueue:
     def __init__(self, scores):
         scores = np.asarray(scores, dtype=np.float64).tolist()
         self.version = [0] * len(scores)
-        self._heap = [(s, e, 0) for e, s in enumerate(scores)]
+        self._heap = list(zip(scores, range(len(scores)), itertools.repeat(0)))
         heapq.heapify(self._heap)
 
     def push(self, edge, score):
-        edge = int(edge)
-        self.version[edge] += 1
-        heapq.heappush(self._heap, (float(score), edge, self.version[edge]))
+        """Queue ``edge`` at ``score``. An int and a float, or numpy scalars of
+        them: ``np.float64`` is a float and compares as one."""
+        version = self.version
+        version[edge] += 1
+        heapq.heappush(self._heap, (score, edge, version[edge]))
 
     def pop_live(self, alive):
         """Smallest-score live entry, or None when exhausted."""
@@ -268,7 +281,7 @@ class PoolingState:
             else:
                 first = 3 * g
                 k = face_edges.index(edge, first, first + 3) - first
-                ring += (face_edges[first + (k + 1) % 3], face_edges[first + (k + 2) % 3])
+                ring += (face_edges[first + _NEXT[k]], face_edges[first + _AFTER_NEXT[k]])
         return tuple(ring)
 
     def link(self, w):
@@ -299,12 +312,15 @@ class PoolingState:
         u, v = self.edges[2 * edge], self.edges[2 * edge + 1]
         if u in self.boundary_vertices or v in self.boundary_vertices:
             return INCIDENT_BOUNDARY
-        link_u, link_v = self.link(u), self.link(v)
+        # a built link is read in place; link() builds a missing one and
+        # returns an empty built one as it is
+        links = self.links
+        link_u, link_v = links[u] or self.link(u), links[v] or self.link(v)
         common = link_u.keys() & link_v.keys()
         if len(common) != 2:
             return LINK_CONDITION
         for w in common:
-            if len(self.link(w)) < 4:
+            if len(links[w] or self.link(w)) < 4:
                 return SHARED_VALENCE
         if len(link_u) + len(link_v) < 7:
             return MERGED_VALENCE
@@ -318,12 +334,22 @@ class PoolingState:
             raise IllegalCollapseError(f"cannot collapse edge {edge}: {reason}")
         return self._collapse(int(edge))
 
-    def _collapse(self, e) -> CollapseRecord:
-        """Collapse edge ``e``, which :meth:`collapse_illegality` found legal."""
+    def _collapse(self, e, rescored=None) -> CollapseRecord:
+        """Collapse edge ``e``, which :meth:`collapse_illegality` found legal.
+
+        ``rescored(edge, score)``, when given, receives each survivor and its
+        new score, the Python float also stored in ``scores``.
+        """
         edges, edge_faces, face_edges, links = self.edges, self.edge_faces, self.face_edges, self.links
         u, v = edges[2 * e], edges[2 * e + 1]
         f1, f2 = edge_faces[2 * e], edge_faces[2 * e + 1]
-        a, b, c, d = self.ring(e)
+        # the ring (a, b, c, d) of the interior edge e, as ring() reads it
+        first = 3 * f1
+        k = face_edges.index(e, first, first + 3) - first
+        a, b = face_edges[first + _NEXT[k]], face_edges[first + _AFTER_NEXT[k]]
+        first = 3 * f2
+        k = face_edges.index(e, first, first + 3) - first
+        c, d = face_edges[first + _NEXT[k]], face_edges[first + _AFTER_NEXT[k]]
 
         # b and d are interior, so each one's other face is its face sum minus f1/f2
         fb = edge_faces[2 * b] + edge_faces[2 * b + 1] - f1
@@ -342,8 +368,8 @@ class PoolingState:
         np.add(new_c, feats[d], new_c)
         np.add(new_c, row_e, new_c)
         np.divide(new_c, _THREE, new_c)
-        self.scores[a] = math.sqrt(new_a.dot(new_a))
-        self.scores[c] = math.sqrt(new_c.dot(new_c))
+        score_a = self.scores[a] = math.sqrt(new_a.dot(new_a))
+        score_c = self.scores[c] = math.sqrt(new_c.dot(new_c))
 
         # faces: drop the collapsed pair, a and c take over b's and d's slots
         self.face_alive[f1] = False
@@ -366,7 +392,12 @@ class PoolingState:
 
         # merge v into u; a neighbor's link not built yet reads the new ends later
         for other, moved in link_v.items():
-            edges[2 * moved : 2 * moved + 2] = (u, other) if u < other else (other, u)
+            if u < other:
+                edges[2 * moved] = u
+                edges[2 * moved + 1] = other
+            else:
+                edges[2 * moved] = other
+                edges[2 * moved + 1] = u
             link_u[other] = moved
             link = links[other]
             if link is not None:
@@ -376,7 +407,11 @@ class PoolingState:
         if self.positions is not None:
             self.positions[u] = (self.positions[u] + self.positions[v]) / 2.0
 
-        return CollapseRecord(e, (a, c), (e, b, d), ((a, b, e), (c, d, e)))
+        if rescored is not None:
+            rescored(a, score_a)
+            rescored(c, score_c)
+        # tuple.__new__ skips the named tuple's generated __new__ and its arguments
+        return tuple.__new__(CollapseRecord, (e, (a, c), (e, b, d), ((a, b, e), (c, d, e))))
 
     # -- extraction ----------------------------------------------------------
 
@@ -389,9 +424,9 @@ class PoolingState:
     def _arrays(self):
         """The (E, 2) int64 edge array, and the live edge and face ids, ascending."""
         return (
-            np.array(self.edges, dtype=np.int64).reshape(-1, 2),
-            np.flatnonzero(np.array(self.edge_alive, dtype=bool)),
-            np.flatnonzero(np.array(self.face_alive, dtype=bool)),
+            _int64(self.edges).reshape(-1, 2),
+            np.flatnonzero(_flags(self.edge_alive)),
+            np.flatnonzero(_flags(self.face_alive)),
         )
 
     def compact(self):
@@ -408,8 +443,8 @@ class PoolingState:
         face_map[live_faces] = np.arange(len(live_faces))
         edges = edges[live]
         edges = self._vertex_map(edges)[1][edges]
-        edge_faces = face_map[np.array(self.edge_faces, dtype=np.int64).reshape(-1, 2)[live]]
-        face_edges = edge_map[np.array(self.face_edges, dtype=np.int64).reshape(-1, 3)[live_faces]]
+        edge_faces = face_map[_int64(self.edge_faces).reshape(-1, 2)[live]]
+        face_edges = edge_map[_int64(self.face_edges).reshape(-1, 3)[live_faces]]
         return self.features[live], EdgeTopology(edges, edge_faces, face_edges)
 
     def export_mesh(self) -> Mesh:
@@ -419,11 +454,21 @@ class PoolingState:
         edges, live, live_faces = self._arrays()
         used, vertex_map = self._vertex_map(edges[live])
         # corner k of a face is the vertex its edge slots k - 1 and k share
-        ends = edges[np.array(self.face_edges, dtype=np.int64).reshape(-1, 3)[live_faces]]
+        ends = edges[_int64(self.face_edges).reshape(-1, 3)[live_faces]]
         prev = ends[:, [2, 0, 1]]
         first = prev[..., :1]
         corners = np.where((first == ends).any(axis=-1), prev[..., 0], prev[..., 1])
         return Mesh(self.positions[used], vertex_map[corners])
+
+
+def _int64(values):
+    """A flat int list as an int64 array."""
+    return np.fromiter(values, np.int64, len(values))
+
+
+def _flags(values):
+    """A list of bools as a read-only bool array over its bytes."""
+    return np.frombuffer(bytes(values), bool)
 
 
 @dataclass
@@ -472,6 +517,8 @@ def pool(
     ``ENHANCED`` rescores the two survivors after every collapse;
     ``BATCH_LEGACY`` walks the selection order frozen at entry. Each pop asks
     :meth:`PoolingState.collapse_illegality` once; a legal collapse runs unchecked.
+    Features whose entry score is NaN raise NonFiniteError; an infinite score
+    ranks last.
     """
     if policy not in POLICIES:
         raise GraphError(f"unknown pooling policy {policy!r}")
@@ -481,24 +528,32 @@ def pool(
             f"pool target {target_edges} is not below the current edge count "
             f"{state.live_edge_count}"
         )
+    # a NaN score has no place in the heap's order; scores are not negative,
+    # so their sum is NaN exactly when one of them is
+    if math.isnan(state.scores.sum()):
+        raise NonFiniteError("pooling features hold a NaN")
     history = PoolHistory(
         initial_edge_count=state.live_edge_count, final_edge_count=state.live_edge_count
     )
     illegal = Counter()
     rebuilds = 0
     # the one array the queue ranks by: the live scores, or a copy frozen at entry
-    ranks = state.scores if policy == ENHANCED else state.scores.copy()
+    rescore = policy == ENHANCED
+    ranks = state.scores if rescore else state.scores.copy()
     queue = ScoreQueue(ranks)
+    push = queue.push if rescore else None
     # looked up once per call; a wrapper installed on the class before the call sees every pop
     illegality, collapse, append = state.collapse_illegality, state._collapse, history.records.append
+    alive = state.edge_alive
     progressed = True
     while state.live_edge_count > target_edges:
-        edge = queue.pop_live(state.edge_alive)
+        edge = queue.pop_live(alive)
         if edge is None:
             if not progressed:
                 raise PoolTargetError(target_edges, state.live_edge_count)
             # every remaining entry was consumed or stale; rank the survivors again
-            queue = ScoreQueue(np.where(state.edge_alive, ranks, np.inf))
+            queue = ScoreQueue(np.where(alive, ranks, np.inf))
+            push = queue.push if rescore else None
             rebuilds += 1
             progressed = False
             continue
@@ -506,12 +561,8 @@ def pool(
         if reason is not None:
             illegal[reason] += 1
             continue
-        record = collapse(edge)
-        append(record)
+        append(collapse(edge, push))
         progressed = True
-        if ranks is state.scores:
-            for survivor in record.surviving_edges:
-                queue.push(survivor, ranks[survivor])
     history.final_edge_count = state.live_edge_count
     out_features, out_topology = state.compact()
     stats = PoolStats(len(history.records), dict(illegal), rebuilds)
@@ -572,9 +623,7 @@ def pool_backward(grad_pooled, history: PoolHistory) -> np.ndarray:
         raise MeshError("gradient rows do not match pooled edge count")
     out = np.zeros((history.initial_edge_count, g.shape[1]))
     out[history.surviving_ids()] = g
-    for rec in reversed(history.records):
-        a, c = rec.surviving_edges
-        e, b, d = rec.removed_edges
+    for _, (a, c), (e, b, d), _ in reversed(history.records):
         ga, gc, ge = out[a], out[c], out[e]  # row views
         np.add(ga, gc, ge)
         np.divide(ge, _THREE, ge)

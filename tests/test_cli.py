@@ -1134,6 +1134,37 @@ def test_overflow_inside_the_network_exit_2(task, cli_dataset, xyz_segmentation,
     assert err.startswith("error: evaluation overflows: layer 1 (instance_norm): non-finite")
 
 
+# Parameters no InstanceNorm scale check sees: the last norm's gamma and beta,
+# and the weights of the Dense layer after it. The segmentation model's beta
+# at 1e308 leaves its logits finite, so it has no case here.
+AFTER_THE_LAST_NORM = {
+    "classification": ("layer1.gamma", "layer1.beta", "layer5.weights"),
+    "segmentation": ("layer14.gamma", "layer16.weights"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "task, name", [(task, name) for task, names in AFTER_THE_LAST_NORM.items() for name in names]
+)
+def test_overflow_after_the_last_norm_exit_2(
+    task, name, cli_dataset, xyz_segmentation, tmp_path, capsys
+):
+    """With every value of ``name`` at 1e308 the logits are not finite, and an
+    argmax would still score them; ``eval`` prints no report."""
+    if task == "classification":
+        data, path = cli_dataset, untrained_checkpoint(tmp_path / "m.ckpt", task)
+    else:
+        data, path = xyz_segmentation
+    ckpt = Checkpoint.load(path)
+    ckpt.model.parameters()[name].data[:] = 1e308
+    ckpt.save(tmp_path / "big.ckpt")
+    code, stdout, err = run(["eval", "--checkpoint", tmp_path / "big.ckpt", "--data", data], capsys)
+    assert (code, stdout, err) == (
+        2, "", "error: evaluation overflows: the model output is not finite\n"
+    )
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflow_inside_the_network_while_training_exit_3(cli_dataset, tmp_path, capsys):
     """A step that overflows the next forward is a diverged run, not bad data."""

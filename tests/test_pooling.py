@@ -1,6 +1,7 @@
 """Edge-collapse pooling: soundness fuzz, policy divergence, unpooling."""
 
 import hashlib
+import heapq
 import json
 import math
 from collections import Counter
@@ -17,6 +18,7 @@ from meshforms import (
     GraphError,
     IllegalCollapseError,
     MeshFormsError,
+    NonFiniteError,
     PoolHistory,
     PoolingState,
     PoolTargetError,
@@ -286,6 +288,62 @@ class TestScoreQueue:
         assert q.pop_live(alive) == 1
 
 
+# few distinct values, so ties are common; inf is what a rebuild gives the dead
+TIED_SCORES = st.sampled_from([0.0, 0.5, 1.0, 2.5, math.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scores=st.lists(TIED_SCORES, min_size=1, max_size=12),
+    operations=st.lists(
+        st.one_of(
+            st.tuples(st.just("push"), st.integers(0, 11), TIED_SCORES, st.booleans()),
+            st.tuples(st.just("kill"), st.integers(0, 11)),
+            st.just(("pop",)),
+            st.just(("rebuild",)),
+        ),
+        max_size=60,
+    ),
+)
+def test_queue_pops_as_a_heap_of_tuples(scores, operations):
+    """``ScoreQueue`` pops in the order of a plain ``heapq`` of (score, edge,
+    version) tuples: ties go to the smaller edge, stale versions and dead
+    edges are skipped, a push of a numpy float ranks as the Python float, and
+    a rebuild ranks the live edges' last scores and the dead ones at inf."""
+    n = len(scores)
+    alive, last = [True] * n, list(scores)
+    queue = ScoreQueue(np.array(scores))
+    heap, version = [(s, e, 0) for e, s in enumerate(scores)], [0] * n
+    heapq.heapify(heap)
+
+    def reference_pop():
+        while heap:
+            _, edge, stamp = heapq.heappop(heap)
+            if stamp == version[edge] and alive[edge]:
+                return edge
+        return None
+
+    for op, *args in operations:
+        if op == "push":
+            edge, score, as_numpy = args[0] % n, args[1], args[2]
+            last[edge] = score
+            queue.push(edge, np.float64(score) if as_numpy else score)
+            version[edge] += 1
+            heapq.heappush(heap, (score, edge, version[edge]))
+        elif op == "kill":
+            alive[args[0] % n] = False
+        elif op == "pop":
+            assert queue.pop_live(alive) == reference_pop()
+        else:
+            ranks = np.where(alive, last, np.inf)
+            queue = ScoreQueue(ranks)
+            heap, version = [(s, e, 0) for e, s in enumerate(ranks.tolist())], [0] * n
+            heapq.heapify(heap)
+    while (edge := reference_pop()) is not None:
+        assert queue.pop_live(alive) == edge
+    assert queue.pop_live(alive) is None
+
+
 @pytest.fixture(scope="module")
 def oracle_meshes():
     """Closed fuzz meshes, the same with holes, and one with a tetrahedron beside it."""
@@ -532,6 +590,26 @@ class TestPool:
                 assert 0 <= nb < out.edge_count
                 assert e in out.neighbors[nb]
         assert validate_manifold(result.state.export_mesh()).is_clean
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_nan_feature_refused(self, policy):
+        """A NaN score has no place in the queue's order."""
+        topology = build_edge_topology(fuzz_corpus(1, seed=3)[0])
+        features = np.random.default_rng(0).normal(size=(topology.edge_count, 3))
+        features[7, 1] = np.nan
+        with pytest.raises(NonFiniteError, match="NaN"):
+            pool(features, topology, topology.edge_count - 9, policy=policy)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_infinite_feature_ranks_last(self, policy):
+        topology = build_edge_topology(fuzz_corpus(1, seed=3)[0])
+        features = np.random.default_rng(0).normal(size=(topology.edge_count, 3))
+        target = topology.edge_count - 9
+        first = pool(features, topology, target, policy=policy).history.records[0].collapsed_edge
+        features[first, 0] = np.inf
+        records = pool(features, topology, target, policy=policy).history.records
+        assert len(records) == 3
+        assert first not in [record.collapsed_edge for record in records]
 
     def test_does_not_mutate_inputs(self, icosahedron):
         topology = build_edge_topology(icosahedron)
