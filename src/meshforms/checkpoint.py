@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import pathlib
 import struct
 
 import numpy as np
@@ -43,28 +44,20 @@ class Checkpoint:
             raise GraphError(f"checkpoint meta has no {key!r}") from None
 
     def to_bytes(self) -> bytes:
-        params = self.model.parameters()
-        blob_order = list(params.keys())
-        blobs = [np.ascontiguousarray(params[k].data, dtype="<f8") for k in blob_order]
-        shapes = {k: list(params[k].data.shape) for k in blob_order}
-        for tag, arr in zip(_STATS, (self.channel_stats.mean, self.channel_stats.std)):
-            blob_order.append(tag)
-            blobs.append(np.ascontiguousarray(arr, dtype="<f8"))
-            shapes[tag] = [int(arr.shape[0])]
+        arrays = {name: value.data for name, value in self.model.parameters().items()}
+        arrays.update(zip(_STATS, (self.channel_stats.mean, self.channel_stats.std)))
+        blobs = {name: np.ascontiguousarray(arr, dtype="<f8") for name, arr in arrays.items()}
         header = {
             "layers": self.model.spec(),
             "pooling_policy": self.model.pooling_policy,
             "has_channel_stats": True,
-            "blob_order": blob_order,
-            "blob_shapes": shapes,
+            "blob_order": list(blobs),
+            "blob_shapes": {name: list(blob.shape) for name, blob in blobs.items()},
             "meta": self.meta,
         }
-        header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode(
-            "utf-8"
-        )
-        out = [_PREFIX.pack(_MAGIC, FORMAT_VERSION, len(header_bytes)), header_bytes]
-        out.extend(b.tobytes() for b in blobs)
-        return b"".join(out)
+        header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        prefix = _PREFIX.pack(_MAGIC, FORMAT_VERSION, len(header_bytes))
+        return b"".join([prefix, header_bytes, *(blob.tobytes() for blob in blobs.values())])
 
     @staticmethod
     def from_bytes(data: bytes) -> "Checkpoint":
@@ -106,9 +99,7 @@ class Checkpoint:
             if shape != stored[name]:
                 raise CheckpointError(f"checkpoint blob shape mismatch for {name}")
         try:
-            model = ModelGraph.from_spec(
-                header["layers"], seed=0, pooling_policy=header["pooling_policy"]
-            )
+            model = ModelGraph.from_spec(header["layers"], header["pooling_policy"])
         except (ValueError, KeyError, TypeError, GraphError) as err:
             raise CheckpointError("checkpoint header corrupt") from err
         blobs = {}
@@ -128,12 +119,8 @@ class Checkpoint:
         return Checkpoint(model, stats, meta)
 
     def save(self, path):
-        import pathlib
-
         pathlib.Path(path).write_bytes(self.to_bytes())
 
     @staticmethod
     def load(path) -> "Checkpoint":
-        import pathlib
-
         return Checkpoint.from_bytes(pathlib.Path(path).read_bytes())

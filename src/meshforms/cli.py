@@ -23,7 +23,7 @@ from .errors import ConfigError, DataError, GraphError, MeshError, MeshFormsErro
 from .features import (KIND_TOKENS, extract, feature_norms, fit_channel_stats, normalize,
                        write_features)
 from .mesh import normalize_unit_box, parse_obj, save_obj
-from .pooling import ENHANCED, POLICIES, pool
+from .pooling import ENHANCED, MIN_TARGET_GAP, POLICIES, pool
 from .topology import build_edge_topology, validate_manifold
 
 
@@ -87,8 +87,9 @@ def cmd_features(args):
 
 def cmd_pool_trace(args):
     targets = args.targets
-    if not targets or any(b >= a for a, b in zip(targets, targets[1:])):
-        print("error: targets must be strictly decreasing", file=sys.stderr)
+    if not targets or any(a - b < MIN_TARGET_GAP for a, b in zip(targets, targets[1:])):
+        print(f"error: targets must each be at least {MIN_TARGET_GAP} below the previous",
+              file=sys.stderr)
         return 1
     mesh, topology = _load_topology(args.mesh)
     mesh = normalize_unit_box(mesh)
@@ -322,7 +323,8 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # no warnings: finiteness is checked where it matters
+            return args.func(args)
     except (DataError, MeshError, OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

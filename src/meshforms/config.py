@@ -13,7 +13,8 @@ Keys (defaults in parentheses):
     output_features      ff | xyz, denoising target kind (ff)
     pooling              enhanced | legacy  (enhanced)
     conv_channels        comma list of conv widths, each 1..MAX_WIDTH  (16,32)
-    pool_targets         comma list of edge targets, strictly decreasing
+    pool_targets         comma list of positive edge targets, each at least 3 below
+                         the one before (a stage may end 2 below)  (350,210)
     epochs               (100)
     batch_size           gradient-accumulation group size (8)
     optimizer            adam | sgd  (adam)
@@ -37,7 +38,7 @@ from numbers import Integral, Real
 from .errors import ConfigError
 from .features import KIND_CHANNELS, KIND_TOKENS, OUTPUT_TOKENS
 from .optim import METHODS
-from .pooling import ENHANCED, POLICIES
+from .pooling import ENHANCED, MIN_TARGET_GAP, POLICIES
 
 CLASSIFICATION = "classification"
 SEGMENTATION = "segmentation"
@@ -91,9 +92,11 @@ class ExperimentConfig:
         if not self.conv_channels:
             raise ConfigError("at least one conv stage is required")
         if any(t <= 0 for t in self.pool_targets) or any(
-            a <= b for a, b in zip(self.pool_targets, self.pool_targets[1:])
+            a - b < MIN_TARGET_GAP for a, b in zip(self.pool_targets, self.pool_targets[1:])
         ):
-            raise ConfigError("pool_targets must be positive and strictly decreasing")
+            raise ConfigError(
+                f"pool_targets must be positive, each at least {MIN_TARGET_GAP} below the previous"
+            )
         if self.channel_mask:
             kind = KIND_TOKENS[self.features]
             if len(self.channel_mask) != KIND_CHANNELS[kind]:

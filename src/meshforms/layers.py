@@ -275,13 +275,13 @@ _PARAMETER_SHAPES = {
 }
 
 _LAYER_BUILDERS = {
-    "mesh_conv": lambda spec, rng: MeshConv(spec["in"], spec["out"], rng),
-    "instance_norm": lambda spec, rng: InstanceNorm(spec["channels"]),
-    "relu": lambda spec, rng: ReLU(),
-    "pool": lambda spec, rng: Pool(spec["target"]),
-    "unpool": lambda spec, rng: Unpool(),
-    "global_average_pool": lambda spec, rng: GlobalAveragePool(),
-    "dense": lambda spec, rng: Dense(spec["in"], spec["out"], rng),
+    "mesh_conv": lambda spec: MeshConv(spec["in"], spec["out"]),
+    "instance_norm": lambda spec: InstanceNorm(spec["channels"]),
+    "relu": lambda spec: ReLU(),
+    "pool": lambda spec: Pool(spec["target"]),
+    "unpool": lambda spec: Unpool(),
+    "global_average_pool": lambda spec: GlobalAveragePool(),
+    "dense": lambda spec: Dense(spec["in"], spec["out"]),
 }
 
 
@@ -332,14 +332,14 @@ class ModelGraph:
                     raise GraphError(f"layer {i}: unpool without a matching pool")
 
     @staticmethod
-    def from_spec(spec_list, seed=0, pooling_policy=ENHANCED):
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+    def from_spec(spec_list, pooling_policy=ENHANCED):
+        """The model a checkpoint header's ``spec_list`` describes, with zero weights."""
         layers = []
         for spec in spec_list:
             kind = spec["type"]
             if kind not in _LAYER_BUILDERS:
                 raise GraphError(f"unknown layer type {kind!r}")
-            layers.append(_LAYER_BUILDERS[kind](spec, rng))
+            layers.append(_LAYER_BUILDERS[kind](spec))
         return ModelGraph(layers, pooling_policy=pooling_policy)
 
     @staticmethod

@@ -28,7 +28,8 @@ from .config import (
 from .datasets import TEST, TRAIN, add_vertex_noise, augment, in_test_split
 from .errors import ConfigError, DataError, GraphError, NonFiniteError
 from .features import extract, fit_channel_stats
-from .layers import ModelGraph, cross_entropy, mse
+from .layers import (Dense, GlobalAveragePool, InstanceNorm, MeshConv, ModelGraph, Pool, ReLU,
+                     Unpool, cross_entropy, mse)
 from .mesh import normalize_unit_box
 from .optim import Optimizer
 from .pooling import BATCH_LEGACY, ENHANCED
@@ -160,30 +161,22 @@ def _class_count(config, samples, prepared):
 
 
 def build_model(config: ExperimentConfig, in_channels, out_dim):
-    """Encoder (+decoder for per-edge outputs) per the config's stage lists."""
-    spec = []
+    """Encoder (+decoder for per-edge outputs) per the config's stage lists,
+    with Glorot weights drawn in layer order from the config's seed."""
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    layers = []
     prev = in_channels
     for width, target in zip(config.conv_channels, config.pool_targets):
-        spec.append({"type": "mesh_conv", "in": prev, "out": width})
-        spec.append({"type": "instance_norm", "channels": width})
-        spec.append({"type": "relu"})
-        spec.append({"type": "pool", "target": target})
+        layers += [MeshConv(prev, width, rng), InstanceNorm(width), ReLU(), Pool(target)]
         prev = width
     if config.task == CLASSIFICATION:
-        spec.append({"type": "global_average_pool"})
-        spec.append({"type": "dense", "in": prev, "out": out_dim})
+        layers.append(GlobalAveragePool())
     else:
-        decoder_widths = list(reversed(config.conv_channels[:-1])) + [
-            config.conv_channels[0]
-        ]
-        for width in decoder_widths:
-            spec.append({"type": "unpool"})
-            spec.append({"type": "mesh_conv", "in": prev, "out": width})
-            spec.append({"type": "instance_norm", "channels": width})
-            spec.append({"type": "relu"})
+        for width in [*reversed(config.conv_channels[:-1]), config.conv_channels[0]]:
+            layers += [Unpool(), MeshConv(prev, width, rng), InstanceNorm(width), ReLU()]
             prev = width
-        spec.append({"type": "dense", "in": prev, "out": out_dim})
-    return ModelGraph.from_spec(spec, seed=config.seed, pooling_policy=config.pooling)
+    layers.append(Dense(prev, out_dim, rng))
+    return ModelGraph(layers, pooling_policy=config.pooling)
 
 
 def _forward(model, stats, inputs_raw, topology):

@@ -60,6 +60,11 @@ ENHANCED = "enhanced"
 BATCH_LEGACY = "legacy"
 POLICIES = (ENHANCED, BATCH_LEGACY)
 
+# A collapse removes three edges, so pooling stops 0-2 edges below its target,
+# and a next stage's target is below the count reached on every mesh only when
+# it is at least this many edges lower.
+MIN_TARGET_GAP = 3
+
 EDGE_REMOVED = "edge already removed"
 BOUNDARY_EDGE = "boundary edge"
 INCIDENT_BOUNDARY = "incident boundary edge"

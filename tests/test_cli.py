@@ -20,15 +20,19 @@ from meshforms import (
     Checkpoint,
     ConfigError,
     ExperimentConfig,
+    ModelGraph,
+    build_edge_topology,
+    extract,
+    load_dataset,
     parse_obj,
     pipelines,
     read_features,
     validate_manifold,
 )
 from meshforms.cli import main
-from meshforms.datasets import GENERATORS, _random_rotation
+from meshforms.datasets import GENERATORS, _random_rotation, in_test_split
 from meshforms.features import FF, KIND_TOKENS, OUTPUT_TOKENS, XYZ
-from meshforms.mesh import RigidMotion, apply_motion, write_obj
+from meshforms.mesh import RigidMotion, apply_motion, normalize_unit_box, write_obj
 from meshforms.optim import METHODS
 from meshforms.pooling import ENHANCED, POLICIES
 
@@ -379,6 +383,19 @@ class TestPoolTrace:
         assert "not a positive edge count" in err
         assert stdout == "" and not out.exists()
 
+    def test_targets_closer_than_a_collapse_exit_1(self, tmp_path, capsys):
+        """A stage may end 2 edges below its target, so a next target less than
+        3 lower is refused before anything is written."""
+        path, _ = self._sphere_path(tmp_path)
+        out = tmp_path / "t"
+        code, stdout, err = run(
+            ["pool-trace", "--mesh", path, "--features", "ff", "--targets", "100,99", "--out", out],
+            capsys,
+        )
+        assert (code, stdout) == (1, "")
+        assert err == "error: targets must each be at least 3 below the previous\n"
+        assert not out.exists()
+
     def test_non_decreasing_targets_exit_1(self, tmp_path, capsys):
         path = tmp_path / "tetra.obj"
         path.write_bytes(TETRA_OBJ)
@@ -642,6 +659,40 @@ class TestTrainEval:
         )
         assert code2 == 0
         assert "test_accuracy = " in stdout2
+
+    def test_channel_mask_keeps_the_masked_columns(self, cli_dataset, tmp_path, capsys, monkeypatch):
+        """With ``channel_mask=1,0`` on ff the first conv takes one channel and
+        the model reads feature column 0; ``eval`` re-applies the mask from the
+        checkpoint meta. A de-noising run keeps column 1 with ``0,1``."""
+        train = ["train", "--data", cli_dataset, "--set", "epochs=1",
+                 "--set", "conv_channels=4", "--set", "pool_targets=100", "--seed", "3"]
+        ckpt = tmp_path / "m.ckpt"
+        code, stdout, _ = run([*train, "--out", ckpt, "--set", "channel_mask=1,0"], capsys)
+        assert code == 0
+        trained = Checkpoint.load(ckpt)
+        assert trained.model.parameters()["layer0.weights"].data.shape == (5, 1, 4)
+        assert trained.meta["channel_mask"] == [1, 0]
+        inputs = []
+        forward = ModelGraph.forward
+        monkeypatch.setattr(
+            ModelGraph, "forward", lambda model, x, t: inputs.append(x) or forward(model, x, t)
+        )
+        code, evaluated, _ = run(["eval", "--checkpoint", ckpt, "--data", cli_dataset], capsys)
+        assert code == 0
+        accuracy = evaluated.splitlines()[-1].split(" = ")[1]
+        assert stdout.splitlines()[-1].split() == ["test_accuracy", accuracy]
+        mesh = normalize_unit_box(load_dataset(cli_dataset, keep=in_test_split)[0].mesh)
+        column = extract(build_edge_topology(mesh), mesh, FF).values[:, [0]]
+        stats = trained.channel_stats
+        assert np.array_equal(inputs[0], (column - stats.mean) / stats.std)
+
+        ckpt = tmp_path / "d.ckpt"
+        code, _, _ = run(
+            [*train, "--out", ckpt, "--set", "task=denoising", "--set", "channel_mask=0,1"], capsys
+        )
+        assert code == 0
+        assert Checkpoint.load(ckpt).model.parameters()["layer0.weights"].data.shape == (5, 1, 4)
+        assert run(["denoise", "--checkpoint", ckpt, "--data", cli_dataset], capsys)[0] == 0
 
     def test_train_reads_each_dataset_file_once(self, cli_dataset, tmp_path, capsys, read_counts):
         files, expected = dataset_files_and_hash(cli_dataset)
@@ -952,7 +1003,23 @@ class TestTrainEval:
         assert (code, stdout, err) == (2, "", f"error: {message}\n")
         assert not (tmp_path / "m.ckpt").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("targets", ["110,109", "110,108", "100,99"])
+    def test_pool_targets_closer_than_a_collapse_exit_2(self, cli_dataset, tmp_path, targets, capsys):
+        """Targets fewer than 3 apart could crash mid-run on a mesh whose
+        first stage ends at or below the second target; nothing is trained."""
+        code, stdout, err = run(
+            [
+                "train", "--data", cli_dataset, "--out", tmp_path / "m.ckpt",
+                "--set", "conv_channels=4,6", "--set", f"pool_targets={targets}",
+            ],
+            capsys,
+        )
+        message = "pool_targets must be positive, each at least 3 below the previous"
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "m.ckpt").exists()
+        assert ExperimentConfig(pool_targets=(110, 107)).pool_targets == (110, 107)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_weights_exit_2(self, cli_dataset, tmp_path, capsys):
         """Finite weights whose prediction overflows give no report."""
         ckpt = Checkpoint.load(untrained_checkpoint(tmp_path / "m.ckpt", "denoising"))
@@ -964,7 +1031,7 @@ class TestTrainEval:
         )
         assert (code, stdout, err) == (2, "", "error: evaluation gives a non-finite test_mse\n")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_extreme_blob_values_exit_0_finite_or_2_empty(
@@ -1116,7 +1183,7 @@ def test_eval_rotate_seed_probes_segmentation(xyz_segmentation, capsys):
     assert len(accuracies) == 3
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("task", ["classification", "segmentation"])
 def test_overflow_inside_the_network_exit_2(task, cli_dataset, xyz_segmentation, tmp_path, capsys):
     """With every first-layer weight at 1e308 the InstanceNorm output is NaN,
@@ -1132,6 +1199,7 @@ def test_overflow_inside_the_network_exit_2(task, cli_dataset, xyz_segmentation,
     code, stdout, err = run(["eval", "--checkpoint", tmp_path / "big.ckpt", "--data", data], capsys)
     assert (code, stdout) == (2, "")
     assert err.startswith("error: evaluation overflows: layer 1 (instance_norm): non-finite")
+    assert err.count("\n") == 1
 
 
 # Parameters no InstanceNorm scale check sees: the last norm's gamma and beta,
@@ -1143,7 +1211,7 @@ AFTER_THE_LAST_NORM = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "task, name", [(task, name) for task, names in AFTER_THE_LAST_NORM.items() for name in names]
 )
@@ -1165,7 +1233,7 @@ def test_overflow_after_the_last_norm_exit_2(
     )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_inside_the_network_while_training_exit_3(cli_dataset, tmp_path, capsys):
     """A step that overflows the next forward is a diverged run, not bad data."""
     code, stdout, err = run(

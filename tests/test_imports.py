@@ -212,3 +212,29 @@ def test_model_state_perfbench_reads_exists():
     assert (ctx.stack, ctx.histories) == ([], [])
     model = layers.ModelGraph([layers.Pool(2)], pooling_policy="legacy")
     assert [p.target_edges for p in model.layers] == [2] and model.pooling_policy == "legacy"
+
+
+def spelled_strings(source, words):
+    """``(line, string)`` for each string constant of ``source`` that is one of ``words``."""
+    return sorted(
+        (node.lineno, node.value)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in words
+    )
+
+
+def test_detects_a_spelled_layer_type():
+    source = '"""pool the relu"""\nspec = {"type": "relu", "target": 3}\n'
+    assert spelled_strings(source, {"relu", "pool"}) == [(2, "relu")]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "layers.py"],
+    ids=lambda p: p.name,
+)
+def test_only_layers_spells_a_layer_type(path):
+    """Checkpoint headers name layer types, a vocabulary ``layers.py`` declares
+    once; every other module builds layers from their classes."""
+    layer_types = set(importlib.import_module("meshforms.layers")._LAYER_BUILDERS)
+    assert spelled_strings(path.read_text(), layer_types) == []

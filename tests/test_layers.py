@@ -15,10 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshforms import (
+    FF,
     Checkpoint,
     CheckpointError,
     ChannelStats,
+    DatasetSpec,
     Dense,
+    ExperimentConfig,
     GlobalAveragePool,
     GraphError,
     InstanceNorm,
@@ -32,9 +35,12 @@ from meshforms import (
     Value,
     build_edge_topology,
     cross_entropy,
+    extract,
+    generate,
     mse,
 )
 from meshforms.layers import MeshContext, _NormOutput
+from meshforms.pipelines import build_model
 
 from algebra import (
     add,
@@ -432,25 +438,23 @@ def test_instance_norm_is_one_node_holding_no_edge_sized_array(instance):
     assert len(arrays) == 4 and len(own) == 2 and all(a.shape == (1, 3) for a in own)
 
 
-def encoder_decoder(edges):
-    """Spec of a two-stage encoder-decoder on 3 input channels with a 3-class head."""
+def encoder_decoder(edges, seed):
+    """A two-stage encoder-decoder on 3 input channels with a 3-class head,
+    its Glorot weights drawn in layer order from ``seed``."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     def block(cin, cout):
-        return [
-            {"type": "mesh_conv", "in": cin, "out": cout},
-            {"type": "instance_norm", "channels": cout},
-            {"type": "relu"},
-        ]
+        return [MeshConv(cin, cout, rng), InstanceNorm(cout), ReLU()]
 
-    return (
+    return ModelGraph(
         block(3, 4)
-        + [{"type": "pool", "target": edges - 24}]
+        + [Pool(edges - 24)]
         + block(4, 6)
-        + [{"type": "pool", "target": edges - 48}, {"type": "unpool"}]
+        + [Pool(edges - 48), Unpool()]
         + block(6, 4)
-        + [{"type": "unpool"}]
+        + [Unpool()]
         + block(4, 4)
-        + [{"type": "dense", "in": 4, "out": 3}]
+        + [Dense(4, 3, rng)]
     )
 
 
@@ -459,7 +463,7 @@ def graph_step(instance, made_arrays):
     """(model, features, topology, labels, made): ``made`` gets a weak reference
     to each new node's array as the node is made, one per layer call."""
     _, topology, features = instance
-    model = ModelGraph.from_spec(encoder_decoder(topology.edge_count), seed=3)
+    model = encoder_decoder(topology.edge_count, seed=3)
     labels = np.arange(topology.edge_count) % 3
     gc.disable()
     yield model, features, topology, labels, made_arrays
@@ -720,14 +724,9 @@ def _header(**changes):
 
 class TestCheckpoint:
     def _model(self):
-        spec = [
-            {"type": "mesh_conv", "in": 2, "out": 4},
-            {"type": "instance_norm", "channels": 4},
-            {"type": "relu"},
-            {"type": "global_average_pool"},
-            {"type": "dense", "in": 4, "out": 3},
-        ]
-        return ModelGraph.from_spec(spec, seed=9)
+        rng = np.random.default_rng(np.random.SeedSequence(9))
+        layers = [MeshConv(2, 4, rng), InstanceNorm(4), ReLU(), GlobalAveragePool(), Dense(4, 3, rng)]
+        return ModelGraph(layers)
 
     def test_round_trip_bitwise(self):
         model = self._model()
@@ -838,10 +837,31 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="statistics corrupt: mean/std shape mismatch"):
             Checkpoint.from_bytes(self._edited(short_std))
 
-    def test_parameter_shapes_are_the_built_shapes(self):
-        model = self._model()
+    @pytest.mark.parametrize(
+        "task, pooling",
+        [("classification", "enhanced"), ("segmentation", "legacy"), ("denoising", "enhanced")],
+    )
+    def test_parameter_shapes_are_the_built_shapes(self, task, pooling):
+        """The shapes a loader checks a header against are those ``build_model``
+        allocates, and the header's decoder gives the same model: the same spec,
+        zero weights, and with the parameters copied over the same output bytes."""
+        mesh = generate(DatasetSpec("primitive-zoo", 1, 1, edge_range=(150, 260), seed=4))[0].mesh
+        topology = build_edge_topology(mesh)
+        features = extract(topology, mesh, FF).values
+        config = ExperimentConfig(
+            task=task, pooling=pooling, conv_channels=(4, 6), pool_targets=(120, 90), seed=5
+        )
+        model = build_model(config, 2, 3)
         shapes = {name: value.data.shape for name, value in model.parameters().items()}
         assert ModelGraph.parameter_shapes(model.spec()) == shapes
+        decoded = ModelGraph.from_spec(model.spec(), model.pooling_policy)
+        assert (decoded.spec(), decoded.pooling_policy) == (model.spec(), pooling)
+        params = decoded.parameters()
+        assert not any(params[name].data.any() for name in params if name.endswith(".weights"))
+        for name, value in model.parameters().items():
+            params[name].data = value.data.copy()
+        out = model.forward(features, topology)[0].data
+        assert decoded.forward(features, topology)[0].data.tobytes() == out.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

@@ -249,6 +249,20 @@ class TestMetricDefinitions:
         assert np.isclose(soft, np.mean(predicted == labels))
 
 
+    def test_timing_record_is_opt_in_and_last(self):
+        """Reports stay byte-stable by default; the wall clock is an opt-in
+        last record after the metrics and the loss curve."""
+        report = pipelines.MetricsReport(
+            "classification", "ab", 3, {"test_accuracy": 0.5}, [1.25, 0.75], 2.5, "cd"
+        )
+        base = {"task": "classification", "config_hash": "ab", "seed": 3, "dataset_hash": "cd"}
+        records = report.to_records()
+        assert [r["metric"] for r in records] == ["test_accuracy", "train_loss", "train_loss"]
+        assert report.to_records(include_timing=True) == [
+            *records, {**base, "metric": "wall_clock_s", "value": 2.5}
+        ]
+
+
 class TestTraining:
     def test_one_epoch_on_eight_meshes(self):
         samples = tiny_dataset(task_classes=4, per_class=3)  # 8 train, 4 test
