@@ -1,10 +1,11 @@
 """Hot numeric kernels: the per-edge convolution, instance norm, edge geometry.
 
 Kernels here are the per-edge convolution and the per-channel instance
-normalization (each forward and backward) and the raw edge geometry pass
-(lengths, dihedral angles, opposite angles, length/height ratios). Angles
-use atan2 of cross/dot, which is the numerically stable equivalent of arccos
-of the clamped dot product.
+normalization (each forward and backward) and the raw edge geometry in two
+passes: the lengths and dihedral angles that every geometric feature kind
+reads, and the opposite angles and length/height ratios that only the
+classic MeshCNN set adds. Angles use atan2 of cross/dot, which is the
+numerically stable equivalent of arccos of the clamped dot product.
 """
 
 from __future__ import annotations
@@ -275,36 +276,57 @@ def _cross(a, b):
     return out
 
 
-def edge_geometry(vertices, edges, edge_faces, faces):
-    """Per-edge length, dihedral angle, opposite angles, length/height ratios.
+def _row_norms(x):
+    """Euclidean norm of each row of a real (N, k) array, bit for bit
+    ``np.linalg.norm(x, axis=1)``.
 
-    Returns (lengths, dihedrals, opposite_angle_pairs, ratio_pairs) where
-    pairs are unsorted per incident-face slot and missing boundary slots are
-    zero. Raises DegenerateFaceError naming the first zero-area face.
+    For a real array numpy computes that norm as ``sqrt(add.reduce(x * x,
+    axis=1))``; this is the same sum without its argument dispatch, which
+    costs more than the arithmetic at mesh sizes.
+    """
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
+def edge_geometry(vertices, edges, edge_faces, faces):
+    """Per-edge length and dihedral angle: what every geometric kind reads.
+
+    Returns (lengths, dihedrals, cross_norms, u, v): the per-face cross
+    product norms (twice the face areas) and the edges' endpoint positions
+    ride along for ``corner_geometry``. Boundary edges have dihedral zero.
+    Raises DegenerateFaceError naming the first zero-area face.
     """
     tri = vertices[faces]
     normal = _cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    cross_norm = np.linalg.norm(normal, axis=1)
-    bad = np.flatnonzero(cross_norm == 0.0)
+    cross_norms = _row_norms(normal)
+    bad = np.flatnonzero(cross_norms == 0.0)
     if len(bad):
         raise DegenerateFaceError(int(bad[0]))
-    unit = normal / cross_norm[:, None]
+    unit = normal / cross_norms[:, None]
 
     u = vertices[edges[:, 0]]
     v = vertices[edges[:, 1]]
-    lengths = np.linalg.norm(u - v, axis=1)
+    lengths = _row_norms(u - v)
 
     interior = edge_faces[:, 1] >= 0
     f1 = edge_faces[:, 0]
     f2 = np.where(interior, edge_faces[:, 1], f1)
     n1 = unit[f1]
     n2 = unit[f2]
-    cr = _cross(n1, n2)
-    dihedral = np.arctan2(np.linalg.norm(cr, axis=1), (n1 * n2).sum(axis=1))
+    dihedral = np.arctan2(_row_norms(_cross(n1, n2)), (n1 * n2).sum(axis=1))
     dihedral = np.where(interior, dihedral, 0.0)
+    return lengths, dihedral, cross_norms, u, v
 
+
+def corner_geometry(vertices, edges, edge_faces, faces, lengths, cross_norms, u, v):
+    """Per-edge opposite angles and length/height ratios of the classic MeshCNN set.
+
+    Takes ``edge_geometry``'s lengths, cross norms and endpoints. Returns
+    (opposite_angle_pairs, ratio_pairs), unsorted per incident-face slot, with
+    missing boundary slots zero.
+    """
     face_vertex_sum = faces.sum(axis=1)
     edge_vertex_sum = edges.sum(axis=1)
+    squared = lengths * lengths
     opp_angles = np.zeros((len(edges), 2))
     ratios = np.zeros((len(edges), 2))
     for slot in range(2):
@@ -315,8 +337,7 @@ def edge_geometry(vertices, edges, edge_faces, faces):
         w = vertices[apex]
         wu = u - w
         wv = v - w
-        cw = _cross(wu, wv)
-        ang = np.arctan2(np.linalg.norm(cw, axis=1), (wu * wv).sum(axis=1))
+        ang = np.arctan2(_row_norms(_cross(wu, wv)), (wu * wv).sum(axis=1))
         opp_angles[:, slot] = np.where(present, ang, 0.0)
-        ratios[:, slot] = np.where(present, lengths * lengths / cross_norm[fk_safe], 0.0)
-    return lengths, dihedral, opp_angles, ratios
+        ratios[:, slot] = np.where(present, squared / cross_norms[fk_safe], 0.0)
+    return opp_angles, ratios

@@ -105,7 +105,7 @@ class ChannelStats:
 
 def fundamental_forms(topology: EdgeTopology, mesh: Mesh) -> FeatureTensor:
     """Channel 0: edge length; channel 1: dihedral angle."""
-    lengths, dihedrals, _, _ = _kernels.edge_geometry(
+    lengths, dihedrals, _, _, _ = _kernels.edge_geometry(
         mesh.vertices, topology.edges, topology.edge_faces, mesh.faces
     )
     return FeatureTensor(np.column_stack([lengths, dihedrals]), FF)
@@ -118,9 +118,9 @@ def meshcnn5(topology: EdgeTopology, mesh: Mesh) -> FeatureTensor:
     angles, length/height ratios) is sorted ascending. Boundary edges fill
     the missing face's slot with zero before sorting.
     """
-    _, dihedrals, opp, ratios = _kernels.edge_geometry(
-        mesh.vertices, topology.edges, topology.edge_faces, mesh.faces
-    )
+    args = mesh.vertices, topology.edges, topology.edge_faces, mesh.faces
+    lengths, dihedrals, cross_norms, u, v = _kernels.edge_geometry(*args)
+    opp, ratios = _kernels.corner_geometry(*args, lengths, cross_norms, u, v)
     opp = np.sort(opp, axis=1)
     ratios = np.sort(ratios, axis=1)
     return FeatureTensor(np.column_stack([dihedrals, opp, ratios]), MESHCNN5)

@@ -266,23 +266,36 @@ class Dense(Layer):
         return {"type": "dense", "in": self.in_channels, "out": self.out_ch}
 
 
-# The parameter shapes each layer type's constructor allocates, by spec, so a
-# loader can check a spec against its stored blobs before building it.
-_PARAMETER_SHAPES = {
-    "mesh_conv": lambda spec: {"weights": (5, spec["in"], spec["out"]), "bias": (spec["out"],)},
-    "instance_norm": lambda spec: {"gamma": (spec["channels"],), "beta": (spec["channels"],)},
-    "dense": lambda spec: {"weights": (spec["in"], spec["out"]), "bias": (spec["out"],)},
+# Each layer type a checkpoint header may name, once: its integer spec keys,
+# which are also its constructor's arguments in order; its class; and the
+# parameter shapes that constructor allocates, so that a loader can check a
+# spec against its stored blobs before building it.
+_LAYER_TYPES = {
+    "mesh_conv": (("in", "out"), MeshConv, lambda i, o: {"weights": (5, i, o), "bias": (o,)}),
+    "instance_norm": (("channels",), InstanceNorm, lambda c: {"gamma": (c,), "beta": (c,)}),
+    "relu": ((), ReLU, None),
+    "pool": (("target",), Pool, None),
+    "unpool": ((), Unpool, None),
+    "global_average_pool": ((), GlobalAveragePool, None),
+    "dense": (("in", "out"), Dense, lambda i, o: {"weights": (i, o), "bias": (o,)}),
 }
 
-_LAYER_BUILDERS = {
-    "mesh_conv": lambda spec: MeshConv(spec["in"], spec["out"]),
-    "instance_norm": lambda spec: InstanceNorm(spec["channels"]),
-    "relu": lambda spec: ReLU(),
-    "pool": lambda spec: Pool(spec["target"]),
-    "unpool": lambda spec: Unpool(),
-    "global_average_pool": lambda spec: GlobalAveragePool(),
-    "dense": lambda spec: Dense(spec["in"], spec["out"]),
-}
+
+def _decode(spec):
+    """(class, parameter shapes or None, integer arguments) of one header spec.
+
+    Each integer key must hold a JSON integer: a bool, a float or a string
+    there would build a layer whose spec re-saves to other bytes.
+    """
+    kind = spec["type"]
+    if kind not in _LAYER_TYPES:
+        raise GraphError(f"unknown layer type {kind!r}")
+    keys, cls, shapes = _LAYER_TYPES[kind]
+    args = [spec[key] for key in keys]
+    for key, value in zip(keys, args):
+        if type(value) is not int:
+            raise GraphError(f"{kind} {key!r} must be an integer, got {value!r}")
+    return cls, shapes, args
 
 
 _ALLOCATOR_SET = False
@@ -336,10 +349,8 @@ class ModelGraph:
         """The model a checkpoint header's ``spec_list`` describes, with zero weights."""
         layers = []
         for spec in spec_list:
-            kind = spec["type"]
-            if kind not in _LAYER_BUILDERS:
-                raise GraphError(f"unknown layer type {kind!r}")
-            layers.append(_LAYER_BUILDERS[kind](spec))
+            cls, _, args = _decode(spec)
+            layers.append(cls(*args))
         return ModelGraph(layers, pooling_policy=pooling_policy)
 
     @staticmethod
@@ -347,8 +358,9 @@ class ModelGraph:
         """{parameter name: shape} of the model ``spec_list`` describes, unbuilt."""
         shapes = {}
         for i, spec in enumerate(spec_list):
-            if spec["type"] in _PARAMETER_SHAPES:
-                for pname, shape in _PARAMETER_SHAPES[spec["type"]](spec).items():
+            _, layer_shapes, args = _decode(spec)
+            if layer_shapes is not None:
+                for pname, shape in layer_shapes(*args).items():
                     shapes[f"layer{i}.{pname}"] = shape
         return shapes
 

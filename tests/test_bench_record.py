@@ -107,3 +107,30 @@ def test_within_bound_reads_the_declared_bound(tmp_path, capsys):
     got = verdicts(tmp_path, PARENT_MS, [1.3 * p for p in PARENT_MS])["mesh_ms.host_norm"]
     assert got == (False, False)
     assert "claim not met  outside bound" in capsys.readouterr().out
+
+
+def test_unresolved_when_the_parent_spreads_wider_than_the_bound(tmp_path, capsys):
+    def unresolved(parent_ms, change_ms):
+        seeds = range(len(parent_ms))
+        parents = [capture(tmp_path / f"p{s}.txt", s, parent_ms[s], 0.25) for s in seeds]
+        changes = [capture(tmp_path / f"c{s}.txt", s, change_ms[s], 0.25) for s in seeds]
+        out = tmp_path / "BENCH.json"
+        args = ["--pr", "5", "--out", out, "--parent", *parents, "--change", *changes]
+        assert bench_record.main([str(a) for a in args]) == 0
+        metrics = json.loads(out.read_text())["workloads"]["segment-limbs"]["metrics"]
+        host = metrics["mesh_ms.host_norm"]
+        assert not metrics["setup_s"]["unresolved"]  # identical runs, IQR 0
+        return host["unresolved"], host["within_bound"]
+
+    # parent median 190, IQR 90: wider than 25% of the median
+    wide = [100.0 + 20 * s for s in range(10)]
+    assert unresolved(wide, wide) == (True, True)
+    assert "within bound  unresolved" in capsys.readouterr().out
+    # a change that wins 9/10 pairs but overlaps the parent's runs stays unresolved
+    assert unresolved(wide, [p - 15.0 for p in wide[:9]] + [wide[9]]) == (True, True)
+    # every change run beats every parent run: resolved despite the spread
+    assert unresolved(wide, [90.0 - s for s in range(10)]) == (False, True)
+    # identical runs with the parent's IQR 4.5 inside 25% of its median 104.5
+    capsys.readouterr()
+    assert unresolved(PARENT_MS, PARENT_MS) == (False, True)
+    assert "unresolved" not in capsys.readouterr().out

@@ -907,6 +907,27 @@ class TestTrainEval:
         assert code == 2
         assert (stdout, err) == ("", "error: checkpoint header corrupt\n")
 
+    @pytest.mark.parametrize("target", [99.5, "100", True], ids=["float", "string", "bool"])
+    @pytest.mark.parametrize(
+        "command, task", [("eval", "classification"), ("denoise", "denoising")]
+    )
+    def test_pool_target_of_the_wrong_type_exit_2(
+        self, cli_dataset, tmp_path, command, task, target, capsys
+    ):
+        """A pool target must be a JSON integer: read as some other integer, it
+        would evaluate a model whose checkpoint re-saves to other bytes."""
+        data = untrained_checkpoint(tmp_path / "m.ckpt", task).read_bytes()
+        size = struct.unpack_from("<Q", data, 8)[0]
+        header = json.loads(data[16 : 16 + size])
+        (pool,) = [spec for spec in header["layers"] if spec["type"] == "pool"]
+        assert pool["target"] == 100
+        pool["target"] = target
+        encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(struct.pack("<4sIQ", b"MFCK", 1, len(encoded)) + encoded + data[16 + size :])
+        code, stdout, err = run([command, "--checkpoint", ckpt, "--data", cli_dataset], capsys)
+        assert (code, stdout, err) == (2, "", "error: checkpoint header corrupt\n")
+
     @pytest.mark.parametrize(
         "key", ["task", "features", "channel_mask", "output_features", "noise_variance", "seed"]
     )

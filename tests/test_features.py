@@ -1,6 +1,8 @@
 """Per-edge feature extraction, invariances, normalization, serialization."""
 
+import hashlib
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from meshforms import (
     XYZ,
     XYZ_INV,
     ChannelStats,
+    DatasetSpec,
     DegenerateFaceError,
     FeatureTensor,
     Mesh,
@@ -26,12 +29,15 @@ from meshforms import (
     feature_norms,
     fit_channel_stats,
     fundamental_forms,
+    generate,
     meshcnn5,
     normalize,
     read_features,
     write_features,
 )
+from meshforms import _kernels
 from meshforms.datasets import _random_rotation
+from meshforms.features import KIND_CHANNELS
 
 from conftest import fuzz_corpus, mutate_bytes
 
@@ -79,14 +85,26 @@ class TestDihedral:
         boundary = int(np.flatnonzero(~topo.interior_mask)[0])
         assert dihedral_angle(topo, flat_pair, boundary) == 0.0
 
-    def test_degenerate_face_names_face(self):
+    @staticmethod
+    def degenerate_pair():
         verts = np.array(
             [(0.0, 0, 0), (1.0, 0, 0), (2.0, 0, 0), (0.5, 1.0, 0)]
         )
-        mesh = Mesh(verts, np.array([(0, 1, 2), (1, 0, 3)]))
+        return Mesh(verts, np.array([(0, 1, 2), (1, 0, 3)]))
+
+    def test_degenerate_face_names_face(self):
+        mesh = self.degenerate_pair()
         topo = build_edge_topology(mesh)
         with pytest.raises(DegenerateFaceError) as err:
             dihedral_angle(topo, mesh, shared_edge(topo))
+        assert err.value.face_index == 0
+
+    @pytest.mark.parametrize("kind", [FF, MESHCNN5])
+    def test_degenerate_face_names_face_for_each_kind(self, kind):
+        mesh = self.degenerate_pair()
+        topo = build_edge_topology(mesh)
+        with pytest.raises(DegenerateFaceError) as err:
+            extract(topo, mesh, kind)
         assert err.value.face_index == 0
 
     def test_unsigned_angle_ignores_fold_direction(self, perpendicular_pair):
@@ -171,6 +189,58 @@ class TestMeshcnn5:
         base = meshcnn5(topo, icosahedron).values
         scaled = apply_motion(icosahedron, RigidMotion(np.eye(3), uniform_scale=3.0))
         assert np.allclose(meshcnn5(topo, scaled).values, base, atol=1e-12)
+
+
+def pinned_meshes():
+    """Generated zoo, limbs and engraved-cube meshes, then four fuzz meshes with
+    a few faces cut away, so that boundary edges and their empty slots occur."""
+    meshes = []
+    for generator, classes, edge_range in (
+        ("primitive-zoo", 6, (250, 400)),
+        ("articulated-limbs", 3, (300, 600)),
+        ("engraved-cube", 3, (800, 1200)),
+    ):
+        meshes += [s.mesh for s in generate(DatasetSpec(generator, classes, 1, edge_range, seed=5))]
+    cut = [0, 1, 7, 20]
+    return meshes + [Mesh(m.vertices, np.delete(m.faces, cut, axis=0)) for m in fuzz_corpus(4, seed=3)]
+
+
+# sha256 over write_features(extract(...)) of every kind, in kind table order,
+# for each of pinned_meshes() in order.
+GOLDEN_FEATURES = "fc6ed4897f5c9ba79e1330aeb4643861df3f538221d35d98d37d5e5e74dfb5b4"
+
+
+def test_feature_bytes_are_stable():
+    h = hashlib.sha256()
+    for mesh in pinned_meshes():
+        topology = build_edge_topology(mesh)
+        for kind in KIND_CHANNELS:
+            h.update(write_features(extract(topology, mesh, kind)))
+    assert h.hexdigest() == GOLDEN_FEATURES
+
+
+class TestGeometryPasses:
+    """FF runs only the shared length and dihedral pass; MESHCNN5 adds the
+    corner pass, once."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = Counter()
+        for name in ("edge_geometry", "corner_geometry"):
+            def counted(*args, _name=name, _original=getattr(_kernels, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(_kernels, name, counted)
+        return calls
+
+    def test_ff_skips_the_corner_pass(self, icosahedron, passes):
+        extract(build_edge_topology(icosahedron), icosahedron, FF)
+        assert passes == {"edge_geometry": 1}
+
+    def test_meshcnn5_runs_each_pass_once(self, icosahedron, passes):
+        extract(build_edge_topology(icosahedron), icosahedron, MESHCNN5)
+        assert passes == {"edge_geometry": 1, "corner_geometry": 1}
 
 
 class TestCoordinateFeatures:

@@ -236,5 +236,5 @@ def test_detects_a_spelled_layer_type():
 def test_only_layers_spells_a_layer_type(path):
     """Checkpoint headers name layer types, a vocabulary ``layers.py`` declares
     once; every other module builds layers from their classes."""
-    layer_types = set(importlib.import_module("meshforms.layers")._LAYER_BUILDERS)
+    layer_types = set(importlib.import_module("meshforms.layers")._LAYER_TYPES)
     assert spelled_strings(path.read_text(), layer_types) == []

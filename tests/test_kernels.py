@@ -89,6 +89,27 @@ def test_cross_is_numpy_cross_bitwise(pair):
         assert _kernels._cross(a, b).tobytes() == np.cross(a, b).tobytes()
 
 
+@st.composite
+def real_rows(draw):
+    """An (N, k) float64 array among whose values are signed zeros, subnormals,
+    numbers whose squares overflow, infinities and NaN."""
+    n, k = draw(st.integers(0, 8)), draw(st.integers(1, 4))
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, 1e308, -1e308]),
+        st.sampled_from([np.inf, -np.inf, np.nan]),
+        st.floats(-1e6, 1e6),
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    )
+    return np.array(draw(st.lists(value, min_size=n * k, max_size=n * k))).reshape(n, k)
+
+
+@given(real_rows())
+@settings(max_examples=300, deadline=None)
+def test_row_norms_are_numpy_norm_bitwise(x):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _kernels._row_norms(x).tobytes() == np.linalg.norm(x, axis=1).tobytes()
+
+
 def unbuffered_conv(features, neighbors, weights, bias, grad_out):
     """The convolution written plainly: padded gathers, a fresh array for
     every temporary, and four ``np.add.at`` scatters (slots 0, 2, 1, 3)."""

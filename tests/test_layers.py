@@ -881,6 +881,36 @@ class TestCheckpoint:
             assert value.data.dtype == np.float64, name
             assert np.isfinite(value.data).all(), name
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_spec_value_of_another_type_is_rejected_or_kept(self, data):
+        """A layer's integer spec value swapped for a float, string or bool
+        either loads to a checkpoint that re-saves to the same bytes or is a
+        CheckpointError; it never loads as some other integer."""
+        rng = np.random.default_rng(np.random.SeedSequence(9))
+        layers = [MeshConv(2, 4, rng), InstanceNorm(4), ReLU(), Pool(90), GlobalAveragePool(),
+                  Dense(4, 3, rng)]
+        stats = ChannelStats(np.array([0.5, -1.0]), np.array([2.0, 0.25]))
+        valid = Checkpoint(ModelGraph(layers), stats, {"task": "classification"}).to_bytes()
+        end = 16 + struct.unpack_from("<Q", valid, 8)[0]
+        header = json.loads(valid[16:end])
+        spec = data.draw(st.sampled_from([s for s in header["layers"] if len(s) > 1]))
+        key = data.draw(st.sampled_from(sorted(set(spec) - {"type"})))
+        n = spec[key]
+        spec[key] = data.draw(
+            st.sampled_from([float(n), n + 0.5, str(n), True, False])
+            | st.floats()
+            | st.text(max_size=4)
+            | st.booleans()
+        )
+        encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        edited = struct.pack("<4sIQ", b"MFCK", 1, len(encoded)) + encoded + valid[end:]
+        try:
+            loaded = Checkpoint.from_bytes(edited)
+        except CheckpointError:
+            return
+        assert loaded.to_bytes() == edited
+
     def test_init_seeded_and_bounded(self):
         m1 = self._model()
         m2 = self._model()

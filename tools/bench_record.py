@@ -9,13 +9,16 @@ the report lines perfbench prints above it.
 Runs of the parent and of the change pair up by workload and seed. For every
 end-to-end metric that BENCHMARK.json declares, the record holds the parent
 and change medians and interquartile ranges, the number of pairs the change
-won, and the relative change of the medians. It states two verdicts:
+won, and the relative change of the medians. It states three verdicts:
 
 - ``claim_met``: the change won at least 9 of every 10 pairs (a tie counts
   for neither side), and its median is better than the parent's by more than
   the parent's IQR;
 - ``within_bound``: the change's median is no worse than the parent's by more
-  than the metric's ``bound`` in BENCHMARK.json.
+  than the metric's ``bound`` in BENCHMARK.json;
+- ``unresolved``: the parent's IQR exceeds ``bound`` times its median, so the
+  runs spread too widely to call a change within the bound "unchanged",
+  unless every change run beats every parent run.
 
 It also holds each side's failed-operation share: the gate lines' ``failed``
 over ``attempted``, summed over the paired runs. Usage:
@@ -101,6 +104,10 @@ def summarize(parent_runs, change_runs, declared):
                 "median_change": relative,
                 "claim_met": bool(10 * wins >= 9 * len(pairs) and gain > p_stats["iqr"]),
                 "within_bound": bool(sign * relative <= bound),
+                "unresolved": bool(
+                    p_stats["iqr"] > bound * p_stats["median"]
+                    and not all(sign * (c - p) < 0 for p in parent for c in change)
+                ),
             }
         workloads[workload] = {
             "pairs": len(pairs),
@@ -161,6 +168,7 @@ def main(argv=None):
                 f"wins {m['change_wins']}/{entry['pairs']}  "
                 f"claim {'met' if m['claim_met'] else 'not met'}  "
                 f"{'within' if m['within_bound'] else 'outside'} bound"
+                f"{'  unresolved' if m['unresolved'] else ''}"
             )
         print(f"{workload:14s} digests identical: {entry['digests_identical']}")
         shares = entry["failed_share"]
