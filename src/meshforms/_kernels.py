@@ -276,7 +276,7 @@ def _cross(a, b):
     return out
 
 
-def _row_norms(x):
+def row_norms(x):
     """Euclidean norm of each row of a real (N, k) array, bit for bit
     ``np.linalg.norm(x, axis=1)``.
 
@@ -297,7 +297,7 @@ def edge_geometry(vertices, edges, edge_faces, faces):
     """
     tri = vertices[faces]
     normal = _cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    cross_norms = _row_norms(normal)
+    cross_norms = row_norms(normal)
     bad = np.flatnonzero(cross_norms == 0.0)
     if len(bad):
         raise DegenerateFaceError(int(bad[0]))
@@ -305,14 +305,14 @@ def edge_geometry(vertices, edges, edge_faces, faces):
 
     u = vertices[edges[:, 0]]
     v = vertices[edges[:, 1]]
-    lengths = _row_norms(u - v)
+    lengths = row_norms(u - v)
 
     interior = edge_faces[:, 1] >= 0
     f1 = edge_faces[:, 0]
     f2 = np.where(interior, edge_faces[:, 1], f1)
     n1 = unit[f1]
     n2 = unit[f2]
-    dihedral = np.arctan2(_row_norms(_cross(n1, n2)), (n1 * n2).sum(axis=1))
+    dihedral = np.arctan2(row_norms(_cross(n1, n2)), (n1 * n2).sum(axis=1))
     dihedral = np.where(interior, dihedral, 0.0)
     return lengths, dihedral, cross_norms, u, v
 
@@ -337,7 +337,7 @@ def corner_geometry(vertices, edges, edge_faces, faces, lengths, cross_norms, u,
         w = vertices[apex]
         wu = u - w
         wv = v - w
-        ang = np.arctan2(_row_norms(_cross(wu, wv)), (wu * wv).sum(axis=1))
+        ang = np.arctan2(row_norms(_cross(wu, wv)), (wu * wv).sum(axis=1))
         opp_angles[:, slot] = np.where(present, ang, 0.0)
         ratios[:, slot] = np.where(present, squared / cross_norms[fk_safe], 0.0)
     return opp_angles, ratios

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CheckpointError, GraphError, MeshError
 from .features import ChannelStats
-from .layers import ModelGraph
+from .layers import ModelGraph, decode_spec
 
 _MAGIC = b"MFCK"
 _PREFIX = struct.Struct("<4sIQ")
@@ -78,7 +78,8 @@ class Checkpoint:
             ]
             if not all(isinstance(n, int) and n >= 0 for _, shape in shapes for n in shape):
                 raise ValueError("blob dimensions must be non-negative integers")
-            expected = ModelGraph.parameter_shapes(header["layers"])
+            layers = [decode_spec(spec) for spec in header["layers"]]
+            policy = header["pooling_policy"]
             meta = dict(header["meta"])
             stats_listed = set(_STATS) <= set(header["blob_order"])
             if header["has_channel_stats"] is not True or not stats_listed:
@@ -93,14 +94,19 @@ class Checkpoint:
         if len(data) != end:
             raise CheckpointError("checkpoint size mismatch")
         stored = {name: shape for name, shape in shapes if name not in _STATS}
+        expected = {
+            f"layer{i}.{pname}": shape
+            for i, (_, _, layer_shapes) in enumerate(layers)
+            for pname, shape in layer_shapes.items()
+        }
         if set(expected) != set(stored):
             raise CheckpointError("checkpoint parameters do not match layer spec")
         for name, shape in expected.items():
             if shape != stored[name]:
                 raise CheckpointError(f"checkpoint blob shape mismatch for {name}")
         try:
-            model = ModelGraph.from_spec(header["layers"], header["pooling_policy"])
-        except (ValueError, KeyError, TypeError, GraphError) as err:
+            model = ModelGraph([cls(*args) for cls, args, _ in layers], policy)
+        except GraphError as err:  # an unknown policy, or an unpool without its pool
             raise CheckpointError("checkpoint header corrupt") from err
         blobs = {}
         for name, shape in shapes:

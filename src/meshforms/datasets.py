@@ -25,6 +25,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from ._kernels import row_norms
 from .errors import DataError
 from .mesh import Mesh, RigidMotion, apply_motion, parse_obj, save_obj
 from .topology import build_edge_topology, validate_manifold
@@ -225,9 +226,7 @@ def _jitter(mesh, rng, fraction):
     if fraction <= 0.0:
         return mesh
     topo = build_edge_topology(mesh)
-    lengths = np.linalg.norm(
-        mesh.vertices[topo.edges[:, 0]] - mesh.vertices[topo.edges[:, 1]], axis=1
-    )
+    lengths = row_norms(mesh.vertices[topo.edges[:, 0]] - mesh.vertices[topo.edges[:, 1]])
     sigma = fraction * lengths.mean()
     return mesh.with_vertices(
         mesh.vertices + rng.normal(0.0, sigma, size=mesh.vertices.shape)

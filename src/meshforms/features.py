@@ -152,7 +152,7 @@ def coordinate_features(
         return FeatureTensor((u + v) / 2.0, XYZ)
     if variant == XYZ_INV:
         dots = (u * v).sum(axis=1)
-        norms = (np.linalg.norm(u, axis=1) + np.linalg.norm(v, axis=1)) / 2.0
+        norms = (_kernels.row_norms(u) + _kernels.row_norms(v)) / 2.0
         return FeatureTensor(np.column_stack([dots, norms]), XYZ_INV)
     if variant == LAPLACIAN:
         delta = _laplacian_coordinates(mesh, topology)
@@ -198,7 +198,7 @@ def normalize(features: FeatureTensor, stats: ChannelStats) -> FeatureTensor:
 
 def feature_norms(features: FeatureTensor) -> np.ndarray:
     """Per-edge L2 norm across channels (heat-map scalar)."""
-    return np.linalg.norm(features.values, axis=1)
+    return _kernels.row_norms(features.values)
 
 
 # ---------------------------------------------------------------------------

@@ -72,34 +72,38 @@ def _glorot(rng, shape):
 
 
 class Layer:
-    def parameters(self):
-        return {}
+    """A layer type's checkpoint name, spec keys and parameters are its
+    ``_LAYER_TYPES`` entry; an instance holds only its integer spec values."""
 
-    def __call__(self, x: Value, ctx: MeshContext) -> Value:
-        raise NotImplementedError
+    kind = None  # the layer type's key in _LAYER_TYPES
+    args = ()  # its integer spec values, in the order of the type's keys
+
+    def parameters(self):
+        _, _, shapes = _LAYER_TYPES[self.kind]
+        return {} if shapes is None else {name: getattr(self, name) for name in shapes(*self.args)}
 
     def spec(self):
+        keys, _, _ = _LAYER_TYPES[self.kind]
+        return {"type": self.kind, **dict(zip(keys, self.args))}
+
+    def __call__(self, x: Value, ctx: MeshContext) -> Value:
         raise NotImplementedError
 
 
 class MeshConv(Layer):
     """Learned edge convolution over the 4-neighbor ring."""
 
+    kind = "mesh_conv"
+
     def __init__(self, in_channels, out_channels, rng=None):
-        self.in_channels = in_channels
-        self.out_ch = out_channels
+        self.args = (in_channels, out_channels)
         self.weights = Value(_glorot(rng, (5, in_channels, out_channels)))
         self.bias = Value(np.zeros(out_channels))
 
-    def parameters(self):
-        return {"weights": self.weights, "bias": self.bias}
-
     def __call__(self, x, ctx):
-        if x.data.shape[1] != self.in_channels:
-            raise GraphError(
-                f"mesh_conv expects {self.in_channels} channels, "
-                f"got {x.data.shape[1]}"
-            )
+        in_channels = self.args[0]
+        if x.data.shape[1] != in_channels:
+            raise GraphError(f"mesh_conv expects {in_channels} channels, got {x.data.shape[1]}")
         neighbors = ctx.topology.neighbors
         if x.data.shape[0] != len(neighbors):
             raise GraphError("mesh_conv feature rows do not match topology")
@@ -111,9 +115,6 @@ class MeshConv(Layer):
             return _kconv_backward(g, features, neighbors, weights, input_grad)
 
         return Value(out_data, (x, w, b), rule)
-
-    def spec(self):
-        return {"type": "mesh_conv", "in": self.in_channels, "out": self.out_ch}
 
 
 class _NormOutput(Value):
@@ -132,20 +133,17 @@ class InstanceNorm(Layer):
     NonFiniteError: the NaN output would otherwise pass ReLU as 0.
     """
 
+    kind = "instance_norm"
+
     def __init__(self, channels):
-        self.channels = channels
+        self.args = (channels,)
         self.gamma = Value(np.ones(channels))
         self.beta = Value(np.zeros(channels))
 
-    def parameters(self):
-        return {"gamma": self.gamma, "beta": self.beta}
-
     def __call__(self, x, ctx):
-        if x.data.shape[1] != self.channels:
-            raise GraphError(
-                f"instance_norm expects {self.channels} channels, "
-                f"got {x.data.shape[1]}"
-            )
+        channels = self.args[0]
+        if x.data.shape[1] != channels:
+            raise GraphError(f"instance_norm expects {channels} channels, got {x.data.shape[1]}")
         features, gamma = x.data, self.gamma.data
         out_data, mu, sd = _knorm_forward(features, gamma, self.beta.data)
         if not np.isfinite(sd).all():
@@ -155,9 +153,6 @@ class InstanceNorm(Layer):
             (x, self.gamma, self.beta),
             lambda g: _knorm_backward(g, features, mu, sd, gamma),
         )
-
-    def spec(self):
-        return {"type": "instance_norm", "channels": self.channels}
 
 
 class ReLU(Layer):
@@ -172,6 +167,8 @@ class ReLU(Layer):
     stays ``g * mask``: an AND there would turn a -0.0 gradient into +0.0.
     """
 
+    kind = "relu"
+
     def __call__(self, x, ctx):
         mask = x.data > 0.0
         keep = np.negative(mask, dtype=np.uint64)  # all ones where x > 0, else 0
@@ -179,15 +176,18 @@ class ReLU(Layer):
         np.bitwise_and(x.data.view(np.uint64), keep, out=out.view(np.uint64))
         return Value(out, (x,), lambda g: (g * mask,))
 
-    def spec(self):
-        return {"type": "relu"}
-
 
 class Pool(Layer):
     """Collapse edges down to a fixed target count."""
 
+    kind = "pool"
+
     def __init__(self, target_edges):
-        self.target_edges = int(target_edges)
+        self.args = (int(target_edges),)
+
+    @property
+    def target_edges(self):
+        return self.args[0]
 
     def __call__(self, x, ctx):
         result = _pooling.pool(
@@ -202,12 +202,11 @@ class Pool(Layer):
             lambda g: (_pooling.pool_backward(g, history),),
         )
 
-    def spec(self):
-        return {"type": "pool", "target": self.target_edges}
-
 
 class Unpool(Layer):
     """Broadcast features back onto the matching pre-pool edge set."""
+
+    kind = "unpool"
 
     def __call__(self, x, ctx):
         topology_before, history = ctx.pop()
@@ -221,12 +220,11 @@ class Unpool(Layer):
             lambda g: (_pooling.unpool_backward(g, history),),
         )
 
-    def spec(self):
-        return {"type": "unpool"}
-
 
 class GlobalAveragePool(Layer):
     """Mean over edges: per-edge rows -> one row, the column sums times 1/E."""
+
+    kind = "global_average_pool"
 
     def __call__(self, x, ctx):
         shape = x.data.shape
@@ -234,26 +232,22 @@ class GlobalAveragePool(Layer):
         out_data = x.data.sum(axis=0, keepdims=True) * inv_rows
         return Value(out_data, (x,), lambda g: (np.broadcast_to(g * inv_rows, shape),))
 
-    def spec(self):
-        return {"type": "global_average_pool"}
-
 
 class Dense(Layer):
     """Affine map on the channel axis of every row."""
 
+    kind = "dense"
+
     def __init__(self, in_channels, out_channels, rng=None):
-        self.in_channels = in_channels
-        self.out_ch = out_channels
+        self.args = (in_channels, out_channels)
         self.weights = Value(_glorot(rng, (in_channels, out_channels)))
         self.bias = Value(np.zeros(out_channels))
 
-    def parameters(self):
-        return {"weights": self.weights, "bias": self.bias}
-
     def __call__(self, x, ctx):
-        if x.data.ndim != 2 or x.data.shape[1] != self.in_channels:
+        in_channels = self.args[0]
+        if x.data.ndim != 2 or x.data.shape[1] != in_channels:
             raise GraphError(
-                f"dense expects (rows, {self.in_channels}) features, got shape {x.data.shape}"
+                f"dense expects (rows, {in_channels}) features, got shape {x.data.shape}"
             )
         features, weights = x.data, self.weights.data
 
@@ -262,14 +256,12 @@ class Dense(Layer):
 
         return Value(features @ weights + self.bias.data, (x, self.weights, self.bias), rule)
 
-    def spec(self):
-        return {"type": "dense", "in": self.in_channels, "out": self.out_ch}
-
 
 # Each layer type a checkpoint header may name, once: its integer spec keys,
-# which are also its constructor's arguments in order; its class; and the
-# parameter shapes that constructor allocates, so that a loader can check a
-# spec against its stored blobs before building it.
+# which are also its constructor's arguments and its ``args`` in order; its
+# class; and the shapes of the parameters that constructor allocates, by
+# attribute name in checkpoint order, so that a loader can check a spec
+# against its stored blobs before building it.
 _LAYER_TYPES = {
     "mesh_conv": (("in", "out"), MeshConv, lambda i, o: {"weights": (5, i, o), "bias": (o,)}),
     "instance_norm": (("channels",), InstanceNorm, lambda c: {"gamma": (c,), "beta": (c,)}),
@@ -281,11 +273,12 @@ _LAYER_TYPES = {
 }
 
 
-def _decode(spec):
-    """(class, parameter shapes or None, integer arguments) of one header spec.
+def decode_spec(spec):
+    """(class, integer arguments, {parameter: shape}) of one checkpoint header spec.
 
-    Each integer key must hold a JSON integer: a bool, a float or a string
-    there would build a layer whose spec re-saves to other bytes.
+    Each integer key must hold a JSON integer of at least 1: a bool, a float
+    or a string there would build a layer whose spec re-saves to other bytes,
+    and no config builds a width or a pool target below 1.
     """
     kind = spec["type"]
     if kind not in _LAYER_TYPES:
@@ -293,9 +286,9 @@ def _decode(spec):
     keys, cls, shapes = _LAYER_TYPES[kind]
     args = [spec[key] for key in keys]
     for key, value in zip(keys, args):
-        if type(value) is not int:
-            raise GraphError(f"{kind} {key!r} must be an integer, got {value!r}")
-    return cls, shapes, args
+        if type(value) is not int or value < 1:
+            raise GraphError(f"{kind} {key!r} must be a positive integer, got {value!r}")
+    return cls, args, {} if shapes is None else shapes(*args)
 
 
 _ALLOCATOR_SET = False
@@ -344,26 +337,6 @@ class ModelGraph:
                 if depth < 0:
                     raise GraphError(f"layer {i}: unpool without a matching pool")
 
-    @staticmethod
-    def from_spec(spec_list, pooling_policy=ENHANCED):
-        """The model a checkpoint header's ``spec_list`` describes, with zero weights."""
-        layers = []
-        for spec in spec_list:
-            cls, _, args = _decode(spec)
-            layers.append(cls(*args))
-        return ModelGraph(layers, pooling_policy=pooling_policy)
-
-    @staticmethod
-    def parameter_shapes(spec_list):
-        """{parameter name: shape} of the model ``spec_list`` describes, unbuilt."""
-        shapes = {}
-        for i, spec in enumerate(spec_list):
-            _, layer_shapes, args = _decode(spec)
-            if layer_shapes is not None:
-                for pname, shape in layer_shapes(*args).items():
-                    shapes[f"layer{i}.{pname}"] = shape
-        return shapes
-
     def spec(self):
         return [layer.spec() for layer in self.layers]
 
@@ -392,7 +365,7 @@ class ModelGraph:
             try:
                 out = layer(x, ctx)
             except GraphError as exc:
-                raise type(exc)(f"layer {i} ({layer.spec()['type']}): {exc}") from exc
+                raise type(exc)(f"layer {i} ({layer.kind}): {exc}") from exc
             x.data, x = None, out  # the layer's rule captured what it reads of x
         self._forwarded = True
         return x, ctx

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._kernels import row_norms
 from .checkpoint import Checkpoint
 from .config import (
     CLASSIFICATION,
@@ -327,7 +328,9 @@ def evaluate(checkpoint: Checkpoint, task, samples, rotation_seed=None, seed=0, 
     (robustness probes); its inputs are extracted on the topology of the
     unrotated mesh, whose faces a rotation keeps, and edge labels stay.
     Finite weights that overflow, in a norm layer's scale, in the model output
-    or in a metric, give a DataError; every other model error keeps its type.
+    or in a metric, give a DataError, as does an output whose shape does not
+    fit the task: one row for a class label, one per edge otherwise, and the
+    target's shape for de-noising. Every other model error keeps its type.
     """
     config = _checkpoint_config(checkpoint, task)
     if variance is None:
@@ -340,6 +343,9 @@ def evaluate(checkpoint: Checkpoint, task, samples, rotation_seed=None, seed=0, 
             out = _forward(model, stats, p.inputs_raw, p.topology).data
         except NonFiniteError as exc:  # finite weights can still overflow
             raise DataError(f"evaluation overflows: {exc}") from exc
+        rows = 1 if task == CLASSIFICATION else p.topology.edge_count
+        if len(out) != rows or (task == DENOISING and out.shape != p.target.shape):
+            raise DataError(f"model output of shape {out.shape} does not fit a {task} target")
         if task == DENOISING:
             noisy = extract(p.topology, p.source, config.output_kind).values
             scores.append((np.mean((out - p.target) ** 2), np.mean((p.target - noisy) ** 2)))
@@ -351,7 +357,7 @@ def evaluate(checkpoint: Checkpoint, task, samples, rotation_seed=None, seed=0, 
         weights = 1.0
         if task == SEGMENTATION:
             ends = p.mesh.vertices[p.topology.edges]
-            weights = np.linalg.norm(ends[:, 0] - ends[:, 1], axis=1)
+            weights = row_norms(ends[:, 0] - ends[:, 1])
         scores.append((soft_edge_accuracy(weights, np.argmax(out, axis=1), p.target),))
     # a mean per metric over its own column: an axis-0 mean sums in another order
     columns = (float(np.mean(column)) for column in zip(*scores))

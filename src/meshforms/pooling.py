@@ -45,6 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._kernels import row_norms
 from .errors import (
     DataError,
     GraphError,
@@ -263,7 +264,7 @@ class PoolingState:
         self.edge_alive = [True] * topology.edge_count
         self.face_alive = [True] * len(topology.face_edges)
         self.live_edge_count = topology.edge_count
-        self.scores = np.linalg.norm(self.features, axis=1)
+        self.scores = row_norms(self.features)
         # read only, to build links: vertex w's edges are ids[starts[w]:starts[w + 1]]
         self._incident, self._starts = topology.incidence
         self.links = [None] * (len(self._starts) - 1)

@@ -20,6 +20,7 @@ from meshforms import (
     Checkpoint,
     ConfigError,
     ExperimentConfig,
+    GlobalAveragePool,
     ModelGraph,
     build_edge_topology,
     extract,
@@ -907,15 +908,18 @@ class TestTrainEval:
         assert code == 2
         assert (stdout, err) == ("", "error: checkpoint header corrupt\n")
 
-    @pytest.mark.parametrize("target", [99.5, "100", True], ids=["float", "string", "bool"])
+    @pytest.mark.parametrize(
+        "target", [99.5, "100", True, -5, 0], ids=["float", "string", "bool", "negative", "zero"]
+    )
     @pytest.mark.parametrize(
         "command, task", [("eval", "classification"), ("denoise", "denoising")]
     )
     def test_pool_target_of_the_wrong_type_exit_2(
         self, cli_dataset, tmp_path, command, task, target, capsys
     ):
-        """A pool target must be a JSON integer: read as some other integer, it
-        would evaluate a model whose checkpoint re-saves to other bytes."""
+        """A pool target must be a JSON integer of at least 1: read as some other
+        integer, it would evaluate a model whose checkpoint re-saves to other
+        bytes, and a target below 1 would pool each mesh to exhaustion."""
         data = untrained_checkpoint(tmp_path / "m.ckpt", task).read_bytes()
         size = struct.unpack_from("<Q", data, 8)[0]
         header = json.loads(data[16 : 16 + size])
@@ -1252,6 +1256,30 @@ def test_overflow_after_the_last_norm_exit_2(
     assert (code, stdout, err) == (
         2, "", "error: evaluation overflows: the model output is not finite\n"
     )
+
+
+@pytest.mark.parametrize(
+    "command, task, layers, shape",
+    [
+        ("eval", "classification", [], "(252, 2)"),
+        ("denoise", "denoising", [GlobalAveragePool()], "(1, 2)"),
+    ],
+    ids=["no-layers", "gap-only"],
+)
+def test_output_that_does_not_fit_the_task_exit_2(
+    command, task, layers, shape, cli_dataset, tmp_path, capsys
+):
+    """A class label scores one output row and every other target one row per
+    edge; a model of another output shape used to score a finite metric, as an
+    argmax over every edge row or a mean broadcast over every edge."""
+    meta = {
+        "task": task, "features": "ff", "output_features": "ff", "config_hash": "x", "seed": 0,
+    }
+    ckpt = tmp_path / "m.ckpt"
+    Checkpoint(ModelGraph(layers), ChannelStats(np.zeros(2), np.ones(2)), meta).save(ckpt)
+    code, stdout, err = run([command, "--checkpoint", ckpt, "--data", cli_dataset], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: model output of shape {shape} does not fit a {task} target\n"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -238,3 +238,45 @@ def test_only_layers_spells_a_layer_type(path):
     once; every other module builds layers from their classes."""
     layer_types = set(importlib.import_module("meshforms.layers")._LAYER_TYPES)
     assert spelled_strings(path.read_text(), layer_types) == []
+
+
+def test_each_layer_type_is_declared_once():
+    """``_LAYER_TYPES`` alone writes a layer type's checkpoint name, spec keys and
+    parameter shapes: each ``Layer`` subclass names only its ``kind``, whose
+    entry names that class, and inherits ``spec`` and ``parameters``."""
+    layers = importlib.import_module("meshforms.layers")
+    classes = [
+        c for c in vars(layers).values()
+        if inspect.isclass(c) and issubclass(c, layers.Layer) and c is not layers.Layer
+    ]
+    assert {cls for _, cls, _ in layers._LAYER_TYPES.values()} == set(classes)
+    for cls in classes:
+        assert layers._LAYER_TYPES[cls.kind][1] is cls
+        assert {"spec", "parameters"}.isdisjoint(vars(cls)), cls.__name__
+
+
+def row_norm_calls(source):
+    """Lines of ``source`` that call ``np.linalg.norm`` along axis 1."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("linalg.norm"):
+            axis = [k.value for k in node.keywords if k.arg == "axis"] + node.args[2:3]
+            if any(isinstance(a, ast.Constant) and a.value in (1, -1) for a in axis):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_detects_a_row_norm_call():
+    source = "n = linalg.norm(x)\nr = np.linalg.norm(x, axis=1)\ns = np.linalg.norm(x, None, 1)\n"
+    assert row_norm_calls(source) == [2, 3]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "_kernels.py"],
+    ids=lambda p: p.name,
+)
+def test_row_norms_have_one_implementation(path):
+    """``_kernels.row_norms`` is the one per-row Euclidean norm; it gives the
+    bits of ``np.linalg.norm(x, axis=1)``."""
+    assert row_norm_calls(path.read_text()) == []

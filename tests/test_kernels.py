@@ -107,7 +107,7 @@ def real_rows(draw):
 @settings(max_examples=300, deadline=None)
 def test_row_norms_are_numpy_norm_bitwise(x):
     with np.errstate(over="ignore", invalid="ignore"):
-        assert _kernels._row_norms(x).tobytes() == np.linalg.norm(x, axis=1).tobytes()
+        assert _kernels.row_norms(x).tobytes() == np.linalg.norm(x, axis=1).tobytes()
 
 
 def unbuffered_conv(features, neighbors, weights, bias, grad_out):

@@ -842,9 +842,9 @@ class TestCheckpoint:
         [("classification", "enhanced"), ("segmentation", "legacy"), ("denoising", "enhanced")],
     )
     def test_parameter_shapes_are_the_built_shapes(self, task, pooling):
-        """The shapes a loader checks a header against are those ``build_model``
-        allocates, and the header's decoder gives the same model: the same spec,
-        zero weights, and with the parameters copied over the same output bytes."""
+        """The shapes the loader checks a header against are those ``build_model``
+        allocates, and the loaded model is the saved one: the same spec and
+        policy, the same parameter shapes, and the same output bytes."""
         mesh = generate(DatasetSpec("primitive-zoo", 1, 1, edge_range=(150, 260), seed=4))[0].mesh
         topology = build_edge_topology(mesh)
         features = extract(topology, mesh, FF).values
@@ -852,16 +852,16 @@ class TestCheckpoint:
             task=task, pooling=pooling, conv_channels=(4, 6), pool_targets=(120, 90), seed=5
         )
         model = build_model(config, 2, 3)
-        shapes = {name: value.data.shape for name, value in model.parameters().items()}
-        assert ModelGraph.parameter_shapes(model.spec()) == shapes
-        decoded = ModelGraph.from_spec(model.spec(), model.pooling_policy)
-        assert (decoded.spec(), decoded.pooling_policy) == (model.spec(), pooling)
-        params = decoded.parameters()
-        assert not any(params[name].data.any() for name in params if name.endswith(".weights"))
-        for name, value in model.parameters().items():
-            params[name].data = value.data.copy()
+        stats = ChannelStats(np.zeros(2), np.ones(2))
+        loaded = Checkpoint.from_bytes(Checkpoint(model, stats, {"task": task}).to_bytes()).model
+        assert (loaded.spec(), loaded.pooling_policy) == (model.spec(), pooling)
+
+        def shapes(graph):
+            return {name: value.data.shape for name, value in graph.parameters().items()}
+
+        assert shapes(loaded) == shapes(model)
         out = model.forward(features, topology)[0].data
-        assert decoded.forward(features, topology)[0].data.tobytes() == out.tobytes()
+        assert loaded.forward(features, topology)[0].data.tobytes() == out.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -884,9 +884,10 @@ class TestCheckpoint:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_spec_value_of_another_type_is_rejected_or_kept(self, data):
-        """A layer's integer spec value swapped for a float, string or bool
-        either loads to a checkpoint that re-saves to the same bytes or is a
-        CheckpointError; it never loads as some other integer."""
+        """A layer's integer spec value swapped for a float, string, bool or an
+        integer below 1 either loads to a checkpoint that re-saves to the same
+        bytes or is a CheckpointError; it never loads as some other integer,
+        and every loaded spec value is a positive integer."""
         rng = np.random.default_rng(np.random.SeedSequence(9))
         layers = [MeshConv(2, 4, rng), InstanceNorm(4), ReLU(), Pool(90), GlobalAveragePool(),
                   Dense(4, 3, rng)]
@@ -899,6 +900,7 @@ class TestCheckpoint:
         n = spec[key]
         spec[key] = data.draw(
             st.sampled_from([float(n), n + 0.5, str(n), True, False])
+            | st.integers(max_value=0)
             | st.floats()
             | st.text(max_size=4)
             | st.booleans()
@@ -910,6 +912,8 @@ class TestCheckpoint:
         except CheckpointError:
             return
         assert loaded.to_bytes() == edited
+        values = [v for spec in loaded.model.spec() for k, v in spec.items() if k != "type"]
+        assert all(type(v) is int and v >= 1 for v in values)
 
     def test_init_seeded_and_bounded(self):
         m1 = self._model()
