@@ -332,7 +332,10 @@ def corner_geometry(vertices, edges, edge_faces, faces, lengths, cross_norms, u,
     for slot in range(2):
         fk = edge_faces[:, slot]
         present = fk >= 0
-        fk_safe = np.where(present, fk, 0)
+        # a missing face reads the edge's first face, whose apex is a vertex;
+        # ``np.where`` drops what it gives. Any other face's vertex sum less
+        # the edge's can fall below -V and index out of range.
+        fk_safe = np.where(present, fk, edge_faces[:, 0])
         apex = face_vertex_sum[fk_safe] - edge_vertex_sum
         w = vertices[apex]
         wu = u - w

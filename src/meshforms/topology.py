@@ -196,6 +196,43 @@ def _scan(mesh: Mesh):
     return report, EdgeTopology(edges, edge_faces, half_edge_ids.reshape(-1, 3))
 
 
+def disjoint_union(meshes):
+    """The meshes as one mesh: vertices and faces in part order, each part's
+    faces shifted past the vertices before it. One mesh is its own union.
+
+    ``_scan`` numbers ids by first appearance over the face list, so each
+    part's edges, faces and vertices are one contiguous run of the union's
+    ids, and :func:`split_topology` recovers each part's own topology.
+    """
+    if len(meshes) == 1:
+        return meshes[0]
+    starts = np.cumsum([0] + [m.vertex_count for m in meshes[:-1]])
+    faces = np.concatenate([m.faces + start for m, start in zip(meshes, starts)])
+    return Mesh(np.concatenate([m.vertices for m in meshes]), faces)
+
+
+def split_topology(topology: EdgeTopology, meshes):
+    """Each mesh's own topology, bit for bit, from the topology of their
+    :func:`disjoint_union`: every id less its part's offset, sentinels kept."""
+    if len(meshes) == 1:
+        return [topology]
+    face_counts = [m.face_count for m in meshes]
+    vertex_starts = np.cumsum([0] + [m.vertex_count for m in meshes])
+    face_starts = np.cumsum([0] + face_counts)
+    # a part's first edge is the first half-edge of its first face
+    edge_starts = np.append(topology.face_edges[face_starts[:-1], 0], topology.edge_count)
+    part = np.repeat(np.arange(len(meshes)), np.diff(edge_starts))
+    edges = topology.edges - vertex_starts[part, None]
+    edge_faces = topology.edge_faces - face_starts[part, None]
+    edge_faces[topology.edge_faces == SENTINEL] = SENTINEL
+    face_edges = topology.face_edges - np.repeat(edge_starts[:-1], face_counts)[:, None]
+    edge_starts, face_starts = edge_starts.tolist(), face_starts.tolist()
+    return [
+        EdgeTopology(edges[e0:e1], edge_faces[e0:e1], face_edges[f0:f1])
+        for e0, e1, f0, f1 in zip(edge_starts, edge_starts[1:], face_starts, face_starts[1:])
+    ]
+
+
 def validate_manifold(mesh: Mesh) -> ValidationReport:
     """Check edge degrees, orientation consistency, stray vertices, duplicates.
 

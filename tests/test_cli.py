@@ -933,6 +933,28 @@ class TestTrainEval:
         assert (code, stdout, err) == (2, "", "error: checkpoint header corrupt\n")
 
     @pytest.mark.parametrize(
+        "layer, key, value", [("relu", "channels", 7), ("mesh_conv", "stride", 1)]
+    )
+    @pytest.mark.parametrize(
+        "command, task", [("eval", "classification"), ("denoise", "denoising")]
+    )
+    def test_undeclared_spec_key_exit_2(
+        self, cli_dataset, tmp_path, command, task, layer, key, value, capsys
+    ):
+        """A spec key that the layer type does not declare would be dropped on
+        re-saving, so the header is corrupt, not a model that loads."""
+        data = untrained_checkpoint(tmp_path / "m.ckpt", task).read_bytes()
+        size = struct.unpack_from("<Q", data, 8)[0]
+        header = json.loads(data[16 : 16 + size])
+        spec = next(spec for spec in header["layers"] if spec["type"] == layer)
+        spec[key] = value
+        encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(struct.pack("<4sIQ", b"MFCK", 1, len(encoded)) + encoded + data[16 + size :])
+        code, stdout, err = run([command, "--checkpoint", ckpt, "--data", cli_dataset], capsys)
+        assert (code, stdout, err) == (2, "", "error: checkpoint header corrupt\n")
+
+    @pytest.mark.parametrize(
         "key", ["task", "features", "channel_mask", "output_features", "noise_variance", "seed"]
     )
     @pytest.mark.parametrize("value", ["a", ["a"], {"a": 1}, True, None])

@@ -219,6 +219,26 @@ def test_feature_bytes_are_stable():
     assert h.hexdigest() == GOLDEN_FEATURES
 
 
+def test_meshcnn5_on_a_rim_far_from_face_0():
+    """A boundary edge's missing slot reads zero wherever the edge lies. The
+    corner pass once read the apex of face 0 there, vertex (face 0's vertex
+    sum - the edge's), which falls below -V on a rim far from face 0 and
+    raised an IndexError."""
+    n = 4  # an n x n-cell height field
+    i, j = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    vertices = np.column_stack([i, j, np.sin(i + 2.0 * j)])
+    cells = [a * (n + 1) + b for a in range(n) for b in range(n)]
+    faces = [f for p in cells for f in ((p, p + n + 1, p + n + 2), (p, p + n + 2, p + 1))]
+    mesh = Mesh(vertices, faces)
+    topology = build_edge_topology(mesh)
+    rim = ~topology.interior_mask
+    assert rim.sum() == 4 * n
+    values = meshcnn5(topology, mesh).values
+    # the sorted pairs put the missing slot's zero first
+    assert (values[rim][:, [1, 3]] == 0.0).all()
+    assert (values[~rim][:, 1:] > 0.0).all()
+
+
 class TestGeometryPasses:
     """FF runs only the shared length and dihedral pass; MESHCNN5 adds the
     corner pass, once."""

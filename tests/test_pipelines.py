@@ -543,17 +543,19 @@ def unsplit(samples):
     ],
 )
 def test_evaluation_builds_one_topology_per_test_mesh(task, generator, monkeypatch):
+    """Each test mesh is scanned once, within its group's union: the scanned
+    faces sum to the test meshes' own."""
     samples = tiny_dataset(2, 3, generator=generator)
     ckpt = untrained_checkpoint(tiny_config(task=task, noise_variance=0.05), 2)
     built = []
 
     def counted(mesh):
-        built.append(mesh)
+        built.append(mesh.face_count)
         return build_edge_topology(mesh)
 
     monkeypatch.setattr(pipelines, "build_edge_topology", counted)
     evaluate(ckpt, task, samples, seed=1)
-    assert len(built) == sum(s.split == "test" for s in samples)
+    assert sum(built) == sum(s.mesh.face_count for s in samples if s.split == "test")
 
 
 class TestDenoising:
@@ -603,14 +605,17 @@ class TestRotationProbe:
         assert base == rotated  # invariant features: identical decisions
 
     def test_rotation_probe_extracts_once_per_test_mesh(self, monkeypatch):
+        """The extracted edges sum to the test meshes' own: each mesh's input
+        is extracted once, within its group's union."""
         samples = tiny_dataset(2, 3)
         ckpt = untrained_checkpoint(tiny_config(), 2)
-        kinds = []
+        extracted = []
 
         def counted(topology, mesh, kind):
-            kinds.append(kind)
+            extracted.append(topology.edge_count)
             return extract(topology, mesh, kind)
 
         monkeypatch.setattr(pipelines, "extract", counted)
         evaluate(ckpt, "classification", samples, rotation_seed=5)
-        assert len(kinds) == sum(s.split == "test" for s in samples)
+        test = [s.mesh for s in samples if s.split == "test"]
+        assert sum(extracted) == sum(build_edge_topology(m).edge_count for m in test)
