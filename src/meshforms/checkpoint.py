@@ -6,7 +6,7 @@ header's ``blob_order`` lists. The header stores the layer spec list, the
 pooling policy, task metadata, the config hash, and the shapes of every blob;
 the channel statistics every evaluator needs ride along as two extra blobs,
 and a header without them is corrupt, as is a NaN or an infinity in any blob.
-Loading reproduces the saved bytes exactly when re-saved.
+The loader accepts only the bytes ``to_bytes`` writes, and refuses any other.
 """
 
 from __future__ import annotations
@@ -76,13 +76,12 @@ class Checkpoint:
             shapes = [
                 (name, tuple(header["blob_shapes"][name])) for name in header["blob_order"]
             ]
-            if not all(isinstance(n, int) and n >= 0 for _, shape in shapes for n in shape):
+            if not all(type(n) is int and n >= 0 for _, shape in shapes for n in shape):
                 raise ValueError("blob dimensions must be non-negative integers")
             layers = [decode_spec(spec) for spec in header["layers"]]
             policy = header["pooling_policy"]
             meta = dict(header["meta"])
-            stats_listed = set(_STATS) <= set(header["blob_order"])
-            if header["has_channel_stats"] is not True or not stats_listed:
+            if not set(_STATS) <= set(header["blob_order"]):
                 raise ValueError("no channel statistics")
         except (ValueError, KeyError, TypeError, GraphError) as err:
             raise CheckpointError("checkpoint header corrupt") from err
@@ -91,8 +90,6 @@ class Checkpoint:
         end = offset + 8 * sum(math.prod(shape) for _, shape in shapes)
         if len(data) < end:
             raise CheckpointError("checkpoint truncated")
-        if len(data) != end:
-            raise CheckpointError("checkpoint size mismatch")
         stored = {name: shape for name, shape in shapes if name not in _STATS}
         expected = {
             f"layer{i}.{pname}": shape
@@ -122,7 +119,10 @@ class Checkpoint:
             raise CheckpointError(f"checkpoint channel statistics corrupt: {err}") from err
         for name, value in model.parameters().items():
             value.data = blobs[name]
-        return Checkpoint(model, stats, meta)
+        checkpoint = Checkpoint(model, stats, meta)
+        if checkpoint.to_bytes() != data:  # trailing bytes, or a header to_bytes never writes
+            raise CheckpointError("checkpoint header corrupt")
+        return checkpoint
 
     def save(self, path):
         pathlib.Path(path).write_bytes(self.to_bytes())

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import pathlib
-from dataclasses import dataclass
-from operator import itemgetter
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,10 +44,25 @@ class LabeledMesh:
     edge_labels: np.ndarray = None  # aligned with build_edge_topology order
     split: str = ""
     sample_id: str = ""
+    edge_pairs: np.ndarray = None  # a loaded sidecar's u v columns; see check_edge_labels
 
     def __post_init__(self):
         if self.edge_labels is not None:
-            self.edge_labels = np.asarray(self.edge_labels, dtype=np.int64)
+            self.edge_labels = np.ascontiguousarray(self.edge_labels, dtype=np.int64)
+
+
+def check_edge_labels(sample, edges):
+    """DataError unless ``sample`` has one edge label per row of ``edges``, its
+    mesh's canonical edges, and its sidecar, if it was loaded, listed them in order."""
+    labels, pairs = sample.edge_labels, sample.edge_pairs
+    if len(labels) != len(edges):
+        raise DataError(f"sample {sample.sample_id}: {len(labels)} edge labels for {len(edges)} edges")
+    if pairs is not None and not np.array_equal(pairs, edges):
+        k = int(np.argmax((pairs != edges).any(axis=1)))
+        raise DataError(
+            f"sample {sample.sample_id}: edge-label row {k + 1} is edge {pairs[k, 0]} "
+            f"{pairs[k, 1]}, not {edges[k, 0]} {edges[k, 1]}"
+        )
 
 
 @dataclass(frozen=True)
@@ -584,9 +598,7 @@ def split(samples, per_class_train, per_class_test, seed=0):
                 tag = TEST
             else:
                 continue
-            out.append(
-                LabeledMesh(s.mesh, s.class_label, s.edge_labels, tag, s.sample_id)
-            )
+            out.append(replace(s, split=tag))
     out.sort(key=lambda s: s.sample_id)
     return out
 
@@ -609,6 +621,7 @@ def save_dataset(directory, samples):
         if s.edge_labels is not None:
             label_rel = f"meshes/{s.sample_id}.edgelabels"
             topo = build_edge_topology(s.mesh)
+            check_edge_labels(s, topo.edges)
             rows = [
                 "%d %d %d" % (u, v, lab)
                 for (u, v), lab in zip(topo.edges, s.edge_labels)
@@ -640,26 +653,41 @@ def _label(row, fields, column, source):
 
 
 def _edge_labels(text, source):
-    """Column 3 of every non-blank row of an edge-label file, as int64.
-
-    One ``int()`` per row, all in one numpy call. When it fails, the rows are
-    read again one by one, so the error names the first row without an
-    integer label, as ``_label`` words it, or else the first label that does
-    not fit in int64.
+    """Column 3 of every non-blank row of an edge-label file, as int64, read
+    row by row, so the error names the first row without an integer label, as
+    ``_label`` words it, or else the first label that does not fit in int64.
     """
-    rows = filter(None, map(str.split, text.splitlines()))  # the non-blank rows
-    try:
-        return np.array(list(map(_THIRD, rows)), dtype=np.int64)
-    except (IndexError, ValueError, OverflowError):
-        pass
     lines = [row for row in text.splitlines() if row.strip()]
     labels = [_label(row, row.split(), 2, source) for row in lines]
-    row = next(row for row, label in zip(lines, labels) if not _INT64.min <= label <= _INT64.max)
-    raise DataError(f"{source}: label in column 3 of {row!r} does not fit in int64")
+    for row, label in zip(lines, labels):
+        if not _INT64.min <= label <= _INT64.max:
+            raise DataError(f"{source}: label in column 3 of {row!r} does not fit in int64")
+    return np.array(labels, dtype=np.int64)
 
 
-_THIRD = itemgetter(2)
 _INT64 = np.iinfo(np.int64)
+
+
+def _edge_table(text, source):
+    """The ``u v label`` triples of an edge-label file's fields, read in one
+    numpy call, as an (N, 3) int64 array; ``check_edge_labels`` compares each
+    label's two vertex ids with the mesh's edges. On failure, the error names
+    the first row without a sound label (:func:`_edge_labels`), or else the
+    first row that is not three int64 fields."""
+    try:
+        return np.array(text.split(), dtype=np.int64).reshape(-1, 3)
+    except (ValueError, OverflowError):
+        _edge_labels(text, source)
+    row = next(row for row in text.splitlines() if row.strip() and not _is_triple(row))
+    raise DataError(f"{source}: {row!r} is not three int64 fields 'u v label'")
+
+
+def _is_triple(row):
+    """Whether ``row`` is three fields that parse as int64."""
+    try:
+        return np.array(row.split(), dtype=np.int64).shape == (3,)
+    except (ValueError, OverflowError):
+        return False
 
 
 def in_test_split(split_tag):
@@ -702,10 +730,11 @@ def load_dataset_with_hash(directory, keep=None):
         if keep is not None and not keep(split_tag):
             continue
         mesh = parse_obj(read(root / rel))
-        edge_labels = None
+        edge_labels = edge_pairs = None
         if label_rel:
             label_path = root / label_rel
-            edge_labels = _edge_labels(_decode(read(label_path), label_path), label_rel)
+            table = _edge_table(_decode(read(label_path), label_path), label_rel)
+            edge_labels, edge_pairs = table[:, 2], table[:, :2]
         samples.append(
             LabeledMesh(
                 mesh,
@@ -713,6 +742,7 @@ def load_dataset_with_hash(directory, keep=None):
                 edge_labels=edge_labels,
                 split=split_tag,
                 sample_id=sample_id,
+                edge_pairs=edge_pairs,
             )
         )
     return samples, h.hexdigest()[:16]

@@ -237,4 +237,7 @@ def read_features(data: bytes) -> FeatureTensor:
     values = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).reshape(
         edge_count, channels
     )
-    return FeatureTensor(values.astype(np.float64), kind)
+    features = FeatureTensor(values.astype(np.float64), kind)
+    if write_features(features) != data:  # a nonzero pad byte
+        raise MeshError("feature container is not in the form write_features writes")
+    return features

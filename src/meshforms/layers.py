@@ -276,18 +276,15 @@ _LAYER_TYPES = {
 def decode_spec(spec):
     """(class, integer arguments, {parameter: shape}) of one checkpoint header spec.
 
-    Each integer key must hold a JSON integer of at least 1: a bool, a float
-    or a string there would build a layer whose spec re-saves to other bytes,
-    and no config builds a width or a pool target below 1. A key that the
-    type does not declare would be dropped on re-saving, so it is refused too.
+    Each integer key must hold a JSON integer of at least 1: the loader's
+    re-encoding cannot see a bool width or a -5 target, which re-save to the
+    same bytes, and no config builds a width or a pool target below 1. An
+    undeclared key is dropped on re-encoding, so the loader refuses it.
     """
     kind = spec["type"]
     if kind not in _LAYER_TYPES:
         raise GraphError(f"unknown layer type {kind!r}")
     keys, cls, shapes = _LAYER_TYPES[kind]
-    undeclared = sorted(set(spec) - {"type", *keys})
-    if undeclared:
-        raise GraphError(f"{kind} spec has undeclared keys {undeclared}")
     args = [spec[key] for key in keys]
     for key, value in zip(keys, args):
         if type(value) is not int or value < 1:

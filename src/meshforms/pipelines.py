@@ -29,7 +29,7 @@ from .config import (
     ExperimentConfig,
     config_hash,
 )
-from .datasets import TEST, TRAIN, add_vertex_noise, augment, in_test_split
+from .datasets import TEST, TRAIN, add_vertex_noise, augment, check_edge_labels, in_test_split
 from .errors import ConfigError, DataError, GraphError, MeshFormsError, NonFiniteError
 from .features import extract, fit_channel_stats
 from .layers import (Dense, GlobalAveragePool, InstanceNorm, MeshConv, ModelGraph, Pool, ReLU,
@@ -191,11 +191,7 @@ def _prepare_group(config, group, rotation_seed):
         else:
             if s.edge_labels is None:
                 raise DataError(f"sample {s.sample_id} has no edge labels")
-            if len(s.edge_labels) != part.edge_count:
-                raise DataError(
-                    f"sample {s.sample_id}: {len(s.edge_labels)} edge labels "
-                    f"for {part.edge_count} edges"
-                )
+            check_edge_labels(s, part.edges)
             target = np.asarray(s.edge_labels, dtype=np.int64)
         prepared.append(_Prepared(s, mesh, part, inputs[k], target, source))
     return prepared

@@ -159,7 +159,7 @@ class PoolHistory:
 
     @staticmethod
     def from_json(text) -> "PoolHistory":
-        """Inverse of ``to_json`` (str or UTF-8 bytes); DataError for anything else."""
+        """Inverse of ``to_json``, bare or newline-ended (str or UTF-8 bytes); else DataError."""
         try:
             d = json.loads(text)
         except (ValueError, RecursionError):  # not JSON, not UTF-8, or nested too deep
@@ -175,6 +175,9 @@ class PoolHistory:
         except TypeError:  # indexing something that is not a JSON object
             raise DataError("pool journal: a journal or record is not a JSON object") from None
         history._check()
+        written = history.to_json() + "\n"
+        if text not in (written, written[:-1], written.encode(), written[:-1].encode()):
+            raise DataError("pool journal is not in the form to_json writes")
         return history
 
     def _check(self):

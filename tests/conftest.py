@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import json
 import pathlib
 import weakref
 
@@ -205,3 +206,44 @@ def mutate_bytes(data, draw, max_edits=4):
         else:
             del data[i]
     return bytes(data)
+
+
+# A JSON value nested a few levels deep, as a structural edit puts it in.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _slots(value):
+    """(container, key) of every value nested in the decoded JSON ``value``."""
+    if isinstance(value, (dict, list)):
+        for key in list(value) if isinstance(value, dict) else range(len(value)):
+            yield value, key
+            yield from _slots(value[key])
+
+
+def edit_json(value, draw):
+    """Make one drawn structural edit, at any depth, to the decoded JSON object
+    ``value`` in place: add a key to an object, drop a member of an object or
+    an array, or swap a value for one of another type."""
+    slots = list(_slots(value))
+    kind = draw(st.sampled_from(["add", "drop", "retype"]))
+    if kind == "add":
+        objects = [value] + [c[k] for c, k in slots if isinstance(c[k], dict)]
+        draw(st.sampled_from(objects))[draw(st.text(max_size=4))] = draw(JSON_VALUES)
+        return
+    container, key = draw(st.sampled_from(slots))
+    if kind == "drop":
+        del container[key]
+    else:
+        old = type(container[key])
+        container[key] = draw(JSON_VALUES.filter(lambda v: type(v) is not old))
+
+
+def encode_json(value, draw):
+    """``value`` as JSON text in a drawn layout: sorted or not, compact, re-spaced or indented."""
+    separators = draw(st.sampled_from([(",", ":"), (", ", ": "), (",", ": ")]))
+    indent = draw(st.sampled_from([None, 1]))
+    return json.dumps(value, sort_keys=draw(st.booleans()), separators=separators, indent=indent)

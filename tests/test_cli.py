@@ -279,6 +279,21 @@ class TestPoolTrace:
         steps = [int(l.split()[2]) for l in order]
         assert max(steps) >= 0 and min(steps) == -1
 
+    def test_written_journals_load(self, tmp_path, capsys):
+        """``pool-trace`` writes each journal as ``to_json()`` and one newline,
+        a form the journal reader accepts."""
+        from meshforms import PoolHistory
+
+        path, _ = self._sphere_path(tmp_path)
+        out = tmp_path / "trace"
+        args = ["pool-trace", "--mesh", path, "--features", "ff", "--targets", "160,100", "--out", out]
+        assert run(args, capsys)[0] == 0
+        journals = sorted(out.glob("stage_*.history.json"))
+        assert len(journals) == 2
+        for journal in journals:
+            text = journal.read_text()
+            assert PoolHistory.from_json(text).to_json() + "\n" == text
+
     def test_policies_produce_different_sidecars(self, tmp_path, capsys):
         # a generated zoo mesh whose ff journals diverge between the policies
         from meshforms import DatasetSpec, build_edge_topology, generate, pool
@@ -873,6 +888,34 @@ class TestTrainEval:
         )
         assert not (tmp_path / "m.ckpt").exists()
 
+    def test_edge_label_rows_out_of_edge_order_exit_2(self, tmp_path, capsys):
+        """A sidecar's ``u v`` columns must list the mesh's edges in canonical
+        order: with two rows swapped, two edges would train on each other's labels."""
+        data = tmp_path / "limbs"
+        gen = [
+            "gen-data", "--spec", "articulated-limbs", "--classes", "2", "--per-class", "1",
+            "--train-per-class", "1", "--test-per-class", "0", "--edge-range", "250,500",
+            "--out", data,
+        ]
+        assert run(gen, capsys)[0] == 0
+        sidecar = sorted((data / "meshes").glob("*.edgelabels"))[1]
+        rows = sidecar.read_text().splitlines()
+        rows[3], rows[4] = rows[4], rows[3]
+        sidecar.write_text("\n".join(rows) + "\n")
+        (u, v, _), (a, b, _) = rows[3].split(), rows[4].split()
+        code, stdout, err = run(
+            [
+                "train", "--data", data, "--out", tmp_path / "m.ckpt",
+                "--set", "task=segmentation", "--set", "epochs=1",
+                "--set", "conv_channels=4,6", "--set", "pool_targets=200,150",
+            ],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")
+        assert err.endswith(f"error: sample {sidecar.stem}: edge-label row 4 is edge {u} {v}, "
+                            f"not {a} {b}\n")
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_eval_of_unlabelled_test_mesh_exit_2(self, cli_dataset, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(cli_dataset, data)
@@ -951,6 +994,49 @@ class TestTrainEval:
         encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
         ckpt = tmp_path / "bad.ckpt"
         ckpt.write_bytes(struct.pack("<4sIQ", b"MFCK", 1, len(encoded)) + encoded + data[16 + size :])
+        code, stdout, err = run([command, "--checkpoint", ckpt, "--data", cli_dataset], capsys)
+        assert (code, stdout, err) == (2, "", "error: checkpoint header corrupt\n")
+
+    @pytest.mark.parametrize(
+        "edit",
+        ["top-level key", "blob_shapes entry", "blob named twice", "blobs swapped", "re-spaced",
+         "trailing bytes"],
+    )
+    @pytest.mark.parametrize(
+        "command, task", [("eval", "classification"), ("denoise", "denoising")]
+    )
+    def test_checkpoint_the_writer_never_writes_exit_2(
+        self, cli_dataset, tmp_path, command, task, edit, capsys
+    ):
+        """Each edit decodes to a model, but re-saves to other bytes: the loader
+        accepts only what ``to_bytes`` writes. A blob named twice would
+        otherwise evaluate its second copy."""
+        data = untrained_checkpoint(tmp_path / "m.ckpt", task).read_bytes()
+        end = 16 + struct.unpack_from("<Q", data, 8)[0]
+        header = json.loads(data[16:end])
+        order, blobs, offset = header["blob_order"], {}, end
+        for name in order:
+            blobs[name] = data[offset : offset + 8 * math.prod(header["blob_shapes"][name])]
+            offset += len(blobs[name])
+
+        def encode(**layout):
+            encoded = json.dumps(header, **layout).encode()
+            prefix = struct.pack("<4sIQ", b"MFCK", 1, len(encoded))
+            return prefix + encoded + b"".join(blobs[name] for name in order)
+
+        canonical = {"sort_keys": True, "separators": (",", ":")}
+        assert encode(**canonical) == data
+        if edit == "top-level key":
+            header["note"] = 1
+        elif edit == "blob_shapes entry":
+            header["blob_shapes"]["spare"] = [1]
+        elif edit == "blob named twice":
+            order.append(order[0])
+        elif edit == "blobs swapped":
+            order[0], order[1] = order[1], order[0]
+        edited = encode() if edit == "re-spaced" else encode(**canonical)
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(edited + b"\0" * 8 * (edit == "trailing bytes"))
         code, stdout, err = run([command, "--checkpoint", ckpt, "--data", cli_dataset], capsys)
         assert (code, stdout, err) == (2, "", "error: checkpoint header corrupt\n")
 

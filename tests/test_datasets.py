@@ -27,6 +27,7 @@ from meshforms.datasets import (
     GENERATORS,
     GLYPHS,
     _edge_labels,
+    _edge_table,
     _glyph_array,
     _label,
     _random_rotation,
@@ -248,6 +249,20 @@ class TestManifest:
             assert np.array_equal(x.mesh.faces, y.mesh.faces)
             assert np.allclose(x.mesh.vertices, y.mesh.vertices, rtol=1e-8)
             assert np.array_equal(x.edge_labels, y.edge_labels)
+            assert np.array_equal(y.edge_pairs, build_edge_topology(y.mesh).edges)
+        resplit = split(again, 2, 1, seed=4)
+        assert all(s.edge_pairs is not None for s in resplit)
+
+    def test_save_refuses_a_label_count_other_than_the_edge_count(self, tmp_path):
+        """Saving writes one sidecar row per edge, so extra labels would be cut
+        off silently; the sample is refused before its sidecar is written."""
+        (sample,) = generate(DatasetSpec("articulated-limbs", 1, 1, (250, 500), seed=4))
+        edges = build_edge_topology(sample.mesh).edge_count
+        sample.edge_labels = np.concatenate([sample.edge_labels, [0] * 5])
+        message = f"sample {sample.sample_id}: {edges + 5} edge labels for {edges} edges"
+        with pytest.raises(DataError, match=message):
+            save_dataset(tmp_path, [sample])
+        assert not list(tmp_path.glob("meshes/*.edgelabels"))
 
     def test_hash_stable_and_sensitive(self, tmp_path):
         samples = split(
@@ -374,6 +389,29 @@ def test_edge_labels_match_per_row_path(text):
     labels = _edge_labels(text, "labels")
     assert labels.dtype == expected.dtype and labels.shape == expected.shape
     assert np.array_equal(labels, expected)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_label_texts())
+def test_edge_table_reads_triples_and_names_labels_as_edge_labels(text):
+    """The loader's parse is the text's fields, three to a row, as int64; when
+    they are not, it is a DataError, worded as ``_edge_labels`` words a bad label."""
+    try:
+        expected = np.array([int(t) for t in text.split()], dtype=np.int64).reshape(-1, 3)
+    except (ValueError, OverflowError):
+        expected = None
+    if expected is not None:
+        table = _edge_table(text, "labels")
+        assert table.dtype == expected.dtype and np.array_equal(table, expected)
+        return
+    with pytest.raises(DataError) as got:
+        _edge_table(text, "labels")
+    try:
+        _edge_labels(text, "labels")
+    except DataError as err:
+        assert str(got.value) == str(err)
+    else:
+        assert "is not three int64 fields 'u v label'" in str(got.value)
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@
 import ctypes
 import gc
 import json
+import math
 import os
 import pathlib
 import struct
@@ -52,7 +53,14 @@ from algebra import (
     relu,
     weighted_sum,
 )
-from conftest import finite_difference, fuzz_corpus, mutate_bytes, with_specials
+from conftest import (
+    edit_json,
+    encode_json,
+    finite_difference,
+    fuzz_corpus,
+    mutate_bytes,
+    with_specials,
+)
 
 
 @pytest.fixture(scope="module")
@@ -761,6 +769,7 @@ class TestCheckpoint:
             _header(layers=[{"type": "dense", "out": 2}]),
             _header(layers=5),
             _header(blob_order=["w"], blob_shapes={"w": [-2]}),
+            _header(blob_shapes={"channel_stats.mean": [False], "channel_stats.std": [0]}),
             _header(blob_order=[]),
             _header(pooling_policy="bogus"),
             _header(has_channel_stats=False, blob_order=[], blob_shapes={}),
@@ -877,9 +886,43 @@ class TestCheckpoint:
             loaded = Checkpoint.from_bytes(mutated)
         except CheckpointError:
             return
+        assert loaded.to_bytes() == mutated
         for name, value in loaded.model.parameters().items():
             assert value.data.dtype == np.float64, name
             assert np.isfinite(value.data).all(), name
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_structurally_edited_checkpoint_resaves_or_raises_typed(self, data):
+        """Header edits at any depth, blobs named twice or reordered with their
+        data, and the header re-spaced: the checkpoint is a CheckpointError, or
+        it loads and re-saves to exactly its own bytes."""
+        stats = ChannelStats(np.array([0.5, -1.0]), np.array([2.0, 0.25]))
+        valid = Checkpoint(self._model(), stats, {"task": "classification"}).to_bytes()
+        end = 16 + struct.unpack_from("<Q", valid, 8)[0]
+        header = json.loads(valid[16:end])
+        blobs, offset = [], end
+        for name in header["blob_order"]:
+            size = 8 * math.prod(header["blob_shapes"][name])
+            blobs.append((name, valid[offset : offset + size]))
+            offset += size
+        for kind in data.draw(st.lists(st.sampled_from(["json", "twice", "reorder"]), max_size=3)):
+            if kind == "json":
+                edit_json(header, data.draw)
+                continue
+            if kind == "twice":
+                blobs.append(data.draw(st.sampled_from(blobs)))
+            else:
+                blobs = data.draw(st.permutations(blobs))
+            header["blob_order"] = [name for name, _ in blobs]
+        encoded = encode_json(header, data.draw).encode()
+        edited = struct.pack("<4sIQ", b"MFCK", 1, len(encoded)) + encoded
+        edited += b"".join(blob for _, blob in blobs)
+        try:
+            loaded = Checkpoint.from_bytes(edited)
+        except CheckpointError:
+            return
+        assert loaded.to_bytes() == edited
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

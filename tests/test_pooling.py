@@ -40,7 +40,7 @@ from meshforms.pooling import (
 )
 from meshforms.topology import SENTINEL
 
-from conftest import fuzz_corpus, mutate_bytes, oriented_closed_mesh
+from conftest import edit_json, encode_json, fuzz_corpus, mutate_bytes, oriented_closed_mesh
 
 
 def consistency_check(state, euler_characteristic):
@@ -727,7 +727,8 @@ def one_record_journal(removed=(0, 5, 6), survivors=(1, 2), final=7):
     a, c = survivors
     record = {"collapsed_edge": e, "surviving_edges": [a, c], "removed_edges": [e, b, d],
               "source_sets": [[a, b, e], [c, d, e]]}
-    return json.dumps({"records": [record], "initial_edge_count": 10, "final_edge_count": final})
+    journal = {"records": [record], "initial_edge_count": 10, "final_edge_count": final}
+    return json.dumps(journal, sort_keys=True)
 
 
 class TestHistorySerialization:
@@ -779,6 +780,7 @@ class TestHistorySerialization:
             history = PoolHistory.from_json(mutated)
         except MeshFormsError:
             return
+        assert mutated in (history.to_json().encode(), history.to_json().encode() + b"\n")
         for record in history.records:
             assert all(type(i) is int for i in (record.collapsed_edge, *record.surviving_edges,
                                                 *record.removed_edges, *sum(record.source_sets, ())))
@@ -788,6 +790,38 @@ class TestHistorySerialization:
         assert restored.shape == (history.initial_edge_count, 2) and np.all(restored == 1.0)
         assert pool_backward(pooled, history).shape == restored.shape
         assert unpool_backward(restored, history).shape == pooled.shape
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_structurally_edited_journal_resaves_or_raises_typed(self, icosahedron, data):
+        """Key edits at any depth and any layout: a journal is a DataError, or it
+        is exactly the bytes ``to_json`` writes, bare or with one newline."""
+        topology = build_edge_topology(icosahedron)
+        features = np.random.default_rng(0).normal(size=(topology.edge_count, 2))
+        journal = json.loads(pool(features, topology, topology.edge_count - 6).history.to_json())
+        for _ in range(data.draw(st.integers(0, 3))):
+            edit_json(journal, data.draw)
+        text = encode_json(journal, data.draw) + data.draw(st.sampled_from(["", "\n"]))
+        try:
+            history = PoolHistory.from_json(text)
+        except DataError:
+            return
+        assert text in (history.to_json(), history.to_json() + "\n")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda j: j.replace('{"final_edge_count"', '{"extra": 1, "final_edge_count"'),
+            lambda j: j.replace('{"collapsed_edge"', '{"age": 0, "collapsed_edge"'),
+            lambda j: json.dumps(json.loads(j), sort_keys=True, separators=(",", ":")),
+        ],
+        ids=["top-level key", "record key", "compact separators"],
+    )
+    def test_journal_the_writer_never_writes_rejected(self, edit):
+        journal = one_record_journal()
+        assert PoolHistory.from_json(journal).to_json() == journal
+        with pytest.raises(DataError, match="not in the form to_json writes"):
+            PoolHistory.from_json(edit(journal))
 
 
 # sha256 over the journal JSON, the pooled features, the compacted neighbor

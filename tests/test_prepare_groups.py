@@ -226,7 +226,12 @@ def test_the_earlier_error_in_a_group_wins(order, error, monkeypatch):
 def test_train_cli_exits_as_alone(case, tmp_path, monkeypatch, capsys):
     make, task, _, message = BAD[case]
     data = tmp_path / "data"
-    save_dataset(data, with_bad(task, make()))
+    if case == "short_labels":  # save_dataset refuses 3 labels for 56 edges: cut them after
+        save_dataset(data, with_bad(task, labelled(open_grid(), case)))
+        sidecar = data / "meshes" / f"{case}.edgelabels"
+        sidecar.write_text("".join(sidecar.read_text().splitlines(keepends=True)[:3]))
+    else:
+        save_dataset(data, with_bad(task, make()))
     args = ["train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
             "--set", f"task={task}", "--set", "epochs=1",
             "--set", "conv_channels=4", "--set", "pool_targets=60"]
