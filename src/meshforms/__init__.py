@@ -32,7 +32,7 @@ from .mesh import (
     write_edge_field,
     write_obj,
 )
-from .topology import EdgeTopology, build_edge_topology, euler_genus, validate_manifold
+from .topology import EdgeTopology, build_edge_topology, validate_manifold
 from .features import (
     FF,
     LAPLACIAN,

@@ -226,8 +226,8 @@ def instance_norm_backward(g, x, mu, sd, gamma):
     n = c / (var + eps).sqrt(), out = n * gamma + beta. Every value below is
     the same numpy operation on the same operands (each product or sum only
     swapped or written in place, which changes no bit), and the gradients
-    that meet at one node are added in the order ``Value.backward`` adds
-    them. ``c`` receives g_n / sd first and then the variance term twice,
+    that meet at one node are added in the order ``algebra.graph_backward``
+    adds them. ``c`` receives g_n / sd first and then the variance term twice,
     because ``c * c`` names one parent twice; ``x`` receives the direct term
     and then the mean's broadcast. The means multiply by 1/E. With one row
     the algebra skips the sums onto (1, C) operands, which can differ from

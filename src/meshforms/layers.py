@@ -6,16 +6,16 @@ Unpool layers pop it and restore the pre-pool topology, so encoder-decoder
 configurations end on the original edge set. Classification heads use
 GlobalAveragePool + Dense, so a mesh's class logits are one row.
 
-Every layer call and every loss makes one graph node. Its rule gives, bit for
-bit, the gradients of the same computation composed from elementwise,
-broadcasting and reduction steps (the tests keep that algebra as the oracle),
-and computes none for a loss's target or labels, which are not parents. No
-layer's backward rule reads the layer's own output: each reads its input,
-its parameters and what it kept from the forward (a mask, a mean and scale,
-a pool journal). In a ModelGraph each output has one consumer, the next
-layer, so that layer may overwrite the output's buffer once it has read what
-its own rule needs. ReLU does so after InstanceNorm: the pair holds one
-array per pass instead of two.
+Every layer call and every loss makes one link of a chain: a node whose
+parents are its input, then its parameters. Its rule gives, bit for bit, the
+gradients of the same computation composed from elementwise, broadcasting and
+reduction steps (the tests keep that algebra as the oracle), and computes none
+for a loss's target or labels, which are not parents. No layer's backward rule
+reads the layer's own output: each reads its input, its parameters and what it
+kept from the forward (a mask, a mean and scale, a pool journal). In a
+ModelGraph each output has one consumer, the next layer, so that layer may
+overwrite the output's buffer once it has read what its own rule needs. ReLU
+does so after InstanceNorm, so the pair holds one array per pass.
 
 A rule captures the arrays it reads when its layer runs and reads no node's
 ``data`` later. ``ModelGraph.forward`` drops each layer's input from its node
@@ -23,8 +23,8 @@ once the layer returns, so the graph keeps only what some rule captured:
 the inputs of MeshConv, InstanceNorm and Dense, the ReLU masks, the norm
 statistics and the pool journals, plus the model output. The rules of Pool,
 Unpool and GlobalAveragePool read no feature array, so their inputs are
-freed as soon as the layer returns. Backward then frees each captured array
-once the last rule reading it has run (see ``autodiff``).
+freed as soon as the layer returns. ``Value.backward`` walks the chain from
+the loss down and frees each captured array once its rule has run.
 """
 
 from __future__ import annotations

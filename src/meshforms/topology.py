@@ -250,8 +250,3 @@ def build_edge_topology(mesh: Mesh) -> EdgeTopology:
         raise TopologyError(f"mesh is not a valid manifold:\n{report.summary()}")
     return topology
 
-
-def euler_genus(mesh: Mesh, topology: EdgeTopology):
-    """Genus from V - E + F = 2 - 2g; meaningful for closed meshes."""
-    chi = mesh.vertex_count - topology.edge_count + mesh.face_count
-    return (2 - chi) / 2

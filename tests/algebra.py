@@ -1,4 +1,4 @@
-"""The composed oracle: a broadcasting operator algebra over ``Value`` nodes.
+"""The composed oracle: a broadcasting operator algebra over graph nodes.
 
 Each function makes one graph node from Values or arrays (an array becomes a
 constant leaf) and gives it the textbook rule for its operation; broadcasting
@@ -6,16 +6,99 @@ is undone by summing the gradient over the broadcast axes. The library's
 layers and losses are one node each, and their rules must give bit for bit
 what these compositions give. The ``composed_*`` functions spell out each of
 those layers and losses in this algebra.
+
+The compositions are graphs, not chains (``c * c`` names one parent twice,
+and the composed norm reaches ``x`` along two paths), so their nodes are this
+module's ``Value``, whose ``backward`` is a general graph walk:
+``graph_backward``. It walks the library's nodes too, so a layer's one node
+and its composition are differentiated by the same engine.
 """
 
 import numpy as np
 
-from meshforms import Value
+import meshforms
+from meshforms import GraphError
 from meshforms._kernels import INSTANCE_NORM_EPS
 
 
+def _topo_order(root):
+    """Every node of the graph, each after its parents."""
+    order = []
+    visited = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        if node.parents is None:
+            raise GraphError("backward over a graph that an earlier backward consumed")
+        stack.append((node, True))
+        for p in node.parents:
+            if id(p) not in visited:
+                stack.append((p, False))
+    return order
+
+
+def _accumulate(node, grad):
+    """Add ``grad`` to ``node``'s gradient.
+
+    A leaf keeps a copy, so the gradients an optimizer reads are owned,
+    writable arrays. An intermediate node keeps its first gradient as given:
+    no backward rule writes to the gradient it is handed, and a second
+    gradient is added into a new array.
+    """
+    grad = np.asarray(grad, dtype=np.float64)
+    if node.grad is None:
+        node.grad = grad.copy() if node.backward_rule is None else grad
+    else:
+        node.grad = node.grad + grad
+
+
+def _consume(node):
+    """Push ``node``'s gradient to its parents; drop its rule, parents and grad."""
+    rule, parents, grad = node.backward_rule, node.parents, node.grad
+    if rule is None:
+        return
+    node.backward_rule = node.parents = node.grad = None
+    if grad is None:
+        return
+    parent_grads = rule(grad)
+    del rule, grad
+    for parent, pg in zip(parents, parent_grads):
+        if pg is not None and parent.requires_grad:
+            _accumulate(parent, pg)
+
+
+def graph_backward(root):
+    """Accumulate gradients of the scalar ``root`` into its graph's leaves.
+
+    The graph is walked once in reverse topological order, so a node reached
+    along several paths pushes the sum of their gradients once. Only leaves
+    keep their gradient; every rule node is consumed as in the library.
+    """
+    order = _topo_order(root)
+    if root.data is None or root.data.size != 1:
+        raise GraphError("backward requires a scalar value")
+    root.grad = np.ones_like(root.data)
+    while order:
+        _consume(order.pop())
+
+
+class Value(meshforms.Value):
+    """A node of the composed algebra; ``backward`` walks its whole graph."""
+
+    __slots__ = ()
+
+    def backward(self):
+        graph_backward(self)
+
+
 def lift(x):
-    return x if isinstance(x, Value) else Value.constant(x)
+    return x if isinstance(x, meshforms.Value) else Value.constant(x)
 
 
 def _unbroadcast(grad, shape):

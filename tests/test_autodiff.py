@@ -1,13 +1,36 @@
-"""Reverse-mode engine: graph traversal, and finite-difference checks of the
-operator algebra the tests keep as the composed oracle."""
+"""Reverse-mode engines: the library's chain walk, the oracle's graph walk
+(``algebra.graph_backward``) it is checked against, and finite-difference
+checks of the operator algebra the tests keep as the composed oracle.
+
+``TestOps`` and most of ``TestGraph`` differentiate compositions of the
+algebra, whose nodes run the oracle's graph walk; a case whose root is a
+library ``Value`` runs the chain walk. ``TestChain`` holds the library's own
+cases."""
+
+import sys
 
 import numpy as np
 import pytest
 
-from meshforms import GraphError, Value
+from meshforms import (
+    Dense,
+    GlobalAveragePool,
+    GraphError,
+    InstanceNorm,
+    MeshConv,
+    ModelGraph,
+    Pool,
+    ReLU,
+    Unpool,
+    Value,
+    build_edge_topology,
+    cross_entropy,
+    mse,
+)
+from meshforms.layers import _LAYER_TYPES, MeshContext
 
-from algebra import add, div, exp, log, matmul, mean, mul, relu, sqrt, sub, total
-from conftest import finite_difference
+from algebra import add, div, exp, graph_backward, log, matmul, mean, mul, relu, sqrt, sub, total
+from conftest import finite_difference, fuzz_corpus
 
 
 def check_grad(build, *arrays, h=1e-5, tol=1e-6):
@@ -135,3 +158,121 @@ class TestGraph:
             y = add(y, 0.0)
         y.backward()
         assert np.allclose(x.grad, 1.0)
+
+
+@pytest.fixture(scope="module")
+def mesh_topology():
+    return build_edge_topology(fuzz_corpus(1, seed=23, edge_range=(150, 260))[0])
+
+
+def layer_output(kind, x, topology):
+    """The output node of one layer of type ``kind`` on the input node ``x``."""
+    ctx = MeshContext(topology)
+    channels = x.data.shape[1]
+    rng = np.random.default_rng(5)
+    if kind == "unpool":
+        x = Pool(topology.edge_count - 20)(x, ctx)
+    layer = {
+        "mesh_conv": lambda: MeshConv(channels, 4, rng),
+        "instance_norm": lambda: InstanceNorm(channels),
+        "pool": lambda: Pool(topology.edge_count - 20),
+        "dense": lambda: Dense(channels, 4, rng),
+    }.get(kind, _LAYER_TYPES[kind][1])()
+    return layer(x, ctx)
+
+
+def two_step_gradients(engine, model, steps):
+    """Bytes of every parameter gradient after one backward per (features,
+    topology, loss) step, under ``engine``, with no ``zero_grad`` between."""
+    for features, topology, loss_of in steps:
+        out, _ = model.forward(features, topology)
+        engine(loss_of(out))
+    return {name: value.grad.tobytes() for name, value in model.parameters().items()}
+
+
+class TestChain:
+    """The library's walk down the layer chain."""
+
+    @pytest.mark.parametrize("decoder", [False, True], ids=["classifier", "encoder_decoder"])
+    def test_two_backwards_accumulate_the_oracle_bits(self, decoder):
+        """Two backwards into one set of parameters, as ``train`` sums a batch,
+        give bit for bit what the oracle's graph walk gives."""
+        meshes = fuzz_corpus(2, seed=31, edge_range=(150, 260))
+        rng = np.random.default_rng(7)
+        steps = []
+        for mesh in meshes:
+            topology = build_edge_topology(mesh)
+            features = rng.normal(size=(topology.edge_count, 3))
+            if decoder:
+                target = rng.normal(size=(topology.edge_count, 2))
+                steps.append((features, topology, lambda out, t=target: mse(out, t)))
+            else:
+                steps.append((features, topology, lambda out: cross_entropy(out, 1)))
+
+        def model():
+            rng = np.random.default_rng(11)
+            encoder = [MeshConv(3, 5, rng), InstanceNorm(5), ReLU(), Pool(120), MeshConv(5, 4, rng)]
+            head = Unpool() if decoder else GlobalAveragePool()
+            return ModelGraph(encoder + [head, Dense(4, 2, rng)])
+
+        library = two_step_gradients(lambda loss: loss.backward(), model(), steps)
+        oracle = two_step_gradients(graph_backward, model(), steps)
+        assert library == oracle
+
+    def test_deep_chain_is_iterative(self):
+        x = Value(np.array(1.0))
+        y = x
+        nodes = []
+        for _ in range(5000):
+            y = Value(y.data * 1.0, (y,), lambda g: (g,))
+            nodes.append(y)
+        assert len(nodes) > sys.getrecursionlimit()
+        y.backward()
+        assert x.grad == 1.0
+        assert all(node.parents is None and node.backward_rule is None for node in nodes)
+
+    def test_consumed_chain_raises(self):
+        """A walk that reaches a consumed node refuses it before any gradient
+        reaches the leaves below."""
+        x = Value(np.array([1.0, -2.0]))
+        hidden = Value(x.data * 3.0, (x,), lambda g: (g * 3.0,))
+        loss = Value(hidden.data.sum(), (hidden,), lambda g: (np.full(2, g),))
+        loss.backward()
+        assert x.grad.tolist() == [3.0, 3.0]
+        with pytest.raises(GraphError, match="consumed"):
+            loss.backward()
+        with pytest.raises(GraphError, match="consumed"):
+            Value(hidden.data.sum(), (hidden,), lambda g: (np.full(2, g),)).backward()
+        assert x.grad.tolist() == [3.0, 3.0]
+
+    def test_a_rule_node_after_the_first_parent_is_refused(self):
+        """A node whose later parent has a rule is no chain: the walk would
+        drop that branch, so it refuses the graph; the oracle's walk follows it."""
+        def branching():
+            x = Value(np.array(2.0))
+            doubled = Value(x.data * 2.0, (x,), lambda g: (g * 2.0,))
+            return x, Value(x.data + doubled.data, (x, doubled), lambda g: (g, g))
+
+        _, root = branching()
+        with pytest.raises(GraphError, match="not a chain"):
+            root.backward()
+        x, root = branching()
+        graph_backward(root)
+        assert x.grad == 3.0
+
+    @pytest.mark.parametrize("kind", list(_LAYER_TYPES) + ["cross_entropy", "mse"])
+    def test_every_node_a_layer_or_loss_makes_is_a_chain_link(self, kind, mesh_topology):
+        """After its first parent, the input, a layer's or loss's node has
+        only leaves: its parameters, or nothing."""
+        edges = mesh_topology.edge_count
+        rng = np.random.default_rng(3)
+        x = add(Value(rng.normal(size=(edges, 3))), 0.0)  # an input with a rule
+        if kind == "cross_entropy":
+            out = cross_entropy(GlobalAveragePool()(x, None), 2)
+        elif kind == "mse":
+            out = mse(x, np.zeros((edges, 3)))
+        else:
+            out = layer_output(kind, x, mesh_topology)
+        first, *rest = out.parents
+        assert first.backward_rule is not None
+        assert all(p.backward_rule is None and p.parents == () for p in rest)

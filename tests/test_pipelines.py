@@ -1,7 +1,10 @@
 """Config format, metric definitions, training smoke + determinism."""
 
 import gc
+import importlib
+import pathlib
 import types
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -28,11 +31,13 @@ from meshforms import (
 )
 from meshforms import pipelines
 from meshforms.autodiff import Value
-from meshforms.layers import ModelGraph
+from meshforms.layers import MeshConv, ModelGraph, Pool, Unpool
 from meshforms.config import MAX_WIDTH
 from meshforms.features import extract
 from meshforms.pipelines import build_model
 from meshforms.topology import build_edge_topology
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def tiny_dataset(task_classes=3, per_class=4, seed=1, generator="primitive-zoo"):
@@ -306,6 +311,52 @@ class TestTraining:
         ckpt, report = train(cfg, samples)
         assert report.metrics["test_mse"] >= 0.0
         assert report.metrics["identity_mse"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "task, generator",
+    [("classification", "primitive-zoo"), ("segmentation", "articulated-limbs")],
+)
+def test_benchmark_tracer_sees_every_backward(task, generator, monkeypatch):
+    """One epoch under perfbench's Recorder and Tracer: each training step
+    opens one ``autodiff.backward`` span, the conv, pool and unpool rules run
+    inside it once per such layer, and the step makes ``len(layers) + 2``
+    Values (the input, one per layer, the loss). An engine that bypassed
+    ``Value.backward``, or read a rule before the tracer wrapped it, would
+    only show in a traced benchmark run otherwise."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    samples = [s for s in tiny_dataset(2, 3, generator=generator) if s.split == "train"]
+    recorder = tracing.Recorder()
+    tracer = tracing.Tracer(recorder)
+    at_backward = []  # (Values made so far, autodiff.backward spans so far)
+
+    with tracing.Patches() as patches:
+        recorder.install(patches)
+        tracer.install(patches)
+        backward = ModelGraph.backward
+
+        def counted_backward(model, loss):
+            grads = backward(model, loss)
+            spans = sum(span[0] == "autodiff.backward" for span in tracer.spans)
+            at_backward.append((tracer.counts["values"], spans))
+            return grads
+
+        patches.set(ModelGraph, "backward", counted_backward)
+        train(tiny_config(task=task, batch_size=2), samples)
+    model = recorder.model
+
+    assert len(at_backward) == len(samples)  # one epoch, no evaluation
+    values, spans = np.diff([(len(model.parameters()), 0)] + at_backward, axis=0).T
+    assert set(values) == {len(model.layers) + 2}
+    assert set(spans) == {1}
+    steps = [i for i, span in enumerate(tracer.spans) if span[0] == "autodiff.backward"]
+    assert all(tracer.spans[i][3] == -1 for i in steps)
+    for name, cls in (("conv.bwd", MeshConv), ("pooling.bwd", Pool), ("unpool.bwd", Unpool)):
+        per_layer = sum(isinstance(layer, cls) for layer in model.layers)
+        parents = Counter(span[3] for span in tracer.spans if span[0] == name)
+        assert parents == (Counter({i: per_layer for i in steps}) if per_layer else {}), name
+    assert any(isinstance(layer, Unpool) for layer in model.layers) == (task != "classification")
 
 
 @pytest.fixture
