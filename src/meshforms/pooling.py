@@ -14,15 +14,15 @@ though the collapse also affects them geometrically.
 
 Collapse legality, checked in this order; each rule is named by the reason
 of :data:`ILLEGAL_REASONS` that :meth:`PoolingState.collapse_illegality`
-returns when it fails first. The edge is alive (``EDGE_REMOVED``) and interior
-(``BOUNDARY_EDGE``), every edge touching its endpoints is interior
-(``INCIDENT_BOUNDARY``), the endpoints share exactly two neighbor vertices,
-the link condition of Dey et al. 1999 (``LINK_CONDITION``), those two have
-valence at least 4 (``SHARED_VALENCE``), and the merged vertex keeps valence
-at least 3 (``MERGED_VALENCE``). Together these keep every intermediate mesh
-a consistently oriented 2-manifold with no duplicate faces. The last rule
-refuses only on pinched meshes: two valence-3 endpoints whose shared
-neighbours each join a second fan.
+returns when it fails first. The edge is alive (``EDGE_REMOVED``), every edge
+touching its endpoints, itself included, is interior (``INCIDENT_BOUNDARY``),
+the endpoints share exactly two neighbor vertices, the link condition of Dey
+et al. 1999 (``LINK_CONDITION``), and those two have valence at least 4
+(``SHARED_VALENCE``). Pooling starts from a topology that
+:func:`topology.build_edge_topology` accepted, so each vertex's faces form one
+fan; such a contraction keeps every vertex's faces one fan, so every
+intermediate mesh stays a consistently oriented 2-manifold with no duplicate
+faces.
 
 A collapse updates only primary connectivity (edge endpoints, edge-face and
 face-edge incidence) and the vertex links it touches. Rings (the rule of
@@ -39,6 +39,7 @@ import heapq
 import itertools
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -67,13 +68,10 @@ POLICIES = (ENHANCED, BATCH_LEGACY)
 MIN_TARGET_GAP = 3
 
 EDGE_REMOVED = "edge already removed"
-BOUNDARY_EDGE = "boundary edge"
 INCIDENT_BOUNDARY = "incident boundary edge"
 LINK_CONDITION = "link condition violated (not two shared neighbors)"
 SHARED_VALENCE = "shared neighbor vertex has valence < 4"
-MERGED_VALENCE = "merged vertex would have valence < 3"
-ILLEGAL_REASONS = (EDGE_REMOVED, BOUNDARY_EDGE, INCIDENT_BOUNDARY, LINK_CONDITION,
-                   SHARED_VALENCE, MERGED_VALENCE)
+ILLEGAL_REASONS = (EDGE_REMOVED, INCIDENT_BOUNDARY, LINK_CONDITION, SHARED_VALENCE)
 
 # The divisor of the survivor averages and of their backward. A 0-d array
 # divides exactly as the float 3.0 does, and spares each row-sized ufunc call
@@ -316,8 +314,6 @@ class PoolingState:
         """The reason of :data:`ILLEGAL_REASONS` the collapse is illegal for, else None."""
         if not self.edge_alive[edge]:
             return EDGE_REMOVED
-        if self.edge_faces[2 * edge + 1] == SENTINEL:
-            return BOUNDARY_EDGE
         u, v = self.edges[2 * edge], self.edges[2 * edge + 1]
         if u in self.boundary_vertices or v in self.boundary_vertices:
             return INCIDENT_BOUNDARY
@@ -331,17 +327,20 @@ class PoolingState:
         for w in common:
             if len(links[w] or self.link(w)) < 4:
                 return SHARED_VALENCE
-        if len(link_u) + len(link_v) < 7:
-            return MERGED_VALENCE
         return None
 
     # -- mutation -----------------------------------------------------------
 
     def collapse(self, edge) -> CollapseRecord:
-        reason = self.collapse_illegality(edge)
+        """Collapse ``edge``, a legal one of the int edge ids; else IllegalCollapseError."""
+        try:
+            e = SENTINEL if isinstance(edge, bool) else operator.index(edge)
+        except TypeError:
+            e = SENTINEL
+        reason = self.collapse_illegality(e) if 0 <= e < len(self.edge_alive) else "no such edge"
         if reason is not None:
             raise IllegalCollapseError(f"cannot collapse edge {edge}: {reason}")
-        return self._collapse(int(edge))
+        return self._collapse(e)
 
     def _collapse(self, e, rescored=None) -> CollapseRecord:
         """Collapse edge ``e``, which :meth:`collapse_illegality` found legal.

@@ -6,11 +6,15 @@ given byte-identical input. For an interior edge ``e`` whose first incident
 face reads ``e -> a -> b`` counter-clockwise and whose second reads
 ``e -> c -> d``, the neighbor tuple is ``(a, b, c, d)``; missing slots on
 boundary edges hold the sentinel ``-1``.
+
+Only a consistently oriented 2-manifold, possibly with boundary, gets a
+topology: every edge has one or two faces, and each vertex's faces form one
+fan, a closed cycle around it or, on the boundary, one open path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -72,15 +76,11 @@ class ValidationReport:
     orientation_conflicts: list = field(default_factory=list)  # (u, v)
     isolated_vertices: list = field(default_factory=list)
     duplicate_faces: list = field(default_factory=list)  # (face i, face j)
+    pinched_vertices: list = field(default_factory=list)  # sought once the rest is clean
 
     @property
     def is_clean(self):
-        return not (
-            self.non_manifold_edges
-            or self.orientation_conflicts
-            or self.isolated_vertices
-            or self.duplicate_faces
-        )
+        return not any(getattr(self, f.name) for f in fields(self))
 
     def summary(self):
         if self.is_clean:
@@ -94,6 +94,8 @@ class ValidationReport:
             lines.append(f"vertex {v} belongs to no face")
         for i, j in self.duplicate_faces:
             lines.append(f"faces {i} and {j} share the same vertex set")
+        for v in self.pinched_vertices:
+            lines.append(f"vertex {v} is pinched: its faces form more than one fan")
         return "\n".join(lines)
 
 
@@ -185,15 +187,43 @@ def _scan(mesh: Mesh):
     by_face = np.argsort(later)
     report.duplicate_faces = list(zip(firsts[by_face].tolist(), later[by_face].tolist()))
 
-    report.isolated_vertices = np.flatnonzero(np.bincount(tails, minlength=n) == 0).tolist()
+    corners = np.bincount(tails, minlength=n)
+    report.isolated_vertices = np.flatnonzero(corners == 0).tolist()
+    shared = counts == 2
+    one, two = first[shared], order[starts[shared] + 1]
+    if report.is_clean:  # so every edge has one or two faces, two of them a twin pair
+        twins = np.full(len(tails), SENTINEL, dtype=np.int64)
+        twins[one], twins[two] = two, one
+        report.pinched_vertices = _pinched(tails, twins, corners)
     if not report.is_clean:
         return report, None
 
     edge_faces = np.full((len(edges), 2), SENTINEL, dtype=np.int64)
     edge_faces[:, 0] = first // 3
-    shared = counts == 2
-    edge_faces[shared, 1] = order[starts[shared] + 1] // 3
+    edge_faces[shared, 1] = two // 3
     return report, EdgeTopology(edges, edge_faces, half_edge_ids.reshape(-1, 3))
+
+
+def _pinched(tails, twins, corners):
+    """Vertices whose corners form more than one fan, ascending, from each
+    corner's vertex and twin half-edge (-1 on the boundary) and each vertex's
+    corner count. A corner's successor is the twin of the half-edge entering
+    it; an open fan starts at a corner whose own half-edge has no twin, and
+    is closed (end to start) when it is its vertex's only one. Pointer
+    doubling then labels each cycle of successors by its smallest corner."""
+    corner = np.arange(len(tails))
+    successor = twins.reshape(-1, 3)[:, [2, 0, 1]].ravel()
+    opens = twins == SENTINEL
+    path_start = np.zeros_like(corners)
+    path_start[tails[opens]] = corner[opens]
+    ends = successor == SENTINEL
+    successor[ends] = path_start[tails[ends]]
+    label = corner
+    for _ in range(int(corners.max(initial=1) - 1).bit_length()):
+        label, successor = np.minimum(label, label[successor]), successor[successor]
+    fans = np.bincount(tails[label == corner], minlength=len(corners))
+    paths = np.bincount(tails[opens], minlength=len(corners))
+    return np.flatnonzero((fans > 1) | (paths > 1)).tolist()
 
 
 def disjoint_union(meshes):
@@ -234,11 +264,12 @@ def split_topology(topology: EdgeTopology, meshes):
 
 
 def validate_manifold(mesh: Mesh) -> ValidationReport:
-    """Check edge degrees, orientation consistency, stray vertices, duplicates.
+    """Check edge degrees, orientation consistency, stray vertices, duplicates,
+    and, when those are clean, that each vertex's faces form one fan.
 
     An empty report is exactly the condition under which
-    :func:`build_edge_topology` succeeds. Face self-intersection and vertex
-    links are not examined, so a vertex pinched between two fans passes.
+    :func:`build_edge_topology` succeeds. Face self-intersection is not
+    examined.
     """
     return _scan(mesh)[0]
 

@@ -28,12 +28,57 @@ def oriented_closed_mesh(vertices, face_sets):
     return Mesh(vertices, np.array(faces))
 
 
+def closed_tetrahedron():
+    verts = np.array([(1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)])
+    return oriented_closed_mesh(verts, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
 @pytest.fixture
 def tetrahedron():
-    verts = np.array(
-        [(1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)]
-    )
-    return oriented_closed_mesh(verts, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    return closed_tetrahedron()
+
+
+def glued(meshes, hubs, joints):
+    """``meshes`` in one vertex numbering, each later one moved so that its
+    vertex ``joints[i]`` lands on, and is, vertex ``hubs[i]`` of those before it.
+
+    Each glue pinches the hub between two fans: every edge keeps its faces
+    and the orientation stays consistent, but the hub's faces form one fan
+    more, so the result is no valid input.
+    """
+    vertices, faces = [meshes[0].vertices], [meshes[0].faces]
+    n = meshes[0].vertex_count
+    for mesh, hub, joint in zip(meshes[1:], hubs, joints):
+        ids = np.arange(mesh.vertex_count) + n
+        ids[joint + 1 :] -= 1
+        ids[joint] = hub
+        shift = np.vstack(vertices)[hub] - mesh.vertices[joint]
+        vertices.append(np.delete(mesh.vertices, joint, axis=0) + shift)
+        faces.append(ids[mesh.faces])
+        n += mesh.vertex_count - 1
+    return Mesh(np.vstack(vertices), np.vstack(faces))
+
+
+def pinched_tetrahedra():
+    """Tetrahedron {0, 1, 2, 3} with a second one glued at vertex 2 and a third
+    at vertex 3. Edge (0, 1) has endpoints of valence 3 and shared neighbours
+    of valence 6."""
+    return glued([closed_tetrahedron()] * 3, hubs=(2, 3), joints=(0, 0))
+
+
+def with_holes(mesh, rng, holes):
+    """``mesh`` without ``holes`` random faces that share no vertex, unused
+    vertices dropped. Two removed faces that met only at a vertex would leave
+    it two open fans; these leave each vertex one fan."""
+    while True:
+        drop = rng.choice(mesh.face_count, holes, replace=False)
+        if len(np.unique(mesh.faces[drop])) == 3 * holes:
+            break
+    keep = np.delete(mesh.faces, drop, axis=0)
+    used = np.unique(keep)
+    renumber = np.zeros(mesh.vertex_count, dtype=np.int64)
+    renumber[used] = np.arange(len(used))
+    return Mesh(mesh.vertices[used], renumber[keep])
 
 
 def flat_pair_mesh():

@@ -37,7 +37,7 @@ from meshforms.mesh import RigidMotion, apply_motion, normalize_unit_box, write_
 from meshforms.optim import METHODS
 from meshforms.pooling import ENHANCED, POLICIES
 
-from conftest import dataset_files_and_hash, mutate_bytes
+from conftest import closed_tetrahedron, dataset_files_and_hash, glued, mutate_bytes
 
 TETRA_OBJ = b"""v 1 1 1
 v 1 -1 -1
@@ -357,7 +357,7 @@ class TestPoolTrace:
         ]
         collapses = [int(line.split("collapses=")[1].split()[0]) for line in summaries]
         assert sum(collapses) == int(lines[1].split(" = ")[1])
-        # illegal pops are keyed by the full reason, one of pooling's six
+        # illegal pops are keyed by the full reason, one of pooling's four
         reasons = [ast.literal_eval(line.split("by_reason=")[1]) for line in summaries]
         assert any(reasons) and set().union(*reasons) <= set(ILLEGAL_REASONS)
 
@@ -793,6 +793,22 @@ class TestTrainEval:
         )
         assert code == 2
         assert "not a valid manifold" in err
+
+    def test_pinched_mesh_exit_2(self, cli_dataset, tmp_path, capsys):
+        """A tetrahedron glued onto vertex 0 of a dataset mesh pinches it there."""
+        data = tmp_path / "data"
+        shutil.copytree(cli_dataset, data)
+        obj = sorted((data / "meshes").glob("*.obj"))[0]
+        mesh = glued([parse_obj(obj.read_bytes()), closed_tetrahedron()], hubs=(0,), joints=(0,))
+        obj.write_bytes(write_obj(mesh))
+        code, stdout, err = run(
+            ["train", "--data", data, "--out", tmp_path / "m.ckpt", "--set", "epochs=1"],
+            capsys,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "vertex 0 is pinched: its faces form more than one fan" in err
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_edge_label_beyond_int64_exit_2(self, tmp_path, capsys):
         data = tmp_path / "limbs"

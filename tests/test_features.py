@@ -193,7 +193,8 @@ class TestMeshcnn5:
 
 def pinned_meshes():
     """Generated zoo, limbs and engraved-cube meshes, then four fuzz meshes with
-    a few faces cut away, so that boundary edges and their empty slots occur."""
+    a few faces cut away, so that boundary edges and their empty slots occur.
+    The cut leaves each vertex one fan, so every mesh is valid input."""
     meshes = []
     for generator, classes, edge_range in (
         ("primitive-zoo", 6, (250, 400)),
@@ -201,13 +202,13 @@ def pinned_meshes():
         ("engraved-cube", 3, (800, 1200)),
     ):
         meshes += [s.mesh for s in generate(DatasetSpec(generator, classes, 1, edge_range, seed=5))]
-    cut = [0, 1, 7, 20]
+    cut = [0, 1, 19, 20]
     return meshes + [Mesh(m.vertices, np.delete(m.faces, cut, axis=0)) for m in fuzz_corpus(4, seed=3)]
 
 
 # sha256 over write_features(extract(...)) of every kind, in kind table order,
 # for each of pinned_meshes() in order.
-GOLDEN_FEATURES = "fc6ed4897f5c9ba79e1330aeb4643861df3f538221d35d98d37d5e5e74dfb5b4"
+GOLDEN_FEATURES = "f26fdedfc3f0bf36788ed521370bd9c7b3407f0a7bb15fbae1937d53764dd813"
 
 
 def test_feature_bytes_are_stable():

@@ -170,8 +170,9 @@ def test_conv_kernels_match_the_unbuffered_algebra_bitwise(case):
 
 
 def open_meshes():
-    """Closed corpus meshes with a few faces cut away: rings with sentinel slots."""
-    cut = [0, 1, 7, 20]
+    """Closed corpus meshes with a few faces cut away: rings with sentinel
+    slots, and one fan at every vertex."""
+    cut = [0, 1, 19, 20]
     return [Mesh(m.vertices, np.delete(m.faces, cut, axis=0)) for m in fuzz_corpus(4, seed=3)]
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from meshforms import (
     ILLEGAL_REASONS,
+    DatasetSpec,
     DataError,
     Mesh,
     GraphError,
@@ -23,31 +24,43 @@ from meshforms import (
     PoolingState,
     PoolTargetError,
     ScoreQueue,
+    TopologyError,
     build_edge_topology,
+    generate,
     pool,
     unpool,
     validate_manifold,
+    write_obj,
 )
+from meshforms.cli import main
 from meshforms.pooling import (
     BATCH_LEGACY,
     ENHANCED,
-    MERGED_VALENCE,
     POLICIES,
-    SHARED_VALENCE,
     CollapseRecord,
     pool_backward,
     unpool_backward,
 )
 from meshforms.topology import SENTINEL
 
-from conftest import edit_json, encode_json, fuzz_corpus, mutate_bytes, oriented_closed_mesh
+from conftest import (
+    closed_tetrahedron,
+    edit_json,
+    encode_json,
+    fuzz_corpus,
+    glued,
+    mutate_bytes,
+    pinched_tetrahedra,
+    with_holes,
+)
 
 
 def consistency_check(state, euler_characteristic):
     """Structural invariants of a pooling state after any collapse.
 
     ``euler_characteristic`` is V - E + F of the mesh before pooling, which a
-    legal collapse keeps.
+    legal collapse keeps. A boundary edge has no second face, and its ring
+    holds two sentinels there.
     """
     mesh = state.export_mesh()
     report = validate_manifold(mesh)
@@ -57,16 +70,21 @@ def consistency_check(state, euler_characteristic):
     for e in alive:
         for slot in range(2):
             face = state.edge_faces[2 * e + slot]
-            assert face != SENTINEL and state.face_alive[face]
             pair = state.ring(e)[2 * slot : 2 * slot + 2]
+            if face == SENTINEL:
+                assert slot == 1 and pair == (SENTINEL, SENTINEL)
+                continue
+            assert state.face_alive[face]
             assert set(int(p) for p in pair) <= set(
                 int(x) for x in state.face_edges[3 * face : 3 * face + 3]
             )
         for nb in state.ring(e):
-            assert state.edge_alive[nb]
-            assert e in state.ring(nb)
-    # the vectorised ring rule in compact() agrees with the scalar ring()
-    edge_map = np.cumsum(state.edge_alive) - 1
+            if nb != SENTINEL:
+                assert state.edge_alive[nb]
+                assert e in state.ring(nb)
+    # the vectorised ring rule in compact() agrees with the scalar ring(); the
+    # appended entry keeps each sentinel
+    edge_map = np.append(np.cumsum(state.edge_alive) - 1, SENTINEL)
     _, compacted = state.compact()
     assert np.array_equal(compacted.neighbors, edge_map[[state.ring(e) for e in alive]])
     # compact numbers the exported mesh's vertices, which the derived incidence
@@ -132,6 +150,20 @@ class TestCollapse:
         with pytest.raises(IllegalCollapseError, match="valence"):
             state.collapse(0)
 
+    @pytest.mark.parametrize(
+        "edge", [-1, -30, 30, 10**6, True, False, 1.0, "1", None, np.int64(-1), np.bool_(True)]
+    )
+    def test_what_is_no_edge_id_is_refused_before_any_read(self, icosahedron, edge):
+        """Only an int or numpy integer in 0..E-1 names an edge; a negative id
+        would wrap in the flat lists, and a bool would collapse edge 0 or 1."""
+        state, _ = make_state(icosahedron)
+        before = (list(state.edges), list(state.edge_alive), state.features.tobytes())
+        with pytest.raises(IllegalCollapseError, match="no such edge"):
+            state.collapse(edge)
+        assert (list(state.edges), list(state.edge_alive), state.features.tobytes()) == before
+        legal = first_legal_edge(state)
+        assert state.collapse(np.int64(legal)).collapsed_edge == legal
+
     def test_fuzz_state_stays_consistent(self):
         for i, mesh in enumerate(fuzz_corpus(6, seed=23)):
             state, topo = make_state(mesh, seed=i)
@@ -156,7 +188,10 @@ class SetOracle(PoolingState):
     ``collapse_illegality`` rebuilds both endpoints' neighbor sets on every
     call, and ``_collapse`` averages survivors into fresh arrays; both are the
     replaced code, kept as the reference the link-based state must match.
-    ``flat(name)`` gives a connectivity list in the state's flat layout.
+    The two rules pooling dropped, a boundary-edge rule before the incident
+    one and a merged-valence rule last, stay as assertions: on valid input
+    neither can refuse. ``flat(name)`` gives a connectivity list in the
+    state's flat layout.
     """
 
     def __init__(self, topology, features):
@@ -188,21 +223,19 @@ class SetOracle(PoolingState):
         if not self.edge_alive[edge]:
             return "edge already removed"
         edge_faces = self.edge_faces
-        if edge_faces[edge][1] == SENTINEL:
-            return "boundary edge"
         u, v = self.edges[edge]
         for w in (u, v):
             for e in self.vertex_edges[w]:
                 if edge_faces[e][1] == SENTINEL:
                     return "incident boundary edge"
+        assert edge_faces[edge][1] != SENTINEL, "boundary edge"
         common = self.vertex_neighbors(u) & self.vertex_neighbors(v)
         if len(common) != 2:
             return "link condition violated (not two shared neighbors)"
         for w in common:
             if len(self.vertex_edges[w]) < 4:
                 return "shared neighbor vertex has valence < 4"
-        if len(self.vertex_edges[u]) + len(self.vertex_edges[v]) < 7:
-            return "merged vertex would have valence < 3"
+        assert len(self.vertex_edges[u]) + len(self.vertex_edges[v]) >= 7, "merged valence < 3"
         return None
 
     def _collapse(self, e):
@@ -255,15 +288,6 @@ def live_links(state):
             links.setdefault(x, {})[y] = e
             links.setdefault(y, {})[x] = e
     return links
-
-
-def with_holes(mesh, rng, holes):
-    """``mesh`` without ``holes`` random faces, unused vertices dropped."""
-    keep = np.delete(mesh.faces, rng.choice(mesh.face_count, holes, replace=False), axis=0)
-    used = np.unique(keep)
-    renumber = np.zeros(mesh.vertex_count, dtype=np.int64)
-    renumber[used] = np.arange(len(used))
-    return Mesh(mesh.vertices[used], renumber[keep])
 
 
 class TestScoreQueue:
@@ -360,39 +384,6 @@ def oracle_meshes():
     vertices[ids[n:]] = tetra.vertices + 10.0
     faces = np.vstack([ids[:n][sphere.faces], ids[n:][tetra.faces]])
     return closed + holed + [tetra, Mesh(vertices, faces)]
-
-
-def closed_tetrahedron():
-    verts = np.array([(1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)])
-    return oriented_closed_mesh(verts, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
-
-
-def glued(meshes, hubs, joints):
-    """``meshes`` in one vertex numbering, each later one moved so that its
-    vertex ``joints[i]`` lands on, and is, vertex ``hubs[i]`` of those before it.
-
-    Each glue pinches the hub between two fans: every edge keeps two faces
-    and the orientation stays consistent, but the hub's link is two loops.
-    """
-    vertices, faces = [meshes[0].vertices], [meshes[0].faces]
-    n = meshes[0].vertex_count
-    for mesh, hub, joint in zip(meshes[1:], hubs, joints):
-        ids = np.arange(mesh.vertex_count) + n
-        ids[joint + 1 :] -= 1
-        ids[joint] = hub
-        shift = np.vstack(vertices)[hub] - mesh.vertices[joint]
-        vertices.append(np.delete(mesh.vertices, joint, axis=0) + shift)
-        faces.append(ids[mesh.faces])
-        n += mesh.vertex_count - 1
-    return Mesh(np.vstack(vertices), np.vstack(faces))
-
-
-def pinched_tetrahedra():
-    """Tetrahedron {0, 1, 2, 3} with a second one glued at vertex 2 and a third
-    at vertex 3. Edge (0, 1) has endpoints of valence 3 and shared neighbours
-    of valence 6."""
-    tetra = closed_tetrahedron()
-    return glued([tetra] * 3, hubs=(2, 3), joints=(0, 0))
 
 
 def pool_backward_oracle(grad_pooled, history):
@@ -938,12 +929,11 @@ def test_pool_stats_equal_the_hooked_counts(small_corpus, monkeypatch):
 
 
 @pytest.mark.parametrize("policy", [ENHANCED, BATCH_LEGACY])
-def test_every_refusal_is_one_of_the_six_reasons(oracle_meshes, policy, monkeypatch):
-    """Pooling the oracle meshes, holed ones and a tetrahedron among them, and
-    the pinched tetrahedra, as deep as each goes: every refusal the check
-    returns and every key of ``PoolStats.illegal_pops`` is one of
-    ILLEGAL_REASONS, and every reason occurs. No pop returns a dead edge, so
-    one is asked about directly."""
+def test_every_refusal_is_one_of_the_four_reasons(oracle_meshes, policy, monkeypatch):
+    """Pooling the oracle meshes, holed ones and a tetrahedron among them, as
+    deep as each goes: every refusal the check returns and every key of
+    ``PoolStats.illegal_pops`` is one of ILLEGAL_REASONS, and every reason
+    occurs. No pop returns a dead edge, so one is asked about directly."""
     returned, keys = Counter(), set()
     check = PoolingState.collapse_illegality
 
@@ -953,7 +943,7 @@ def test_every_refusal_is_one_of_the_six_reasons(oracle_meshes, policy, monkeypa
         return reason
 
     monkeypatch.setattr(PoolingState, "collapse_illegality", recording)
-    for i, mesh in enumerate(oracle_meshes + [pinched_tetrahedra()]):
+    for i, mesh in enumerate(oracle_meshes):
         topology = build_edge_topology(mesh)
         features = np.random.default_rng(i).normal(size=(topology.edge_count, 4))
         for target in (int(0.6 * topology.edge_count), 3):
@@ -964,53 +954,95 @@ def test_every_refusal_is_one_of_the_six_reasons(oracle_meshes, policy, monkeypa
             keys |= result.stats.illegal_pops.keys()
             result.state.collapse_illegality(result.history.records[0].collapsed_edge)
     del returned[None]
-    assert len(set(ILLEGAL_REASONS)) == 6
+    assert len(set(ILLEGAL_REASONS)) == 4
     assert keys <= set(ILLEGAL_REASONS)
     assert set(returned) == set(ILLEGAL_REASONS)
 
 
-def test_merged_valence_refuses_at_a_pinched_vertex():
-    """A shared neighbour of two valence-3 endpoints need not have valence 3:
-    on the pinched tetrahedra only the merged-valence rule refuses edge
-    (0, 1), and collapsing it anyway leaves two faces on one vertex set."""
+def test_pinched_tetrahedra_are_refused_at_input(tmp_path, capsys):
+    """Vertices 2 and 3 each join two tetrahedra: the scan finds both, no
+    topology is built, and ``meshforms validate`` names them and exits 2."""
     mesh = pinched_tetrahedra()
-    assert validate_manifold(mesh).is_clean
-    state, topology = make_state(mesh)
-    reasons = {
-        tuple(ends): state.collapse_illegality(e) for e, ends in enumerate(topology.edges.tolist())
-    }
-    assert reasons.pop((0, 1)) == MERGED_VALENCE
-    assert set(reasons.values()) == {SHARED_VALENCE}
-    state._collapse(topology.edges.tolist().index([0, 1]))
-    assert "share the same vertex set" in validate_manifold(state.export_mesh()).summary()
+    report = validate_manifold(mesh)
+    assert report.pinched_vertices == [2, 3]
+    lines = [f"vertex {v} is pinched: its faces form more than one fan" for v in (2, 3)]
+    assert report.summary() == "\n".join(lines)
+    with pytest.raises(TopologyError, match="vertex 2 is pinched"):
+        build_edge_topology(mesh)
+    path = tmp_path / "pinched.obj"
+    path.write_bytes(write_obj(mesh))
+    assert main(["validate", "--mesh", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines() == lines
 
 
-@pytest.mark.parametrize("policy", POLICIES)
-def test_pinched_meshes_stay_manifold_to_exhaustion(policy):
-    """Three zoo meshes glued in a chain, the middle one pinched at two
-    vertices, pool in stages of a fifth of their edges until no collapse is
-    legal; every stage passes the consistency check, and the merged-valence
-    rule refuses some pops."""
+def test_glued_chains_are_refused_at_input():
+    """Three zoo meshes glued in a chain at two hubs: the scan names exactly
+    the hubs, and no topology is built."""
     rng = np.random.default_rng(29)
     corpus = fuzz_corpus(12, seed=83, edge_range=(60, 150))
-    merged_refusals = 0
     for _ in range(30):
         parts = [corpus[i] for i in rng.choice(len(corpus), 3, replace=False)]
         first, middle = (m.vertex_count for m in parts[:2])
         hubs = [int(rng.integers(first)), first + int(rng.integers(middle - 1))]
         mesh = glued(parts, hubs, [int(rng.integers(m.vertex_count)) for m in parts[1:]])
+        assert validate_manifold(mesh).pinched_vertices == hubs
+        with pytest.raises(TopologyError, match=f"vertex {hubs[0]} is pinched"):
+            build_edge_topology(mesh)
+
+
+@pytest.fixture(scope="module")
+def valid_meshes(oracle_meshes):
+    """The oracle meshes, and small zoo, limbs and engraved-cube meshes."""
+    generated = [
+        s.mesh
+        for generator, edge_range in [
+            ("primitive-zoo", (250, 400)), ("articulated-limbs", (300, 600)),
+            ("engraved-cube", (800, 1300)),
+        ]
+        for s in generate(DatasetSpec(generator, classes=2, per_class=2, edge_range=edge_range,
+                                      seed=7))
+    ]
+    return oracle_meshes + generated
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_valid_meshes_stay_manifold_to_exhaustion(valid_meshes, policy, monkeypatch):
+    """Every valid mesh pools in stages of a fifth of its edges until no
+    collapse is legal. Every stage passes the consistency check, and every
+    pop, replayed on the set oracle, gets the same reason without tripping
+    its assertions of the two dropped rules."""
+    pops, replayed = [], Counter()
+    check = PoolingState.collapse_illegality
+
+    def recording(state, edge):
+        pops.append((edge, check(state, edge)))
+        return pops[-1][1]
+
+    def replay(topology, features):
+        oracle = SetOracle(topology, features)
+        for edge, reason in pops:
+            assert oracle.collapse_illegality(edge) == reason
+            replayed["boundary edge"] += oracle.edge_faces[edge][1] == SENTINEL
+            if reason is None:
+                oracle._collapse(edge)
+                replayed["collapse"] += 1
+        pops.clear()
+
+    monkeypatch.setattr(PoolingState, "collapse_illegality", recording)
+    for i, mesh in enumerate(valid_meshes):
         topology = build_edge_topology(mesh)
         chi = mesh.vertex_count - topology.edge_count + mesh.face_count
-        features = rng.normal(size=(topology.edge_count, 4))
+        features = np.random.default_rng(i).normal(size=(topology.edge_count, 4))
         while True:
+            target = int(0.8 * topology.edge_count)
             try:
-                result = pool(features, topology, int(0.8 * topology.edge_count), mesh=mesh,
-                              policy=policy)
+                result = pool(features, topology, target, mesh=mesh, policy=policy)
             except PoolTargetError as exc:
+                replay(topology, features)
                 if exc.achieved == topology.edge_count:
                     break
                 result = pool(features, topology, exc.achieved, mesh=mesh, policy=policy)
+            replay(topology, features)
             consistency_check(result.state, chi)
-            merged_refusals += result.stats.illegal_pops.get(MERGED_VALENCE, 0)
             features, topology, mesh = result.features, result.topology, result.state.export_mesh()
-    assert merged_refusals > 0
+    assert replayed["boundary edge"] > 0 and replayed["collapse"] > 0

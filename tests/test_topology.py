@@ -1,5 +1,6 @@
 """Edge-topology construction and manifold validation."""
 
+import dataclasses
 import hashlib
 from collections import Counter
 
@@ -25,7 +26,7 @@ from meshforms import topology as topology_module
 from meshforms.layers import MeshContext
 from meshforms.topology import SENTINEL, EdgeTopology, ValidationReport, _scan, incident_edges
 
-from conftest import fuzz_corpus
+from conftest import closed_tetrahedron, flat_pair_mesh, fuzz_corpus, glued, with_holes
 
 
 def brute_force_neighbors(mesh):
@@ -85,6 +86,8 @@ def walk_scan(mesh):
             report.non_manifold_edges.append((u, v, len(incident)))
     used = {v for edge in edges for v in edge}
     report.isolated_vertices = [v for v in range(mesh.vertex_count) if v not in used]
+    if report.is_clean:
+        report.pinched_vertices = walk_fans(faces)
     if not report.is_clean:
         return report, None
 
@@ -111,6 +114,40 @@ def walk_scan(mesh):
     topology.neighbors = np.array(neighbors, dtype=np.int64).reshape(-1, 4)
     topology.vertex_edges = vertex_edges
     return report, topology
+
+
+def walk_fans(faces):
+    """Reference for the fan count of a mesh whose other findings are clean:
+    per vertex, a walk over its corners' successors, ascending vertex ids of
+    those with more than one fan."""
+    corner_of = {}  # half-edge (u, w) -> corner 3f + k of u in its face f
+    for fi, face in enumerate(faces):
+        for k in range(3):
+            corner_of[face[k], face[k - 2]] = 3 * fi + k
+    corners_at = {}
+    for (u, _), c in corner_of.items():
+        corners_at.setdefault(u, []).append(c)
+
+    def successor(c):
+        """The corner of the same vertex across the edge entering ``c``, or None."""
+        face, k = faces[c // 3], c % 3
+        return corner_of.get((face[k], face[k - 1]))
+
+    pinched = []
+    for v, corners in sorted(corners_at.items()):
+        # an open fan starts where the corner's own edge has no second face
+        starts = [c for c in corners if (faces[c // 3][c % 3 - 2], v) not in corner_of]
+        todo, fans = set(corners), 0
+        for c in starts + sorted(corners):
+            if c not in todo:
+                continue
+            fans += 1
+            while c in todo:
+                todo.remove(c)
+                c = successor(c)
+        if fans > 1:
+            pinched.append(v)
+    return pinched
 
 
 def assert_scan_matches_walk(mesh):
@@ -266,6 +303,24 @@ def three_triangle_fan_edge():
     return Mesh(verts, faces)
 
 
+# one finding for each field of ValidationReport
+FINDINGS = {
+    "non_manifold_edges": (0, 1, 3),
+    "orientation_conflicts": (0, 1),
+    "isolated_vertices": 4,
+    "duplicate_faces": (0, 1),
+    "pinched_vertices": 2,
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ValidationReport)])
+def test_one_finding_in_any_field_is_not_clean(name):
+    report = ValidationReport(**{name: [FINDINGS[name]]})
+    assert not report.is_clean
+    assert len(report.summary().splitlines()) == 1
+    assert report.summary() != ValidationReport().summary()
+
+
 class TestValidation:
     def test_tetrahedron_clean(self, tetrahedron):
         assert validate_manifold(tetrahedron).is_clean
@@ -345,8 +400,9 @@ def defective_variants(mesh):
 GOLDEN_TOPOLOGY = "50e953f7c5cd09c5c8bc3a6c0cfa6a4d011e6d8993282493dc52f9388b884bca"
 
 # sha256 over repr(validate_manifold(...)) for five defective variants of
-# each of the first six fuzz meshes.
-GOLDEN_REPORTS = "165f736202b55128ada1e37c7526a68d535e79c1dadbcb2bda2199d87a95e1a8"
+# each of the first six fuzz meshes. None is pinched: every repr ends in an
+# empty pinched_vertices field.
+GOLDEN_REPORTS = "01165ee8de163faf77fc98cf94752244525f1ef14b983f828c64921b3709619c"
 
 
 def test_topology_is_byte_stable(small_corpus):
@@ -456,3 +512,48 @@ def test_clean_report_iff_build_succeeds(mesh):
     except TopologyError:
         built = False
     assert validate_manifold(mesh).is_clean == built
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fan_count_matches_walk_on_glued_meshes(small_corpus, data):
+    """Two or three corpus meshes, each closed or with holes, glued at drawn
+    hubs: the scan's fan count is the walk's, and it names exactly the hubs."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for _ in range(data.draw(st.integers(2, 3))):
+        mesh = data.draw(st.sampled_from(small_corpus[:8]))
+        holes = data.draw(st.integers(0, 3))
+        parts.append(with_holes(mesh, rng, holes) if holes else mesh)
+    hubs, joints, before = [], [], parts[0].vertex_count
+    for part in parts[1:]:
+        hubs.append(data.draw(st.integers(0, before - 1)))
+        joints.append(data.draw(st.integers(0, part.vertex_count - 1)))
+        before += part.vertex_count - 1
+    mesh = glued(parts, hubs, joints)
+    assert_scan_matches_walk(mesh)
+    assert validate_manifold(mesh).pinched_vertices == sorted(set(hubs))
+
+
+def bowtie():
+    """Two open fans at vertex 0, one of faces 0 and 2, one of face 1 alone.
+
+    Closing one of them (end to start) joins the other to it, and the first
+    corner lies on the closed one, so a cycle count alone would find one fan.
+    """
+    vertices = np.array(
+        [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (-1, 0, 0), (-1, -1, 0)], dtype=float
+    )
+    return Mesh(vertices, np.array([(0, 2, 3), (0, 4, 5), (0, 1, 2)]))
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [bowtie(), glued([flat_pair_mesh(), closed_tetrahedron()], hubs=(0,), joints=(0,))],
+    ids=["two open fans", "an open and a closed fan"],
+)
+def test_fan_count_at_a_boundary_vertex(mesh):
+    assert_scan_matches_walk(mesh)
+    assert validate_manifold(mesh).pinched_vertices == [0]
+    with pytest.raises(TopologyError, match="vertex 0 is pinched"):
+        build_edge_topology(mesh)
