@@ -115,9 +115,8 @@ def cmd_pool_trace(args):
         result = pool(
             current_values, current_topology, target, mesh=current_mesh, policy=args.policy
         )
-        for rec in result.history.records:
-            for old in rec.removed_edges:
-                collapse_step[id_map[old]] = step
+        for e, _, b, _, d in result.history.records:
+            collapse_step[id_map[[e, b, d]]] = step
             step += 1
         id_map = id_map[result.history.surviving_ids()]
         print(f"stage {stage} (target {target}): {result.stats.summary()}", file=sys.stderr)

@@ -307,7 +307,8 @@ def _make_zoo_sample(class_index, rng, edge_range):
 # engraved cubes
 
 # 5x5 carve stencils; none contains a 2x2 block with only a diagonal pair set,
-# which would pinch the extracted voxel surface into a non-manifold edge.
+# which would pinch the extracted voxel surface into a non-manifold edge
+# (generate refuses such a mesh).
 GLYPHS = {
     0: ["00100", "00100", "00100", "00100", "00100"],  # I
     1: ["10001", "10001", "11111", "10001", "10001"],  # H
@@ -326,17 +327,6 @@ GLYPHS = {
 
 def _glyph_array(rows):
     return np.array([[ch == "1" for ch in row] for row in rows], dtype=bool)
-
-
-def glyph_is_safe(bitmap):
-    """No 2x2 window of the zero-padded bitmap is exactly a diagonal pair."""
-    padded = np.pad(bitmap, 1)
-    for i in range(padded.shape[0] - 1):
-        for j in range(padded.shape[1] - 1):
-            w = padded[i : i + 2, j : j + 2]
-            if w[0, 0] == w[1, 1] and w[0, 1] == w[1, 0] and w[0, 0] != w[0, 1]:
-                return False
-    return True
 
 
 _QUAD_CORNERS = {
@@ -390,8 +380,6 @@ def _glyph_wall_edges(bitmap):
 
 def _make_engraved_cube(class_index, rng, edge_range):
     bitmap = _glyph_array(GLYPHS[class_index])
-    if not glyph_is_safe(bitmap):
-        raise DataError(f"glyph {class_index} violates the manifold-safety rule")
     lo, hi = edge_range
     extra = _glyph_wall_edges(bitmap)
     size = None
@@ -652,42 +640,23 @@ def _label(row, fields, column, source):
         raise DataError(f"{source}: no integer label in column {column + 1} of {row!r}") from None
 
 
-def _edge_labels(text, source):
-    """Column 3 of every non-blank row of an edge-label file, as int64, read
-    row by row, so the error names the first row without an integer label, as
-    ``_label`` words it, or else the first label that does not fit in int64.
-    """
-    lines = [row for row in text.splitlines() if row.strip()]
-    labels = [_label(row, row.split(), 2, source) for row in lines]
-    for row, label in zip(lines, labels):
-        if not _INT64.min <= label <= _INT64.max:
-            raise DataError(f"{source}: label in column 3 of {row!r} does not fit in int64")
-    return np.array(labels, dtype=np.int64)
-
-
-_INT64 = np.iinfo(np.int64)
-
-
 def _edge_table(text, source):
     """The ``u v label`` triples of an edge-label file's fields, read in one
     numpy call, as an (N, 3) int64 array; ``check_edge_labels`` compares each
     label's two vertex ids with the mesh's edges. On failure, the error names
-    the first row without a sound label (:func:`_edge_labels`), or else the
-    first row that is not three int64 fields."""
+    the first non-blank row that is not three int64 fields. One exists: every
+    line boundary is whitespace to ``str.split``, so the rows' fields are the
+    text's."""
     try:
         return np.array(text.split(), dtype=np.int64).reshape(-1, 3)
     except (ValueError, OverflowError):
-        _edge_labels(text, source)
-    row = next(row for row in text.splitlines() if row.strip() and not _is_triple(row))
+        for row in text.splitlines():
+            try:
+                if len(np.array(row.split(), dtype=np.int64)) not in (0, 3):
+                    break
+            except (ValueError, OverflowError):
+                break
     raise DataError(f"{source}: {row!r} is not three int64 fields 'u v label'")
-
-
-def _is_triple(row):
-    """Whether ``row`` is three fields that parse as int64."""
-    try:
-        return np.array(row.split(), dtype=np.int64).shape == (3,)
-    except (ValueError, OverflowError):
-        return False
 
 
 def in_test_split(split_tag):

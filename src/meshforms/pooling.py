@@ -6,11 +6,12 @@ averaged features of ``{a, b, e}``, ``c`` those of ``{c, d, e}``, and the far
 endpoint of ``e`` merges into the near one (placed at the edge midpoint).
 
 Two selection policies exist. The incremental one recomputes the two
-survivors' scores (L2 feature norms) immediately after every collapse, so a
-region that just absorbed information stops being the weakest; the batch
-policy ranks all edges once up front and walks that frozen order. Only the
-two survivors are rescored; other edges of the wider ring are left alone even
-though the collapse also affects them geometrically.
+survivors' scores (L2 feature norms) immediately after every collapse. The
+norm of a mean of three rows is at most the mean of their norms, so a
+survivor tends to rank lower, and collapses tend to chain through the region
+just pooled. The batch policy ranks all edges once up front and walks that
+frozen order. Only the two survivors are rescored, though the collapse also
+changes the wider ring geometrically.
 
 Collapse legality, checked in this order; each rule is named by the reason
 of :data:`ILLEGAL_REASONS` that :meth:`PoolingState.collapse_illegality`
@@ -84,34 +85,33 @@ _AFTER_NEXT = (2, 0, 1)
 
 
 class CollapseRecord(NamedTuple):
-    """One collapse: who died, who survived, and what was averaged into whom.
+    """One collapse: the collapsed ``edge`` and its ring ``(a, b, c, d)``, which
+    decide the rest. A named tuple, not a frozen dataclass, which would set each
+    field of every collapse's record through ``object.__setattr__``."""
 
-    A named tuple rather than a frozen dataclass: every collapse makes one,
-    and a frozen dataclass sets each field through ``object.__setattr__``.
-    """
-
-    collapsed_edge: int
-    surviving_edges: tuple  # (a, c)
-    removed_edges: tuple  # (e, b, d)
-    source_sets: tuple  # ((a, b, e), (c, d, e))
+    edge: int
+    a: int
+    b: int
+    c: int
+    d: int
 
     def to_dict(self):
+        """The journal's four keys, derived from the five ids."""
+        e, a, b, c, d = self
         return {
-            "collapsed_edge": self.collapsed_edge,
-            "surviving_edges": list(self.surviving_edges),
-            "removed_edges": list(self.removed_edges),
-            "source_sets": [list(s) for s in self.source_sets],
+            "collapsed_edge": e,
+            "surviving_edges": [a, c],
+            "removed_edges": [e, b, d],
+            "source_sets": [[a, b, e], [c, d, e]],
         }
 
     @staticmethod
-    def from_dict(d):
-        """Inverse of ``to_dict``; DataError for a field of the wrong type or length."""
-        return CollapseRecord(
-            _int(d["collapsed_edge"]),
-            _ints(d["surviving_edges"], 2),
-            _ints(d["removed_edges"], 3),
-            tuple(_ints(s, 3) for s in _items(d["source_sets"], 2)),
-        )
+    def from_dict(fields):
+        """The record of ``to_dict``'s removed and surviving edges, the two keys
+        that hold all five ids; DataError for a field of the wrong type or length."""
+        e, b, d = _ints(fields["removed_edges"], 3)
+        a, c = _ints(fields["surviving_edges"], 2)
+        return CollapseRecord(e, a, b, c, d)
 
 
 def _int(value):
@@ -132,16 +132,20 @@ def _ints(values, count):
 
 @dataclass
 class PoolHistory:
-    """Ordered collapse journal; enough to invert the pooling fan-in."""
+    """Ordered collapse journal; enough to invert the pooling fan-in. Each
+    collapse removes three edges, so the final edge count is derived."""
 
     records: list = field(default_factory=list)
     initial_edge_count: int = 0
-    final_edge_count: int = 0
+
+    @property
+    def final_edge_count(self):
+        return self.initial_edge_count - 3 * len(self.records)
 
     def surviving_ids(self):
         """Old edge ids still alive at the end, ascending (= compact order)."""
         alive = np.ones(self.initial_edge_count, dtype=bool)
-        removed = itertools.chain.from_iterable(rec.removed_edges for rec in self.records)
+        removed = itertools.chain.from_iterable((e, b, d) for e, _, b, _, d in self.records)
         alive[np.fromiter(removed, dtype=np.intp)] = False
         return np.flatnonzero(alive)
 
@@ -157,7 +161,8 @@ class PoolHistory:
 
     @staticmethod
     def from_json(text) -> "PoolHistory":
-        """Inverse of ``to_json``, bare or newline-ended (str or UTF-8 bytes); else DataError."""
+        """Inverse of ``to_json``, bare or newline-ended (str or UTF-8 bytes); else
+        DataError. A derived field that does not re-derive is not what ``to_json`` writes."""
         try:
             d = json.loads(text)
         except (ValueError, RecursionError):  # not JSON, not UTF-8, or nested too deep
@@ -166,7 +171,6 @@ class PoolHistory:
             history = PoolHistory(
                 [CollapseRecord.from_dict(r) for r in _items(d["records"])],
                 _int(d["initial_edge_count"]),
-                _int(d["final_edge_count"]),
             )
         except KeyError as err:
             raise DataError(f"pool journal has no key {err}") from None
@@ -179,28 +183,21 @@ class PoolHistory:
         return history
 
     def _check(self):
-        """DataError unless every record could come from pooling: fields that
-        agree as :meth:`PoolingState.collapse` writes them, ids in
-        ``0 .. initial_edge_count - 1``, no edge removed twice or surviving a
-        record after its removal, and three edges fewer per record."""
+        """DataError unless every record could come from pooling: a count not
+        negative, ids in ``0 .. initial_edge_count - 1``, and no edge removed
+        twice or surviving a record after its removal."""
         n = self.initial_edge_count
-        if n < 0 or self.final_edge_count != n - 3 * len(self.records):
-            raise DataError(
-                f"pool journal: final_edge_count {self.final_edge_count} is not "
-                f"initial_edge_count {n} minus 3 per record"
-            )
+        if n < 0:
+            raise DataError(f"pool journal: initial_edge_count {n} is negative")
         removed = set()
-        for rec in self.records:
-            (a, c), (e, b, d) = rec.surviving_edges, rec.removed_edges
-            if rec.collapsed_edge != e or rec.source_sets != ((a, b, e), (c, d, e)):
-                raise DataError("pool journal: a record's fields disagree")
-            if not all(0 <= i < n for i in (a, c, e, b, d)):
+        for e, a, b, c, d in self.records:
+            if not all(0 <= i < n for i in (e, a, b, c, d)):
                 raise DataError(f"pool journal: an edge id lies outside 0..{n - 1}")
             count = len(removed)
-            removed.update(rec.removed_edges)
+            removed.update((e, b, d))
             if len(removed) != count + 3:
                 raise DataError("pool journal: an edge is removed twice")
-            if not removed.isdisjoint(rec.surviving_edges):
+            if a in removed or c in removed:
                 raise DataError("pool journal: a surviving edge is already removed")
 
 
@@ -246,7 +243,7 @@ class PoolingState:
     :meth:`link` first builds it from the topology's incidence; a vertex
     merged away keeps an empty link. ``boundary_vertices`` holds the vertices
     with a boundary edge; no collapse changes it. Neighbor rings and face
-    corners are derived (:meth:`ring`, :meth:`compact`, :meth:`export_mesh`).
+    corners are derived (:meth:`_collapse`, :meth:`compact`, :meth:`export_mesh`).
     ``features``, ``scores`` and ``positions`` stay numpy arrays.
     """
 
@@ -274,23 +271,6 @@ class PoolingState:
 
     # -- queries ------------------------------------------------------------
 
-    def ring(self, edge):
-        """The ring ``(a, b, c, d)`` of ``edge``: :func:`topology.rings` for one edge.
-
-        In each face the ring takes the edges at slots ``k + 1`` and ``k + 2``
-        (mod 3) after the slot ``k`` that holds ``edge``.
-        """
-        ring = []
-        face_edges = self.face_edges
-        for g in self.edge_faces[2 * edge : 2 * edge + 2]:
-            if g == SENTINEL:
-                ring += (SENTINEL, SENTINEL)
-            else:
-                first = 3 * g
-                k = face_edges.index(edge, first, first + 3) - first
-                ring += (face_edges[first + _NEXT[k]], face_edges[first + _AFTER_NEXT[k]])
-        return tuple(ring)
-
     def link(self, w):
         """``{neighbor vertex: edge id}`` of vertex ``w`` over live edges.
 
@@ -311,7 +291,10 @@ class PoolingState:
         return link
 
     def collapse_illegality(self, edge):
-        """The reason of :data:`ILLEGAL_REASONS` the collapse is illegal for, else None."""
+        """The reason of :data:`ILLEGAL_REASONS` the collapse of ``edge`` is
+        illegal for, else None; IllegalCollapseError unless it is an int edge id."""
+        if type(edge) is not int or not 0 <= edge < len(self.edge_alive):
+            raise IllegalCollapseError(f"cannot collapse edge {edge}: no such edge")
         if not self.edge_alive[edge]:
             return EDGE_REMOVED
         u, v = self.edges[2 * edge], self.edges[2 * edge + 1]
@@ -333,11 +316,8 @@ class PoolingState:
 
     def collapse(self, edge) -> CollapseRecord:
         """Collapse ``edge``, a legal one of the int edge ids; else IllegalCollapseError."""
-        try:
-            e = SENTINEL if isinstance(edge, bool) else operator.index(edge)
-        except TypeError:
-            e = SENTINEL
-        reason = self.collapse_illegality(e) if 0 <= e < len(self.edge_alive) else "no such edge"
+        e = operator.index(edge) if isinstance(edge, np.integer) else edge
+        reason = self.collapse_illegality(e)
         if reason is not None:
             raise IllegalCollapseError(f"cannot collapse edge {edge}: {reason}")
         return self._collapse(e)
@@ -351,7 +331,8 @@ class PoolingState:
         edges, edge_faces, face_edges, links = self.edges, self.edge_faces, self.face_edges, self.links
         u, v = edges[2 * e], edges[2 * e + 1]
         f1, f2 = edge_faces[2 * e], edge_faces[2 * e + 1]
-        # the ring (a, b, c, d) of the interior edge e, as ring() reads it
+        # the ring (a, b, c, d) of the interior edge e (topology.rings): in each
+        # face, the edges at slots k + 1 and k + 2 (mod 3) after e's slot k
         first = 3 * f1
         k = face_edges.index(e, first, first + 3) - first
         a, b = face_edges[first + _NEXT[k]], face_edges[first + _AFTER_NEXT[k]]
@@ -419,7 +400,7 @@ class PoolingState:
             rescored(a, score_a)
             rescored(c, score_c)
         # tuple.__new__ skips the named tuple's generated __new__ and its arguments
-        return tuple.__new__(CollapseRecord, (e, (a, c), (e, b, d), ((a, b, e), (c, d, e))))
+        return tuple.__new__(CollapseRecord, (e, a, b, c, d))
 
     # -- extraction ----------------------------------------------------------
 
@@ -540,9 +521,7 @@ def pool(
     # so their sum is NaN exactly when one of them is
     if math.isnan(state.scores.sum()):
         raise NonFiniteError("pooling features hold a NaN")
-    history = PoolHistory(
-        initial_edge_count=state.live_edge_count, final_edge_count=state.live_edge_count
-    )
+    history = PoolHistory(initial_edge_count=state.live_edge_count)
     illegal = Counter()
     rebuilds = 0
     # the one array the queue ranks by: the live scores, or a copy frozen at entry
@@ -571,7 +550,6 @@ def pool(
             continue
         append(collapse(edge, push))
         progressed = True
-    history.final_edge_count = state.live_edge_count
     out_features, out_topology = state.compact()
     stats = PoolStats(len(history.records), dict(illegal), rebuilds)
     return PoolResult(out_features, out_topology, history, state, stats)
@@ -596,9 +574,7 @@ def unpool(features, history: PoolHistory) -> np.ndarray:
         )
     out = np.zeros((history.initial_edge_count, feats.shape[1]))
     out[history.surviving_ids()] = feats
-    for rec in reversed(history.records):
-        a, c = rec.surviving_edges
-        e, b, d = rec.removed_edges
+    for e, a, b, c, d in reversed(history.records):
         out[b] = out[a]
         out[d] = out[c]
         out[e] = (out[a] + out[c]) / 2.0
@@ -610,9 +586,7 @@ def unpool_backward(grad_initial, history: PoolHistory) -> np.ndarray:
     g = np.array(grad_initial, dtype=np.float64)
     if g.shape[0] != history.initial_edge_count:
         raise MeshError("gradient rows do not match pre-pool edge count")
-    for rec in history.records:
-        a, c = rec.surviving_edges
-        e, b, d = rec.removed_edges
+    for e, a, b, c, d in history.records:
         g[a] += g[b] + g[e] / 2.0
         g[c] += g[d] + g[e] / 2.0
         g[b] = 0.0
@@ -631,7 +605,7 @@ def pool_backward(grad_pooled, history: PoolHistory) -> np.ndarray:
         raise MeshError("gradient rows do not match pooled edge count")
     out = np.zeros((history.initial_edge_count, g.shape[1]))
     out[history.surviving_ids()] = g
-    for _, (a, c), (e, b, d), _ in reversed(history.records):
+    for e, a, b, c, d in reversed(history.records):
         ga, gc, ge = out[a], out[c], out[e]  # row views
         np.add(ga, gc, ge)
         np.divide(ge, _THREE, ge)

@@ -296,7 +296,7 @@ def test_criterion_4_pooling_soundness():
             assert state.live_edge_count == before - 3, "edge count miscount"
             report = validate_manifold(state.export_mesh())
             assert report.is_clean, f"mesh {i}: {report.summary()}"
-            for survivor in record.surviving_edges:
+            for survivor in (record.a, record.c):
                 expected = np.linalg.norm(state.features[survivor])
                 assert abs(state.scores[survivor] - expected) < 1e-12
                 queue.push(survivor, state.scores[survivor])
@@ -320,10 +320,10 @@ def test_criterion_5_policy_divergence_fixture():
     target = topology.edge_count - 6
     enhanced = pool(features, topology, target, mesh=mesh)
     legacy = pool(features, topology, target, mesh=mesh, policy=BATCH_LEGACY)
-    first_e = enhanced.history.records[0].collapsed_edge == e
-    first_l = legacy.history.records[0].collapsed_edge == e
-    second_enhanced = enhanced.history.records[1].collapsed_edge
-    second_legacy = legacy.history.records[1].collapsed_edge
+    first_e = enhanced.history.records[0].edge == e
+    first_l = legacy.history.records[0].edge == e
+    second_enhanced = enhanced.history.records[1].edge
+    second_legacy = legacy.history.records[1].edge
     ok = (
         first_e
         and first_l

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -244,6 +245,10 @@ class TestGenData:
         assert len(list((tmp_path / "d" / "meshes").iterdir())) == 6
 
 
+# sha256 of pool-trace's stdout, stderr and files on one zoo mesh, both policies
+GOLDEN_POOL_TRACE = "fdce5ef0750a1f47a1d4a42a45f235bac80cb35ed91453c63204722c1189a427"
+
+
 class TestPoolTrace:
     def _sphere_path(self, tmp_path):
         from conftest import fuzz_corpus
@@ -325,6 +330,27 @@ class TestPoolTrace:
         for policy, text in sidecars.items():
             expected = pool(values, topology, 160, mesh=unit, policy=policy).history
             assert text == expected.to_json() + "\n"
+
+    def test_output_is_byte_stable(self, tmp_path, capsys):
+        """stdout, stderr and every written file (stage OBJs, journals and the
+        collapse order) of three stages on a generated zoo mesh, under both
+        policies, hash to one pinned digest."""
+        from meshforms import DatasetSpec, generate
+
+        mesh = generate(DatasetSpec("primitive-zoo", 1, 1, edge_range=(250, 400), seed=0))[0].mesh
+        path = tmp_path / "zoo.obj"
+        path.write_bytes(write_obj(mesh))
+        h = hashlib.sha256()
+        for policy in POLICIES:
+            out = tmp_path / policy
+            args = ["pool-trace", "--mesh", path, "--features", "ff",
+                    "--targets", "200,160,100", "--policy", policy, "--out", out]
+            code, stdout, err = run(args, capsys)
+            assert code == 0
+            h.update(f"{policy}\0{stdout}\0{err}\0".encode())
+            for written in sorted(out.iterdir()):
+                h.update(written.name.encode() + b"\0" + written.read_bytes() + b"\0")
+        assert h.hexdigest() == GOLDEN_POOL_TRACE
 
     def test_unreachable_target_exit_3(self, tmp_path, capsys):
         path = tmp_path / "tetra.obj"
@@ -828,8 +854,8 @@ class TestTrainEval:
         )
         assert code == 2
         assert err.endswith(
-            f"meshes/{labels.name}: label in column 3 of '0 1 99999999999999999999' "
-            "does not fit in int64\n"
+            f"meshes/{labels.name}: '0 1 99999999999999999999' is not three int64 fields "
+            "'u v label'\n"
         )
 
     def test_test_split_edge_label_count_exit_2(self, tmp_path, capsys):

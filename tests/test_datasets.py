@@ -26,12 +26,9 @@ from meshforms import (
 from meshforms.datasets import (
     GENERATORS,
     GLYPHS,
-    _edge_labels,
     _edge_table,
     _glyph_array,
-    _label,
     _random_rotation,
-    glyph_is_safe,
     load_dataset_with_hash,
 )
 
@@ -129,6 +126,17 @@ def test_generated_datasets_are_byte_stable():
     assert h.hexdigest() == GOLDEN_DATASETS
 
 
+def glyph_is_safe(bitmap):
+    """No 2x2 window of the zero-padded bitmap is exactly a diagonal pair."""
+    padded = np.pad(bitmap, 1)
+    for i in range(padded.shape[0] - 1):
+        for j in range(padded.shape[1] - 1):
+            w = padded[i : i + 2, j : j + 2]
+            if w[0, 0] == w[1, 1] and w[0, 1] == w[1, 0] and w[0, 0] != w[0, 1]:
+                return False
+    return True
+
+
 class TestGlyphs:
     def test_all_glyphs_manifold_safe(self):
         for key, rows in GLYPHS.items():
@@ -137,6 +145,16 @@ class TestGlyphs:
     def test_safety_check_catches_diagonal(self):
         assert not glyph_is_safe(np.array([[True, False], [False, True]]))
         assert not glyph_is_safe(np.array([[False, True], [True, False]]))
+
+    def test_unsafe_glyph_is_refused_by_generate(self, monkeypatch):
+        """A diagonal pair pinches the carved surface, and generate's own
+        manifold check refuses the mesh."""
+        rows = ["11000", "10100", "00000", "00000", "00000"]
+        assert not glyph_is_safe(_glyph_array(rows))
+        monkeypatch.setitem(GLYPHS, 0, rows)
+        invalid = "generator produced an invalid mesh for class 0 sample 0: .* incident faces"
+        with pytest.raises(DataError, match=invalid):
+            generate(DatasetSpec("engraved-cube", 1, 1, edge_range=(800, 1200), seed=3))
 
 
 class TestAugment:
@@ -318,7 +336,7 @@ class TestManifest:
         labels = next((tmp_path / "meshes").glob("*.edgelabels"))
         rows = labels.read_text().splitlines()
         labels.write_text("\n".join([bad_row] + rows[1:]) + "\n")
-        with pytest.raises(DataError, match="no integer label in column 3"):
+        with pytest.raises(DataError, match=f"{bad_row!r} is not three int64 fields 'u v label'"):
             load_dataset(tmp_path)
 
     @pytest.mark.parametrize("name", ["index.tsv", "meshes/*.edgelabels"])
@@ -338,17 +356,9 @@ class TestManifest:
         with pytest.raises(DataError) as err:
             load_dataset(tmp_path)
         assert str(err.value) == (
-            f"meshes/{labels.name}: label in column 3 of '0 1 99999999999999999999' "
-            "does not fit in int64"
+            f"meshes/{labels.name}: '0 1 99999999999999999999' is not three int64 fields "
+            "'u v label'"
         )
-
-
-def per_row_edge_labels(text, source):
-    """Reference for ``_edge_labels``: one ``_label`` call per non-blank row."""
-    return np.array(
-        [_label(row, row.split(), 2, source) for row in text.splitlines() if row.strip()],
-        dtype=np.int64,
-    )
 
 
 LABEL_TOKENS = ["0", "1", "7", "12", "-3", "+3", "1_0", "\u0663", "x", "1.5", "", "9223372036854775807",
@@ -369,33 +379,10 @@ def edge_label_texts(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(edge_label_texts())
-def test_edge_labels_match_per_row_path(text):
-    try:
-        expected = per_row_edge_labels(text, "labels")
-    except DataError as err:
-        with pytest.raises(DataError) as got:
-            _edge_labels(text, "labels")
-        assert str(got.value) == str(err)
-        return
-    except OverflowError:  # the per-row path's raw error; the first such row is named
-        row = next(
-            row for row in text.splitlines()
-            if row.strip() and not -(2**63) <= int(row.split()[2]) < 2**63
-        )
-        with pytest.raises(DataError) as got:
-            _edge_labels(text, "labels")
-        assert str(got.value) == f"labels: label in column 3 of {row!r} does not fit in int64"
-        return
-    labels = _edge_labels(text, "labels")
-    assert labels.dtype == expected.dtype and labels.shape == expected.shape
-    assert np.array_equal(labels, expected)
-
-
-@settings(max_examples=400, deadline=None)
-@given(edge_label_texts())
 def test_edge_table_reads_triples_and_names_labels_as_edge_labels(text):
     """The loader's parse is the text's fields, three to a row, as int64; when
-    they are not, it is a DataError, worded as ``_edge_labels`` words a bad label."""
+    they are not, it is a DataError that names the first non-blank row that is
+    not three int64 fields."""
     try:
         expected = np.array([int(t) for t in text.split()], dtype=np.int64).reshape(-1, 3)
     except (ValueError, OverflowError):
@@ -406,12 +393,16 @@ def test_edge_table_reads_triples_and_names_labels_as_edge_labels(text):
         return
     with pytest.raises(DataError) as got:
         _edge_table(text, "labels")
+    row = next(row for row in text.splitlines() if row.strip() and not is_int64_triple(row))
+    assert str(got.value) == f"labels: {row!r} is not three int64 fields 'u v label'"
+
+
+def is_int64_triple(row):
+    """Whether ``row``'s fields are three Python ints that fit in int64."""
     try:
-        _edge_labels(text, "labels")
-    except DataError as err:
-        assert str(got.value) == str(err)
-    else:
-        assert "is not three int64 fields 'u v label'" in str(got.value)
+        return len(row.split()) == 3 and all(-(2**63) <= int(t) < 2**63 for t in row.split())
+    except ValueError:
+        return False
 
 
 @pytest.fixture(scope="module")

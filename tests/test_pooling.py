@@ -55,6 +55,22 @@ from conftest import (
 )
 
 
+def ring(state, edge):
+    """The ring ``(a, b, c, d)`` of ``edge`` in a pooling state's flat lists:
+    :func:`topology.rings` for one edge. In each face the ring takes the edges
+    at slots ``k + 1`` and ``k + 2`` (mod 3) after the slot ``k`` that holds
+    ``edge``; a boundary edge has two sentinels for its missing face."""
+    out = []
+    for g in state.edge_faces[2 * edge : 2 * edge + 2]:
+        if g == SENTINEL:
+            out += (SENTINEL, SENTINEL)
+        else:
+            fe = state.face_edges[3 * g : 3 * g + 3]
+            k = fe.index(edge)
+            out += (fe[(k + 1) % 3], fe[(k + 2) % 3])
+    return tuple(out)
+
+
 def consistency_check(state, euler_characteristic):
     """Structural invariants of a pooling state after any collapse.
 
@@ -70,7 +86,7 @@ def consistency_check(state, euler_characteristic):
     for e in alive:
         for slot in range(2):
             face = state.edge_faces[2 * e + slot]
-            pair = state.ring(e)[2 * slot : 2 * slot + 2]
+            pair = ring(state, e)[2 * slot : 2 * slot + 2]
             if face == SENTINEL:
                 assert slot == 1 and pair == (SENTINEL, SENTINEL)
                 continue
@@ -78,15 +94,15 @@ def consistency_check(state, euler_characteristic):
             assert set(int(p) for p in pair) <= set(
                 int(x) for x in state.face_edges[3 * face : 3 * face + 3]
             )
-        for nb in state.ring(e):
+        for nb in ring(state, e):
             if nb != SENTINEL:
                 assert state.edge_alive[nb]
-                assert e in state.ring(nb)
+                assert e in ring(state, nb)
     # the vectorised ring rule in compact() agrees with the scalar ring(); the
     # appended entry keeps each sentinel
     edge_map = np.append(np.cumsum(state.edge_alive) - 1, SENTINEL)
     _, compacted = state.compact()
-    assert np.array_equal(compacted.neighbors, edge_map[[state.ring(e) for e in alive]])
+    assert np.array_equal(compacted.neighbors, edge_map[[ring(state, e) for e in alive]])
     # compact numbers the exported mesh's vertices, which the derived incidence
     # counts as the largest vertex id + 1
     incidence = [[] for _ in range(mesh.vertex_count)]
@@ -117,16 +133,19 @@ class TestCollapse:
     def test_survivor_feature_is_mean(self, icosahedron):
         state, topo = make_state(icosahedron)
         e = first_legal_edge(state)
-        a, b = (int(x) for x in state.ring(e)[:2])
-        c, d = (int(x) for x in state.ring(e)[2:])
+        a, b = (int(x) for x in ring(state, e)[:2])
+        c, d = (int(x) for x in ring(state, e)[2:])
         state.features[[e, a, b]] = np.array([[3.0], [1.0], [2.0]]) * np.ones(3)
         expected_a = state.features[[a, b, e]].mean(axis=0)
         expected_c = state.features[[c, d, e]].mean(axis=0)
         record = state.collapse(e)
-        assert record.collapsed_edge == e
-        assert record.surviving_edges == (a, c)
-        assert set(record.removed_edges) == {e, b, d}
-        assert record.source_sets == ((a, b, e), (c, d, e))
+        assert record == (e, a, b, c, d)
+        assert record.to_dict() == {
+            "collapsed_edge": e,
+            "surviving_edges": [a, c],
+            "removed_edges": [e, b, d],
+            "source_sets": [[a, b, e], [c, d, e]],
+        }
         assert np.allclose(state.features[a], expected_a)
         assert np.allclose(state.features[c], expected_c)
         assert np.allclose(state.features[a], 2.0)
@@ -155,14 +174,19 @@ class TestCollapse:
     )
     def test_what_is_no_edge_id_is_refused_before_any_read(self, icosahedron, edge):
         """Only an int or numpy integer in 0..E-1 names an edge; a negative id
-        would wrap in the flat lists, and a bool would collapse edge 0 or 1."""
+        would wrap in the flat lists, and a bool would collapse edge 0 or 1.
+        ``collapse_illegality`` takes only an int: there a negative id or a
+        bool would read as legal, and an id past the end raise IndexError."""
         state, _ = make_state(icosahedron)
         before = (list(state.edges), list(state.edge_alive), state.features.tobytes())
         with pytest.raises(IllegalCollapseError, match="no such edge"):
             state.collapse(edge)
+        no_edge = f"^cannot collapse edge {edge}: no such edge$"
+        with pytest.raises(IllegalCollapseError, match=no_edge):
+            state.collapse_illegality(edge)
         assert (list(state.edges), list(state.edge_alive), state.features.tobytes()) == before
         legal = first_legal_edge(state)
-        assert state.collapse(np.int64(legal)).collapsed_edge == legal
+        assert state.collapse(np.int64(legal)).edge == legal
 
     def test_fuzz_state_stays_consistent(self):
         for i, mesh in enumerate(fuzz_corpus(6, seed=23)):
@@ -177,7 +201,7 @@ class TestCollapse:
                     continue
                 record = state.collapse(e)
                 consistency_check(state, chi)
-                for survivor in record.surviving_edges:
+                for survivor in (record.a, record.c):
                     queue.push(survivor, state.scores[survivor])
 
 
@@ -276,7 +300,7 @@ class SetOracle(PoolingState):
             edges[moved] = [u, other] if u < other else [other, u]
             into_u.add(moved)
         vertex_edges[v].clear()
-        return CollapseRecord(e, (a, c), (e, b, d), ((a, b, e), (c, d, e)))
+        return CollapseRecord(e, a, b, c, d)
 
 
 def live_links(state):
@@ -391,9 +415,7 @@ def pool_backward_oracle(grad_pooled, history):
     g = np.asarray(grad_pooled, dtype=np.float64)
     out = np.zeros((history.initial_edge_count, g.shape[1]))
     out[history.surviving_ids()] = g
-    for rec in reversed(history.records):
-        a, c = rec.surviving_edges
-        e, b, d = rec.removed_edges
+    for e, a, b, c, d in reversed(history.records):
         ga = out[a].copy()
         gc = out[c].copy()
         out[a] = ga / 3.0
@@ -433,7 +455,8 @@ def test_vertex_links_match_the_set_oracle(oracle_meshes, data):
             assert link is None or link == derived.get(v, {})
     derived = live_links(state)
     assert {v: state.link(v) for v in derived} == derived
-    history = PoolHistory(records, E, state.live_edge_count)
+    history = PoolHistory(records, E)
+    assert history.final_edge_count == state.live_edge_count
     grad = rng.normal(size=(history.final_edge_count, features.shape[1]))
     assert pool_backward(grad, history).tobytes() == pool_backward_oracle(grad, history).tobytes()
 
@@ -454,8 +477,8 @@ def build_divergence_fixture():
         probe = PoolingState(topology, np.ones((E, 1)), positions=mesh.vertices)
         if probe.collapse_illegality(e) is not None:
             continue
-        a, b = (int(x) for x in probe.ring(e)[:2])
-        c, d = (int(x) for x in probe.ring(e)[2:])
+        a, b = (int(x) for x in ring(probe, e)[:2])
+        c, d = (int(x) for x in ring(probe, e)[2:])
         record = probe.collapse(e)
         if probe.collapse_illegality(a) is not None:
             continue
@@ -486,10 +509,10 @@ class TestPolicyDivergence:
         target = topology.edge_count - 6
         enhanced = pool(features, topology, target, mesh=mesh)
         legacy = pool(features, topology, target, mesh=mesh, policy=BATCH_LEGACY)
-        assert enhanced.history.records[0].collapsed_edge == e
-        assert legacy.history.records[0].collapsed_edge == e
-        assert enhanced.history.records[1].collapsed_edge == f
-        assert legacy.history.records[1].collapsed_edge == a
+        assert enhanced.history.records[0].edge == e
+        assert legacy.history.records[0].edge == e
+        assert enhanced.history.records[1].edge == f
+        assert legacy.history.records[1].edge == a
 
     def test_policies_agree_on_disjoint_rings(self):
         mesh = fuzz_corpus(1, seed=41, edge_range=(200, 320))[0]
@@ -503,11 +526,11 @@ class TestPolicyDivergence:
                 break
             if probe.collapse_illegality(e) is not None:
                 continue
-            ring = {int(v) for x in [e, *probe.ring(e)] for v in topology.edges[x]}
-            if used_vertices & ring:
+            ends = {int(v) for x in [e, *ring(probe, e)] for v in topology.edges[x]}
+            if used_vertices & ends:
                 continue
             chosen.append(e)
-            used_vertices |= ring
+            used_vertices |= ends
         assert len(chosen) == 2
         features = np.full((E, 1), 1.0)
         features[chosen[0]] = 0.1
@@ -537,7 +560,7 @@ class TestPool:
         state = PoolingState(topology, features)
         expected = first_legal_edge(state)
         result = pool(features, topology, topology.edge_count - 3)
-        assert result.history.records[0].collapsed_edge == expected
+        assert result.history.records[0].edge == expected
 
     def test_exact_target_when_congruent_mod_three(self):
         mesh = fuzz_corpus(1, seed=3)[0]
@@ -596,11 +619,11 @@ class TestPool:
         topology = build_edge_topology(fuzz_corpus(1, seed=3)[0])
         features = np.random.default_rng(0).normal(size=(topology.edge_count, 3))
         target = topology.edge_count - 9
-        first = pool(features, topology, target, policy=policy).history.records[0].collapsed_edge
+        first = pool(features, topology, target, policy=policy).history.records[0].edge
         features[first, 0] = np.inf
         records = pool(features, topology, target, policy=policy).history.records
         assert len(records) == 3
-        assert first not in [record.collapsed_edge for record in records]
+        assert first not in [record.edge for record in records]
 
     def test_does_not_mutate_inputs(self, icosahedron):
         topology = build_edge_topology(icosahedron)
@@ -615,9 +638,7 @@ class TestPool:
 def pooling_replay_oracle(history, x):
     """Re-apply the recorded averaging to arbitrary features."""
     out = np.array(x, dtype=float)
-    for rec in history.records:
-        a, c = rec.surviving_edges
-        e, b, d = rec.removed_edges
+    for e, a, b, c, d in history.records:
         new_a = (out[a] + out[b] + out[e]) / 3.0
         new_c = (out[c] + out[d] + out[e]) / 3.0
         out[a] = new_a
@@ -644,10 +665,8 @@ class TestUnpool:
         rng = np.random.default_rng(7)
         features = rng.normal(size=(topology.edge_count, 2))
         result = pool(features, topology, topology.edge_count - 3)
-        rec = result.history.records[0]
+        e, a, b, c, d = result.history.records[0]
         up = unpool(result.features, result.history)
-        a, c = rec.surviving_edges
-        e, b, d = rec.removed_edges
         assert np.allclose(up[b], up[a])
         assert np.allclose(up[d], up[c])
         assert np.allclose(up[e], (up[a] + up[c]) / 2.0)
@@ -656,8 +675,7 @@ class TestUnpool:
         features, result = self._pooled(seed=5)
         touched = set()
         for rec in result.history.records:
-            touched.update(rec.removed_edges)
-            touched.update(rec.surviving_edges)
+            touched.update(rec)
         up = unpool(result.features, result.history)
         untouched = [e for e in range(features.shape[0]) if e not in touched]
         assert untouched
@@ -704,8 +722,8 @@ class TestUnpool:
     def test_surviving_ids_equal_the_per_record_loop(self, small_corpus, policy):
         for _, history in self._histories(small_corpus, policy, 0.6):
             alive = np.ones(history.initial_edge_count, dtype=bool)
-            for rec in history.records:
-                alive[list(rec.removed_edges)] = False
+            for e, _, b, _, d in history.records:
+                alive[[e, b, d]] = False
             got = history.surviving_ids()
             assert got.dtype == np.flatnonzero(alive).dtype
             assert np.array_equal(got, np.flatnonzero(alive))
@@ -742,17 +760,19 @@ class TestHistorySerialization:
             ('{"records": [3], "initial_edge_count": 1, "final_edge_count": 1}', "not a JSON object"),
             ('{"records": {}, "initial_edge_count": 1, "final_edge_count": 1}', "list of records"),
             ('{"records": [], "initial_edge_count": 1.0, "final_edge_count": 1}', "an integer"),
-            ('{"records": [], "initial_edge_count": 1, "final_edge_count": true}', "an integer"),
+            ('{"records": [], "initial_edge_count": 1, "final_edge_count": true}',
+             "not in the form to_json writes"),
             (one_record_journal(removed=[0, 5, 99]), "outside 0..9"),
             (one_record_journal(removed=[0, -1, 5]), "outside 0..9"),
-            (one_record_journal(final=9), "final_edge_count 9 is not initial_edge_count 10"),
+            (one_record_journal(final=9), "not in the form to_json writes"),
             (one_record_journal(removed=[0, 5, 5]), "removed twice"),
             (one_record_journal(survivors=[1, 5]), "surviving edge is already removed"),
             (one_record_journal().replace('"collapsed_edge": 0', '"collapsed_edge": 1'),
-             "fields disagree"),
-            (one_record_journal().replace("[[1, 5, 0]", "[[1, 0, 5]"), "fields disagree"),
+             "not in the form to_json writes"),
+            (one_record_journal().replace("[[1, 5, 0]", "[[1, 0, 5]"),
+             "not in the form to_json writes"),
             ('{"records": [], "initial_edge_count": -1, "final_edge_count": -1}',
-             "initial_edge_count -1 minus 3"),
+             "initial_edge_count -1 is negative"),
         ],
     )
     def test_malformed_journal_rejected(self, text, message):
@@ -773,8 +793,7 @@ class TestHistorySerialization:
             return
         assert mutated in (history.to_json().encode(), history.to_json().encode() + b"\n")
         for record in history.records:
-            assert all(type(i) is int for i in (record.collapsed_edge, *record.surviving_edges,
-                                                *record.removed_edges, *sum(record.source_sets, ())))
+            assert all(type(i) is int for i in record)
         # a journal that loads replays without a raw error, and ends on its final edge count
         pooled = np.ones((history.final_edge_count, 2))
         restored = unpool(pooled, history)
@@ -952,7 +971,7 @@ def test_every_refusal_is_one_of_the_four_reasons(oracle_meshes, policy, monkeyp
             except PoolTargetError:
                 continue
             keys |= result.stats.illegal_pops.keys()
-            result.state.collapse_illegality(result.history.records[0].collapsed_edge)
+            result.state.collapse_illegality(result.history.records[0].edge)
     del returned[None]
     assert len(set(ILLEGAL_REASONS)) == 4
     assert keys <= set(ILLEGAL_REASONS)
